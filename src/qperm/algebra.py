@@ -46,7 +46,7 @@ class StarAlgebra:
                  check: bool = True, _factors=None):
         self.labels = list(basis_labels)
         self.dim = len(self.labels)
-        self.mult = None if mult is None else np.asarray(mult, dtype=complex)
+        self.mult = None if mult is None else np.ascontiguousarray(mult, dtype=complex)
         self.involution = np.asarray(involution, dtype=complex)
         self.unit = np.asarray(unit, dtype=complex)
         self.trace = np.asarray(trace, dtype=complex)
@@ -70,7 +70,8 @@ class StarAlgebra:
 
     def product_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.mult is not None:
-            return np.einsum("ijk,i,j->k", self.mult, a, b, optimize=True)
+            d = self.dim
+            return b @ (a @ self.mult.reshape(d, d * d)).reshape(d, d)
         A, B = self._factors
         X = a.reshape(A.dim, B.dim)
         Y = b.reshape(A.dim, B.dim)
@@ -132,7 +133,8 @@ class StarAlgebra:
         return self.regular.reshape(self.dim, self.dim * self.dim).T
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        return np.einsum("i,ikj->kj", a, self.regular, optimize=True)
+        d = self.dim
+        return (a @ self.regular.reshape(d, d * d)).reshape(d, d)
 
     def matrix_to_coeffs(self, M: np.ndarray, tol: float | None = None) -> np.ndarray:
         """Invert the regular representation by least squares.
@@ -280,8 +282,7 @@ class LinearFunctional:
         """P[i, j] = phi(e_i^* e_j); PSD iff the functional is positive."""
         alg = self.algebra
         if alg.mult is not None:
-            return np.einsum("ia,ajk,k->ij", alg.involution, alg.mult, self.duals,
-                             optimize=True)
+            return alg.involution @ (alg.mult @ self.duals)
         A, B = alg._factors
         d = self.duals.reshape(A.dim, B.dim)
         P = np.einsum("ia,ajk,IA,AJL,kL->iIjJ", A.involution, A.mult,
@@ -324,10 +325,10 @@ class State(LinearFunctional):
     def __init__(self, algebra, duals, check: bool = True):
         super().__init__(algebra, duals)
         if check:
-            unital = abs(self(algebra.one()) - 1.0)
+            unital = abs(self.duals @ algebra.unit - 1.0)
             if unital > 10 * max(algebra.tol, 1e-12):
                 raise AlgebraError(f"functional is not unital (residual {unital:.3e})")
-            if __debug__ and not is_positive_functional(self, tol=100 * algebra.tol):
+            if not is_positive_functional(self, tol=100 * algebra.tol):
                 raise AlgebraError("functional is not positive within tolerance")
 
 
@@ -444,7 +445,7 @@ def support_projection(phi: State) -> Projection:
         raise AlgebraError("supports require dense structure constants")
     if not isinstance(phi, State):
         phi = State(alg, phi.duals)
-    pair = np.einsum("jik,k->ij", alg.mult, alg.trace, optimize=True)
+    pair = (alg.mult @ alg.trace).T
     d = np.linalg.solve(pair, phi.duals)
     d_el = alg.element(d)
     d_herm = 0.5 * (d_el + d_el.star())

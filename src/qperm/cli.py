@@ -18,8 +18,8 @@ name or definition-file path), parameters and optional explicit output paths:
     {"name": "bounds-empirical", "group": "kp",
      "parameters": {"n_samples": 500, "seed": 7}, "outputs": ["bounds.json"]}
 
-Exit codes: 0 success, 1 assertion failure, 2 input error.  QPERM_THREADS
-caps the thread count of sample batches.
+Exit codes: 0 success, 1 assertion failure, 2 input error.  A group file
+that does not follow the schema above is an input error.
 """
 from __future__ import annotations
 
@@ -106,6 +106,56 @@ for _m in range(3, 13):
     BUILTIN_GROUPS[f"dual-d{_m}"] = (lambda m=_m: dual_dihedral(m))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_list(v, n: int) -> bool:
+    """Whether v is a list of n integers, each in range(n)."""
+    return (isinstance(v, list) and len(v) == n
+            and all(_is_int(x) and 0 <= x < n for x in v))
+
+
+def _check_group_schema(data) -> None:
+    """Raise ValueError unless ``data`` follows the group-file schema.
+
+    Only the shape is checked here; group axioms (closure, inverses,
+    generation) are checked by the constructors and fail as assertions.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a group file must hold a JSON object")
+    tol = data.get("tolerance", 1e-9)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+        raise ValueError(f"tolerance must be a positive number, not {tol!r}")
+    kind = data.get("kind")
+    if kind == "classical":
+        perms = data.get("permutations")
+        if not isinstance(perms, list) or not perms or not isinstance(perms[0], list):
+            raise ValueError("'permutations' must be a non-empty list of lists")
+        n = len(perms[0])
+        if n == 0 or not all(_int_list(p, n) and len(set(p)) == n for p in perms):
+            raise ValueError(f"every permutation must list the images of 0..{n - 1}")
+    elif kind == "dual":
+        table = data.get("group_table")
+        n = len(table) if isinstance(table, list) else 0
+        if n == 0 or not all(_int_list(row, n) for row in table):
+            raise ValueError("'group_table' must be a non-empty square table of "
+                             "element indices")
+        labels = data.get("labels")
+        if labels and not (isinstance(labels, list) and len(labels) == n
+                           and all(isinstance(l, str) for l in labels)):
+            raise ValueError(f"'labels' must be a list of {n} strings")
+        gens = data.get("generators")
+        if not isinstance(gens, list) or not gens or not all(
+                isinstance(g, dict) and _is_int(g.get("element"))
+                and 0 <= g["element"] < n and _is_int(g.get("order"))
+                and g["order"] >= 1 for g in gens):
+            raise ValueError("'generators' must be a non-empty list of "
+                             f"{{\"element\": 0..{n - 1}, \"order\": d >= 1}}")
+    elif kind != "kac_paljutkin":
+        raise ValueError(f"unknown group kind: {kind!r}")
+
+
 def load_group(ref: str) -> CompactQuantumGroup:
     if ref in BUILTIN_GROUPS:
         return BUILTIN_GROUPS[ref]()
@@ -114,7 +164,8 @@ def load_group(ref: str) -> CompactQuantumGroup:
         raise FileNotFoundError(f"unknown builtin and no such file: {ref}")
     with open(path) as fh:
         data = json.load(fh)
-    kind = data.get("kind")
+    _check_group_schema(data)
+    kind = data["kind"]
     tol = float(data.get("tolerance", 1e-9))
     if kind == "classical":
         perms = [tuple(p) for p in data["permutations"]]
@@ -126,11 +177,9 @@ def load_group(ref: str) -> CompactQuantumGroup:
             group = permgroups.FiniteGroup(labels, table)
         except ValueError as exc:
             raise AlgebraError(f"multiplication table axiom failed: {exc}") from exc
-        gens = [(int(g["element"]), int(g["order"])) for g in data["generators"]]
+        gens = [(g["element"], g["order"]) for g in data["generators"]]
         return dual_group(group, gens, name=path.stem, tol=tol)
-    if kind == "kac_paljutkin":
-        return kac_paljutkin(tol=tol)
-    raise ValueError(f"unknown group kind: {kind!r}")
+    return kac_paljutkin(tol=tol)
 
 
 # -- experiments ----------------------------------------------------------------

@@ -87,7 +87,7 @@ class CompactQuantumGroup:
         self.name = name
         self.kind = kind
         self.algebra = algebra
-        self.delta = np.asarray(delta, dtype=complex)
+        self.delta = np.ascontiguousarray(delta, dtype=complex)
         self.counit = counit if isinstance(counit, State) else State(algebra, counit)
         self.antipode = np.asarray(antipode, dtype=complex)
         self.magic = np.asarray(magic, dtype=complex)
@@ -116,7 +116,13 @@ class CompactQuantumGroup:
         return self.algebra.dim
 
     def magic_projection(self, i: int, j: int) -> Projection:
-        return Projection(self.algebra, self.magic[i, j])
+        return self._magic_grid[i][j]
+
+    @cached_property
+    def _magic_grid(self) -> list[list[Projection]]:
+        """Every magic entry as a Projection, each checked once, on first use."""
+        return [[Projection(self.algebra, self.magic[i, j]) for j in range(self.N)]
+                for i in range(self.N)]
 
     def fix_element(self) -> AlgebraElement:
         """Trace of the magic unitary, the main character sum_j u_jj."""
@@ -124,7 +130,8 @@ class CompactQuantumGroup:
 
     def delta_applied(self, coeffs: np.ndarray) -> np.ndarray:
         """Delta of an element, as a (dim, dim) tensor-coefficient matrix."""
-        return np.einsum("iab,i->ab", self.delta, coeffs, optimize=True)
+        d = self.dim
+        return (coeffs @ self.delta.reshape(d, d * d)).reshape(d, d)
 
     @cached_property
     def tensor_square(self) -> StarAlgebra:
@@ -137,8 +144,7 @@ class CompactQuantumGroup:
         """Convolution (phi (x) rho) o Delta."""
         if phi.algebra is not self.algebra or rho.algebra is not self.algebra:
             raise AlgebraError("functionals live on a different algebra")
-        duals = np.einsum("iab,a,b->i", self.delta, phi.duals, rho.duals,
-                          optimize=True)
+        duals = (self.delta @ rho.duals) @ phi.duals
         return State(self.algebra, duals, check=check)
 
     def convolve_power(self, phi: State, k: int) -> State:
@@ -158,9 +164,8 @@ class CompactQuantumGroup:
         alg = self.algebra
         x = np.asarray(x, dtype=complex)
         sx = alg.star_coeffs(x)
-        ex = np.einsum("ijk,j->ik", alg.mult, x, optimize=True)     # e_i x
-        full = np.einsum("a,ik,akl->il", sx, ex, alg.mult, optimize=True)
-        duals = full @ alg.trace
+        # duals[i] = tau(x* e_i x): (e_i x)[k] paired with tau(x* e_k)
+        duals = (x @ alg.mult) @ (sx @ (alg.mult @ alg.trace))
         nrm = duals @ alg.unit
         if abs(nrm) < 1e3 * np.finfo(float).eps:
             raise AlgebraError("vector is null for the trace form")
@@ -719,7 +724,7 @@ def characters(G: CompactQuantumGroup, seed: int = 0) -> list[State]:
         # character values: chi(e_i) from e_i * v = chi(e_i) v (v spans a 1-dim
         # ideal of the commutative block after rescaling)
         duals = np.zeros(alg.dim, dtype=complex)
-        Lv = np.einsum("ijk,j->ik", alg.mult, coeffs, optimize=True)
+        Lv = coeffs @ alg.mult
         vv = np.vdot(coeffs, coeffs)
         for i in range(alg.dim):
             duals[i] = np.vdot(coeffs, Lv[i]) / vv
@@ -737,7 +742,7 @@ def characters(G: CompactQuantumGroup, seed: int = 0) -> list[State]:
 
 
 def birkhoff_matrix(G: CompactQuantumGroup, phi: LinearFunctional) -> np.ndarray:
-    return np.einsum("ijc,c->ij", G.magic, phi.duals, optimize=True)
+    return G.magic @ phi.duals
 
 
 def abelianization(G: CompactQuantumGroup) -> QuantumGroupMorphism:

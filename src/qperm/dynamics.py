@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,24 +142,11 @@ def verify_bounds_empirically(G: CompactQuantumGroup, cv: ClassicalVersion,
             if extra[0] is not None and extra[1] is not None:
                 pairs.append(extra)
 
-    threads = max(1, int(os.environ.get("QPERM_THREADS", "1")))
-
-    def run(pair):
-        phi, rho = pair
+    samples, violations = [], []
+    for phi, rho in pairs:
         a = quantum_fraction(phi, cv)
         b = quantum_fraction(rho, cv)
         w = quantum_fraction(G.convolve(phi, rho, check=False), cv)
-        return BoundsSample(a, b, w), phi, rho
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, pairs))
-    else:
-        results = [run(p) for p in pairs]
-
-    samples, violations = [], []
-    for sample, phi, rho in results:
-        a, b, w = sample.alpha, sample.beta, sample.omega
         lower, upper = convolution_bounds(a, b)
         bad = None
         if not (lower - tol <= w <= upper + tol):
@@ -174,7 +159,7 @@ def verify_bounds_empirically(G: CompactQuantumGroup, cv: ClassicalVersion,
         elif ((a <= tol and b >= 1 - tol) or (a >= 1 - tol and b <= tol)) \
                 and w < 1 - tol:
             bad = "random/quantum pair not truly quantum"
-        samples.append(sample)
+        samples.append(BoundsSample(a, b, w))
         if bad:
             witness = {"reason": bad, "alpha": a, "beta": b, "omega": w,
                        "phi": _ser(phi), "rho": _ser(rho)}

@@ -51,7 +51,7 @@ class IdempotentClass:
 
 def left_convolution_operator(G: CompactQuantumGroup, phi: LinearFunctional) -> np.ndarray:
     """Matrix of rho -> phi * rho on dual coefficient vectors."""
-    return np.einsum("iab,a->ib", G.delta, phi.duals, optimize=True)
+    return phi.duals @ G.delta
 
 
 def _cesaro_projector(T: np.ndarray, cluster: float = 1e-8) -> np.ndarray:
@@ -194,10 +194,9 @@ def condition(G: CompactQuantumGroup, phi: State, q: Projection) -> State:
 
 def _sandwich_matrix(G: CompactQuantumGroup, q: np.ndarray) -> np.ndarray:
     """Matrix S with (S phi)(e_i) = phi(q e_i q)."""
-    c = G.algebra.mult
-    t1 = np.einsum("ijk,j->ik", c, q, optimize=True)        # e_i q
-    t2 = np.einsum("a,ik,akl->il", q, t1, c, optimize=True)  # q e_i q
-    return t2
+    c, d = G.algebra.mult, G.dim
+    # rows (e_i q)[k], times W[k, l] = (q e_k)[l]
+    return (q @ c) @ (q @ c.reshape(d, d * d)).reshape(d, d)
 
 
 def null_space(G: CompactQuantumGroup, phi: State, tol: float = 1e-8) -> np.ndarray:

@@ -142,21 +142,30 @@ class FiniteGroup:
         return len(self.generated_by(gens)) == self.order
 
     def subgroups(self) -> list[frozenset]:
-        """All subgroups, via closures of generator pairs.
+        """All subgroups, by closing the cyclic subgroups under joins.
 
-        Every subgroup of the groups handled here (order <= 24) is generated
-        by at most two elements, which a rank saturation pass confirms: the
-        enumeration is repeated with triples if new subgroups keep appearing.
+        Every subgroup is the end of a chain <g1> < <g1, g2> < ..., each link
+        the join of the one before with one more element.  So joining every
+        subgroup found with every element outside it, until nothing new
+        appears, finds them all, however many generators they need.  Each
+        subgroup keeps the generators it was found with, which are few.
         """
-        found = {frozenset(self.generated_by([g])) for g in range(self.order)}
-        found.add(frozenset({0}))
-        for r in (2, 3):
-            prev = len(found)
-            for gens in itertools.combinations(range(1, self.order), r):
-                found.add(frozenset(self.generated_by(list(gens))))
-            if len(found) == prev and r >= 2:
-                break
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        gens = {}
+        for g in range(self.order):
+            gens.setdefault(frozenset(self.generated_by([g])), [g])
+        frontier = list(gens)
+        while frontier:
+            new = []
+            for H in frontier:
+                for g in range(self.order):
+                    if g in H:
+                        continue
+                    K = frozenset(self.generated_by(gens[H] + [g]))
+                    if K not in gens:
+                        gens[K] = gens[H] + [g]
+                        new.append(K)
+            frontier = new
+        return sorted(gens, key=lambda s: (len(s), sorted(s)))
 
     def is_subgroup(self, subset) -> bool:
         s = set(subset)

@@ -52,8 +52,7 @@ def is_character(G: CompactQuantumGroup, phi: State, tol: float = 1e-8):
     R = np.round(P)
     if np.abs(P - R).max() > tol or not _is_permutation_matrix(R):
         return None
-    mres = np.abs(np.einsum("ijk,k->ij", G.algebra.mult, phi.duals, optimize=True)
-                  - np.outer(phi.duals, phi.duals)).max()
+    mres = np.abs(G.algebra.mult @ phi.duals - np.outer(phi.duals, phi.duals)).max()
     if mres > 100 * max(tol, G.algebra.tol):
         raise AlgebraError("permutation slice but not multiplicative: "
                            "invalid input model")
@@ -255,7 +254,7 @@ def is_central(a: AlgebraElement, tol: float | None = None) -> bool:
     alg = a.algebra
     tol = alg.tol if tol is None else tol
     L = alg.left_mult_matrix(a.coeffs)
-    R = np.einsum("jik,i->kj", alg.mult, a.coeffs, optimize=True)
+    R = (a.coeffs @ alg.mult).T
     return bool(np.abs(L - R).max() <= tol)
 
 

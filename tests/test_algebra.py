@@ -1,7 +1,13 @@
 """Core *-algebra arithmetic, spectral calculus and projection lattice."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qperm
 from qperm import permgroups
 from qperm.algebra import (
     AlgebraError,
@@ -216,6 +222,26 @@ def test_state_constructor_rejects_non_state(cs3):
         State(cs3.algebra, -np.asarray(cs3.haar.duals))
     with pytest.raises(AlgebraError):
         State(cs3.algebra, 2.0 * np.asarray(cs3.haar.duals))
+
+
+def test_state_positivity_checked_under_optimize():
+    # phi = 2 f1* - f2* on kp: phi(1) = 2 - 1 = 1, but phi(f2) = -1 < 0
+    script = ("import numpy as np\n"
+              "from qperm.algebra import AlgebraError, State\n"
+              "from qperm.cqg import kac_paljutkin\n"
+              "G = kac_paljutkin()\n"
+              "duals = 2 * np.eye(8)[0] - np.eye(8)[1]\n"
+              "try:\n"
+              "    State(G.algebra, duals)\n"
+              "except AlgebraError:\n"
+              "    raise SystemExit(0)\n"
+              "raise SystemExit('non-positive functional accepted as a state')\n")
+    src = str(Path(qperm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_gram_matrices_positive_definite():

@@ -35,6 +35,19 @@ def test_validate_corrupted_table(tmp_path, capsys):
     assert run(["validate", p]) == 1
 
 
+@pytest.mark.parametrize("definition", [
+    {"kind": "classical", "permutations": []},
+    [{"kind": "classical", "permutations": [[0, 1], [1, 0]]}],
+    {"kind": "dual", "group_table": [[0, 1], [1, 0]],
+     "generators": [{"element": 2, "order": 2}]},
+], ids=["empty-permutations", "top-level-list", "generator-out-of-range"])
+def test_validate_malformed_file_is_input_error(tmp_path, capsys, definition):
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(definition))
+    assert run(["validate", p]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_validate_classical_file(tmp_path):
     spec = {"kind": "classical", "permutations": [[0, 1], [1, 0]]}
     p = tmp_path / "s2.json"

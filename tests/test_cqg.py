@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from qperm import permgroups
-from qperm.algebra import AlgebraError, State, gram_norm
+from qperm import cqg, permgroups
+from qperm.algebra import AlgebraError, Projection, State, gram_norm
 from qperm.cqg import (
     CompactQuantumGroup,
     abelianization,
@@ -63,6 +63,33 @@ def test_z4_subgroup_of_s4():
     G = classical_group(permgroups.closure([c4]))
     assert G.dim == 4 and G.N == 4
     assert G.validate().ok
+
+
+def _elementary_abelian(k):
+    n = 2 ** k
+    return permgroups.FiniteGroup([f"g{i}" for i in range(n)],
+                                  [[i ^ j for j in range(n)] for i in range(n)])
+
+
+def _quaternion():
+    i = permgroups.from_cycles(8, (0, 1, 3, 6), (2, 5, 7, 4))
+    j = permgroups.from_cycles(8, (0, 2, 3, 7), (1, 4, 6, 5))
+    return permgroups.FiniteGroup.from_permutations(permgroups.closure([i, j]))
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: _elementary_abelian(3), 16),
+    (lambda: _elementary_abelian(4), 67),
+    (_quaternion, 6),
+    (lambda: permgroups.FiniteGroup.dihedral(6), 16),
+    (lambda: permgroups.FiniteGroup.from_permutations(permgroups.symmetric_group(4)), 30),
+], ids=["Z2^3", "Z2^4", "Q8", "D6", "S4"])
+def test_subgroup_counts(make, count):
+    group = make()
+    subs = group.subgroups()
+    assert len(subs) == count == len(set(subs))
+    assert all(group.is_subgroup(s) for s in subs)
+    assert frozenset(range(group.order)) in subs
 
 
 def test_classical_group_rejects_non_closed():
@@ -306,6 +333,26 @@ def test_magic_diagonal_group_like_identity(kp, ds4, cs3):
             lhs = T.product_coeffs(G.delta_applied(u).reshape(-1),
                                    np.kron(G.algebra.unit, u))
             assert np.abs(lhs - np.kron(u, u)).max() < 1e-10
+
+
+def test_magic_grid_built_lazily_once(monkeypatch):
+    built = []
+
+    class CountingProjection(Projection):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cqg, "Projection", CountingProjection)
+    G = kac_paljutkin()
+    assert not built
+    for _ in range(3):
+        for i in range(G.N):
+            for j in range(G.N):
+                p = G.magic_projection(i, j)
+                assert p is G.magic_projection(i, j)
+                assert np.array_equal(p.coeffs, G.magic[i, j])
+    assert len(built) == G.N ** 2
 
 
 def test_sample_states_deterministic(kp):

@@ -130,14 +130,6 @@ def test_bounds_empirical_classical_all_zero(cs4):
         assert s.alpha < 1e-9 and s.beta < 1e-9 and s.omega < 1e-9
 
 
-def test_bounds_threads_do_not_change_results(kp, kp_cv, monkeypatch):
-    base = verify_bounds_empirically(kp, kp_cv, n_samples=30, seed=4)
-    monkeypatch.setenv("QPERM_THREADS", "4")
-    threaded = verify_bounds_empirically(kp, kp_cv, n_samples=30, seed=4)
-    for a, b in zip(base.samples, threaded.samples):
-        assert (a.alpha, a.beta, a.omega) == (b.alpha, b.beta, b.omega)
-
-
 def klein_coset_state(G, g):
     duals = np.zeros(G.dim)
     for p in permgroups.klein_four():
