@@ -25,6 +25,9 @@ from .algebra import (
     Projection,
     StarAlgebra,
     State,
+    _coo,
+    _contract,
+    _max_abs_difference,
     gram_norm,
     tensor_algebra,
 )
@@ -202,21 +205,21 @@ class CompactQuantumGroup:
         for axiom, res in alg.check_invariants().items():
             add(f"algebra.{axiom}", res)
 
-        t1 = np.einsum("iuk,uab->iabk", D, D, optimize=True)
-        t2 = np.einsum("iau,ubk->iabk", D, D, optimize=True)
-        add("coassociativity", np.abs(t1 - t2).max())
+        Dc, cc = _coo(D), alg._mult_coo
+        # (Delta (x) id) Delta against (id (x) Delta) Delta
+        add("coassociativity", _max_abs_difference(
+            _contract("iuk,uab->iabk", Dc, Dc), _contract("iau,ubk->iabk", Dc, Dc)))
 
         add("delta_unital", np.abs(self.delta_applied(alg.unit)
                                    - np.outer(alg.unit, alg.unit)).max())
 
-        res_mult = 0.0
-        for i in range(alg.dim):
-            lhs_i = np.einsum("jm,mab->jab", c[i], D, optimize=True)
-            t1 = np.einsum("ab,aAk->bAk", D[i], c, optimize=True)
-            t2 = np.einsum("bAk,jAB->bkjB", t1, D, optimize=True)
-            rhs_i = np.einsum("bkjB,bBl->jkl", t2, c, optimize=True)
-            res_mult = max(res_mult, np.abs(lhs_i - rhs_i).max())
-        add("delta_multiplicative", res_mult)
+        # Delta(e_i e_j) against Delta(e_i) Delta(e_j)
+        # = sum D[i,a,b] c[a,A,k] D[j,A,B] c[b,B,l] e_k (x) e_l, one pair at a time
+        rhs = _contract("iab,aAk->ibAk", Dc, cc)
+        rhs = _contract("ibAk,jAB->ibkjB", rhs, Dc)
+        rhs = _contract("ibkjB,bBl->ijkl", rhs, cc)
+        add("delta_multiplicative", _max_abs_difference(
+            _contract("ijm,mkl->ijkl", cc, Dc), rhs))
 
         lhs = np.einsum("ik,kab->iab", alg.involution, D, optimize=True)
         rhs = np.einsum("iab,au,bv->iuv", np.conj(D), alg.involution,
@@ -279,13 +282,19 @@ class CompactQuantumGroup:
     def _entries_generate(self) -> bool:
         alg = self.algebra
         gens = self.magic.reshape(self.N * self.N, alg.dim)
+        # right multiplication by each entry: (e_i g)[k]
+        right = _contract("gj,ijk->gik", _coo(gens), alg._mult_coo)
         basis = _row_space(np.vstack([alg.unit[np.newaxis, :], gens]))
+        # span_{t+1} = span_t + span_t gens = span_t + new_t gens, where new_t
+        # completes span_{t-1} to span_t; so only the new rows are multiplied
+        new = basis
         while basis.shape[0] < alg.dim:
-            prods = [alg.product_coeffs(b, g) for b in basis for g in gens]
-            grown = _row_space(np.vstack([basis] + [np.vstack(prods)]))
-            if grown.shape[0] == basis.shape[0]:
+            prods = _contract("bi,gik->bgk", _coo(new), right).to_dense()
+            prods = prods.reshape(-1, alg.dim)
+            new = _row_space(prods - (prods @ basis.conj().T) @ basis)
+            if new.shape[0] == 0:
                 return False
-            basis = grown
+            basis = np.vstack([basis, new])
         return True
 
     def __repr__(self):
@@ -681,7 +690,9 @@ def characters(G: CompactQuantumGroup, seed: int = 0) -> list[State]:
 
     The commutator ideal J is split off by its central unit z, and characters
     are the points of the complementary commutative block (1-z)A, enumerated
-    by eigendecomposition of a generic self-adjoint multiplication operator.
+    by eigendecomposition of multiplication by a generic element g of the
+    block.  Its eigenvalues are the values chi(g); g has complex coefficients,
+    so that a character and its complex conjugate take different values.
     """
     alg = G.algebra
     J = commutator_ideal(G)
@@ -701,15 +712,13 @@ def characters(G: CompactQuantumGroup, seed: int = 0) -> list[State]:
         # complementary commutative block (1 - z) A
         comp = _row_space(np.einsum("ijk,i->jk", alg.mult, unit_c, optimize=True))
     # comp rows span the commutative block; multiplication operator of a generic
-    # self-adjoint element, restricted to the block
+    # element, restricted to the block
     q = comp.shape[0]
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        g = rng.standard_normal(alg.dim)
+        g = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         gc = comp.conj().T @ (comp @ g)  # project into the block
-        gel = alg.element(gc)
-        gel = 0.5 * (gel + gel.star())
-        Mg = alg.left_mult_matrix(gel.coeffs)
+        Mg = alg.left_mult_matrix(gc)
         Mq = comp.conj() @ Mg @ comp.T  # operator on block coordinates
         evals, vecs = np.linalg.eig(Mq)
         if np.min(np.abs(np.subtract.outer(evals, evals))

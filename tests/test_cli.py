@@ -61,6 +61,23 @@ def test_validate_kac_paljutkin_file(tmp_path):
     assert run(["validate", p]) == 0
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classical_version_of_a_cyclic_dual(tmp_path, n):
+    # the dual of Z/n has non-real characters for n >= 3
+    group = tmp_path / f"dual-z{n}.json"
+    group.write_text(json.dumps({
+        "kind": "dual",
+        "group_table": [[(i + j) % n for j in range(n)] for i in range(n)],
+        "generators": [{"element": 1, "order": n}]}))
+    assert run(["validate", group]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "classical-version", "group": str(group)}))
+    assert run(["run", spec, "--out", tmp_path / "out"]) == 0
+    data = json.loads((tmp_path / "out" / "classical_version.json").read_text())
+    assert data["order"] == n
+    assert abs(data["alpha_haar"]) < 1e-12
+
+
 def test_run_unknown_experiment(tmp_path, capsys):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({"name": "nope", "group": "kp"}))

@@ -1,9 +1,11 @@
 """Quantum group constructors, validation, convolution and morphisms."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qperm import cqg, permgroups
-from qperm.algebra import AlgebraError, Projection, State, gram_norm
+from qperm import algebra, cqg, permgroups
+from qperm.algebra import AlgebraError, Projection, StarAlgebra, State, gram_norm
 from qperm.cqg import (
     CompactQuantumGroup,
     abelianization,
@@ -182,6 +184,13 @@ def test_validator_catches_field_perturbations(kp):
     bad_eps[0] -= 0.02
     assert not rebuilt(counit=bad_eps).ok
 
+    a = kp.algebra
+    bad_mult = a.mult.copy()
+    bad_mult[4, 5, 5] += 0.02  # E11 E12 = 1.02 E12
+    bad_alg = StarAlgebra(a.labels, bad_mult, a.involution, a.unit, a.trace, check=False)
+    failed = {c.name for c in rebuilt(algebra=bad_alg).failures()}
+    assert {"algebra.associativity", "delta_multiplicative"} <= failed
+
 
 def test_convolution_associative(kp):
     states = kp.sample_states(9, seed=3)
@@ -353,6 +362,52 @@ def test_magic_grid_built_lazily_once(monkeypatch):
                 assert p is G.magic_projection(i, j)
                 assert np.array_equal(p.coeffs, G.magic[i, j])
     assert len(built) == G.N ** 2
+
+
+def test_validator_catches_a_grid_that_does_not_generate():
+    # one reflection block of dual-D6 is a magic unitary of its own, whose
+    # entries span only the two-dimensional algebra of that reflection
+    G = dual_dihedral(6)
+    sub = CompactQuantumGroup("sub", G.algebra, G.delta, G.counit, G.antipode,
+                              G.magic[:2, :2], haar=G.haar, check=False)
+    assert [c.name for c in sub.validate().failures()] == ["magic_generates"]
+
+
+def test_algebra_invariants_checked_once(monkeypatch):
+    calls = []
+    real = algebra._max_abs_difference
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(algebra, "_max_abs_difference", counting)
+    G = kac_paljutkin()  # checks the algebra, then validates the group
+    G.validate()
+    assert len(calls) == 1
+    report = G.algebra.check_invariants()
+    report["associativity"] = 1.0
+    assert G.algebra.check_invariants()["associativity"] == 0.0
+    a = G.algebra
+    lazy = StarAlgebra(a.labels, a.mult, a.involution, a.unit, a.trace, check=False)
+    assert len(calls) == 1
+    assert lazy.check_invariants() == a.check_invariants()
+    lazy.check_invariants()
+    assert len(calls) == 2
+
+
+def test_validation_memory_scales_with_non_zeros():
+    # dual-D30 has dim 60, where one dense d^4 complex array takes 207 MB;
+    # its mult and delta have d^2 and d non-zeros
+    tracemalloc.start()
+    try:
+        G = dual_dihedral(30, check=True)
+        ok = G.validate().ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 100 * 2**20
 
 
 def test_sample_states_deterministic(kp):

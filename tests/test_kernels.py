@@ -1,16 +1,24 @@
-"""Oracle for the per-call contraction kernels.
+"""Oracle for the contraction kernels.
 
-Each kernel is a fixed matmul/reshape expression; here it is compared with
-the ``np.einsum`` expression that states its index meaning, on every CLI
-builtin and on seeded random coefficient vectors.
+Each per-call kernel is a fixed matmul/reshape expression; here it is
+compared with the ``np.einsum`` expression that states its index meaning, on
+every CLI builtin and on seeded random coefficient vectors.  The Hopf-axiom
+residuals, which the library contracts sparsely, are compared with the dense
+einsums in the same way, on the builtins and on dense perturbations.
 """
 import numpy as np
 import pytest
 
 from qperm import permgroups
-from qperm.algebra import LinearFunctional, spectral_projection, support_projection
+from qperm.algebra import (
+    LinearFunctional,
+    StarAlgebra,
+    State,
+    spectral_projection,
+    support_projection,
+)
 from qperm.cli import BUILTIN_GROUPS
-from qperm.cqg import birkhoff_matrix, characters, dual_group
+from qperm.cqg import CompactQuantumGroup, birkhoff_matrix, characters, dual_group
 from qperm.idempotent import _sandwich_matrix, left_convolution_operator
 from qperm.permutation import is_central, is_character
 
@@ -116,3 +124,78 @@ def test_character_kernels(G):
         assert is_character(G, chi) is not None
         mres = np.einsum("ijk,k->ij", alg.mult, chi.duals) - np.outer(chi.duals, chi.duals)
         assert np.abs(mres).max() < 1e-9
+
+
+def test_character_kernels_on_a_cyclic_dual():
+    # the dual of Z/3 has two non-real characters, complex conjugates of each
+    # other, so the character values tell e_i v from a transposed contraction
+    G = dual_group(permgroups.FiniteGroup.cyclic(3), [(1, 3)])
+    w = np.exp(2j * np.pi / 3)
+    table = np.array([[w ** (k * i) for i in range(3)] for k in range(3)])
+    chars = np.array([chi.duals for chi in characters(G)])
+    assert chars.shape == (3, 3)
+    for ref in table:
+        assert_matches(chars[np.abs(chars - ref).max(axis=1).argmin()], ref)
+
+
+# -- Hopf-axiom residuals against the dense einsums ----------------------------
+
+HOPF_AXIOMS = ("algebra.associativity", "coassociativity", "delta_multiplicative")
+
+
+def dense_hopf_residuals(G):
+    """max |LHS - RHS| of the three axioms, over every dense entry."""
+    c, D = G.algebra.mult, G.delta
+    assoc = np.einsum("ijm,mkl->ijkl", c, c, optimize=True) \
+        - np.einsum("jkm,iml->ijkl", c, c, optimize=True)
+    coassoc = np.einsum("iuk,uab->iabk", D, D, optimize=True) \
+        - np.einsum("iau,ubk->iabk", D, D, optimize=True)
+    res_mult = 0.0
+    for i in range(G.dim):
+        lhs_i = np.einsum("jm,mab->jab", c[i], D, optimize=True)
+        t1 = np.einsum("ab,aAk->bAk", D[i], c, optimize=True)
+        t2 = np.einsum("bAk,jAB->bkjB", t1, D, optimize=True)
+        rhs_i = np.einsum("bkjB,bBl->jkl", t2, c, optimize=True)
+        res_mult = max(res_mult, np.abs(lhs_i - rhs_i).max())
+    return dict(zip(HOPF_AXIOMS, (np.abs(assoc).max(), np.abs(coassoc).max(), res_mult)))
+
+
+def assert_hopf_residuals_match(G):
+    report = G.validate().to_dict()
+    for axiom, ref in dense_hopf_residuals(G).items():
+        assert abs(report[axiom]["residual"] - ref) <= RTOL * max(1.0, ref), axiom
+    return report
+
+
+def test_hopf_residuals_match_dense(G):
+    report = assert_hopf_residuals_match(G)
+    assert all(report[axiom]["passed"] for axiom in HOPF_AXIOMS)
+
+
+def perturbed(G, seed, mult=True, delta=True, size=1e-3):
+    """G with a dense complex perturbation of its structure constants."""
+    rng = np.random.default_rng([seed, G.dim])
+
+    def noise(shape):
+        return size * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    a = G.algebra
+    alg = StarAlgebra(a.labels, a.mult + noise(a.mult.shape) if mult else a.mult,
+                      a.involution, a.unit, a.trace, check=False)
+    return CompactQuantumGroup(
+        "perturbed", alg, G.delta + noise(G.delta.shape) if delta else G.delta,
+        State(alg, G.counit.duals, check=False), G.antipode, G.magic,
+        haar=State(alg, G.haar.duals, check=False), check=False)
+
+
+@pytest.mark.parametrize("name", ["s3", "dual-s3", "kp"])
+@pytest.mark.parametrize("mult, delta", [(True, False), (False, True), (True, True)],
+                         ids=["mult", "delta", "both"])
+def test_hopf_residuals_match_dense_under_perturbation(name, mult, delta):
+    G = BUILTIN_GROUPS[name]()
+    for seed in range(2):
+        report = assert_hopf_residuals_match(perturbed(G, seed, mult, delta))
+        failed = {axiom for axiom in HOPF_AXIOMS if not report[axiom]["passed"]}
+        assert failed == {"delta_multiplicative"} \
+            | ({"algebra.associativity"} if mult else set()) \
+            | ({"coassociativity"} if delta else set())
