@@ -14,13 +14,9 @@ from .algebra import (
     gram_norm,
     is_positive_functional,
     meet,
-    regular_representation,
     spectral_partition,
     spectral_projection,
     support_projection,
-    tensor_algebra,
-    tensor_element,
-    tensor_functional,
 )
 from .cqg import (
     CompactQuantumGroup,
@@ -29,7 +25,6 @@ from .cqg import (
     abelianization,
     characters,
     classical_group,
-    convolve,
     dual_dihedral,
     dual_group,
     dual_symmetric_group,
@@ -38,8 +33,6 @@ from .cqg import (
     kac_paljutkin,
     point_state,
     quotient_morphism,
-    reverse,
-    validate,
 )
 from .dynamics import (
     PhasePoint,
@@ -80,6 +73,7 @@ from .permutation import (
     has_integer_fixed_points,
     is_central,
     is_character,
+    projection_rank,
     quantum_fraction,
     stabiliser_idempotent,
     stabiliser_membership,

@@ -120,8 +120,6 @@ class StarAlgebra:
     ----------
     basis_labels : list of str
     mult : (dim, dim, dim) complex array, ``e_i e_j = sum_k mult[i, j, k] e_k``.
-        May be None for a tensor product built by :func:`tensor_algebra`,
-        in which case products are computed from the factors.
     involution : (dim, dim) complex array, ``e_i^* = sum_k involution[i, k] e_k``.
     unit : (dim,) coefficients of the multiplicative unit.
     trace : (dim,) values ``tau(e_i)`` of a faithful positive tracial functional.
@@ -130,22 +128,18 @@ class StarAlgebra:
 
     def __init__(self, basis_labels, mult, involution, unit, trace,
                  tol: float = DEFAULT_TOL, iter_tol: float = DEFAULT_ITER_TOL,
-                 check: bool = True, _factors=None):
+                 check: bool = True):
         self.labels = list(basis_labels)
         self.dim = len(self.labels)
-        self.mult = None if mult is None else np.ascontiguousarray(mult, dtype=complex)
+        self.mult = np.ascontiguousarray(mult, dtype=complex)
         self.involution = np.asarray(involution, dtype=complex)
         self.unit = np.asarray(unit, dtype=complex)
         self.trace = np.asarray(trace, dtype=complex)
         self.tol = float(tol)
         self.iter_tol = float(iter_tol)
-        self._factors = _factors
-        if self.mult is None and _factors is None:
-            raise AlgebraError("need structure constants or tensor factors")
-        shapes_ok = (self.involution.shape == (self.dim, self.dim)
-                     and self.unit.shape == (self.dim,)
-                     and self.trace.shape == (self.dim,))
-        if not shapes_ok or (self.mult is not None and self.mult.shape != (self.dim,) * 3):
+        if (self.mult.shape != (self.dim,) * 3
+                or self.involution.shape != (self.dim, self.dim)
+                or self.unit.shape != (self.dim,) or self.trace.shape != (self.dim,)):
             raise AlgebraError("algebra data shapes are inconsistent")
         if check:
             bad = {k: v for k, v in self.check_invariants().items()
@@ -156,14 +150,8 @@ class StarAlgebra:
     # -- arithmetic on raw coefficient vectors ------------------------------
 
     def product_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.mult is not None:
-            d = self.dim
-            return b @ (a @ self.mult.reshape(d, d * d)).reshape(d, d)
-        A, B = self._factors
-        X = a.reshape(A.dim, B.dim)
-        Y = b.reshape(A.dim, B.dim)
-        out = np.einsum("iIk,jJl,ij,IJ->kl", A.mult, B.mult, X, Y, optimize=True)
-        return out.reshape(self.dim)
+        d = self.dim
+        return b @ (a @ self.mult.reshape(d, d * d)).reshape(d, d)
 
     def star_coeffs(self, a: np.ndarray) -> np.ndarray:
         return self.involution.T @ np.conj(a)
@@ -190,12 +178,8 @@ class StarAlgebra:
     @cached_property
     def gram(self) -> np.ndarray:
         """G[i, j] = tau(e_i^* e_j); Hermitian positive definite."""
-        if self.mult is not None:
-            G = np.einsum("ia,ajk,k->ij", self.involution, self.mult, self.trace,
-                          optimize=True)
-        else:
-            A, B = self._factors
-            G = np.kron(A.gram, B.gram)
+        G = np.einsum("ia,ajk,k->ij", self.involution, self.mult, self.trace,
+                      optimize=True)
         return (G + G.conj().T) / 2.0
 
     @cached_property
@@ -209,8 +193,6 @@ class StarAlgebra:
     @cached_property
     def regular(self) -> np.ndarray:
         """Left regular representation: regular[i] @ x == coefficients of e_i x."""
-        if self.mult is None:
-            raise AlgebraError("regular representation requires dense structure constants")
         _ = self._chol  # faithfulness check
         return np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1)))
 
@@ -252,7 +234,7 @@ class StarAlgebra:
         return _coo(self.mult)
 
     def check_invariants(self) -> dict:
-        """Max residual per axiom; tensor algebras defer to their factors.
+        """Max residual per axiom.
 
         The algebra is immutable, so the report is computed once, on first use.
         """
@@ -261,11 +243,6 @@ class StarAlgebra:
     @cached_property
     def _invariants(self) -> dict:
         out = {}
-        if self.mult is None:
-            A, B = self._factors
-            out["factor_a"] = max(A.check_invariants().values())
-            out["factor_b"] = max(B.check_invariants().values())
-            return out
         c = self.mult
         # (e_i e_j) e_k against e_i (e_j e_k)
         cc = self._mult_coo
@@ -288,8 +265,7 @@ class StarAlgebra:
         return out
 
     def __repr__(self):
-        kind = "tensor " if self.mult is None else ""
-        return f"StarAlgebra({kind}dim={self.dim})"
+        return f"StarAlgebra(dim={self.dim})"
 
 
 class AlgebraElement:
@@ -380,13 +356,7 @@ class LinearFunctional:
     def sesquilinear_matrix(self) -> np.ndarray:
         """P[i, j] = phi(e_i^* e_j); PSD iff the functional is positive."""
         alg = self.algebra
-        if alg.mult is not None:
-            return alg.involution @ (alg.mult @ self.duals)
-        A, B = alg._factors
-        d = self.duals.reshape(A.dim, B.dim)
-        P = np.einsum("ia,ajk,IA,AJL,kL->iIjJ", A.involution, A.mult,
-                      B.involution, B.mult, d, optimize=True)
-        return P.reshape(alg.dim, alg.dim)
+        return alg.involution @ (alg.mult @ self.duals)
 
     def _binary(self, other, op):
         if isinstance(other, LinearFunctional):
@@ -434,14 +404,6 @@ class State(LinearFunctional):
 # -- spec operations ---------------------------------------------------------
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def adjoint(a: AlgebraElement) -> AlgebraElement:
-    return a.star()
-
-
 def gram_norm(a: AlgebraElement) -> float:
     v = a.coeffs
     val = np.real(np.conj(v) @ a.algebra.gram @ v)
@@ -455,11 +417,6 @@ def is_positive_functional(phi: LinearFunctional, tol: float | None = None) -> b
         return False
     evals = np.linalg.eigvalsh((P + P.conj().T) / 2)
     return bool(evals.min() >= -tol)
-
-
-def regular_representation(A: StarAlgebra) -> np.ndarray:
-    """Stack of left multiplication matrices L_i, faithfulness verified."""
-    return A.regular
 
 
 def eigen_clusters(evals: np.ndarray, rtol: float = 1e-6):
@@ -540,8 +497,6 @@ def support_projection(phi: State) -> Projection:
     Hermitized, and its strictly positive spectral part is the support.
     """
     alg = phi.algebra
-    if alg.mult is None:
-        raise AlgebraError("supports require dense structure constants")
     if not isinstance(phi, State):
         phi = State(alg, phi.duals)
     pair = (alg.mult @ alg.trace).T
@@ -616,34 +571,3 @@ def meet(ps, max_iter: int = 60, tol: float | None = None) -> Projection:
         if gram_norm(p * r - r) > 100 * tol or gram_norm(r * p - r) > 100 * tol:
             raise AlgebraError("meet postcondition failed: result not below inputs")
     return r
-
-
-def tensor_algebra(A: StarAlgebra, B: StarAlgebra) -> StarAlgebra:
-    """Tensor product algebra; index (i, j) flattens to i * dim_B + j.
-
-    Structure constants are kept factored, so products are computed from the
-    factors without materializing a dim^2-sized tensor.
-    """
-    if A.mult is None or B.mult is None:
-        raise AlgebraError("tensor factors must have dense structure constants")
-    labels = [f"{la}(x){lb}" for la in A.labels for lb in B.labels]
-    return StarAlgebra(
-        labels, None,
-        involution=np.kron(A.involution, B.involution),
-        unit=np.kron(A.unit, B.unit),
-        trace=np.kron(A.trace, B.trace),
-        tol=max(A.tol, B.tol), iter_tol=max(A.iter_tol, B.iter_tol),
-        check=False, _factors=(A, B),
-    )
-
-
-def tensor_functional(phi: LinearFunctional, rho: LinearFunctional,
-                      T: StarAlgebra | None = None) -> LinearFunctional:
-    T = tensor_algebra(phi.algebra, rho.algebra) if T is None else T
-    return LinearFunctional(T, np.kron(phi.duals, rho.duals))
-
-
-def tensor_element(a: AlgebraElement, b: AlgebraElement,
-                   T: StarAlgebra | None = None) -> AlgebraElement:
-    T = tensor_algebra(a.algebra, b.algebra) if T is None else T
-    return AlgebraElement(T, np.kron(a.coeffs, b.coeffs))

@@ -206,8 +206,7 @@ def exp_classical_version(G, params, out):
         "order": len(cv),
         "permutations": [list(p) for p in cv.permutations],
         "labels": [permgroups.perm_label(p) for p in cv.permutations],
-        "support_ranks": [int(round(np.trace(
-            G.algebra.left_mult_matrix(p.coeffs)).real)) for p in cv.supports],
+        "support_ranks": [permutation.projection_rank(p) for p in cv.supports],
         "p_C_group_like": idempotent.is_group_like(G, cv.p_C),
         "alpha_haar": forms["alpha_haar"],
         "bound_2nfact": forms["bound_2nfact"],

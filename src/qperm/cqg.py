@@ -29,7 +29,6 @@ from .algebra import (
     _contract,
     _max_abs_difference,
     gram_norm,
-    tensor_algebra,
 )
 
 
@@ -135,10 +134,6 @@ class CompactQuantumGroup:
         """Delta of an element, as a (dim, dim) tensor-coefficient matrix."""
         d = self.dim
         return (coeffs @ self.delta.reshape(d, d * d)).reshape(d, d)
-
-    @cached_property
-    def tensor_square(self) -> StarAlgebra:
-        return tensor_algebra(self.algebra, self.algebra)
 
     # -- states ---------------------------------------------------------------
 
@@ -346,21 +341,6 @@ def haar_state(G: CompactQuantumGroup, cross_check: bool = True) -> State:
     return h
 
 
-# -- spec-named functional wrappers ---------------------------------------------
-
-
-def validate(G: CompactQuantumGroup) -> ValidationReport:
-    return G.validate()
-
-
-def convolve(G: CompactQuantumGroup, phi: LinearFunctional, rho: LinearFunctional) -> State:
-    return G.convolve(phi, rho)
-
-
-def reverse(G: CompactQuantumGroup, phi: LinearFunctional) -> State:
-    return G.reverse(phi)
-
-
 # -- constructors ----------------------------------------------------------------
 
 
@@ -476,16 +456,21 @@ def dual_group(group: permgroups.FiniteGroup, gens: list[tuple[int, int]],
 
 
 def dual_symmetric_group(n: int, check: bool = True) -> CompactQuantumGroup:
-    """Dual of S_n embedded via an order-2 and an order-3 generator."""
+    """Dual of S_n on the generators (0 1) and (1 2 ... n-1).
+
+    These generate S_n for n >= 4; n = 3 uses (0 1 2) instead.  N is 2 plus
+    the cycle's order.
+    """
     if n < 3:
         raise AlgebraError("need n >= 3")
     perms = permgroups.symmetric_group(n)
     group = permgroups.FiniteGroup.from_permutations(perms)
     sigma = permgroups.from_cycles(n, (0, 1))
-    tau = permgroups.from_cycles(n, (1, 2, 3)) if n >= 4 else permgroups.from_cycles(n, (0, 1, 2))
+    cycle = tuple(range(1, n)) if n >= 4 else (0, 1, 2)
     gi = group.perms.index(sigma)
-    ti = group.perms.index(tau)
-    return dual_group(group, [(gi, 2), (ti, 3)], name=f"dual-S{n}", check=check)
+    ti = group.perms.index(permgroups.from_cycles(n, cycle))
+    return dual_group(group, [(gi, 2), (ti, group.element_order(ti))],
+                      name=f"dual-S{n}", check=check)
 
 
 def dual_dihedral(m: int, check: bool = True) -> CompactQuantumGroup:

@@ -171,16 +171,25 @@ def generated_idempotent(G: CompactQuantumGroup, states: list[State],
 
 
 def is_group_like(G: CompactQuantumGroup, p: Projection, tol: float | None = None) -> bool:
-    """Delta(p)(1 (x) p) = p (x) p, evaluated in the tensor square."""
+    """Delta(p)(1 (x) p) = p (x) p, in the Gram norm of the tensor square."""
     tol = G.algebra.tol if tol is None else tol
     if gram_norm(p) <= tol:
         return False
-    T = G.tensor_square
-    dp = G.delta_applied(p.coeffs).reshape(-1)
-    one_p = np.kron(G.algebra.unit, p.coeffs)
-    lhs = T.product_coeffs(dp, one_p)
-    diff = T.element(lhs - np.kron(p.coeffs, p.coeffs))
-    return gram_norm(diff) <= max(tol, 100 * G.algebra.tol)
+    return _group_like_residual(G, p.coeffs) <= max(tol, 100 * G.algebra.tol)
+
+
+def _group_like_residual(G: CompactQuantumGroup, p: np.ndarray) -> float:
+    """Gram norm of X = Delta(p)(1 (x) p) - p (x) p in the tensor square.
+
+    X[a, b] is the coefficient of e_a (x) e_b: row a of Delta(p) is multiplied
+    on the right by p.  With g the algebra's Gram matrix, the tensor square's
+    is g (x) g, so the squared norm is tr(X^H g X g^T), and only (d, d)
+    arrays are formed.
+    """
+    gram = G.algebra.gram
+    X = G.delta_applied(p) @ (p @ G.algebra.mult) - np.outer(p, p)
+    val = np.real(np.vdot(X, gram @ X @ gram.T))
+    return float(np.sqrt(max(val, 0.0)))
 
 
 def condition(G: CompactQuantumGroup, phi: State, q: Projection) -> State:

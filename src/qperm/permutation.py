@@ -19,7 +19,7 @@ from .algebra import (
     spectral_partition,
     support_projection,
 )
-from .cqg import CompactQuantumGroup, abelianization, birkhoff_matrix, characters
+from .cqg import CompactQuantumGroup, birkhoff_matrix, characters
 from .idempotent import (
     cesaro_idempotent,
     condition,
@@ -96,8 +96,8 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
         if gram_norm(p_meet - p_supp) > 1e-7:
             raise AlgebraError(
                 f"support mismatch for character {sigma}: meet != support")
-        r1 = _rank_of(G, p_meet)
-        r2 = _rank_of(G, p_supp)
+        r1 = projection_rank(p_meet)
+        r2 = projection_rank(p_supp)
         if r1 != r2:
             raise AlgebraError(f"support rank mismatch for {sigma}: {r1} vs {r2}")
         perms.append(sigma)
@@ -115,8 +115,9 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
     return ClassicalVersion(perms, chars, supports, p_C, p_Q)
 
 
-def _rank_of(G: CompactQuantumGroup, p: Projection) -> int:
-    return int(round(float(np.trace(G.algebra.left_mult_matrix(p.coeffs)).real)))
+def projection_rank(p: Projection) -> int:
+    """Rank of p in the left regular representation, the trace of L_p."""
+    return int(round(float(np.trace(p.algebra.left_mult_matrix(p.coeffs)).real)))
 
 
 def quantum_fraction(phi: State, cv: ClassicalVersion) -> float:

@@ -16,13 +16,9 @@ from qperm.algebra import (
     gram_norm,
     is_positive_functional,
     meet,
-    regular_representation,
     spectral_partition,
     spectral_projection,
     support_projection,
-    tensor_algebra,
-    tensor_element,
-    tensor_functional,
 )
 from qperm.cqg import (
     classical_group,
@@ -88,12 +84,12 @@ def test_trace_is_positive_functional(cs3, dual_s4):
 
 
 def test_regular_representation_shapes(dual_s4, dual_z2):
-    L = regular_representation(dual_s4.algebra)
+    L = dual_s4.algebra.regular
     assert L.shape == (24, 24, 24)
     # unit maps to the identity
     one = np.einsum("i,ikj->kj", dual_s4.algebra.unit, L)
     assert np.abs(one - np.eye(24)).max() < 1e-12
-    Lz = regular_representation(dual_z2.algebra)
+    Lz = dual_z2.algebra.regular
     assert np.abs(Lz[1] - np.array([[0, 1], [1, 0]])).max() < 1e-12
     # L is an algebra map: L_{e_i} L_{e_j} = L_{e_i e_j}
     alg = dual_s4.algebra
@@ -176,40 +172,6 @@ def test_support_projection_reproduces_state(dual_s4):
     for _ in range(100):
         f = dual_s4.algebra.element(rng.standard_normal(24) + 1j * rng.standard_normal(24))
         assert abs(phi(p * f * p) - phi(f)) < 1e-8
-
-
-def test_tensor_dimensions_and_commutativity(dual_z2):
-    T = tensor_algebra(dual_z2.algebra, dual_z2.algebra)
-    assert T.dim == 4
-    tau = tensor_functional(
-        dual_z2.algebra.functional(dual_z2.algebra.trace),
-        dual_z2.algebra.functional(dual_z2.algebra.trace), T)
-    assert abs(tau(T.one()) - 1) < 1e-12
-    # commutativity of C*(Z_2) (x) C*(Z_2)
-    for i in range(4):
-        for j in range(4):
-            a, b = T.basis_element(i), T.basis_element(j)
-            assert gram_norm(a * b - b * a) < 1e-12
-
-
-def test_tensor_functional_positivity(dual_z2, dual_s4):
-    for G in (dual_z2, dual_s4):
-        T = tensor_algebra(G.algebra, G.algebra)
-        hh = tensor_functional(G.haar, G.haar, T)
-        assert is_positive_functional(hh)
-        bad = tensor_functional(G.haar, G.algebra.functional(-G.haar.duals), T)
-        assert not is_positive_functional(bad)
-
-
-def test_tensor_element_products(dual_s4):
-    alg = dual_s4.algebra
-    T = tensor_algebra(alg, alg)
-    rng = np.random.default_rng(0)
-    a, b = (alg.element(rng.standard_normal(24)) for _ in range(2))
-    c, d = (alg.element(rng.standard_normal(24)) for _ in range(2))
-    lhs = tensor_element(a, b, T) * tensor_element(c, d, T)
-    rhs = tensor_element(a * c, b * d, T)
-    assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-10
 
 
 def test_projection_constructor_rejects_non_projection(cs3):

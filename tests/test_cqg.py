@@ -20,6 +20,7 @@ from qperm.cqg import (
     point_state,
     quotient_morphism,
 )
+from qperm.idempotent import is_group_like
 
 
 @pytest.fixture(scope="module")
@@ -334,14 +335,14 @@ def test_morphism_rejects_non_homomorphism(cs3, kp):
 
 
 def test_magic_diagonal_group_like_identity(kp, ds4, cs3):
-    # Delta(u_jj)(1 (x) u_jj) = u_jj (x) u_jj checked directly in coefficients
+    # Delta(u_jj)(1 (x) u_jj) = u_jj (x) u_jj checked directly in coefficients:
+    # entry [a, b] of each side is its coefficient of e_a (x) e_b
     for G in (kp, ds4, cs3):
-        T = G.tensor_square
         for j in range(G.N):
             u = G.magic[j, j]
-            lhs = T.product_coeffs(G.delta_applied(u).reshape(-1),
-                                   np.kron(G.algebra.unit, u))
-            assert np.abs(lhs - np.kron(u, u)).max() < 1e-10
+            times_u = np.einsum("bjk,j->bk", G.algebra.mult, u)  # (e_b u)[k]
+            lhs = G.delta_applied(u) @ times_u
+            assert np.abs(lhs - np.outer(u, u)).max() < 1e-10
 
 
 def test_magic_grid_built_lazily_once(monkeypatch):
@@ -408,6 +409,28 @@ def test_validation_memory_scales_with_non_zeros():
         tracemalloc.stop()
     assert ok
     assert peak < 100 * 2**20
+
+
+def test_group_likeness_memory_stays_at_d_squared():
+    # at dim 60 the tensor square's Gram matrix would be a (d^2, d^2) complex
+    # array of 207 MB; the Gram-form norm needs only (d, d) arrays
+    G = dual_dihedral(30)
+    p = G.magic_projection(0, 0)
+    tracemalloc.start()
+    try:
+        group_like = is_group_like(G, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group_like
+    assert peak < 10 * 2**20
+
+
+def test_dual_s5_validates():
+    # (0 1) and the 4-cycle (1 2 3 4) generate S5; N = 2 + 4
+    G = dual_symmetric_group(5, check=False)
+    assert (G.dim, G.N) == (120, 6)
+    assert G.validate().ok
 
 
 def test_sample_states_deterministic(kp):

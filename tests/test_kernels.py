@@ -4,7 +4,9 @@ Each per-call kernel is a fixed matmul/reshape expression; here it is
 compared with the ``np.einsum`` expression that states its index meaning, on
 every CLI builtin and on seeded random coefficient vectors.  The Hopf-axiom
 residuals, which the library contracts sparsely, are compared with the dense
-einsums in the same way, on the builtins and on dense perturbations.
+einsums in the same way, on the builtins and on dense perturbations.  The
+group-likeness norm, which the library takes as a (d, d) Gram form, is
+compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
 """
 import numpy as np
 import pytest
@@ -14,12 +16,18 @@ from qperm.algebra import (
     LinearFunctional,
     StarAlgebra,
     State,
+    gram_norm,
     spectral_projection,
     support_projection,
 )
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import CompactQuantumGroup, birkhoff_matrix, characters, dual_group
-from qperm.idempotent import _sandwich_matrix, left_convolution_operator
+from qperm.idempotent import (
+    _group_like_residual,
+    _sandwich_matrix,
+    is_group_like,
+    left_convolution_operator,
+)
 from qperm.permutation import is_central, is_character
 
 # Fixed before the kernels were written: complex128 sums of at most d^2
@@ -199,3 +207,62 @@ def test_hopf_residuals_match_dense_under_perturbation(name, mult, delta):
         assert failed == {"delta_multiplicative"} \
             | ({"algebra.associativity"} if mult else set()) \
             | ({"coassociativity"} if delta else set())
+
+
+# -- group-likeness against the tensor square's Gram matrix ---------------------
+
+
+def tensor_square_residual(G, p):
+    """Gram norm of Delta(p)(1 (x) p) - p (x) p, with kron(gram, gram) formed."""
+    alg = G.algebra
+    dp = np.einsum("iab,i->ab", G.delta, p)
+    lhs = np.einsum("iIk,jJl,ij,IJ->kl", alg.mult, alg.mult, dp, np.outer(alg.unit, p),
+                    optimize=True)
+    x = (lhs - np.outer(p, p)).reshape(-1)
+    val = np.real(np.conj(x) @ np.kron(alg.gram, alg.gram) @ x)
+    return np.sqrt(max(val, 0.0))
+
+
+def test_group_like_residual_matches_tensor_square(G):
+    tol = G.algebra.tol
+    for i in range(G.N):
+        for j in range(G.N):
+            q = G.magic_projection(i, j)
+            ref = tensor_square_residual(G, q.coeffs)
+            assert_matches(_group_like_residual(G, q.coeffs), ref)
+            # a zero projection is not group-like
+            assert is_group_like(G, q) == (gram_norm(q) > tol and ref <= 100 * tol)
+    # the unit, and vectors that are not projections
+    for p in [G.algebra.unit, *random_vectors(G, 2, 11)]:
+        assert_matches(_group_like_residual(G, p), tensor_square_residual(G, p))
+
+
+def in_basis(G, B):
+    """G with the basis f_i = sum_k B[i, k] e_k; coefficients map x -> x @ B^-1."""
+    a, Bi = G.algebra, np.linalg.inv(B)
+    alg = StarAlgebra(a.labels, np.einsum("ia,jb,abk,kl->ijl", B, B, a.mult, Bi),
+                      np.conj(B) @ a.involution @ Bi, a.unit @ Bi, B @ a.trace,
+                      check=False)
+    return CompactQuantumGroup(
+        G.name, alg, np.einsum("ia,abc,bm,cn->imn", B, G.delta, Bi, Bi),
+        State(alg, B @ G.counit.duals, check=False), B @ G.antipode @ Bi,
+        G.magic @ Bi, haar=State(alg, B @ G.haar.duals, check=False), check=False)
+
+
+@pytest.mark.parametrize("name", ["s3", "dual-s3", "kp"])
+def test_group_like_residual_in_a_complex_basis(name):
+    # the norm is basis-free; a complex, non-orthogonal basis gives a Gram
+    # matrix that is neither real nor symmetric
+    G = BUILTIN_GROUPS[name]()
+    rng = np.random.default_rng(5)
+    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
+                               + 1j * rng.standard_normal((G.dim,) * 2))
+    H = in_basis(G, B)
+    assert H.validate().ok
+    assert np.abs(H.algebra.gram - H.algebra.gram.T).max() > 0.1
+    Bi = np.linalg.inv(B)
+    for x in [G.magic[0, 0], G.magic[0, 1], *random_vectors(G, 2, 3)]:
+        y = x @ Bi
+        ref = tensor_square_residual(H, y)
+        assert_matches(_group_like_residual(H, y), ref)
+        assert abs(ref - _group_like_residual(G, x)) <= 1e-9 * max(1.0, ref)
