@@ -68,6 +68,7 @@ from .permutation import (
     birkhoff_slice,
     classical_version,
     decompose,
+    fix_eigenvector_seed,
     fix_spectrum,
     fixed_point_distribution,
     has_integer_fixed_points,

@@ -13,7 +13,6 @@ is immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import cached_property
 from typing import NamedTuple
 
@@ -196,24 +195,20 @@ class StarAlgebra:
         _ = self._chol  # faithfulness check
         return np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1)))
 
-    @cached_property
-    def _reg_basis_matrix(self) -> np.ndarray:
-        """Columns are vec(L_i); used to pull matrices back to coefficients."""
-        return self.regular.reshape(self.dim, self.dim * self.dim).T
-
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         d = self.dim
         return (a @ self.regular.reshape(d, d * d)).reshape(d, d)
 
     def matrix_to_coeffs(self, M: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Invert the regular representation by least squares.
+        """Invert the regular representation: L_x maps the unit to x.
 
-        Raises if the residual exceeds ``tol``: the matrix is not the left
-        multiplication operator of any algebra element.
+        The candidate ``M @ unit`` is accepted only if its left
+        multiplication matrix is within ``tol`` of M; otherwise M is not the
+        left multiplication operator of any algebra element.
         """
         tol = self.tol if tol is None else tol
-        sol, *_ = np.linalg.lstsq(self._reg_basis_matrix, M.reshape(-1), rcond=None)
-        resid = np.abs(self._reg_basis_matrix @ sol - M.reshape(-1)).max()
+        sol = M @ self.unit
+        resid = np.abs(self.left_mult_matrix(sol) - M).max()
         if resid > max(tol, 1e3 * np.finfo(float).eps * max(1.0, np.abs(M).max())):
             raise AlgebraError(f"matrix is outside the regular image (residual {resid:.3e})")
         return sol
@@ -447,6 +442,14 @@ def _self_adjoint_eig(f: AlgebraElement, tol: float | None = None):
     return evals, U
 
 
+def eigenvector(f: AlgebraElement, target: float) -> np.ndarray:
+    """Coefficients of an eigenvector of left multiplication by a self-adjoint
+    f, for the eigenvalue nearest ``target``."""
+    alg = f.algebra
+    evals, U = _self_adjoint_eig(f)
+    return np.linalg.solve(alg._chol.conj().T, U[:, int(np.argmin(np.abs(evals - target)))])
+
+
 def _projection_from_eigvecs(alg: StarAlgebra, U_sel: np.ndarray,
                              tol: float | None = None) -> Projection:
     P_t = U_sel @ U_sel.conj().T
@@ -512,61 +515,30 @@ def support_projection(phi: State) -> Projection:
     return p
 
 
-def meet(ps, max_iter: int = 60, tol: float | None = None) -> Projection:
-    """Largest projection below every p in ps, via alternating products.
+def meet(ps) -> Projection:
+    """Largest projection below every p in ps.
 
-    Powers of the product contraction are squared until stationary, then the
-    symmetrized limit is snapped to a projection spectrally.  A second route
-    computes the eigenvalue-1 spectral projection of the average of the ps;
-    the two must agree in rank.
+    In the trace-orthonormal frame the average of the L_p is a positive
+    contraction that fixes exactly the vectors every L_p fixes, so the meet
+    is its eigenvalue-1 spectral projection.  The result must lie below
+    every p.
     """
     ps = list(ps)
     if not ps:
         raise AlgebraError("meet of an empty family")
     alg = ps[0].algebra
-    tol = alg.iter_tol if tol is None else tol
+    tol = alg.iter_tol
     for p in ps:
         if p.algebra is not alg:
             raise AlgebraError("projections live on different algebras")
         if not p.is_projection(100 * alg.tol):
             raise AlgebraError("meet input is not a projection")
-    frames = [alg.to_hermitian_frame(alg.left_mult_matrix(p.coeffs)) for p in ps]
-    T = frames[0]
-    for F in frames[1:]:
-        T = T @ F
-    converged = False
-    diff = np.inf
-    for _ in range(max_iter):
-        T2 = T @ T
-        diff = np.abs(T2 - T).max()
-        T = T2
-        if diff < 1e-13:
-            converged = True
-            break
-    if not converged and diff < tol:
-        converged = True
-    if not converged:
-        warnings.warn("alternating projection product did not stabilize; "
-                      "using the spectral fallback", RuntimeWarning)
-    Tsym = (T + T.conj().T) / 2
-    evals, U = np.linalg.eigh(Tsym)
-    sel = np.where(evals > 0.5)[0]
-    # fallback: eigenvalue-1 spectral projection of the average
-    avg = sum(frames) / len(frames)
-    avg = (avg + avg.conj().T) / 2
-    aevals, aU = np.linalg.eigh(avg)
-    asel = np.where(aevals > 1.0 - 1e3 * tol)[0]
-    if converged:
-        if len(sel) != len(asel):
-            raise AlgebraError(
-                f"meet rank mismatch: alternating {len(sel)} vs spectral {len(asel)}")
-        use = sel, U
-    else:
-        use = asel, aU
-    idx, V = use
-    if len(idx) == 0:
+    avg = sum(alg.to_hermitian_frame(alg.left_mult_matrix(p.coeffs)) for p in ps) / len(ps)
+    evals, U = np.linalg.eigh((avg + avg.conj().T) / 2)
+    sel = np.where(evals > 1.0 - 1e3 * tol)[0]
+    if len(sel) == 0:
         return Projection(alg, np.zeros(alg.dim), check=False)
-    r = _projection_from_eigvecs(alg, V[:, idx])
+    r = _projection_from_eigvecs(alg, U[:, sel])
     for p in ps:
         if gram_norm(p * r - r) > 100 * tol or gram_norm(r * p - r) > 100 * tol:
             raise AlgebraError("meet postcondition failed: result not below inputs")

@@ -186,7 +186,7 @@ def load_group(ref: str) -> CompactQuantumGroup:
 
 
 def exp_haar(G, params, out):
-    h = haar_state(G, cross_check=True)
+    h = haar_state(G)
     payload = {"group": G.name, "dim": G.dim, "N": G.N,
                "haar_duals": h, "matches_stored": float(h.distance(G.haar))}
     try:
@@ -303,16 +303,10 @@ def exp_periodicity(G, params, out):
                 duals[G.group_elements.index(permgroups.compose(p, g))] = 0.25
             nu = State(G.algebra, duals)
             period = dynamics.detect_period(G, nu)
-            coset = frozenset(permgroups.compose(p, g) for p in klein)
-            coset_order = 1
-            cur = coset
-            ident = frozenset(klein)
-            while cur != ident:
-                cur = frozenset(permgroups.compose(a, b) for a in cur for b in coset)
-                coset_order += 1
             rows.append({"representative": permgroups.perm_label(g),
                          "element_order": permgroups.perm_order(g),
-                         "coset_order": coset_order, "period": period})
+                         "coset_order": permgroups.coset_order(g, klein),
+                         "period": period})
     if G.kind == "kac_paljutkin":
         cv = permutation.classical_version(G)
         e11 = State(G.algebra, np.eye(G.dim)[4])
@@ -343,14 +337,8 @@ def exp_s4hat_walkthrough(G, params, out):
     lam_minus = (5 - math.sqrt(17)) / 2
     found_p = min(abs(l - lam_plus) for l in fs.eigenvalues)
     found_m = min(abs(l - lam_minus) for l in fs.eigenvalues)
-    evals, U = np.linalg.eigh(G.algebra.to_hermitian_frame(
-        G.algebra.left_mult_matrix(fs.element.coeffs)))
     # seed: equal mix of eigenvector states with two and four fixed points
-    def eig_state(target):
-        idx = int(np.argmin(np.abs(evals - target)))
-        x = np.linalg.solve(G.algebra._chol.conj().T, U[:, idx])
-        return G.vector_state(x)
-    phi = State(G.algebra, 0.5 * eig_state(2.0).duals + 0.5 * eig_state(4.0).duals)
+    phi = permutation.fix_eigenvector_seed(G)
     conv = dynamics.convergence_to_haar(G, phi, k_max=int(params.get("k_max", 200)))
     p_plus = fs.projections[int(np.argmin([abs(l - lam_plus)
                                            for l in fs.eigenvalues]))]

@@ -130,44 +130,35 @@ def generated_idempotent(G: CompactQuantumGroup, states: list[State],
     """Idempotent absorbing every input state.
 
     Each input is first averaged to its own invariant idempotent; the
-    interleaved convolution of those is averaged again, and the construction
-    is repeated against any input that is not yet absorbed.  A permuted
-    interleaving is run as a consistency check on the final limit.
+    convolution of those, in the given order, is averaged again, and the
+    construction is repeated against any input that is not yet absorbed.
+    The result has converged only if it absorbs every input.
     """
     if not states:
         raise AlgebraError("need at least one state")
     tol = G.algebra.iter_tol if tol is None else tol
-
-    def build(order):
-        parts = [cesaro_idempotent(G, states[i], tol=tol) for i in order]
-        psi = parts[0].limit
-        for r in parts[1:]:
-            psi = G.convolve(psi, r.limit, check=False)
-        total_iter = sum(r.iterations for r in parts)
-        out = cesaro_idempotent(G, State(G.algebra, psi.duals, check=False), tol=tol)
-        for _ in range(max_rounds):
-            missing = [phi for phi in states
-                       if not quasi_subgroup_member(G, out.limit, phi, 10 * tol)]
-            if not missing:
-                break
-            mixed = out.limit
-            for phi in missing:
-                mixed = G.convolve(G.convolve(mixed, phi, check=False), out.limit,
-                                   check=False)
-            out = cesaro_idempotent(G, State(G.algebra, mixed.duals, check=False), tol=tol)
-        return out, total_iter + out.iterations
-
-    order = list(range(len(states)))
-    main, iters = build(order)
-    rng = np.random.default_rng(1)
-    permuted, _ = build(list(rng.permutation(len(states))))
-    drift = main.limit.distance(permuted.limit)
-    residual = max(main.residual,
-                   max((main.limit.distance(G.convolve(main.limit, phi, check=False))
-                        for phi in states), default=0.0))
-    converged = main.converged and drift <= 100 * tol and all(
-        quasi_subgroup_member(G, main.limit, phi, 10 * tol) for phi in states)
-    return CesaroResult(main.limit, iters, residual, converged)
+    parts = [cesaro_idempotent(G, phi, tol=tol) for phi in states]
+    psi = parts[0].limit
+    for r in parts[1:]:
+        psi = G.convolve(psi, r.limit, check=False)
+    iters = sum(r.iterations for r in parts)
+    out = cesaro_idempotent(G, State(G.algebra, psi.duals, check=False), tol=tol)
+    for _ in range(max_rounds):
+        missing = [phi for phi in states
+                   if not quasi_subgroup_member(G, out.limit, phi, 10 * tol)]
+        if not missing:
+            break
+        mixed = out.limit
+        for phi in missing:
+            mixed = G.convolve(G.convolve(mixed, phi, check=False), out.limit,
+                               check=False)
+        out = cesaro_idempotent(G, State(G.algebra, mixed.duals, check=False), tol=tol)
+    residual = max(out.residual,
+                   max(out.limit.distance(G.convolve(out.limit, phi, check=False))
+                       for phi in states))
+    converged = out.converged and all(
+        quasi_subgroup_member(G, out.limit, phi, 10 * tol) for phi in states)
+    return CesaroResult(out.limit, iters + out.iterations, residual, converged)
 
 
 def is_group_like(G: CompactQuantumGroup, p: Projection, tol: float | None = None) -> bool:

@@ -254,3 +254,16 @@ def klein_four() -> list[tuple]:
     """The normal Klein four-group inside S_4 (identity and double transpositions)."""
     e = identity_perm(4)
     return [e, (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+
+
+def coset_order(g: tuple, normal) -> int:
+    """Order of the coset gK in the quotient by a normal subgroup K.
+
+    It is the least k >= 1 with g^k in K, and it divides the order of g.
+    """
+    normal = frozenset(normal)
+    power, k = g, 1
+    while power not in normal:
+        power = compose(power, g)
+        k += 1
+    return k

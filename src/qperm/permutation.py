@@ -14,10 +14,9 @@ from .algebra import (
     LinearFunctional,
     Projection,
     State,
-    gram_norm,
+    eigenvector,
     meet,
     spectral_partition,
-    support_projection,
 )
 from .cqg import CompactQuantumGroup, birkhoff_matrix, characters
 from .idempotent import (
@@ -81,9 +80,8 @@ class ClassicalVersion:
 def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
     """Enumerate the characters and assemble the classical-part projections.
 
-    Each character's support is computed two ways, as the meet of the magic
-    entries it selects and as the support projection of the state; a rank or
-    norm mismatch is a hard error.  The sum p_C must be group-like.
+    The support of the character with permutation sigma is the meet of the
+    magic entries u_{sigma(j) j} it selects.  The sum p_C must be group-like.
     """
     chars = characters(G)
     perms, supports = [], []
@@ -91,17 +89,8 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
         sigma = is_character(G, chi)
         if sigma is None:
             raise AlgebraError("character with a non-permutation slice")
-        p_meet = meet([G.magic_projection(sigma[j], j) for j in range(G.N)])
-        p_supp = support_projection(chi)
-        if gram_norm(p_meet - p_supp) > 1e-7:
-            raise AlgebraError(
-                f"support mismatch for character {sigma}: meet != support")
-        r1 = projection_rank(p_meet)
-        r2 = projection_rank(p_supp)
-        if r1 != r2:
-            raise AlgebraError(f"support rank mismatch for {sigma}: {r1} vs {r2}")
         perms.append(sigma)
-        supports.append(p_meet)
+        supports.append(meet([G.magic_projection(sigma[j], j) for j in range(G.N)]))
     if not permgroups.is_closed(perms):
         raise AlgebraError("character permutations do not form a group")
     order = sorted(range(len(perms)), key=lambda k: (perms[k] != permgroups.identity_perm(G.N), perms[k]))
@@ -286,6 +275,14 @@ def fix_spectrum(G: CompactQuantumGroup) -> FixSpectrum:
     if lams and (lams[0] < -1e-8 or lams[-1] > G.N + 1e-8):
         raise AlgebraError("fix spectrum escapes [0, N]")
     return FixSpectrum(fix, lams, [p for _, p in parts])
+
+
+def fix_eigenvector_seed(G: CompactQuantumGroup) -> State:
+    """Equal mix of the vector states of two eigenvectors of fix, for the
+    eigenvalues nearest 2 and 4 fixed points."""
+    fix = G.fix_element()
+    duals = [G.vector_state(eigenvector(fix, t)).duals for t in (2.0, 4.0)]
+    return State(G.algebra, np.mean(duals, axis=0))
 
 
 def fixed_point_distribution(G: CompactQuantumGroup, phi: State,

@@ -34,6 +34,7 @@ from qperm.idempotent import (
 )
 from qperm.permutation import (
     classical_version,
+    fix_eigenvector_seed,
     fix_spectrum,
     has_integer_fixed_points,
     quantum_fraction,
@@ -107,16 +108,7 @@ def test_criterion_03_s4hat_spectrum_and_convergence(ds4):
         assert min(abs(l - lam_p) for l in fs.eigenvalues) <= 1e-9
         assert min(abs(l - lam_m) for l in fs.eigenvalues) <= 1e-9
         # eigenvector states with two and four fixed points, mixed evenly
-        alg = ds4.algebra
-        evals, U = np.linalg.eigh(alg.to_hermitian_frame(
-            alg.left_mult_matrix(fs.element.coeffs)))
-
-        def eig_state(target):
-            idx = int(np.argmin(np.abs(evals - target)))
-            x = np.linalg.solve(alg._chol.conj().T, U[:, idx])
-            return ds4.vector_state(x)
-
-        seed = State(alg, 0.5 * eig_state(2.0).duals + 0.5 * eig_state(4.0).duals)
+        seed = fix_eigenvector_seed(ds4)
         mags = np.abs(seed.duals)
         assert mags[0] > 1 - 1e-9 and np.all(mags[1:] < 1 - 1e-9)  # strict
         traj = trajectory(ds4, seed, 200)
@@ -226,12 +218,7 @@ def test_criterion_09_periodicity(kp, kp_cv, cs4):
             for p in klein:
                 duals[cs4.group_elements.index(permgroups.compose(p, g))] = 0.25
             period = detect_period(cs4, State(cs4.algebra, duals))
-            coset = frozenset(permgroups.compose(p, g) for p in klein)
-            cur, order = coset, 1
-            while cur != klein:
-                cur = frozenset(permgroups.compose(a, b) for a in cur for b in coset)
-                order += 1
-            assert period == order, permgroups.perm_label(g)
+            assert period == permgroups.coset_order(g, klein), permgroups.perm_label(g)
         e11 = State(kp.algebra, np.eye(8)[4])
         assert detect_period(kp, e11) == 2
         alphas = trajectory(kp, e11, 8, kp_cv).alphas

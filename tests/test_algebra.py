@@ -28,6 +28,7 @@ from qperm.cqg import (
     kac_paljutkin,
     point_state,
 )
+from qperm.permutation import is_central
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,33 @@ def test_meet_idempotent_cases(dual_z2):
     assert gram_norm(meet([p, p]) - p) < 1e-9
     q = Projection(alg, 0.5 * (alg.unit - np.array([0, 1.0])))
     assert gram_norm(meet([p, q])) < 1e-9
+
+
+def test_meet_rejects_bad_families(dual_z2, cs3):
+    with pytest.raises(AlgebraError, match="empty"):
+        meet([])
+    alg = dual_z2.algebra
+    half = Projection(alg, 0.5 * alg.unit, check=False)
+    with pytest.raises(AlgebraError, match="not a projection"):
+        meet([dual_z2.magic_projection(0, 0), half])
+    with pytest.raises(AlgebraError, match="different algebras"):
+        meet([dual_z2.magic_projection(0, 0), cs3.magic_projection(0, 0)])
+
+
+def test_matrix_to_coeffs_inverts_only_left_multiplications():
+    alg = kac_paljutkin().algebra
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        assert np.abs(alg.matrix_to_coeffs(alg.left_mult_matrix(x)) - x).max() < 1e-12
+    with pytest.raises(AlgebraError, match="outside the regular image"):
+        alg.matrix_to_coeffs(rng.standard_normal((alg.dim, alg.dim)))
+    # right multiplication by a: if it were L_b, then b = R_a(1) = a and a
+    # would be central
+    a = alg.basis_element(4)
+    assert not is_central(a)
+    with pytest.raises(AlgebraError, match="outside the regular image"):
+        alg.matrix_to_coeffs((a.coeffs @ alg.mult).T)
 
 
 @pytest.mark.parametrize("m", [3, 4, 6])

@@ -155,7 +155,7 @@ def test_haar_values(cs3, ds4, kp):
 
 def test_haar_state_cesaro_cross_check(kp, ds4, cs3):
     for G in (kp, ds4, cs3, dual_dihedral(5)):
-        h = haar_state(G, cross_check=True)
+        h = haar_state(G)
         assert h.distance(G.haar) < 1e-10
 
 

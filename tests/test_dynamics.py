@@ -140,27 +140,33 @@ def klein_coset_state(G, g):
 def test_coset_periods_match_quotient_order(cs4):
     # period of the uniform measure on Vg equals the order of the coset gV
     # in S_4 / V; for transpositions and 3-cycles this is the order of g
-    klein = frozenset(permgroups.klein_four())
+    klein = permgroups.klein_four()
     for g in cs4.group_elements:
-        nu = klein_coset_state(cs4, g)
-        period = detect_period(cs4, nu)
+        period = detect_period(cs4, klein_coset_state(cs4, g))
+        assert period == permgroups.coset_order(g, klein)
+
+
+def test_coset_order_matches_coset_products(cs4):
+    # oracle: multiply the coset gV by itself until it returns to V
+    klein = frozenset(permgroups.klein_four())
+    orders = []
+    for g in cs4.group_elements:
         coset = frozenset(permgroups.compose(p, g) for p in klein)
         cur, order = coset, 1
         while cur != klein:
             cur = frozenset(permgroups.compose(a, b) for a in cur for b in coset)
             order += 1
-        assert period == order
+        assert permgroups.coset_order(g, klein) == order, permgroups.perm_label(g)
+        orders.append(order)
+    # S_4 / V is S_3: V itself, then 6 transpositions and 6 4-cycles of
+    # coset order 2, and 8 3-cycles of coset order 3
+    assert sorted(orders) == [1] * 4 + [2] * 12 + [3] * 8
 
 
 def test_coset_period_equals_element_order_when_orders_agree(cs4):
-    klein = frozenset(permgroups.klein_four())
+    klein = permgroups.klein_four()
     for g in cs4.group_elements:
-        coset = frozenset(permgroups.compose(p, g) for p in klein)
-        cur, order = coset, 1
-        while cur != klein:
-            cur = frozenset(permgroups.compose(a, b) for a in cur for b in coset)
-            order += 1
-        if order == permgroups.perm_order(g):
+        if permgroups.coset_order(g, klein) == permgroups.perm_order(g):
             assert detect_period(cs4, klein_coset_state(cs4, g)) == permgroups.perm_order(g)
 
 

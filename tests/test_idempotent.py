@@ -27,6 +27,7 @@ from qperm.idempotent import (
     is_idempotent,
     quasi_subgroup_member,
 )
+from qperm.permutation import _member_bank, stabiliser_projection
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,33 @@ def test_generated_strictly_above_classical_part(kp):
     # e11 is not absorbed by the classical idempotent itself
     assert not quasi_subgroup_member(kp, h_cl, e11)
     assert res.limit.distance(h_cl) > 0.1
+
+
+@pytest.mark.parametrize("case", ["two-transpositions", "single-haar",
+                                  "classical-and-e11", "kp-bank", "dual-s4-bank"])
+def test_generated_idempotent_ignores_input_order(case, request):
+    # oracle: the idempotent generated by a set of states does not depend on
+    # the order in which the inputs are convolved
+    if case == "two-transpositions":
+        G = request.getfixturevalue("cs4")
+        states = [point_state(G, permgroups.from_cycles(4, (0, 1))),
+                  point_state(G, permgroups.from_cycles(4, (0, 1, 2, 3)))]
+    elif case == "single-haar":
+        G = request.getfixturevalue("kp")
+        states = [G.haar]
+    elif case == "classical-and-e11":
+        G = request.getfixturevalue("kp")
+        states = [haar_idempotent(abelianization(G)), State(G.algebra, np.eye(8)[4])]
+    else:
+        G = request.getfixturevalue("kp" if case == "kp-bank" else "ds4")
+        r = stabiliser_projection(G, [[0], list(range(1, G.N))])
+        states = [G.counit] + _member_bank(G, r, 24, 0)
+    tol = G.algebra.iter_tol
+    given = generated_idempotent(G, states)
+    order = np.random.default_rng(1).permutation(len(states))
+    permuted = generated_idempotent(G, [states[k] for k in order])
+    assert given.converged and permuted.converged
+    assert given.limit.distance(permuted.limit) <= 100 * tol
 
 
 # -- membership ---------------------------------------------------------------

@@ -7,6 +7,8 @@ residuals, which the library contracts sparsely, are compared with the dense
 einsums in the same way, on the builtins and on dense perturbations.  The
 group-likeness norm, which the library takes as a (d, d) Gram form, is
 compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
+``meet``, which the library takes as one spectral projection of the average
+of the L_p, is compared with the limit of alternating products.
 """
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from qperm.algebra import (
     StarAlgebra,
     State,
     gram_norm,
+    meet,
     spectral_projection,
     support_projection,
 )
@@ -28,7 +31,13 @@ from qperm.idempotent import (
     is_group_like,
     left_convolution_operator,
 )
-from qperm.permutation import is_central, is_character
+from qperm.permutation import (
+    classical_version,
+    is_central,
+    is_character,
+    projection_rank,
+    stabiliser_projection,
+)
 
 # Fixed before the kernels were written: complex128 sums of at most d^2
 # terms of size ~1 agree to a few hundred ulps at d <= 24.
@@ -101,6 +110,66 @@ def test_support_projection_pairing(G):
         thresh = max(alg.tol, 1e3 * np.finfo(float).eps * max(1.0, float(evals.max())))
         ref = spectral_projection(herm, [(thresh, np.inf)])
         assert_matches(support_projection(psi).coeffs, ref.coeffs)
+
+
+def alternating_meet(alg, ps):
+    """Rank and coefficients of the limit of (L_p1 ... L_pn)^(2^k).
+
+    In the trace-orthonormal frame the powers of the product converge to the
+    orthogonal projection onto the common fixed space; the squaring must
+    become stationary, and the limit is snapped to its eigenvalues above 1/2.
+    """
+    frames = [alg.to_hermitian_frame(alg.left_mult_matrix(p.coeffs)) for p in ps]
+    T = frames[0]
+    for F in frames[1:]:
+        T = T @ F
+    for _ in range(60):
+        T2 = T @ T
+        stationary = np.abs(T2 - T).max() < 1e-13
+        T = T2
+        if stationary:
+            break
+    assert stationary
+    evals, U = np.linalg.eigh((T + T.conj().T) / 2)
+    V = U[:, evals > 0.5]
+    if V.shape[1] == 0:
+        return 0, np.zeros(alg.dim)
+    return V.shape[1], alg.matrix_to_coeffs(alg.from_hermitian_frame(V @ V.conj().T))
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    for part in set_partitions(items[1:]):
+        for k in range(len(part)):
+            yield part[:k] + [[items[0]] + part[k]] + part[k + 1:]
+        yield [[items[0]]] + part
+
+
+def test_meet_matches_alternating_products(G):
+    # the families the library meets: each character's magic entries, every
+    # pair of diagonal entries (the dihedral sweep's u_11, u_33 among them),
+    # and the off-pattern complements of every stabiliser partition
+    alg = G.algebra
+    cases = []
+    for sigma in classical_version(G).permutations:
+        ps = [G.magic_projection(sigma[j], j) for j in range(G.N)]
+        cases.append((ps, meet(ps)))
+    for i in range(G.N):
+        for j in range(i + 1, G.N):
+            ps = [G.magic_projection(i, i), G.magic_projection(j, j)]
+            cases.append((ps, meet(ps)))
+    for part in set_partitions(list(range(G.N))):
+        block = {x: b for b, xs in enumerate(part) for x in xs}
+        ps = [alg.element(alg.unit - G.magic[i, j])
+              for i in range(G.N) for j in range(G.N) if block[i] != block[j]]
+        if ps:
+            cases.append((ps, stabiliser_projection(G, part)))
+    for ps, r in cases:
+        rank, coeffs = alternating_meet(alg, ps)
+        assert projection_rank(r) == rank
+        assert_matches(r.coeffs, coeffs)
 
 
 def assert_centre_matches(alg, a):

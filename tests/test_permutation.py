@@ -23,6 +23,7 @@ from qperm.permutation import (
     has_integer_fixed_points,
     is_central,
     is_character,
+    projection_rank,
     quantum_fraction,
     stabiliser_idempotent,
     stabiliser_membership,
@@ -271,3 +272,9 @@ def test_classical_versions_across_registry():
         assert len(cv) == expected[name], name
         assert abs(quantum_fraction(G.haar, cv)
                    - (1 - len(cv) / G.dim)) < 1e-9, name
+        # oracle: each support, a meet of magic entries, is the support
+        # projection of its character
+        for chi, p in zip(cv.characters, cv.supports):
+            supp = support_projection(chi)
+            assert gram_norm(supp - p) < 1e-7, name
+            assert projection_rank(supp) == projection_rank(p), name
