@@ -32,7 +32,7 @@ from .cqg import (
     haar_state,
     kac_paljutkin,
     point_state,
-    quotient_morphism,
+    uniform_state,
 )
 from .dynamics import (
     PhasePoint,

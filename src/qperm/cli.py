@@ -41,6 +41,7 @@ from .cqg import (
     dual_symmetric_group,
     haar_state,
     kac_paljutkin,
+    uniform_state,
 )
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
@@ -219,9 +220,7 @@ def exp_stabiliser(G, params, out):
     partition = params.get("partition")
     if partition is None:
         partition = [[0], list(range(1, G.N))]
-    psi = permutation.stabiliser_idempotent(
-        G, partition, n_samples=int(params.get("n_samples", 24)),
-        seed=int(params.get("seed", 0)))
+    psi = permutation.stabiliser_idempotent(G, partition)
     cvα = None
     try:
         cv = permutation.classical_version(G)
@@ -296,12 +295,8 @@ def exp_periodicity(G, params, out):
     rows = []
     if G.kind == "classical" and G.N == 4 and len(G.group_elements) == 24:
         klein = permgroups.klein_four()
-        quotient_elems = None
         for g in G.group_elements:
-            duals = np.zeros(G.dim)
-            for p in klein:
-                duals[G.group_elements.index(permgroups.compose(p, g))] = 0.25
-            nu = State(G.algebra, duals)
+            nu = uniform_state(G, [permgroups.compose(p, g) for p in klein])
             period = dynamics.detect_period(G, nu)
             rows.append({"representative": permgroups.perm_label(g),
                          "element_order": permgroups.perm_order(g),
@@ -392,7 +387,7 @@ EXPERIMENTS = {
     "dihedral-sweep": exp_dihedral_sweep,
 }
 
-RANDOMIZED = {"stabiliser", "idempotent-census", "bounds-empirical"}
+RANDOMIZED = {"idempotent-census", "bounds-empirical"}
 
 
 # -- commands --------------------------------------------------------------------

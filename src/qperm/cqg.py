@@ -145,14 +145,6 @@ class CompactQuantumGroup:
         duals = (self.delta @ rho.duals) @ phi.duals
         return State(self.algebra, duals, check=check)
 
-    def convolve_power(self, phi: State, k: int) -> State:
-        if k < 1:
-            raise AlgebraError("convolution power needs k >= 1")
-        out = phi
-        for _ in range(k - 1):
-            out = self.convolve(out, phi, check=False)
-        return State(self.algebra, out.duals, check=False)
-
     def reverse(self, phi: LinearFunctional) -> State:
         """phi o S; for a state, again a state (Kac type)."""
         return State(self.algebra, self.antipode @ phi.duals, check=False)
@@ -386,11 +378,18 @@ def classical_group(perms: list[tuple], name: str | None = None,
 
 def point_state(G: CompactQuantumGroup, sigma: tuple) -> State:
     """Evaluation at a group element of a classical group algebra."""
+    return uniform_state(G, [sigma])
+
+
+def uniform_state(G: CompactQuantumGroup, elements) -> State:
+    """Uniform probability measure on a set of elements of a classical group."""
     if G.kind != "classical":
-        raise AlgebraError("point states are for classical function algebras")
-    i = G.group_elements.index(tuple(sigma))
+        raise AlgebraError("point and uniform states are for classical function algebras")
+    index = sorted({G.group_elements.index(tuple(p)) for p in elements})
+    if not index:
+        raise AlgebraError("the uniform state needs at least one element")
     duals = np.zeros(G.dim, dtype=complex)
-    duals[i] = 1.0
+    duals[index] = 1.0 / len(index)
     return State(G.algebra, duals)
 
 
@@ -624,11 +623,6 @@ class QuantumGroupMorphism:
             imaged = np.einsum("ijc,tc->ijt", self.source.magic, M, optimize=True)
             out["magic_image"] = np.abs(imaged - self.magic_image).max()
         return out
-
-
-def quotient_morphism(source: CompactQuantumGroup, target: CompactQuantumGroup,
-                      matrix) -> QuantumGroupMorphism:
-    return QuantumGroupMorphism(source, target, matrix)
 
 
 def haar_idempotent(pi: QuantumGroupMorphism) -> State:

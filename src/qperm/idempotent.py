@@ -199,6 +199,21 @@ def _sandwich_matrix(G: CompactQuantumGroup, q: np.ndarray) -> np.ndarray:
     return (q @ c) @ (q @ c.reshape(d, d * d)).reshape(d, d)
 
 
+def _face_absorption_residual(G: CompactQuantumGroup, psi: State, r: Projection) -> float:
+    """Largest entry of (L_psi - psi u^T) S_r and (R_psi - psi u^T) S_r.
+
+    A state phi with phi(r) = 1 satisfies phi = S_r phi (Cauchy-Schwarz), so
+    psi * phi - psi = (L_psi - psi u^T) S_r phi, and likewise on the right.
+    States on rAr span the range of S_r: the residual is zero iff psi absorbs
+    every state of the face {phi : phi(r) = 1} on both sides.
+    """
+    S = _sandwich_matrix(G, r.coeffs)
+    rank_one = np.outer(psi.duals, G.algebra.unit)
+    left = (left_convolution_operator(G, psi) - rank_one) @ S
+    right = (G.delta @ psi.duals - rank_one) @ S
+    return float(max(np.abs(left).max(), np.abs(right).max()))
+
+
 def null_space(G: CompactQuantumGroup, phi: State, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal rows spanning N_phi = {f : phi(f* f) = 0}."""
     P = phi.sesquilinear_matrix()

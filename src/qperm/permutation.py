@@ -20,11 +20,10 @@ from .algebra import (
 )
 from .cqg import CompactQuantumGroup, birkhoff_matrix, characters
 from .idempotent import (
+    _face_absorption_residual,
     cesaro_idempotent,
     condition,
-    generated_idempotent,
     is_group_like,
-    quasi_subgroup_member,
 )
 
 
@@ -188,56 +187,34 @@ def stabiliser_projection(G: CompactQuantumGroup, partition) -> Projection:
 
 
 def stabiliser_idempotent(G: CompactQuantumGroup, partition,
-                          n_samples: int = 24, seed: int = 0,
                           tol: float | None = None) -> State:
-    """Invariant idempotent of the stabiliser quasi-subgroup.
+    """Idempotent of the stabiliser quasi-subgroup of a partition.
 
-    Seeded from the Haar state conditioned on the stabiliser projection when
-    that has positive mass, otherwise generated from the counit together
-    with sampled members.  The result must absorb sampled members and give
-    every diagonal magic entry positive mass.
+    The quasi-subgroup is the face {phi : phi(r) = 1} of the state space,
+    with r the stabiliser projection.  The seed is the Haar state conditioned
+    on r: it is faithful on rAr, so it lies in the relative interior of the
+    face, and its Cesaro limit psi is the face's idempotent.  The certificate
+    (L_psi - psi u^T) S_r = 0 = (R_psi - psi u^T) S_r, with S_r the sandwich
+    f -> f(r . r), L_psi and R_psi convolution by psi on either side and u
+    the unit, shows that psi absorbs every state of the face on both sides.
+    psi must also stay in the face and give every diagonal magic entry
+    positive mass.
     """
     tol = G.algebra.iter_tol if tol is None else tol
     blocks = canonical_partition(partition, G.N)
     r = stabiliser_projection(G, blocks)
-    members = _member_bank(G, r, n_samples, seed)
-    if G.haar(r).real > G.algebra.tol:
-        seed_state = condition(G, G.haar, r)
-        result = cesaro_idempotent(G, seed_state, tol=tol)
-        psi = result.limit
-        if not all(quasi_subgroup_member(G, psi, m, 10 * tol) for m in members):
-            result = generated_idempotent(G, [psi] + members, tol=tol)
-            psi = result.limit
-    else:
-        result = generated_idempotent(G, [G.counit] + members, tol=tol)
-        psi = result.limit
+    result = cesaro_idempotent(G, condition(G, G.haar, r), tol=tol)
+    psi = result.limit
     if not result.converged:
         raise AlgebraError("stabiliser idempotent did not converge")
+    if _face_absorption_residual(G, psi, r) > 10 * tol:
+        raise AlgebraError("stabiliser idempotent fails to absorb its face")
     if not stabiliser_membership(G, psi, blocks, tol=1e-6):
         raise AlgebraError("stabiliser idempotent escaped the quasi-subgroup")
     diag = [psi(G.magic_projection(j, j)).real for j in range(G.N)]
     if min(diag) <= 1e-10:
         raise AlgebraError("stabiliser idempotent must weight every diagonal entry")
-    for m in members:
-        if not quasi_subgroup_member(G, psi, m, 10 * tol):
-            raise AlgebraError("stabiliser idempotent fails to absorb a member")
     return psi
-
-
-def _member_bank(G: CompactQuantumGroup, r: Projection, n: int, seed: int) -> list[State]:
-    """Sampled states supported on r (hence stabiliser members)."""
-    out = [G.counit] if abs(G.counit(r) - 1) < 1e-9 else []
-    Lr = G.algebra.left_mult_matrix(r.coeffs)
-    for k in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        x = Lr @ (rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
-        if np.abs(x).max() < 1e-12:
-            continue
-        try:
-            out.append(G.vector_state(x))
-        except AlgebraError:
-            continue
-    return out
 
 
 def is_central(a: AlgebraElement, tol: float | None = None) -> bool:

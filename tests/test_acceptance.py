@@ -15,6 +15,7 @@ from qperm.cqg import (
     dual_symmetric_group,
     kac_paljutkin,
     point_state,
+    uniform_state,
 )
 from qperm.dynamics import (
     detect_period,
@@ -214,10 +215,8 @@ def test_criterion_09_periodicity(kp, kp_cv, cs4):
     with criterion(9, 10.0, "coset periods over the Klein group; E11 alternation"):
         klein = frozenset(permgroups.klein_four())
         for g in cs4.group_elements:
-            duals = np.zeros(24)
-            for p in klein:
-                duals[cs4.group_elements.index(permgroups.compose(p, g))] = 0.25
-            period = detect_period(cs4, State(cs4.algebra, duals))
+            coset = uniform_state(cs4, [permgroups.compose(p, g) for p in klein])
+            period = detect_period(cs4, coset)
             assert period == permgroups.coset_order(g, klein), permgroups.perm_label(g)
         e11 = State(kp.algebra, np.eye(8)[4])
         assert detect_period(kp, e11) == 2

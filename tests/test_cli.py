@@ -114,6 +114,17 @@ def test_bounds_experiment_deterministic(tmp_path):
         (tmp_path / "b" / "bounds.json").read_bytes()
 
 
+def test_stabiliser_experiment_needs_no_seed(tmp_path):
+    # the stabiliser idempotent samples nothing; sampling keys are ignored
+    spec = tmp_path / "spec.json"
+    for out, params in (("a", {}), ("b", {"n_samples": 24, "seed": 5})):
+        spec.write_text(json.dumps({"name": "stabiliser", "group": "kp",
+                                    "parameters": params}))
+        assert run(["run", spec, "--out", tmp_path / out]) == 0
+    assert (tmp_path / "a" / "stabiliser.json").read_bytes() == \
+        (tmp_path / "b" / "stabiliser.json").read_bytes()
+
+
 def test_run_with_declared_outputs(tmp_path):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({"name": "classical-version", "group": "kp",

@@ -8,6 +8,7 @@ from qperm import algebra, cqg, permgroups
 from qperm.algebra import AlgebraError, Projection, StarAlgebra, State, gram_norm
 from qperm.cqg import (
     CompactQuantumGroup,
+    QuantumGroupMorphism,
     abelianization,
     characters,
     classical_group,
@@ -18,7 +19,7 @@ from qperm.cqg import (
     haar_state,
     kac_paljutkin,
     point_state,
-    quotient_morphism,
+    uniform_state,
 )
 from qperm.idempotent import is_group_like
 
@@ -122,6 +123,19 @@ def test_point_mass_convolution_matches_group_law(cs3):
             got = cs3.convolve(point_state(cs3, a), point_state(cs3, b))
             want = point_state(cs3, permgroups.compose(a, b))
             assert got.distance(want) < 1e-12
+
+
+def test_uniform_state_is_the_mean_of_point_states(cs3, ds4):
+    t = permgroups.from_cycles(3, (0, 1))
+    coset = [permgroups.compose(p, t) for p in permgroups.closure([t])]
+    want = np.mean([point_state(cs3, p).duals for p in coset], axis=0)
+    assert np.abs(uniform_state(cs3, coset).duals - want).max() == 0
+    # a repeated element is counted once
+    assert uniform_state(cs3, coset + coset[:1]).distance(uniform_state(cs3, coset)) == 0
+    with pytest.raises(AlgebraError):
+        uniform_state(cs3, [])
+    with pytest.raises(AlgebraError):
+        uniform_state(ds4, [permgroups.identity_perm(4)])
 
 
 def test_dual_convolution_is_pointwise_multiplication(ds4):
@@ -319,19 +333,19 @@ def test_quotient_to_trivial_gives_counit(cs3):
     e = classical_group([permgroups.identity_perm(1)])
     M = np.zeros((1, 6))
     M[0, 0] = 1.0  # evaluation at the identity
-    pi = quotient_morphism(cs3, e, M)
+    pi = QuantumGroupMorphism(cs3, e, M)
     phi = haar_idempotent(pi)
     assert phi.distance(cs3.counit) < 1e-12
 
 
 def test_identity_morphism_haar(kp):
-    pi = quotient_morphism(kp, kp, np.eye(8))
+    pi = QuantumGroupMorphism(kp, kp, np.eye(8))
     assert haar_idempotent(pi).distance(kp.haar) < 1e-12
 
 
 def test_morphism_rejects_non_homomorphism(cs3, kp):
     with pytest.raises(AlgebraError):
-        quotient_morphism(kp, cs3, np.ones((6, 8)))
+        QuantumGroupMorphism(kp, cs3, np.ones((6, 8)))
 
 
 def test_magic_diagonal_group_like_identity(kp, ds4, cs3):

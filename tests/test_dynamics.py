@@ -4,7 +4,13 @@ import pytest
 
 from qperm import permgroups
 from qperm.algebra import AlgebraError, State
-from qperm.cqg import classical_group, dual_symmetric_group, kac_paljutkin, point_state
+from qperm.cqg import (
+    classical_group,
+    dual_symmetric_group,
+    kac_paljutkin,
+    point_state,
+    uniform_state,
+)
 from qperm.dynamics import (
     BOUNDARY_EPS,
     ConvergenceReport,
@@ -130,20 +136,13 @@ def test_bounds_empirical_classical_all_zero(cs4):
         assert s.alpha < 1e-9 and s.beta < 1e-9 and s.omega < 1e-9
 
 
-def klein_coset_state(G, g):
-    duals = np.zeros(G.dim)
-    for p in permgroups.klein_four():
-        duals[G.group_elements.index(permgroups.compose(p, g))] = 0.25
-    return State(G.algebra, duals)
-
-
 def test_coset_periods_match_quotient_order(cs4):
     # period of the uniform measure on Vg equals the order of the coset gV
     # in S_4 / V; for transpositions and 3-cycles this is the order of g
     klein = permgroups.klein_four()
     for g in cs4.group_elements:
-        period = detect_period(cs4, klein_coset_state(cs4, g))
-        assert period == permgroups.coset_order(g, klein)
+        coset = uniform_state(cs4, [permgroups.compose(p, g) for p in klein])
+        assert detect_period(cs4, coset) == permgroups.coset_order(g, klein)
 
 
 def test_coset_order_matches_coset_products(cs4):
@@ -167,7 +166,8 @@ def test_coset_period_equals_element_order_when_orders_agree(cs4):
     klein = permgroups.klein_four()
     for g in cs4.group_elements:
         if permgroups.coset_order(g, klein) == permgroups.perm_order(g):
-            assert detect_period(cs4, klein_coset_state(cs4, g)) == permgroups.perm_order(g)
+            coset = uniform_state(cs4, [permgroups.compose(p, g) for p in klein])
+            assert detect_period(cs4, coset) == permgroups.perm_order(g)
 
 
 def test_haar_period_one(kp):

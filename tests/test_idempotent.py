@@ -5,6 +5,7 @@ import pytest
 from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection, State, gram_norm, support_projection
 from qperm.cqg import (
+    QuantumGroupMorphism,
     abelianization,
     classical_group,
     dual_dihedral,
@@ -12,10 +13,11 @@ from qperm.cqg import (
     haar_idempotent,
     kac_paljutkin,
     point_state,
-    quotient_morphism,
+    uniform_state,
 )
 from qperm.idempotent import (
     CesaroResult,
+    _face_absorption_residual,
     cesaro_idempotent,
     classify_idempotent,
     collapse_stability_probe,
@@ -27,7 +29,7 @@ from qperm.idempotent import (
     is_idempotent,
     quasi_subgroup_member,
 )
-from qperm.permutation import _member_bank, stabiliser_projection
+from qperm.permutation import stabiliser_projection
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +47,6 @@ def kp():
     return kac_paljutkin()
 
 
-def uniform_on(G, subset):
-    duals = np.zeros(G.dim)
-    for p in subset:
-        duals[G.group_elements.index(p)] = 1.0 / len(subset)
-    return State(G.algebra, duals)
-
-
 # -- cesaro ---------------------------------------------------------------------
 
 
@@ -59,7 +54,7 @@ def test_cesaro_from_cyclic_point_mass(cs4):
     sigma = permgroups.from_cycles(4, (0, 1, 2))
     res = cesaro_idempotent(cs4, point_state(cs4, sigma))
     assert res.converged
-    expect = uniform_on(cs4, permgroups.closure([sigma]))
+    expect = uniform_state(cs4, permgroups.closure([sigma]))
     assert res.limit.distance(expect) < 1e-12
 
 
@@ -96,7 +91,7 @@ def test_generated_idempotent_two_transpositions(cs4):
     s2 = permgroups.from_cycles(4, (0, 1, 2, 3))
     res = generated_idempotent(cs4, [point_state(cs4, s1), point_state(cs4, s2)])
     assert res.converged
-    expect = uniform_on(cs4, permgroups.closure([s1, s2]))  # the whole of S_4
+    expect = uniform_state(cs4, permgroups.closure([s1, s2]))  # the whole of S_4
     assert res.limit.distance(expect) < 1e-10
 
 
@@ -122,7 +117,7 @@ def test_generated_strictly_above_classical_part(kp):
 
 @pytest.mark.parametrize("case", ["two-transpositions", "single-haar",
                                   "classical-and-e11", "kp-bank", "dual-s4-bank"])
-def test_generated_idempotent_ignores_input_order(case, request):
+def test_generated_idempotent_ignores_input_order(case, request, member_bank):
     # oracle: the idempotent generated by a set of states does not depend on
     # the order in which the inputs are convolved
     if case == "two-transpositions":
@@ -138,7 +133,7 @@ def test_generated_idempotent_ignores_input_order(case, request):
     else:
         G = request.getfixturevalue("kp" if case == "kp-bank" else "ds4")
         r = stabiliser_projection(G, [[0], list(range(1, G.N))])
-        states = [G.counit] + _member_bank(G, r, 24, 0)
+        states = [G.counit] + member_bank(G, r, 24, 0)
     tol = G.algebra.iter_tol
     given = generated_idempotent(G, states)
     order = np.random.default_rng(1).permutation(len(states))
@@ -153,6 +148,30 @@ def test_generated_idempotent_ignores_input_order(case, request):
 def test_haar_absorbs_all_sampled(kp):
     for phi in kp.sample_states(10, seed=8):
         assert quasi_subgroup_member(kp, kp.haar, phi)
+
+
+def test_face_absorption_residual_reads_each_side():
+    # on C(S_3) the face of the point projection at g is {delta_g}, so the
+    # certificate is the larger absorption distance of delta_g.  A uniform
+    # state on a left coset of <t> absorbs on one side only, on a right coset
+    # on the other, so both sides are read
+    cs3 = classical_group(permgroups.symmetric_group(3))
+    t = permgroups.from_cycles(3, (0, 1))
+    sub = permgroups.closure([t])
+    sides = set()
+    for k in cs3.group_elements:
+        for coset in ([permgroups.compose(k, h) for h in sub],
+                      [permgroups.compose(h, k) for h in sub]):
+            psi = uniform_state(cs3, coset)
+            for i, g in enumerate(cs3.group_elements):
+                r = Projection(cs3.algebra, np.eye(cs3.dim)[i])  # indicator of g
+                dg = point_state(cs3, g)
+                left = psi.distance(cs3.convolve(psi, dg, check=False))
+                right = psi.distance(cs3.convolve(dg, psi, check=False))
+                residual = _face_absorption_residual(cs3, psi, r)
+                assert abs(residual - max(left, right)) < 1e-12
+                sides.add((left < 1e-12, right < 1e-12))
+    assert {(True, False), (False, True)} <= sides
 
 
 def test_counit_absorbs_only_itself(kp, cs4):
@@ -303,7 +322,7 @@ def test_collapse_probe_classical_quotient_clean():
     M = np.zeros((2, 6))
     M[0, cs3.group_elements.index(permgroups.identity_perm(3))] = 1.0
     M[1, cs3.group_elements.index(permgroups.from_cycles(3, (0, 1)))] = 1.0
-    pi = quotient_morphism(cs3, s2, M)
+    pi = QuantumGroupMorphism(cs3, s2, M)
     psi = haar_idempotent(pi)
     report = collapse_stability_probe(cs3, psi, n_samples=8, seed=2)
     assert report.stable

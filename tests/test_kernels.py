@@ -8,7 +8,9 @@ einsums in the same way, on the builtins and on dense perturbations.  The
 group-likeness norm, which the library takes as a (d, d) Gram form, is
 compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
 ``meet``, which the library takes as one spectral projection of the average
-of the L_p, is compared with the limit of alternating products.
+of the L_p, is compared with the limit of alternating products.  The
+stabiliser idempotent, which the library certifies by a face-absorption
+identity, is checked to absorb sampled members of its face.
 """
 import numpy as np
 import pytest
@@ -30,12 +32,14 @@ from qperm.idempotent import (
     _sandwich_matrix,
     is_group_like,
     left_convolution_operator,
+    quasi_subgroup_member,
 )
 from qperm.permutation import (
     classical_version,
     is_central,
     is_character,
     projection_rank,
+    stabiliser_idempotent,
     stabiliser_projection,
 )
 
@@ -170,6 +174,27 @@ def test_meet_matches_alternating_products(G):
         rank, coeffs = alternating_meet(alg, ps)
         assert projection_rank(r) == rank
         assert_matches(r.coeffs, coeffs)
+
+
+def test_stabiliser_idempotent_absorbs_sampled_members(G, member_bank):
+    # the removed route: psi must absorb the counit and 24 sampled states on
+    # the face of r, on both sides; every set partition on kp and dual-S4,
+    # the single-point partitions {j} | rest, where r = u_jj, everywhere
+    labels = list(range(G.N))
+    if G.name in ("kac-paljutkin", "dual-S4"):
+        cases = [(part, stabiliser_projection(G, part))
+                 for part in set_partitions(labels)]
+    else:
+        cases = [([[j], [k for k in labels if k != j]], G.magic_projection(j, j))
+                 for j in labels]
+    tol = 10 * G.algebra.iter_tol
+    for part, r in cases:
+        part = [b for b in part if b]
+        psi = stabiliser_idempotent(G, part)
+        members = member_bank(G, r, 24, 0)
+        assert len(members) == 25, part
+        for phi in members:
+            assert quasi_subgroup_member(G, psi, phi, tol), part
 
 
 def assert_centre_matches(alg, a):
@@ -335,3 +360,20 @@ def test_group_like_residual_in_a_complex_basis(name):
         ref = tensor_square_residual(H, y)
         assert_matches(_group_like_residual(H, y), ref)
         assert abs(ref - _group_like_residual(G, x)) <= 1e-9 * max(1.0, ref)
+
+
+@pytest.mark.parametrize("name", ["s3", "dual-s3", "kp"])
+def test_stabiliser_idempotent_in_a_complex_basis(name):
+    # in the builtins' bases S_r and its transpose give the same certificate;
+    # in a complex, non-orthogonal basis S_r is not symmetric, and psi must
+    # still be certified and map to the original one
+    G = BUILTIN_GROUPS[name]()
+    rng = np.random.default_rng(7)
+    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
+                               + 1j * rng.standard_normal((G.dim,) * 2))
+    H = in_basis(G, B)
+    part = [[0], list(range(1, G.N))]
+    S = _sandwich_matrix(H, stabiliser_projection(H, part).coeffs)
+    assert np.abs(S - S.T).max() > 0.1
+    psi = stabiliser_idempotent(H, part)
+    assert np.abs(psi.duals - B @ stabiliser_idempotent(G, part).duals).max() < 1e-8
