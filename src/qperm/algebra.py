@@ -389,11 +389,7 @@ class State(LinearFunctional):
     def __init__(self, algebra, duals, check: bool = True):
         super().__init__(algebra, duals)
         if check:
-            unital = abs(self.duals @ algebra.unit - 1.0)
-            if unital > 10 * max(algebra.tol, 1e-12):
-                raise AlgebraError(f"functional is not unital (residual {unital:.3e})")
-            if not is_positive_functional(self, tol=100 * algebra.tol):
-                raise AlgebraError("functional is not positive within tolerance")
+            _require_states(algebra, self.duals[np.newaxis])
 
 
 # -- spec operations ---------------------------------------------------------
@@ -407,11 +403,50 @@ def gram_norm(a: AlgebraElement) -> float:
 
 def is_positive_functional(phi: LinearFunctional, tol: float | None = None) -> bool:
     tol = phi.algebra.tol if tol is None else tol
-    P = phi.sesquilinear_matrix()
-    if np.abs(P - P.conj().T).max() > tol:
-        return False
-    evals = np.linalg.eigvalsh((P + P.conj().T) / 2)
-    return bool(evals.min() >= -tol)
+    return bool(_positive_rows(phi.algebra, phi.duals[np.newaxis], tol)[0])
+
+
+# Stacks of duals are checked this many rows at a time, so the (rows, d, d)
+# sesquilinear temporaries stay small whatever the number of rows.
+_BLOCK = 32
+
+
+def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
+    """Per-row mask of an (n, d) stack of duals: the sesquilinear matrix
+    phi(e_i^* e_j) of the row is Hermitian within tol and its smallest
+    eigenvalue is at least -tol."""
+    d = alg.dim
+    mult = alg.mult.reshape(d * d, d)
+    ok = np.zeros(D.shape[0], dtype=bool)
+    for start in range(0, D.shape[0], _BLOCK):
+        rows = D[start:start + _BLOCK]
+        # P[m] = involution @ (mult @ rows[m]), each (d, d) block contiguous
+        P = alg.involution @ (rows @ mult.T).reshape(-1, d, d)
+        Ph = P.conj().transpose(0, 2, 1)
+        hermitian = np.abs(P - Ph).max(axis=(1, 2)) <= tol
+        P += Ph  # the Hermitian part, in place, so a block holds few (b, d, d) arrays
+        P *= 0.5
+        lowest = np.linalg.eigvalsh(P)[:, 0]
+        ok[start:start + _BLOCK] = hermitian & (lowest >= -tol)
+    return ok
+
+
+def _state_rows(alg: StarAlgebra, D: np.ndarray) -> np.ndarray:
+    """Per-row mask of an (n, d) stack of duals that are states at the
+    algebra's tolerance: unital within 10 max(tol, 1e-12), Hermitian within
+    100 tol, smallest eigenvalue at least -100 tol."""
+    unital = np.abs(D @ alg.unit - 1.0) <= 10 * max(alg.tol, 1e-12)
+    return unital & _positive_rows(alg, D, 100 * alg.tol)
+
+
+def _require_states(alg: StarAlgebra, D: np.ndarray) -> None:
+    """Raise unless every row of an (n, d) stack of duals is a state."""
+    bad = np.flatnonzero(~_state_rows(alg, D))
+    if bad.size:
+        k = int(bad[0])
+        unital = abs(D[k] @ alg.unit - 1.0)
+        raise AlgebraError(f"functional is not a state within tolerance "
+                           f"(row {k}, unital residual {unital:.3e})")
 
 
 def eigen_clusters(evals: np.ndarray, rtol: float = 1e-6):

@@ -19,7 +19,9 @@ name or definition-file path), parameters and optional explicit output paths:
      "parameters": {"n_samples": 500, "seed": 7}, "outputs": ["bounds.json"]}
 
 Exit codes: 0 success, 1 assertion failure, 2 input error.  A group file
-that does not follow the schema above is an input error.
+that does not follow the schema above is an input error, and so is an
+integer parameter out of range (n_samples >= 1, n_seeds >= 0, n >= 2,
+seed >= 0, k_max >= 1) or not an integer.
 """
 from __future__ import annotations
 
@@ -389,6 +391,18 @@ EXPERIMENTS = {
 
 RANDOMIZED = {"idempotent-census", "bounds-empirical"}
 
+# Smallest accepted value of each integer parameter an experiment reads.
+INT_PARAMETERS = {"n_samples": 1, "n_seeds": 0, "n": 2, "seed": 0, "k_max": 1}
+
+
+def _check_parameters(params) -> None:
+    if not isinstance(params, dict):
+        raise ValueError("experiment parameters must be a JSON object")
+    for key, low in INT_PARAMETERS.items():
+        if key in params and not (_is_int(params[key]) and params[key] >= low):
+            raise ValueError(f"parameter {key!r} must be an integer >= {low}, "
+                             f"got {params[key]!r}")
+
 
 # -- commands --------------------------------------------------------------------
 
@@ -412,11 +426,14 @@ def cmd_run(args) -> int:
     try:
         with open(args.spec) as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError("experiment spec must be a JSON object")
         name = spec["name"]
-        if name not in EXPERIMENTS:
+        if not isinstance(name, str) or name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}; "
                              f"choose from {sorted(EXPERIMENTS)}")
         params = spec.get("parameters", {})
+        _check_parameters(params)
         if name in RANDOMIZED and "seed" not in params:
             raise ValueError(f"experiment {name!r} requires a seed parameter")
         G = load_group(spec.get("group", "kp"))

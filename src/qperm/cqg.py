@@ -25,9 +25,11 @@ from .algebra import (
     Projection,
     StarAlgebra,
     State,
+    _BLOCK,
     _coo,
     _contract,
     _max_abs_difference,
+    _require_states,
     gram_norm,
 )
 
@@ -151,32 +153,43 @@ class CompactQuantumGroup:
 
     def vector_state(self, x: np.ndarray) -> State:
         """GNS vector state f -> tau(x* f x) / tau(x* x)."""
-        alg = self.algebra
-        x = np.asarray(x, dtype=complex)
-        sx = alg.star_coeffs(x)
-        # duals[i] = tau(x* e_i x): (e_i x)[k] paired with tau(x* e_k)
-        duals = (x @ alg.mult) @ (sx @ (alg.mult @ alg.trace))
-        nrm = duals @ alg.unit
-        if abs(nrm) < 1e3 * np.finfo(float).eps:
+        duals, nonnull = _vector_duals(self.algebra, np.asarray(x)[np.newaxis])
+        if not nonnull[0]:
             raise AlgebraError("vector is null for the trace form")
-        return State(alg, duals / nrm)
+        return State(self.algebra, duals[0])
 
     def sample_states(self, n: int, seed: int, max_mix: int = 3) -> list[State]:
         """Deterministic state bank: convex mixes of GNS vector states.
 
         Sample k is seeded by (seed, k) alone, so batches are reproducible
-        regardless of how the loop is parallelized or chunked.
+        regardless of how the loop is parallelized or chunked.  Samples are
+        built 32 at a time: the block's vector states are formed in one
+        contraction and checked together, then mixed in the order their
+        vectors were drawn, and the mixes are checked together again.
         """
+        alg, d = self.algebra, self.dim
         out = []
-        for k in range(n):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            m = int(rng.integers(1, max_mix + 1))
-            weights = rng.dirichlet(np.ones(m))
-            duals = np.zeros(self.dim, dtype=complex)
-            for t in range(m):
-                x = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-                duals += weights[t] * self.vector_state(x).duals
-            out.append(State(self.algebra, duals))
+        for start in range(0, n, _BLOCK):
+            weights, xs = [], []
+            for k in range(start, min(start + _BLOCK, n)):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+                m = int(rng.integers(1, max_mix + 1))
+                weights.append(rng.dirichlet(np.ones(m)))
+                xs.extend(rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                          for _ in range(m))
+            vectors, nonnull = _vector_duals(alg, np.array(xs))
+            if not nonnull.all():
+                raise AlgebraError("vector is null for the trace form")
+            _require_states(alg, vectors)
+            counts = np.array([w.size for w in weights])
+            first = np.cumsum(counts) - counts
+            mixes = np.zeros((counts.size, d), dtype=complex)
+            for t in range(counts.max()):
+                rows = np.flatnonzero(counts > t)
+                w = np.array([weights[i][t] for i in rows])
+                mixes[rows] += w[:, np.newaxis] * vectors[first[rows] + t]
+            _require_states(alg, mixes)
+            out.extend(State(alg, row, check=False) for row in mixes)
         return out
 
     # -- validation -------------------------------------------------------------
@@ -286,6 +299,26 @@ class CompactQuantumGroup:
 
     def __repr__(self):
         return f"CompactQuantumGroup({self.name}, dim={self.dim}, N={self.N})"
+
+
+def _vector_duals(alg: StarAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vector states tau(x* . x) / tau(x* x) of the rows x of X.
+
+    Returns the (n, d) duals and the mask of rows that are not null for the
+    trace form; null rows are left unnormalized.
+    """
+    d = alg.dim
+    X = np.asarray(X, dtype=complex)
+    # (e_i x)[k] for every row x: mult contracted on its second index, read
+    # through the cached regular representation regular[i, k, j] = mult[i, j, k]
+    right = (X @ alg.regular.reshape(d * d, d).T).reshape(-1, d, d)
+    # tau(x* e_k)
+    left = (np.conj(X) @ alg.involution) @ (alg.mult @ alg.trace)
+    duals = (right @ left[:, :, np.newaxis])[:, :, 0]
+    nrm = duals @ alg.unit
+    nonnull = np.abs(nrm) >= 1e3 * np.finfo(float).eps
+    duals[nonnull] /= nrm[nonnull, np.newaxis]
+    return duals, nonnull
 
 
 # -- Haar ----------------------------------------------------------------------

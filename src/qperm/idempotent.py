@@ -20,10 +20,12 @@ from .algebra import (
     LinearFunctional,
     Projection,
     State,
+    _require_states,
+    _state_rows,
     gram_norm,
     support_projection,
 )
-from .cqg import CompactQuantumGroup
+from .cqg import CompactQuantumGroup, _vector_duals
 
 
 @dataclass
@@ -286,40 +288,46 @@ def collapse_stability_probe(G: CompactQuantumGroup, psi: State,
     Members are psi itself plus sampled states supported on the support
     projection of psi that pass the absorption test.  Each member is
     conditioned by every magic entry it gives positive mass, and the result
-    is tested for membership.
+    is tested for membership.  Candidates, members and collapsed states are
+    handled as stacked (rows, d) arrays of duals.
     """
     if not is_idempotent(G, psi, max(tol, G.algebra.iter_tol)):
         raise AlgebraError("probe requires an idempotent state")
-    members = [psi]
-    p = support_projection(psi)
-    Lp = G.algebra.left_mult_matrix(p.coeffs)
+    alg, d, N = G.algebra, G.dim, G.N
+    Lp = alg.left_mult_matrix(support_projection(psi).coeffs)
+    xs = []
     for k in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        x = rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim)
-        x = Lp @ x
-        if np.abs(x).max() < 1e-12:
-            continue
-        try:
-            cand = G.vector_state(x)
-        except AlgebraError:
-            continue
-        if quasi_subgroup_member(G, psi, cand, tol):
-            members.append(cand)
-    violations = []
-    collapses = 0
-    for mi, phi in enumerate(members):
-        for i in range(G.N):
-            for j in range(G.N):
-                q = G.magic_projection(i, j)
-                if phi(q).real <= 1e-9:
-                    continue
-                collapsed = condition(G, phi, q)
-                collapses += 1
-                if not quasi_subgroup_member(G, psi, collapsed, tol):
-                    dist = max(psi.distance(G.convolve(psi, collapsed, check=False)),
-                               psi.distance(G.convolve(collapsed, psi, check=False)))
-                    violations.append((mi, (i, j), float(dist)))
-    return CollapseProbeReport(len(members), collapses, violations)
+        x = Lp @ (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        if np.abs(x).max() >= 1e-12:
+            xs.append(x)
+    cands, nonnull = _vector_duals(alg, np.array(xs).reshape(-1, d))
+    cands = cands[nonnull]
+    cands = cands[_state_rows(alg, cands)]
+    left, right = left_convolution_operator(G, psi).T, (G.delta @ psi.duals).T
+
+    def distance(rows):
+        """Absorption distance max(|psi * phi - psi|, |phi * psi - psi|) per row."""
+        return np.maximum(np.abs(rows @ left - psi.duals).max(axis=1),
+                          np.abs(rows @ right - psi.duals).max(axis=1))
+
+    members = np.vstack([psi.duals, cands[distance(cands) <= tol]])
+    entries = np.array([G.magic_projection(i, j).coeffs
+                        for i in range(N) for j in range(N)])
+    masses = (members @ entries.T).real
+    hit = masses > 1e-9
+    if np.any(masses[hit] <= alg.tol):
+        raise AlgebraError("conditioning on a projection of zero mass is undefined")
+    sandwiches = np.array([_sandwich_matrix(G, q) for q in entries])
+    # sandwiched[e, :, m] = S_e phi_m, for every magic entry e and member m
+    sandwiched = (sandwiches.reshape(-1, d) @ members.T).reshape(N * N, d, -1)
+    collapsed = sandwiched.transpose(2, 0, 1)[hit] / masses[hit][:, np.newaxis]
+    _require_states(alg, collapsed)
+    dist = distance(collapsed)
+    pairs = np.argwhere(hit)
+    violations = [(int(pairs[p, 0]), divmod(int(pairs[p, 1]), N), float(dist[p]))
+                  for p in np.flatnonzero(~(dist <= tol))]
+    return CollapseProbeReport(members.shape[0], len(collapsed), violations)
 
 
 def idempotent_census(G: CompactQuantumGroup, n_seeds: int, seed: int = 0,

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from qperm.algebra import AlgebraError
+from qperm.algebra import AlgebraError, State, support_projection
+from qperm.idempotent import CollapseProbeReport, condition, quasi_subgroup_member
 
 
 def _member_bank(G, r, n, seed):
@@ -26,3 +27,73 @@ def _member_bank(G, r, n, seed):
 def member_bank():
     """Sampler ``member_bank(G, r, n, seed)`` of states on the face of r."""
     return _member_bank
+
+
+def _vector_state(G, x):
+    """f -> tau(x* f x) / tau(x* x), one vector at a time."""
+    alg = G.algebra
+    duals = (x @ alg.mult) @ (alg.star_coeffs(x) @ (alg.mult @ alg.trace))
+    nrm = duals @ alg.unit
+    if abs(nrm) < 1e3 * np.finfo(float).eps:
+        raise AlgebraError("vector is null for the trace form")
+    return State(alg, duals / nrm)
+
+
+def _sample_states(G, n, seed, max_mix=3):
+    """The state bank one sample and one checked State at a time."""
+    out = []
+    for k in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        m = int(rng.integers(1, max_mix + 1))
+        weights = rng.dirichlet(np.ones(m))
+        duals = np.zeros(G.dim, dtype=complex)
+        for t in range(m):
+            x = rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim)
+            duals += weights[t] * _vector_state(G, x).duals
+        out.append(State(G.algebra, duals))
+    return out
+
+
+def _collapse_probe(G, psi, n_samples, seed, tol=1e-7):
+    """The collapse probe one candidate, member and collapse at a time."""
+    members = [psi]
+    Lp = G.algebra.left_mult_matrix(support_projection(psi).coeffs)
+    for k in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        x = Lp @ (rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
+        if np.abs(x).max() < 1e-12:
+            continue
+        try:
+            cand = _vector_state(G, x)
+        except AlgebraError:
+            continue
+        if quasi_subgroup_member(G, psi, cand, tol):
+            members.append(cand)
+    violations = []
+    collapses = 0
+    for mi, phi in enumerate(members):
+        for i in range(G.N):
+            for j in range(G.N):
+                q = G.magic_projection(i, j)
+                if phi(q).real <= 1e-9:
+                    continue
+                collapsed = condition(G, phi, q)
+                collapses += 1
+                if not quasi_subgroup_member(G, psi, collapsed, tol):
+                    dist = max(psi.distance(G.convolve(psi, collapsed, check=False)),
+                               psi.distance(G.convolve(collapsed, psi, check=False)))
+                    violations.append((mi, (i, j), float(dist)))
+    return CollapseProbeReport(len(members), collapses, violations)
+
+
+@pytest.fixture
+def sample_states_oracle():
+    """``sample_states_oracle(G, n, seed)``: the state bank built per sample."""
+    return _sample_states
+
+
+@pytest.fixture
+def collapse_probe_oracle():
+    """``collapse_probe_oracle(G, psi, n_samples, seed)``: the collapse probe
+    built per member and per collapse."""
+    return _collapse_probe

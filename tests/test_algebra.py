@@ -13,6 +13,8 @@ from qperm.algebra import (
     AlgebraError,
     Projection,
     State,
+    _require_states,
+    _state_rows,
     gram_norm,
     is_positive_functional,
     meet,
@@ -214,13 +216,52 @@ def test_state_constructor_rejects_non_state(cs3):
         State(cs3.algebra, 2.0 * np.asarray(cs3.haar.duals))
 
 
+@pytest.fixture(scope="module")
+def dual_s3():
+    return dual_symmetric_group(3)
+
+
+def one_test_short_of_a_state(G, kind):
+    """A row on dual-S3 that fails exactly one of the three state tests."""
+    e = np.eye(G.dim)
+    g = G.group.perms.index(permgroups.from_cycles(3, (0, 1)))
+    return {"non-unital": 2 * e[0],
+            # Hermitian part e_0*, which is positive
+            "non-Hermitian": e[0] + 0.5j * e[g],
+            # phi(e_a* e_b) = 1 + 2 R_g with R_g an involution: eigenvalues 3, -1
+            "negative": e[0] + 2 * e[g]}[kind]
+
+
+@pytest.mark.parametrize("kind", ["non-unital", "non-Hermitian", "negative"])
+def test_state_check_flags_one_bad_row_in_a_stack(dual_s3, kind):
+    # the stacked check works 32 rows at a time: bad rows on either side of
+    # each block boundary and in a last, partial block
+    alg = dual_s3.algebra
+    row = one_test_short_of_a_state(dual_s3, kind)
+    assert is_positive_functional(alg.functional(row)) == (kind == "non-unital")
+    with pytest.raises(AlgebraError):
+        State(alg, row)
+    for n, bad in [(1, 0), (32, 0), (32, 31), (33, 0), (33, 31), (33, 32),
+                   (65, 0), (65, 31), (65, 32), (65, 64)]:
+        D = np.array([phi.duals for phi in dual_s3.sample_states(n, seed=n)])
+        D[bad] = row
+        assert np.array_equal(_state_rows(alg, D), np.arange(n) != bad), (n, bad)
+        with pytest.raises(AlgebraError, match=f"row {bad},"):
+            _require_states(alg, D)
+
+
 def test_state_positivity_checked_under_optimize():
-    # phi = 2 f1* - f2* on kp: phi(1) = 2 - 1 = 1, but phi(f2) = -1 < 0
+    # phi = 2 f1* - f2* on kp: phi(1) = 2 - 1 = 1, but phi(f2) = -1 < 0; it
+    # must be rejected alone and as the last row of a stack of 33
     script = ("import numpy as np\n"
-              "from qperm.algebra import AlgebraError, State\n"
+              "from qperm.algebra import AlgebraError, State, _state_rows\n"
               "from qperm.cqg import kac_paljutkin\n"
               "G = kac_paljutkin()\n"
               "duals = 2 * np.eye(8)[0] - np.eye(8)[1]\n"
+              "D = np.array([phi.duals for phi in G.sample_states(33, seed=1)])\n"
+              "D[32] = duals\n"
+              "if _state_rows(G.algebra, D).tolist() != [True] * 32 + [False]:\n"
+              "    raise SystemExit('non-positive row of a stack accepted')\n"
               "try:\n"
               "    State(G.algebra, duals)\n"
               "except AlgebraError:\n"

@@ -91,6 +91,33 @@ def test_run_randomized_requires_seed(tmp_path):
     assert run(["run", p, "--out", tmp_path / "out"]) == 2
 
 
+@pytest.mark.parametrize("name, params", [
+    ("bounds-empirical", {"n_samples": 0, "seed": 1}),
+    ("bounds-empirical", {"n_samples": "x", "seed": 1}),
+    ("phase-diagram", {"n": 1}),
+    ("idempotent-census", {"n_seeds": -3, "seed": 1}),
+    ("bounds-empirical", {"n_samples": 5, "seed": -1}),
+    ("periodicity", {"k_max": "x"}),
+], ids=["no-samples", "non-integer-samples", "one-point-grid", "negative-seeds",
+        "negative-seed", "non-integer-steps"])
+def test_run_malformed_integer_parameter_is_input_error(tmp_path, capsys, name, params):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"name": name, "group": "kp", "parameters": params}))
+    assert run(["run", p, "--out", tmp_path / "out"]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", [["haar"], {"name": ["haar"]},
+                                  {"name": "haar", "parameters": [1]}],
+                         ids=["list", "list-name", "list-parameters"])
+def test_run_malformed_spec_is_input_error(tmp_path, capsys, spec):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    assert run(["run", p, "--out", tmp_path / "out"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_phase_diagram_deterministic(tmp_path):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({"name": "phase-diagram", "group": "kp",

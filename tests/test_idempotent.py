@@ -1,7 +1,15 @@
 """Cesaro idempotents, quasi-subgroups, group-like projections, collapse."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import _criterion8_census  # noqa: E402
 from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection, State, gram_norm, support_projection
 from qperm.cqg import (
@@ -343,6 +351,19 @@ def test_collapse_probe_nonnormal_dual_violates(ds4):
     assert classify_idempotent(ds4, psi).kind == "NonHaar"
     report = collapse_stability_probe(ds4, psi, n_samples=8, seed=4)
     assert len(report.violations) >= 1
+
+
+def test_collapse_probe_matches_per_member_oracle(kp, ds4, collapse_probe_oracle):
+    # the library probes with stacked arrays; on the criterion-8 census it
+    # must report what the per-member, per-collapse route reports
+    for G, psi in _criterion8_census(kp, ds4):
+        got = collapse_stability_probe(G, psi, n_samples=8, seed=12)
+        ref = collapse_probe_oracle(G, psi, 8, 12)
+        assert got.members_tested == ref.members_tested
+        assert got.collapses_tested == ref.collapses_tested
+        assert [v[:2] for v in got.violations] == [v[:2] for v in ref.violations]
+        for v, w in zip(got.violations, ref.violations):
+            assert abs(v[2] - w[2]) <= 1e-12
 
 
 def test_noncentral_diagonal_equivalences(ds4):

@@ -10,7 +10,9 @@ compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
 ``meet``, which the library takes as one spectral projection of the average
 of the L_p, is compared with the limit of alternating products.  The
 stabiliser idempotent, which the library certifies by a face-absorption
-identity, is checked to absorb sampled members of its face.
+identity, is checked to absorb sampled members of its face.  The state
+bank, which the library builds in blocks, is compared with the bank built
+one sample at a time.
 """
 import numpy as np
 import pytest
@@ -91,6 +93,18 @@ def test_cqg_kernels(G):
         ex = np.einsum("ijk,j->ik", alg.mult, a)
         full = np.einsum("a,ik,akl->il", sx, ex, alg.mult) @ alg.trace
         assert_matches(G.vector_state(a).duals, full / (full @ alg.unit))
+
+
+def test_sample_states_match_per_sample_oracle(G, sample_states_oracle):
+    # the library builds the bank 32 samples at a time; whatever the block
+    # boundaries, it must equal the bank built one sample at a time
+    for seed in (3, 11):
+        ref = np.array([phi.duals for phi in sample_states_oracle(G, 33, seed)])
+        for n in (0, 1, 33):
+            bank = G.sample_states(n, seed)
+            assert len(bank) == n
+            got = np.array([phi.duals for phi in bank]).reshape(n, G.dim)
+            assert np.abs(got - ref[:n]).max(initial=0.0) <= 1e-14, (seed, n)
 
 
 def test_idempotent_kernels(G):
