@@ -29,7 +29,6 @@ from .cqg import (
     dual_group,
     dual_symmetric_group,
     haar_idempotent,
-    haar_state,
     kac_paljutkin,
     point_state,
     uniform_state,

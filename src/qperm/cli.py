@@ -21,7 +21,9 @@ name or definition-file path), parameters and optional explicit output paths:
 Exit codes: 0 success, 1 assertion failure, 2 input error.  A group file
 that does not follow the schema above is an input error, and so is an
 integer parameter out of range (n_samples >= 1, n_seeds >= 0, n >= 2,
-seed >= 0, k_max >= 1) or not an integer.
+seed >= 0, k_max >= 1) or not an integer, an ``m_values`` that is not a
+non-empty list of integers >= 2, and a ``partition`` that is not a list of
+non-empty lists of integers partitioning 0..N-1 for the group's N.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ from .cqg import (
     dual_dihedral,
     dual_group,
     dual_symmetric_group,
-    haar_state,
     kac_paljutkin,
+    solve_haar,
     uniform_state,
 )
 
@@ -189,7 +191,7 @@ def load_group(ref: str) -> CompactQuantumGroup:
 
 
 def exp_haar(G, params, out):
-    h = haar_state(G)
+    h = solve_haar(G.algebra, G.delta)
     payload = {"group": G.name, "dim": G.dim, "N": G.N,
                "haar_duals": h, "matches_stored": float(h.distance(G.haar))}
     try:
@@ -360,13 +362,12 @@ def exp_s4hat_walkthrough(G, params, out):
 
 
 def exp_dihedral_sweep(G, params, out):
-    ms = params.get("m_values") or list(range(3, 13))
     rows = []
-    for m in ms:
-        Dm = dual_dihedral(int(m))
+    for m in params.get("m_values", range(3, 13)):
+        Dm = dual_dihedral(m)
         r = meet([Dm.magic_projection(0, 0), Dm.magic_projection(2, 2)])
         val = float(Dm.haar(r).real)
-        rows.append({"m": int(m), "haar_of_meet": val, "expected": 1.0 / (2 * m),
+        rows.append({"m": m, "haar_of_meet": val, "expected": 1.0 / (2 * m),
                      "error": abs(val - 1.0 / (2 * m))})
     payload = {"rows": rows,
                "trend_to_zero": rows[-1]["haar_of_meet"] < rows[0]["haar_of_meet"]}
@@ -402,6 +403,20 @@ def _check_parameters(params) -> None:
         if key in params and not (_is_int(params[key]) and params[key] >= low):
             raise ValueError(f"parameter {key!r} must be an integer >= {low}, "
                              f"got {params[key]!r}")
+    ms = params.get("m_values")
+    if "m_values" in params and not (isinstance(ms, list) and ms and all(
+            _is_int(m) and m >= 2 for m in ms)):
+        raise ValueError("parameter 'm_values' must be a non-empty list of "
+                         f"integers >= 2, got {ms!r}")
+
+
+def _check_partition(partition, N: int) -> None:
+    if not (isinstance(partition, list)
+            and all(isinstance(b, list) and b and all(_is_int(x) for x in b)
+                    for b in partition)
+            and sorted(x for b in partition for x in b) == list(range(N))):
+        raise ValueError(f"parameter 'partition' must be a list of lists of "
+                         f"integers partitioning 0..{N - 1}, got {partition!r}")
 
 
 # -- commands --------------------------------------------------------------------
@@ -437,6 +452,8 @@ def cmd_run(args) -> int:
         if name in RANDOMIZED and "seed" not in params:
             raise ValueError(f"experiment {name!r} requires a seed parameter")
         G = load_group(spec.get("group", "kp"))
+        if "partition" in params:
+            _check_partition(params["partition"], G.N)
     except AlgebraError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_FAIL

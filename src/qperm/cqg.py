@@ -349,21 +349,6 @@ def solve_haar(algebra: StarAlgebra, delta: np.ndarray) -> State:
     return State(algebra, h)
 
 
-def haar_state(G: CompactQuantumGroup) -> State:
-    """Recompute the Haar state and check it against the Cesaro route.
-
-    The trace is a faithful state, so the Cesaro limit of its convolution
-    powers is the unique faithful idempotent, which must agree with the
-    linear-solve route within the iterative tolerance.
-    """
-    from .idempotent import cesaro_idempotent  # local import, no cycle at module load
-    h = solve_haar(G.algebra, G.delta)
-    res = cesaro_idempotent(G, State(G.algebra, G.algebra.trace), tol=G.algebra.iter_tol)
-    if not res.converged or res.limit.distance(h) > 1e-7:
-        raise AlgebraError("Cesaro cross-check of the Haar state failed")
-    return h
-
-
 # -- constructors ----------------------------------------------------------------
 
 

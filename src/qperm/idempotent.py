@@ -7,6 +7,12 @@ eigenvalue-1 spectral projector applied to the seed.  Computing the limit
 spectrally reaches machine precision where stepwise means stall at O(1/n);
 a doubling recursion on the means, M_2n = (M_n + T^n M_n)/2, still supplies
 an honest iteration count.
+
+Absorption by an idempotent psi is linear too: the stacked (2d, d) matrix
+A = [L_psi - psi u^T; R_psi - psi u^T] sends a unital phi to
+(psi * phi - psi, phi * psi - psi).  Quasi-subgroup membership, the
+absorption of a whole face and stability under collapse are all read off A
+applied to a fixed matrix, with no sampled states.
 """
 from __future__ import annotations
 
@@ -20,12 +26,10 @@ from .algebra import (
     LinearFunctional,
     Projection,
     State,
-    _require_states,
-    _state_rows,
     gram_norm,
     support_projection,
 )
-from .cqg import CompactQuantumGroup, _vector_duals
+from .cqg import CompactQuantumGroup, _row_space
 
 
 @dataclass
@@ -122,9 +126,20 @@ def quasi_subgroup_member(G: CompactQuantumGroup, psi: State, phi: State,
     """Whether phi is absorbed by the idempotent psi on both sides."""
     if not is_idempotent(G, psi, max(tol, G.algebra.iter_tol)):
         raise AlgebraError("absorbing state is not idempotent")
-    left = G.convolve(psi, phi, check=False)
-    right = G.convolve(phi, psi, check=False)
-    return psi.distance(left) <= tol and psi.distance(right) <= tol
+    return bool(np.abs(_absorption_operator(G, psi) @ phi.duals).max() <= tol)
+
+
+def _absorption_operator(G: CompactQuantumGroup, psi: State) -> np.ndarray:
+    """Stacked (2d, d) matrix [L_psi - psi u^T; R_psi - psi u^T].
+
+    L_psi and R_psi = Delta(.) psi are convolution by psi on the left and on
+    the right, and u is the unit, so a unital phi goes to the pair
+    (psi * phi - psi, phi * psi - psi): A phi = 0 iff psi absorbs phi on both
+    sides.
+    """
+    rank_one = np.outer(psi.duals, G.algebra.unit)
+    return np.vstack([left_convolution_operator(G, psi) - rank_one,
+                      G.delta @ psi.duals - rank_one])
 
 
 def generated_idempotent(G: CompactQuantumGroup, states: list[State],
@@ -202,18 +217,14 @@ def _sandwich_matrix(G: CompactQuantumGroup, q: np.ndarray) -> np.ndarray:
 
 
 def _face_absorption_residual(G: CompactQuantumGroup, psi: State, r: Projection) -> float:
-    """Largest entry of (L_psi - psi u^T) S_r and (R_psi - psi u^T) S_r.
+    """Largest entry of A S_r, with A the absorption operator of psi.
 
     A state phi with phi(r) = 1 satisfies phi = S_r phi (Cauchy-Schwarz), so
-    psi * phi - psi = (L_psi - psi u^T) S_r phi, and likewise on the right.
-    States on rAr span the range of S_r: the residual is zero iff psi absorbs
-    every state of the face {phi : phi(r) = 1} on both sides.
+    A phi = A S_r phi.  States on rAr span the range of S_r: the residual is
+    zero iff psi absorbs every state of the face {phi : phi(r) = 1} on both
+    sides.
     """
-    S = _sandwich_matrix(G, r.coeffs)
-    rank_one = np.outer(psi.duals, G.algebra.unit)
-    left = (left_convolution_operator(G, psi) - rank_one) @ S
-    right = (G.delta @ psi.duals - rank_one) @ S
-    return float(max(np.abs(left).max(), np.abs(right).max()))
+    return float(np.abs(_absorption_operator(G, psi) @ _sandwich_matrix(G, r.coeffs)).max())
 
 
 def null_space(G: CompactQuantumGroup, phi: State, tol: float = 1e-8) -> np.ndarray:
@@ -270,9 +281,16 @@ def dual_subgroup_idempotent(G: CompactQuantumGroup, subgroup) -> State:
 
 @dataclass
 class CollapseProbeReport:
+    """Collapse stability of the quasi-subgroup of an idempotent psi.
+
+    ``members_tested`` is the dimension of the space of functionals on pAp,
+    p the support of psi, which the member states span; ``violations`` lists
+    ``((i, j), residual)`` for every magic entry u_ij whose collapse takes
+    some member out of the quasi-subgroup.
+    """
+
     members_tested: int
-    collapses_tested: int
-    violations: list  # (member index, (i, j), membership distance)
+    violations: list
 
     @property
     def stable(self) -> bool:
@@ -282,52 +300,29 @@ class CollapseProbeReport:
 def collapse_stability_probe(G: CompactQuantumGroup, psi: State,
                              n_samples: int = 100, seed: int = 0,
                              tol: float = 1e-7) -> CollapseProbeReport:
-    """Probe the quasi-subgroup of psi for stability under collapse by magic
-    entries.
+    """Whether the quasi-subgroup of psi is stable under collapse by every
+    magic entry, as an exact linear certificate.
 
-    Members are psi itself plus sampled states supported on the support
-    projection of psi that pass the absorption test.  Each member is
-    conditioned by every magic entry it gives positive mass, and the result
-    is tested for membership.  Candidates, members and collapsed states are
-    handled as stacked (rows, d) arrays of duals.
+    The members are taken to be the states on pAp, p the support of psi;
+    they span the range of the sandwich S_p, with orthonormal basis W.  The
+    premise max|A W| <= tol (A the absorption operator of psi) says that all
+    of them are members, and an ``AlgebraError`` is raised if it fails.
+    Collapse by a magic entry q sends phi to S_q phi / phi(q), so the face is
+    stable under q iff max|A S_q W| <= tol; a member that gives q no mass has
+    S_q phi = 0 and adds nothing.  ``n_samples`` and ``seed`` have no effect.
     """
     if not is_idempotent(G, psi, max(tol, G.algebra.iter_tol)):
         raise AlgebraError("probe requires an idempotent state")
-    alg, d, N = G.algebra, G.dim, G.N
-    Lp = alg.left_mult_matrix(support_projection(psi).coeffs)
-    xs = []
-    for k in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        x = Lp @ (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        if np.abs(x).max() >= 1e-12:
-            xs.append(x)
-    cands, nonnull = _vector_duals(alg, np.array(xs).reshape(-1, d))
-    cands = cands[nonnull]
-    cands = cands[_state_rows(alg, cands)]
-    left, right = left_convolution_operator(G, psi).T, (G.delta @ psi.duals).T
-
-    def distance(rows):
-        """Absorption distance max(|psi * phi - psi|, |phi * psi - psi|) per row."""
-        return np.maximum(np.abs(rows @ left - psi.duals).max(axis=1),
-                          np.abs(rows @ right - psi.duals).max(axis=1))
-
-    members = np.vstack([psi.duals, cands[distance(cands) <= tol]])
-    entries = np.array([G.magic_projection(i, j).coeffs
-                        for i in range(N) for j in range(N)])
-    masses = (members @ entries.T).real
-    hit = masses > 1e-9
-    if np.any(masses[hit] <= alg.tol):
-        raise AlgebraError("conditioning on a projection of zero mass is undefined")
-    sandwiches = np.array([_sandwich_matrix(G, q) for q in entries])
-    # sandwiched[e, :, m] = S_e phi_m, for every magic entry e and member m
-    sandwiched = (sandwiches.reshape(-1, d) @ members.T).reshape(N * N, d, -1)
-    collapsed = sandwiched.transpose(2, 0, 1)[hit] / masses[hit][:, np.newaxis]
-    _require_states(alg, collapsed)
-    dist = distance(collapsed)
-    pairs = np.argwhere(hit)
-    violations = [(int(pairs[p, 0]), divmod(int(pairs[p, 1]), N), float(dist[p]))
-                  for p in np.flatnonzero(~(dist <= tol))]
-    return CollapseProbeReport(members.shape[0], len(collapsed), violations)
+    A = _absorption_operator(G, psi)
+    W = _row_space(_sandwich_matrix(G, support_projection(psi).coeffs).T).T
+    if not np.abs(A @ W).max() <= tol:
+        raise AlgebraError("some state on the support of psi is not absorbed by psi")
+    N = G.N
+    sandwiches = np.array([_sandwich_matrix(G, q) for q in G.magic.reshape(N * N, -1)])
+    residuals = np.abs(A @ sandwiches @ W).max(axis=(1, 2))
+    violations = [(divmod(int(e), N), float(residuals[e]))
+                  for e in np.flatnonzero(~(residuals <= tol))]
+    return CollapseProbeReport(W.shape[1], violations)
 
 
 def idempotent_census(G: CompactQuantumGroup, n_seeds: int, seed: int = 0,

@@ -55,7 +55,10 @@ def _sample_states(G, n, seed, max_mix=3):
 
 
 def _collapse_probe(G, psi, n_samples, seed, tol=1e-7):
-    """The collapse probe one candidate, member and collapse at a time."""
+    """The collapse probe by sampling: psi and the seeded vector states on its
+    support that it absorbs are the members, each is conditioned on every
+    magic entry it gives mass, and each collapse that leaves the
+    quasi-subgroup is reported as ``((i, j), membership distance)``."""
     members = [psi]
     Lp = G.algebra.left_mult_matrix(support_projection(psi).coeffs)
     for k in range(n_samples):
@@ -70,20 +73,18 @@ def _collapse_probe(G, psi, n_samples, seed, tol=1e-7):
         if quasi_subgroup_member(G, psi, cand, tol):
             members.append(cand)
     violations = []
-    collapses = 0
-    for mi, phi in enumerate(members):
+    for phi in members:
         for i in range(G.N):
             for j in range(G.N):
                 q = G.magic_projection(i, j)
                 if phi(q).real <= 1e-9:
                     continue
                 collapsed = condition(G, phi, q)
-                collapses += 1
                 if not quasi_subgroup_member(G, psi, collapsed, tol):
                     dist = max(psi.distance(G.convolve(psi, collapsed, check=False)),
                                psi.distance(G.convolve(collapsed, psi, check=False)))
-                    violations.append((mi, (i, j), float(dist)))
-    return CollapseProbeReport(len(members), collapses, violations)
+                    violations.append(((i, j), float(dist)))
+    return CollapseProbeReport(len(members), violations)
 
 
 @pytest.fixture
@@ -95,5 +96,5 @@ def sample_states_oracle():
 @pytest.fixture
 def collapse_probe_oracle():
     """``collapse_probe_oracle(G, psi, n_samples, seed)``: the collapse probe
-    built per member and per collapse."""
+    by sampled members, one member and one collapse at a time."""
     return _collapse_probe

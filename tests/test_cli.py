@@ -108,6 +108,27 @@ def test_run_malformed_integer_parameter_is_input_error(tmp_path, capsys, name, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, group, params", [
+    ("dihedral-sweep", "dual-d3", {"m_values": [1]}),
+    ("dihedral-sweep", "dual-d3", {"m_values": [True]}),
+    ("dihedral-sweep", "dual-d3", {"m_values": 5}),
+    ("dihedral-sweep", "dual-d3", {"m_values": "abc"}),
+    ("dihedral-sweep", "dual-d3", {"m_values": [0]}),
+    ("dihedral-sweep", "dual-d3", {"m_values": [3.5]}),
+    ("stabiliser", "kp", {"partition": [0, 1]}),
+    ("stabiliser", "kp", {"partition": [[0], [1, "a"]]}),
+    ("stabiliser", "kp", {"partition": [[0], [1]]}),
+], ids=["m-one", "m-bool", "m-scalar", "m-string", "m-zero", "m-float",
+        "flat-partition", "non-integer-block", "partial-partition"])
+def test_run_malformed_list_parameter_is_input_error(tmp_path, capsys, name, group,
+                                                     params):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"name": name, "group": group, "parameters": params}))
+    assert run(["run", p, "--out", tmp_path / "out"]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("spec", [["haar"], {"name": ["haar"]},
                                   {"name": "haar", "parameters": [1]}],
                          ids=["list", "list-name", "list-parameters"])
@@ -208,7 +229,7 @@ def test_every_experiment_runs(tmp_path):
         ("periodicity", "kp", {}),
         ("fix-spectrum", "dual-s4", {}),
         ("s4hat-walkthrough", "dual-s4", {}),
-        ("dihedral-sweep", "dual-d3", {"m_values": [3, 4]}),
+        ("dihedral-sweep", "dual-d3", {"m_values": [2, 3, 4]}),
     ]
     spec = tmp_path / "spec.json"
     out = tmp_path / "out"

@@ -37,7 +37,7 @@ from qperm.idempotent import (
     is_idempotent,
     quasi_subgroup_member,
 )
-from qperm.permutation import stabiliser_projection
+from qperm.permutation import stabiliser_idempotent, stabiliser_projection
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +319,7 @@ def test_dual_subgroup_rejects_non_subgroup(ds4):
 
 def test_collapse_probe_haar_clean(kp, ds4):
     for G in (kp, ds4):
-        report = collapse_stability_probe(G, G.haar, n_samples=8, seed=1)
+        report = collapse_stability_probe(G, G.haar)
         assert report.stable
 
 
@@ -332,7 +332,7 @@ def test_collapse_probe_classical_quotient_clean():
     M[1, cs3.group_elements.index(permgroups.from_cycles(3, (0, 1)))] = 1.0
     pi = QuantumGroupMorphism(cs3, s2, M)
     psi = haar_idempotent(pi)
-    report = collapse_stability_probe(cs3, psi, n_samples=8, seed=2)
+    report = collapse_stability_probe(cs3, psi)
     assert report.stable
 
 
@@ -341,7 +341,7 @@ def test_collapse_probe_corner_idempotent_violates(kp):
     corner = cesaro_idempotent(kp, e11).limit
     assert classify_idempotent(kp, corner).kind == "NonHaar"
     assert is_group_like(kp, support_projection(corner))
-    report = collapse_stability_probe(kp, corner, n_samples=8, seed=3)
+    report = collapse_stability_probe(kp, corner)
     assert len(report.violations) >= 1
 
 
@@ -349,21 +349,39 @@ def test_collapse_probe_nonnormal_dual_violates(ds4):
     t12 = ds4.group.perms.index(permgroups.from_cycles(4, (0, 1)))
     psi = dual_subgroup_idempotent(ds4, sorted(ds4.group.generated_by([t12])))
     assert classify_idempotent(ds4, psi).kind == "NonHaar"
-    report = collapse_stability_probe(ds4, psi, n_samples=8, seed=4)
+    report = collapse_stability_probe(ds4, psi)
     assert len(report.violations) >= 1
 
 
-def test_collapse_probe_matches_per_member_oracle(kp, ds4, collapse_probe_oracle):
-    # the library probes with stacked arrays; on the criterion-8 census it
-    # must report what the per-member, per-collapse route reports
-    for G, psi in _criterion8_census(kp, ds4):
-        got = collapse_stability_probe(G, psi, n_samples=8, seed=12)
+def test_collapse_probe_matches_per_member_oracle(kp, ds4, cs4, collapse_probe_oracle):
+    # the library certifies collapse stability on the span of all members;
+    # on the criterion-8 census and on stabiliser idempotents it must give
+    # the verdict and the violated entries that sampled members give
+    inputs = list(_criterion8_census(kp, ds4))
+    for G in (kp, dual_symmetric_group(3), ds4, cs4, dual_dihedral(4), dual_dihedral(6)):
+        for partition in ([[0], list(range(1, G.N))], [[i] for i in range(G.N)]):
+            inputs.append((G, stabiliser_idempotent(G, partition)))
+    assert len(inputs) == 27
+    for G, psi in inputs:
+        got = collapse_stability_probe(G, psi)
         ref = collapse_probe_oracle(G, psi, 8, 12)
-        assert got.members_tested == ref.members_tested
-        assert got.collapses_tested == ref.collapses_tested
-        assert [v[:2] for v in got.violations] == [v[:2] for v in ref.violations]
-        for v, w in zip(got.violations, ref.violations):
-            assert abs(v[2] - w[2]) <= 1e-12
+        assert got.stable == ref.stable, G.name
+        assert {v[0] for v in got.violations} == {v[0] for v in ref.violations}, G.name
+
+
+def test_collapse_probe_spans_the_support(kp, ds4):
+    # members_tested is the rank of the sandwich by supp psi: every
+    # functional on pAp, not psi alone
+    assert collapse_stability_probe(kp, kp.haar).members_tested == 8
+    assert collapse_stability_probe(ds4, ds4.haar).members_tested == 24
+    assert collapse_stability_probe(kp, kp.counit).members_tested == 1
+
+
+def test_collapse_probe_rejects_non_idempotent(kp):
+    e11 = State(kp.algebra, np.eye(8)[4])
+    assert not is_idempotent(kp, e11)
+    with pytest.raises(AlgebraError, match="idempotent"):
+        collapse_stability_probe(kp, e11)
 
 
 def test_noncentral_diagonal_equivalences(ds4):
@@ -378,7 +396,7 @@ def test_noncentral_diagonal_equivalences(ds4):
     assert is_idempotent(ds4, h0)
     assert classify_idempotent(ds4, h0).kind == "NonHaar"
     assert is_group_like(ds4, support_projection(h0))
-    report = collapse_stability_probe(ds4, h0, n_samples=12, seed=6)
+    report = collapse_stability_probe(ds4, h0)
     assert len(report.violations) >= 1
     psi = stabiliser_idempotent(ds4, [[0], [1, 2, 3, 4]])
     assert psi.distance(h0) < 1e-8
