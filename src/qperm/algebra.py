@@ -280,10 +280,6 @@ class AlgebraElement:
     def norm(self) -> float:
         return gram_norm(self)
 
-    def is_self_adjoint(self, tol: float | None = None) -> bool:
-        tol = self.algebra.tol if tol is None else tol
-        return gram_norm(self.star() - self) <= tol
-
     def is_projection(self, tol: float | None = None) -> bool:
         tol = self.algebra.tol if tol is None else tol
         return (gram_norm(self * self - self) <= tol
@@ -413,8 +409,9 @@ _BLOCK = 32
 
 def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
     """Per-row mask of an (n, d) stack of duals: the sesquilinear matrix
-    phi(e_i^* e_j) of the row is Hermitian within tol and its smallest
-    eigenvalue is at least -tol."""
+    phi(e_i^* e_j) of the row is Hermitian within tol and its Hermitian part
+    H has a Cholesky factor after the shift H + tol I, that is, the smallest
+    eigenvalue of H exceeds -tol up to rounding."""
     d = alg.dim
     mult = alg.mult.reshape(d * d, d)
     ok = np.zeros(D.shape[0], dtype=bool)
@@ -426,15 +423,21 @@ def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
         hermitian = np.abs(P - Ph).max(axis=(1, 2)) <= tol
         P += Ph  # the Hermitian part, in place, so a block holds few (b, d, d) arrays
         P *= 0.5
-        lowest = np.linalg.eigvalsh(P)[:, 0]
-        ok[start:start + _BLOCK] = hermitian & (lowest >= -tol)
+        P += tol * np.eye(d)
+        try:
+            np.linalg.cholesky(P)
+            factored = True
+        except np.linalg.LinAlgError:  # refactored row by row, to name the rows that fail
+            factored = len(rows) > 1 and [_positive_rows(alg, row, tol)[0]
+                                          for row in rows[:, np.newaxis]]
+        ok[start:start + _BLOCK] = hermitian & factored
     return ok
 
 
 def _state_rows(alg: StarAlgebra, D: np.ndarray) -> np.ndarray:
     """Per-row mask of an (n, d) stack of duals that are states at the
     algebra's tolerance: unital within 10 max(tol, 1e-12), Hermitian within
-    100 tol, smallest eigenvalue at least -100 tol."""
+    100 tol, and H + 100 tol I has a Cholesky factor (:func:`_positive_rows`)."""
     unital = np.abs(D @ alg.unit - 1.0) <= 10 * max(alg.tol, 1e-12)
     return unital & _positive_rows(alg, D, 100 * alg.tol)
 

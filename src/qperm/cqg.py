@@ -144,8 +144,20 @@ class CompactQuantumGroup:
         """Convolution (phi (x) rho) o Delta."""
         if phi.algebra is not self.algebra or rho.algebra is not self.algebra:
             raise AlgebraError("functionals live on a different algebra")
-        duals = (self.delta @ rho.duals) @ phi.duals
-        return State(self.algebra, duals, check=check)
+        duals = self._convolve_rows(phi.duals[np.newaxis], rho.duals[np.newaxis])
+        return State(self.algebra, duals[0], check=check)
+
+    def _convolve_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Row k is (A[k] (x) B[k]) o Delta: one product with Delta as a
+        (d, d^2) matrix per 32 rows, so no (n, d^2) array is formed."""
+        d = self.dim
+        delta = self.delta.reshape(d, d * d).T
+        out = np.empty((len(A), d), dtype=complex)
+        for start in range(0, len(A), _BLOCK):
+            a, b = A[start:start + _BLOCK], B[start:start + _BLOCK]
+            pairs = (a[:, :, np.newaxis] * b[:, np.newaxis]).reshape(-1, d * d)
+            out[start:start + _BLOCK] = pairs @ delta
+        return out
 
     def reverse(self, phi: LinearFunctional) -> State:
         """phi o S; for a state, again a state (Kac type)."""
@@ -159,25 +171,31 @@ class CompactQuantumGroup:
         return State(self.algebra, duals[0])
 
     def sample_states(self, n: int, seed: int, max_mix: int = 3) -> list[State]:
-        """Deterministic state bank: convex mixes of GNS vector states.
+        """Deterministic state bank: convex mixes of GNS vector states, one
+        State per row of :meth:`_state_bank`."""
+        return [State(self.algebra, row, check=False)
+                for row in self._state_bank(n, seed, max_mix)]
+
+    def _state_bank(self, n: int, seed: int, max_mix: int = 3) -> np.ndarray:
+        """The (n, d) checked duals of :meth:`sample_states`.
 
         Sample k is seeded by (seed, k) alone, so batches are reproducible
-        regardless of how the loop is parallelized or chunked.  Samples are
-        built 32 at a time: the block's vector states are formed in one
-        contraction and checked together, then mixed in the order their
+        however they are chunked.  Samples are built 32 at a time: each draws
+        its m vectors in one normal draw, the block's vector states are formed
+        in one contraction and checked together, then mixed in the order their
         vectors were drawn, and the mixes are checked together again.
         """
         alg, d = self.algebra, self.dim
-        out = []
+        out = np.empty((n, d), dtype=complex)
         for start in range(0, n, _BLOCK):
             weights, xs = [], []
             for k in range(start, min(start + _BLOCK, n)):
                 rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
                 m = int(rng.integers(1, max_mix + 1))
                 weights.append(rng.dirichlet(np.ones(m)))
-                xs.extend(rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                          for _ in range(m))
-            vectors, nonnull = _vector_duals(alg, np.array(xs))
+                z = rng.standard_normal((m, 2, d))  # real, imaginary part of each vector
+                xs.append(z[:, 0] + 1j * z[:, 1])
+            vectors, nonnull = _vector_duals(alg, np.concatenate(xs))
             if not nonnull.all():
                 raise AlgebraError("vector is null for the trace form")
             _require_states(alg, vectors)
@@ -189,7 +207,7 @@ class CompactQuantumGroup:
                 w = np.array([weights[i][t] for i in rows])
                 mixes[rows] += w[:, np.newaxis] * vectors[first[rows] + t]
             _require_states(alg, mixes)
-            out.extend(State(alg, row, check=False) for row in mixes)
+            out[start:start + _BLOCK] = mixes
         return out
 
     # -- validation -------------------------------------------------------------
@@ -612,9 +630,6 @@ class QuantumGroupMorphism:
             bad = {k: v for k, v in res.items() if v > 100 * source.algebra.tol}
             if bad:
                 raise AlgebraError(f"not a quantum group morphism: {bad}")
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.matrix @ coeffs
 
     def pullback(self, phi: LinearFunctional) -> State:
         """phi o pi for a functional on the target."""

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import AlgebraError, State
 from .cqg import CompactQuantumGroup
-from .permutation import ClassicalVersion, decompose, quantum_fraction
+from .permutation import ClassicalVersion, _decomposed_rows, _quantum_fractions, quantum_fraction
 
 SQRT2 = math.sqrt(2.0)
 BOUNDARY_EPS = 1e-12
@@ -130,23 +130,23 @@ def verify_bounds_empirically(G: CompactQuantumGroup, cv: ClassicalVersion,
 
     Any violation raises, carrying the witness pair serialized to JSON.
     Alongside generic samples, the conditioned random / truly-quantum parts
-    of the first few are paired to exercise the extreme rows alpha, beta in
-    {0, 1}.
+    of the first 8 pairs are paired to exercise the extreme rows alpha, beta
+    in {0, 1}.  All pairs go through as (n, d) stacks: one checked bank, one
+    decomposition, one convolution and three quantum-fraction products.
     """
-    states = G.sample_states(2 * n_samples, seed=seed)
-    pairs = [(states[2 * k], states[2 * k + 1]) for k in range(n_samples)]
-    for phi, rho in pairs[:8]:
-        a1, c1, q1 = decompose(G, phi, cv)
-        a2, c2, q2 = decompose(G, rho, cv)
-        for extra in ((c1, q2), (q1, c2), (q1, q2), (c1, c2)):
-            if extra[0] is not None and extra[1] is not None:
-                pairs.append(extra)
+    bank = G._state_bank(2 * n_samples, seed).reshape(n_samples, 2, G.dim)
+    _, parts, defined = _decomposed_rows(G, bank[:8].reshape(-1, G.dim), cv)
+    parts, defined = parts.reshape(-1, 2, 2, G.dim), defined.reshape(-1, 2, 2)
+    # per pair, the (phi part, rho part) pairs (C, Q), (Q, C), (Q, Q), (C, C)
+    left, right = [0, 1, 1, 0], [1, 0, 1, 0]
+    keep = defined[:, 0, left] & defined[:, 1, right]
+    phis = np.concatenate([bank[:, 0], parts[:, 0, left][keep]])
+    rhos = np.concatenate([bank[:, 1], parts[:, 1, right][keep]])
+    fractions = [_quantum_fractions(D, cv).tolist()
+                 for D in (phis, rhos, G._convolve_rows(phis, rhos))]
 
     samples, violations = [], []
-    for phi, rho in pairs:
-        a = quantum_fraction(phi, cv)
-        b = quantum_fraction(rho, cv)
-        w = quantum_fraction(G.convolve(phi, rho, check=False), cv)
+    for k, (a, b, w) in enumerate(zip(*fractions)):
         lower, upper = convolution_bounds(a, b)
         bad = None
         if not (lower - tol <= w <= upper + tol):
@@ -162,7 +162,7 @@ def verify_bounds_empirically(G: CompactQuantumGroup, cv: ClassicalVersion,
         samples.append(BoundsSample(a, b, w))
         if bad:
             witness = {"reason": bad, "alpha": a, "beta": b, "omega": w,
-                       "phi": _ser(phi), "rho": _ser(rho)}
+                       "phi": _ser(phis[k]), "rho": _ser(rhos[k])}
             violations.append(witness)
     if violations:
         raise AlgebraError("convolution bound violated: "
@@ -170,8 +170,8 @@ def verify_bounds_empirically(G: CompactQuantumGroup, cv: ClassicalVersion,
     return BoundsReport(samples, violations)
 
 
-def _ser(phi: State) -> list:
-    return [[float(z.real), float(z.imag)] for z in phi.duals]
+def _ser(duals: np.ndarray) -> list:
+    return [[float(z.real), float(z.imag)] for z in duals]
 
 
 @dataclass
@@ -235,10 +235,6 @@ class ConvergenceReport:
     distances: list
     converged: bool
     strict: bool | None     # dual groups: |phi| = 1 only at the identity
-
-    @property
-    def final_distance(self) -> float:
-        return self.distances[-1]
 
 
 def convergence_to_haar(G: CompactQuantumGroup, seed: State, k_max: int = 200,

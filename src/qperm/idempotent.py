@@ -202,11 +202,15 @@ def _group_like_residual(G: CompactQuantumGroup, p: np.ndarray) -> float:
 
 def condition(G: CompactQuantumGroup, phi: State, q: Projection) -> State:
     """Wave-function collapse g -> phi(q g q) / phi(q)."""
-    mass = phi(q).real
-    if mass <= G.algebra.tol:
+    return State(G.algebra, _conditioned_rows(G, phi.duals[np.newaxis], q)[0])
+
+
+def _conditioned_rows(G: CompactQuantumGroup, D: np.ndarray, q: Projection) -> np.ndarray:
+    """phi(q . q) / phi(q) for the rows phi of an (n, d) stack, unchecked."""
+    mass = (D @ q.coeffs).real
+    if not (mass > G.algebra.tol).all():
         raise AlgebraError("conditioning on a projection of zero mass is undefined")
-    sandwich = _sandwich_matrix(G, q.coeffs)
-    return State(G.algebra, (sandwich @ phi.duals) / mass)
+    return (D @ _sandwich_matrix(G, q.coeffs).T) / mass[:, np.newaxis]
 
 
 def _sandwich_matrix(G: CompactQuantumGroup, q: np.ndarray) -> np.ndarray:

@@ -76,10 +76,6 @@ def symmetric_group(n: int) -> list[tuple]:
     return [e] + sorted(set(itertools.permutations(range(n))) - {e})
 
 
-def fixed_points(a: tuple) -> int:
-    return sum(1 for j, v in enumerate(a) if j == v)
-
-
 @dataclass
 class FiniteGroup:
     """Abstract finite group: element labels plus a multiplication table.

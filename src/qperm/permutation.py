@@ -14,12 +14,14 @@ from .algebra import (
     LinearFunctional,
     Projection,
     State,
+    _require_states,
     eigenvector,
     meet,
     spectral_partition,
 )
 from .cqg import CompactQuantumGroup, birkhoff_matrix, characters
 from .idempotent import (
+    _conditioned_rows,
     _face_absorption_residual,
     cesaro_idempotent,
     condition,
@@ -110,10 +112,16 @@ def projection_rank(p: Projection) -> int:
 
 def quantum_fraction(phi: State, cv: ClassicalVersion) -> float:
     """Mass of the state off the classical part: phi(p_Q) in [0, 1]."""
-    val = phi(cv.p_Q)
-    if abs(val.imag) > 1e-8 or val.real < -1e-8 or val.real > 1 + 1e-8:
-        raise AlgebraError(f"quantum fraction out of range: {val}")
-    return float(min(max(val.real, 0.0), 1.0))
+    return float(_quantum_fractions(phi.duals[np.newaxis], cv)[0])
+
+
+def _quantum_fractions(D: np.ndarray, cv: ClassicalVersion) -> np.ndarray:
+    """phi(p_Q) of each row of an (n, d) stack of states, range-checked and clipped."""
+    vals = D @ cv.p_Q.coeffs
+    ok = (abs(vals.imag) <= 1e-8) & (-1e-8 <= vals.real) & (vals.real <= 1 + 1e-8)
+    if not ok.all():
+        raise AlgebraError(f"quantum fraction out of range: {vals[np.argmin(ok)]}")
+    return np.minimum(np.maximum(vals.real, 0.0), 1.0)
 
 
 def decompose(G: CompactQuantumGroup, phi: State, cv: ClassicalVersion):
@@ -121,19 +129,26 @@ def decompose(G: CompactQuantumGroup, phi: State, cv: ClassicalVersion):
 
     Degenerate alpha in {0, 1} leaves the undefined component as None.
     """
-    alpha = quantum_fraction(phi, cv)
-    # component masses below the conditioning threshold are dropped whole
-    cut = 2 * G.algebra.tol
-    phi_c = condition(G, phi, cv.p_C) if 1 - alpha > cut else None
-    phi_q = condition(G, phi, cv.p_Q) if alpha > cut else None
-    recon = np.zeros(G.dim, dtype=complex)
-    if phi_c is not None:
-        recon += (1 - alpha) * phi_c.duals
-    if phi_q is not None:
-        recon += alpha * phi_q.duals
-    if np.abs(recon - phi.duals).max() > 1e-8:
+    alpha, parts, defined = _decomposed_rows(G, phi.duals[np.newaxis], cv)
+    return float(alpha[0]), *(State(G.algebra, x, check=False) if ok else None
+                               for x, ok in zip(parts[0], defined[0]))
+
+
+def _decomposed_rows(G: CompactQuantumGroup, D: np.ndarray, cv: ClassicalVersion):
+    """alpha, the (n, 2, d) parts [phi_C, phi_Q] and the (n, 2) mask of the
+    defined parts of an (n, d) stack of states; a part of mass at most 2 tol
+    is dropped whole.  Every part is checked as a state, in one stack, and
+    every row by reconstruction."""
+    alpha = _quantum_fractions(D, cv)
+    weights = np.stack([1 - alpha, alpha], axis=1)
+    defined = weights > 2 * G.algebra.tol
+    parts = np.zeros((len(D), 2, G.dim), dtype=complex)
+    for k, p in enumerate((cv.p_C, cv.p_Q)):
+        parts[defined[:, k], k] = _conditioned_rows(G, D[defined[:, k]], p)
+    _require_states(G.algebra, parts[defined])
+    if not np.abs((weights[:, :, np.newaxis] * parts).sum(axis=1) - D).max(initial=0) <= 1e-8:
         raise AlgebraError("random/quantum decomposition failed to reconstruct")
-    return alpha, phi_c, phi_q
+    return alpha, parts, defined
 
 
 # -- stabilisers --------------------------------------------------------------

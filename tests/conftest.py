@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 
 from qperm.algebra import AlgebraError, State, support_projection
-from qperm.idempotent import CollapseProbeReport, condition, quasi_subgroup_member
+from qperm.idempotent import (
+    CollapseProbeReport,
+    _sandwich_matrix,
+    condition,
+    quasi_subgroup_member,
+)
 
 
 def _member_bank(G, r, n, seed):
@@ -98,3 +103,70 @@ def collapse_probe_oracle():
     """``collapse_probe_oracle(G, psi, n_samples, seed)``: the collapse probe
     by sampled members, one member and one collapse at a time."""
     return _collapse_probe
+
+
+def _bounds(G, cv, n_samples, seed, tol=1e-8):
+    """The bounds sampler one pair at a time, with the quantum fraction,
+    convolution, conditioning and decomposition formulas inline.  Returns
+    the (alpha, beta, omega) rows and the violations, each as
+    ``(reason, phi duals, rho duals)``, in pair order."""
+    def fraction(duals):
+        val = complex(duals @ cv.p_Q.coeffs)
+        if abs(val.imag) > 1e-8 or val.real < -1e-8 or val.real > 1 + 1e-8:
+            raise AlgebraError(f"quantum fraction out of range: {val}")
+        return float(min(max(val.real, 0.0), 1.0))
+
+    def part(duals, q):
+        mass = complex(duals @ q.coeffs).real
+        assert mass > G.algebra.tol
+        return State(G.algebra, (_sandwich_matrix(G, q.coeffs) @ duals) / mass).duals
+
+    def split(duals):
+        alpha = fraction(duals)
+        cut = 2 * G.algebra.tol
+        c = part(duals, cv.p_C) if 1 - alpha > cut else None
+        q = part(duals, cv.p_Q) if alpha > cut else None
+        recon = np.zeros(G.dim, dtype=complex)
+        if c is not None:
+            recon += (1 - alpha) * c
+        if q is not None:
+            recon += alpha * q
+        if np.abs(recon - duals).max() > 1e-8:
+            raise AlgebraError("random/quantum decomposition failed to reconstruct")
+        return c, q
+
+    states = [phi.duals for phi in G.sample_states(2 * n_samples, seed=seed)]
+    pairs = [(states[2 * k], states[2 * k + 1]) for k in range(n_samples)]
+    for phi, rho in pairs[:8]:
+        c1, q1 = split(phi)
+        c2, q2 = split(rho)
+        for extra in ((c1, q2), (q1, c2), (q1, q2), (c1, c2)):
+            if extra[0] is not None and extra[1] is not None:
+                pairs.append(extra)
+    rows, violations = [], []
+    for phi, rho in pairs:
+        a, b = fraction(phi), fraction(rho)
+        w = fraction((G.delta @ rho) @ phi)
+        lower, upper = a + b - 2 * a * b, a + b - a * b
+        bad = None
+        if not (lower - tol <= w <= upper + tol):
+            bad = "bounds"
+        elif w <= tol and not ((a <= tol and b <= tol)
+                               or (a >= 1 - tol and b >= 1 - tol)):
+            bad = "random convolution from a mixed pair"
+        elif a <= tol and b <= tol and w > tol:
+            bad = "random pair with quantum convolution"
+        elif ((a <= tol and b >= 1 - tol) or (a >= 1 - tol and b <= tol)) \
+                and w < 1 - tol:
+            bad = "random/quantum pair not truly quantum"
+        rows.append((a, b, w))
+        if bad:
+            violations.append((bad, phi, rho))
+    return np.array(rows), violations
+
+
+@pytest.fixture
+def bounds_oracle():
+    """``bounds_oracle(G, cv, n_samples, seed)``: the bounds sampler one pair,
+    one quantum fraction and one convolution at a time."""
+    return _bounds

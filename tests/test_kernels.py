@@ -12,16 +12,25 @@ of the L_p, is compared with the limit of alternating products.  The
 stabiliser idempotent, which the library certifies by a face-absorption
 identity, is checked to absorb sampled members of its face.  The state
 bank, which the library builds in blocks, is compared with the bank built
-one sample at a time.
+one sample at a time, and the bounds sampler, which the library works as
+stacks of pairs, is compared with the sampler one pair at a time.  The
+stacked Cholesky positivity check is compared with the smallest eigenvalue
+of each row's sesquilinear matrix.
 """
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qperm import permgroups
 from qperm.algebra import (
+    AlgebraError,
     LinearFunctional,
     StarAlgebra,
     State,
+    _positive_rows,
     gram_norm,
     meet,
     spectral_projection,
@@ -29,9 +38,11 @@ from qperm.algebra import (
 )
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import CompactQuantumGroup, birkhoff_matrix, characters, dual_group
+from qperm.dynamics import verify_bounds_empirically
 from qperm.idempotent import (
     _group_like_residual,
     _sandwich_matrix,
+    condition,
     is_group_like,
     left_convolution_operator,
     quasi_subgroup_member,
@@ -105,6 +116,37 @@ def test_sample_states_match_per_sample_oracle(G, sample_states_oracle):
             assert len(bank) == n
             got = np.array([phi.duals for phi in bank]).reshape(n, G.dim)
             assert np.abs(got - ref[:n]).max(initial=0.0) <= 1e-14, (seed, n)
+
+
+def test_bounds_sampler_matches_per_pair_oracle(G, bounds_oracle):
+    # fewer than, exactly and more than the 8 decomposed pairs, and a batch
+    # whose convolutions cross a 32-row block
+    cv = classical_version(G)
+    for seed in (3, 11):
+        for n in (1, 7, 8, 17):
+            ref, violations = bounds_oracle(G, cv, n, seed)
+            assert not violations
+            report = verify_bounds_empirically(G, cv, n_samples=n, seed=seed)
+            got = np.array([[s.alpha, s.beta, s.omega] for s in report.samples])
+            assert got.shape == ref.shape, (seed, n)
+            assert np.abs(got - ref).max() <= 1e-14, (seed, n)
+
+
+def test_bounds_sampler_reports_the_oracles_first_violation(bounds_oracle):
+    # with p_C and p_Q swapped, classical pairs convolve to quantum mass
+    G = BUILTIN_GROUPS["kp"]()
+    cv = classical_version(G)
+    swapped = dataclasses.replace(cv, p_C=cv.p_Q, p_Q=cv.p_C)
+    _, violations = bounds_oracle(G, swapped, 17, 3)
+    assert violations
+    reason, phi, rho = violations[0]
+    with pytest.raises(AlgebraError, match="convolution bound violated") as err:
+        verify_bounds_empirically(G, swapped, n_samples=17, seed=3)
+    witness = json.loads(str(err.value).split(": ", 1)[1])
+    assert witness["reason"] == reason
+    for key, ref in (("phi", phi), ("rho", rho)):
+        got = np.array(witness[key]) @ [1, 1j]
+        assert np.abs(got - ref).max() <= 1e-14, key
 
 
 def test_idempotent_kernels(G):
@@ -348,11 +390,11 @@ def test_group_like_residual_matches_tensor_square(G):
 def in_basis(G, B):
     """G with the basis f_i = sum_k B[i, k] e_k; coefficients map x -> x @ B^-1."""
     a, Bi = G.algebra, np.linalg.inv(B)
-    alg = StarAlgebra(a.labels, np.einsum("ia,jb,abk,kl->ijl", B, B, a.mult, Bi),
-                      np.conj(B) @ a.involution @ Bi, a.unit @ Bi, B @ a.trace,
+    mult = np.einsum("ia,jb,abk,kl->ijl", B, B, a.mult, Bi, optimize=True)
+    alg = StarAlgebra(a.labels, mult, np.conj(B) @ a.involution @ Bi, a.unit @ Bi, B @ a.trace,
                       check=False)
     return CompactQuantumGroup(
-        G.name, alg, np.einsum("ia,abc,bm,cn->imn", B, G.delta, Bi, Bi),
+        G.name, alg, np.einsum("ia,abc,bm,cn->imn", B, G.delta, Bi, Bi, optimize=True),
         State(alg, B @ G.counit.duals, check=False), B @ G.antipode @ Bi,
         G.magic @ Bi, haar=State(alg, B @ G.haar.duals, check=False), check=False)
 
@@ -391,3 +433,50 @@ def test_stabiliser_idempotent_in_a_complex_basis(name):
     assert np.abs(S - S.T).max() > 0.1
     psi = stabiliser_idempotent(H, part)
     assert np.abs(psi.duals - B @ stabiliser_idempotent(G, part).duals).max() < 1e-8
+
+
+def planted_row(alg, base, lowest):
+    """base + s tau, with s chosen so that the smallest eigenvalue of the
+    Hermitian part of its sesquilinear matrix is ``lowest``: adding s tau
+    adds s times the positive definite Gram matrix, so that eigenvalue
+    increases with s."""
+    def gap(s):
+        return smallest_eigenvalue(alg, base + s * alg.trace) - lowest
+    return base + brentq(gap, -10.0, 0.0, xtol=1e-18, rtol=1e-15) * alg.trace
+
+
+def smallest_eigenvalue(alg, row):
+    P = LinearFunctional(alg, row).sesquilinear_matrix()
+    return np.linalg.eigvalsh((P + P.conj().T) / 2)[0]
+
+
+@pytest.mark.parametrize("name", ["kp", "dual-s4"])
+def test_positive_rows_match_smallest_eigenvalue(name):
+    # in a complex non-orthogonal basis, for the state tolerance and the
+    # functional one: rows with smallest eigenvalue -2 tol (rejected),
+    # -tol / 2 and 0 (a state conditioned on p_Q, rank-deficient; both
+    # accepted), around bank states, in stacks of 1, 32, 33 and 65 rows
+    G = BUILTIN_GROUPS[name]()
+    rng = np.random.default_rng(13)
+    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
+                               + 1j * rng.standard_normal((G.dim,) * 2))
+    H = in_basis(G, B)
+    alg = H.algebra
+    cv = classical_version(G)
+    conditioned = B @ condition(G, G.sample_states(1, seed=2)[0], cv.p_Q).duals
+    for tol in (alg.tol, 100 * alg.tol):
+        base = H.sample_states(1, seed=4)[0].duals
+        negative, shallow = (planted_row(alg, base, t * tol) for t in (-2.0, -0.5))
+        for n, bad in [(1, 0), (32, 0), (32, 31), (33, 0), (33, 31), (33, 32),
+                       (65, 0), (65, 31), (65, 32), (65, 64)]:
+            D = np.array([phi.duals for phi in H.sample_states(n, seed=n)])
+            if bad > 0:
+                D[bad - 1] = shallow
+            if bad + 1 < n:
+                D[bad + 1] = conditioned
+            D[bad] = negative
+            lowest = np.array([smallest_eigenvalue(alg, row) for row in D])
+            clear = np.abs(lowest + tol) > 1e-6 * tol
+            got = _positive_rows(alg, D, tol)
+            assert np.array_equal(got[clear], (lowest >= -tol)[clear]), (tol, n, bad)
+            assert np.array_equal(got, np.arange(n) != bad), (tol, n, bad)

@@ -1,4 +1,6 @@
 """Birkhoff slices, classical versions, stabilisers and the fix observable."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qperm.cqg import (
     kac_paljutkin,
     point_state,
 )
+from qperm.dynamics import verify_bounds_empirically
 from qperm.idempotent import condition, is_group_like, quasi_subgroup_member
 from qperm.permutation import (
     birkhoff_slice,
@@ -160,6 +163,28 @@ def test_decompose_reconstructs(kp, kp_cv):
             assert quantum_fraction(phi_c, kp_cv) < 1e-9
         if phi_q is not None:
             assert quantum_fraction(phi_q, kp_cv) > 1 - 1e-9
+
+
+def test_quantum_fraction_is_range_checked(kp, kp_cv):
+    # phi(p_Q) of 1.5, -0.5 and 0.5 + 1e-6 i: not the fraction of a state
+    p_q = kp_cv.p_Q.coeffs
+    tilt = np.conj(p_q) / np.vdot(p_q, p_q).real
+    for duals in (3 * kp.haar.duals, -kp.haar.duals, kp.haar.duals + 1e-6j * tilt):
+        with pytest.raises(AlgebraError, match="out of range"):
+            quantum_fraction(State(kp.algebra, duals, check=False), kp_cv)
+
+
+def test_decompose_rejects_a_non_central_split(kp, kp_cv):
+    # u_02 is not central on kp, so phi(q . q) + phi(q' . q') with q' = 1 - q
+    # misses phi's cross terms and cannot reconstruct phi
+    q = kp.magic_projection(0, 2)
+    assert not is_central(q)
+    split = dataclasses.replace(
+        kp_cv, p_C=q, p_Q=Projection(kp.algebra, kp.algebra.unit - q.coeffs))
+    with pytest.raises(AlgebraError, match="reconstruct"):
+        decompose(kp, kp.sample_states(1, seed=41)[0], split)
+    with pytest.raises(AlgebraError, match="reconstruct"):
+        verify_bounds_empirically(kp, split, n_samples=3, seed=1)
 
 
 def test_classical_absorption_forces_random(kp, kp_cv):
