@@ -122,12 +122,12 @@ class StarAlgebra:
     involution : (dim, dim) complex array, ``e_i^* = sum_k involution[i, k] e_k``.
     unit : (dim,) coefficients of the multiplicative unit.
     trace : (dim,) values ``tau(e_i)`` of a faithful positive tracial functional.
-    tol : algebraic tolerance; iter_tol : tolerance for iterative limits.
+    tol : algebraic tolerance.  Iterative limits are checked at the fixed
+        ``iter_tol`` = DEFAULT_ITER_TOL.
     """
 
     def __init__(self, basis_labels, mult, involution, unit, trace,
-                 tol: float = DEFAULT_TOL, iter_tol: float = DEFAULT_ITER_TOL,
-                 check: bool = True):
+                 tol: float = DEFAULT_TOL, check: bool = True):
         self.labels = list(basis_labels)
         self.dim = len(self.labels)
         self.mult = np.ascontiguousarray(mult, dtype=complex)
@@ -135,7 +135,7 @@ class StarAlgebra:
         self.unit = np.asarray(unit, dtype=complex)
         self.trace = np.asarray(trace, dtype=complex)
         self.tol = float(tol)
-        self.iter_tol = float(iter_tol)
+        self.iter_tol = DEFAULT_ITER_TOL
         if (self.mult.shape != (self.dim,) * 3
                 or self.involution.shape != (self.dim, self.dim)
                 or self.unit.shape != (self.dim,) or self.trace.shape != (self.dim,)):
@@ -199,17 +199,16 @@ class StarAlgebra:
         d = self.dim
         return (a @ self.regular.reshape(d, d * d)).reshape(d, d)
 
-    def matrix_to_coeffs(self, M: np.ndarray, tol: float | None = None) -> np.ndarray:
+    def matrix_to_coeffs(self, M: np.ndarray) -> np.ndarray:
         """Invert the regular representation: L_x maps the unit to x.
 
         The candidate ``M @ unit`` is accepted only if its left
-        multiplication matrix is within ``tol`` of M; otherwise M is not the
-        left multiplication operator of any algebra element.
+        multiplication matrix is within the algebra's ``tol`` of M; otherwise
+        M is not the left multiplication operator of any algebra element.
         """
-        tol = self.tol if tol is None else tol
         sol = M @ self.unit
         resid = np.abs(self.left_mult_matrix(sol) - M).max()
-        if resid > max(tol, 1e3 * np.finfo(float).eps * max(1.0, np.abs(M).max())):
+        if resid > max(self.tol, 1e3 * np.finfo(float).eps * max(1.0, np.abs(M).max())):
             raise AlgebraError(f"matrix is outside the regular image (residual {resid:.3e})")
         return sol
 
@@ -323,9 +322,9 @@ class AlgebraElement:
 class Projection(AlgebraElement):
     """Self-adjoint idempotent; checked in Gram norm at construction."""
 
-    def __init__(self, algebra, coeffs, tol: float | None = None, check: bool = True):
+    def __init__(self, algebra, coeffs, check: bool = True):
         super().__init__(algebra, coeffs)
-        if check and not self.is_projection(tol):
+        if check and not self.is_projection():
             raise AlgebraError("not a projection within tolerance")
 
 
@@ -397,9 +396,8 @@ def gram_norm(a: AlgebraElement) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def is_positive_functional(phi: LinearFunctional, tol: float | None = None) -> bool:
-    tol = phi.algebra.tol if tol is None else tol
-    return bool(_positive_rows(phi.algebra, phi.duals[np.newaxis], tol)[0])
+def is_positive_functional(phi: LinearFunctional) -> bool:
+    return bool(_positive_rows(phi.algebra, phi.duals[np.newaxis], phi.algebra.tol)[0])
 
 
 # Stacks of duals are checked this many rows at a time, so the (rows, d, d)
@@ -452,27 +450,26 @@ def _require_states(alg: StarAlgebra, D: np.ndarray) -> None:
                            f"(row {k}, unital residual {unital:.3e})")
 
 
-def eigen_clusters(evals: np.ndarray, rtol: float = 1e-6):
-    """Group sorted eigenvalues whose gaps are below rtol * max(1, |lambda|)."""
+def eigen_clusters(evals: np.ndarray):
+    """Group sorted eigenvalues whose gaps are below 1e-6 * max(1, |lambda|)."""
     order = np.argsort(evals)
     clusters = [[order[0]]]
     for idx in order[1:]:
         prev = evals[clusters[-1][-1]]
-        if abs(evals[idx] - prev) <= rtol * max(1.0, abs(prev)):
+        if abs(evals[idx] - prev) <= 1e-6 * max(1.0, abs(prev)):
             clusters[-1].append(idx)
         else:
             clusters.append([idx])
     return clusters
 
 
-def _self_adjoint_eig(f: AlgebraElement, tol: float | None = None):
+def _self_adjoint_eig(f: AlgebraElement):
     """Eigendecomposition of left multiplication by a self-adjoint element.
 
     Returns (evals, U) with U orthonormal in the trace inner product frame.
     """
     alg = f.algebra
-    tol = alg.tol if tol is None else tol
-    if gram_norm(f.star() - f) > 100 * tol:
+    if gram_norm(f.star() - f) > 100 * alg.tol:
         raise AlgebraError("element is not self-adjoint")
     M = alg.to_hermitian_frame(alg.left_mult_matrix(f.coeffs))
     M = (M + M.conj().T) / 2
@@ -488,44 +485,39 @@ def eigenvector(f: AlgebraElement, target: float) -> np.ndarray:
     return np.linalg.solve(alg._chol.conj().T, U[:, int(np.argmin(np.abs(evals - target)))])
 
 
-def _projection_from_eigvecs(alg: StarAlgebra, U_sel: np.ndarray,
-                             tol: float | None = None) -> Projection:
-    P_t = U_sel @ U_sel.conj().T
-    P = alg.from_hermitian_frame(P_t)
-    coeffs = alg.matrix_to_coeffs(P, tol=tol)
-    return Projection(alg, coeffs)
+def _projection_from_eigvecs(alg: StarAlgebra, U_sel: np.ndarray) -> Projection:
+    P = alg.from_hermitian_frame(U_sel @ U_sel.conj().T)
+    return Projection(alg, alg.matrix_to_coeffs(P))
 
 
-def spectral_projection(f: AlgebraElement, intervals, cluster_rtol: float = 1e-6,
-                        tol: float | None = None) -> Projection:
+def spectral_projection(f: AlgebraElement, intervals) -> Projection:
     """Spectral projection 1_E(f) for self-adjoint f, E a union of intervals.
 
-    Eigenvalues are clustered (within ``cluster_rtol`` relative distance) and a
-    whole cluster is selected iff its mean lies in E.  The projection of the
-    regular image is pulled back to the algebra; at finite dimension it always
-    lies there, and the back-map residual is enforced.
+    Eigenvalues are clustered (:func:`eigen_clusters`, relative distance
+    1e-6) and a whole cluster is selected iff its mean lies in E.  The
+    projection of the regular image is pulled back to the algebra; at finite
+    dimension it always lies there, and the back-map residual is enforced.
     """
     alg = f.algebra
-    tol = alg.tol if tol is None else tol
     if isinstance(intervals, tuple) and np.isscalar(intervals[0]):
         intervals = [intervals]
-    evals, U = _self_adjoint_eig(f, tol)
+    evals, U = _self_adjoint_eig(f)
     sel = []
-    for cluster in eigen_clusters(evals, cluster_rtol):
+    for cluster in eigen_clusters(evals):
         mean = float(np.mean(evals[cluster]))
         if any(lo <= mean <= hi for lo, hi in intervals):
             sel.extend(cluster)
     if not sel:
         return Projection(alg, np.zeros(alg.dim), check=False)
-    return _projection_from_eigvecs(alg, U[:, sel], tol)
+    return _projection_from_eigvecs(alg, U[:, sel])
 
 
-def spectral_partition(f: AlgebraElement, cluster_rtol: float = 1e-6):
+def spectral_partition(f: AlgebraElement):
     """All (eigenvalue, Projection) pairs of a self-adjoint element."""
     alg = f.algebra
     evals, U = _self_adjoint_eig(f)
     out = []
-    for cluster in eigen_clusters(evals, cluster_rtol):
+    for cluster in eigen_clusters(evals):
         lam = float(np.mean(evals[cluster]))
         out.append((lam, _projection_from_eigvecs(alg, U[:, cluster])))
     return out

@@ -10,7 +10,7 @@ Group definition files are JSON:
      "permutations": [[0,1,2], ...],          # classical: 0-indexed images
      "group_table": [[...], ...],             # dual: multiplication table
      "generators": [{"element": i, "order": d}, ...],   # dual
-     "tolerance": 1e-9}
+     "tolerance": 1e-9}                    # optional, in (0, 1)
 
 Experiment specs are JSON with a registered name, a group reference (builtin
 name or definition-file path), parameters and optional explicit output paths:
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, idempotent, permgroups, permutation
-from .algebra import AlgebraError, State, gram_norm, meet
+from .algebra import DEFAULT_TOL, AlgebraError, State, meet
 from .cqg import (
     CompactQuantumGroup,
     classical_group,
@@ -129,9 +129,9 @@ def _check_group_schema(data) -> None:
     """
     if not isinstance(data, dict):
         raise ValueError("a group file must hold a JSON object")
-    tol = data.get("tolerance", 1e-9)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
-        raise ValueError(f"tolerance must be a positive number, not {tol!r}")
+    tol = data.get("tolerance", DEFAULT_TOL)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < 1:
+        raise ValueError(f"tolerance must be a number in (0, 1), not {tol!r}")
     kind = data.get("kind")
     if kind == "classical":
         perms = data.get("permutations")
@@ -171,7 +171,7 @@ def load_group(ref: str) -> CompactQuantumGroup:
         data = json.load(fh)
     _check_group_schema(data)
     kind = data["kind"]
-    tol = float(data.get("tolerance", 1e-9))
+    tol = float(data.get("tolerance", DEFAULT_TOL))
     if kind == "classical":
         perms = [tuple(p) for p in data["permutations"]]
         return classical_group(perms, name=path.stem, tol=tol)
@@ -480,25 +480,40 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _summary_entry(f: Path) -> dict:
+    """The headline values of one artifact; ValueError if it is malformed."""
+    with open(f) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("an artifact must hold a JSON object")
+    entry = {key: data[key] for key in (
+        "alpha_haar", "violations", "all_gap_ok", "order", "converged_to_haar",
+        "haar_weight_at_lambda_plus", "p_C_group_like", "trend_to_zero") if key in data}
+    if "rows" in data and f.stem == "dihedral_sweep":
+        rows = data["rows"]
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(r, dict) and isinstance(r.get("error"), (int, float))
+                for r in rows)):
+            raise ValueError("'rows' must be a non-empty list of objects with an 'error'")
+        entry["max_error"] = max(r["error"] for r in rows)
+    return entry
+
+
 def cmd_report(args) -> int:
     d = Path(args.dir)
-    files = sorted(d.glob("*.json"))
+    # summary.json is this command's own output, not an artifact
+    files = [f for f in sorted(d.glob("*.json")) if f.name != "summary.json"]
     if not d.is_dir() or not files:
         print(f"input error: no artifacts in {d}", file=sys.stderr)
         return EXIT_INPUT
     summary = {}
     lines = []
     for f in files:
-        with open(f) as fh:
-            data = json.load(fh)
-        entry = {}
-        for key in ("alpha_haar", "violations", "all_gap_ok", "order",
-                    "converged_to_haar", "haar_weight_at_lambda_plus",
-                    "p_C_group_like", "trend_to_zero"):
-            if key in data:
-                entry[key] = data[key]
-        if "rows" in data and f.stem == "dihedral_sweep":
-            entry["max_error"] = max(r["error"] for r in data["rows"])
+        try:
+            entry = _summary_entry(f)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            print(f"input error: {f}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         summary[f.stem] = entry
         desc = ", ".join(f"{k}={v}" for k, v in entry.items()) or "(raw data)"
         lines.append(f"{f.stem:24s} {desc}")

@@ -21,6 +21,7 @@ from . import permgroups
 from .algebra import (
     AlgebraElement,
     AlgebraError,
+    DEFAULT_TOL,
     LinearFunctional,
     Projection,
     StarAlgebra,
@@ -170,13 +171,13 @@ class CompactQuantumGroup:
             raise AlgebraError("vector is null for the trace form")
         return State(self.algebra, duals[0])
 
-    def sample_states(self, n: int, seed: int, max_mix: int = 3) -> list[State]:
-        """Deterministic state bank: convex mixes of GNS vector states, one
-        State per row of :meth:`_state_bank`."""
+    def sample_states(self, n: int, seed: int) -> list[State]:
+        """Deterministic state bank: convex mixes of 1 to 3 GNS vector
+        states, one State per row of :meth:`_state_bank`."""
         return [State(self.algebra, row, check=False)
-                for row in self._state_bank(n, seed, max_mix)]
+                for row in self._state_bank(n, seed)]
 
-    def _state_bank(self, n: int, seed: int, max_mix: int = 3) -> np.ndarray:
+    def _state_bank(self, n: int, seed: int) -> np.ndarray:
         """The (n, d) checked duals of :meth:`sample_states`.
 
         Sample k is seeded by (seed, k) alone, so batches are reproducible
@@ -191,7 +192,7 @@ class CompactQuantumGroup:
             weights, xs = [], []
             for k in range(start, min(start + _BLOCK, n)):
                 rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-                m = int(rng.integers(1, max_mix + 1))
+                m = int(rng.integers(1, 4))
                 weights.append(rng.dirichlet(np.ones(m)))
                 z = rng.standard_normal((m, 2, d))  # real, imaginary part of each vector
                 xs.append(z[:, 0] + 1j * z[:, 1])
@@ -371,7 +372,7 @@ def solve_haar(algebra: StarAlgebra, delta: np.ndarray) -> State:
 
 
 def classical_group(perms: list[tuple], name: str | None = None,
-                    tol: float = 1e-9, check: bool = True) -> CompactQuantumGroup:
+                    tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantumGroup:
     """Algebra of functions on a finite permutation group.
 
     The magic unitary is u_ij = 1_{j -> i}; comultiplication dualizes the
@@ -430,7 +431,7 @@ def uniform_state(G: CompactQuantumGroup, elements) -> State:
 
 
 def dual_group(group: permgroups.FiniteGroup, gens: list[tuple[int, int]],
-               name: str | None = None, tol: float = 1e-9,
+               name: str | None = None, tol: float = DEFAULT_TOL,
                check: bool = True) -> CompactQuantumGroup:
     """Dual of a finite group: C*(Gamma) with a Fourier-type magic unitary.
 
@@ -521,7 +522,7 @@ def _kp_block_vec(c1, c2, c3, c4, m):
                     dtype=complex)
 
 
-def kac_paljutkin(tol: float = 1e-9, check: bool = True) -> CompactQuantumGroup:
+def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantumGroup:
     """The eight-dimensional Kac-Paljutkin quantum group inside S_4^+.
 
     The algebra is C^4 (+) M_2 with basis f1..f4, E11, E12, E21, E22.  It is
@@ -687,22 +688,23 @@ def commutator_ideal(G: CompactQuantumGroup) -> np.ndarray:
         span = grown
 
 
-def _row_space(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _row_space(rows: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1])
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if s.size else 1.0)
+    keep = s > 1e-10 * max(1.0, s[0] if s.size else 1.0)
     return vh[keep]
 
 
-def characters(G: CompactQuantumGroup, seed: int = 0) -> list[State]:
+def characters(G: CompactQuantumGroup) -> list[State]:
     """All characters (multiplicative states) of the algebra.
 
     The commutator ideal J is split off by its central unit z, and characters
     are the points of the complementary commutative block (1-z)A, enumerated
     by eigendecomposition of multiplication by a generic element g of the
     block.  Its eigenvalues are the values chi(g); g has complex coefficients,
-    so that a character and its complex conjugate take different values.
+    so that a character and its complex conjugate take different values.  The
+    draws of g come from a fixed seed, so the answer is deterministic.
     """
     alg = G.algebra
     J = commutator_ideal(G)
@@ -724,7 +726,7 @@ def characters(G: CompactQuantumGroup, seed: int = 0) -> list[State]:
     # comp rows span the commutative block; multiplication operator of a generic
     # element, restricted to the block
     q = comp.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(8):
         g = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         gc = comp.conj().T @ (comp @ g)  # project into the block

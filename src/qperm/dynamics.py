@@ -198,18 +198,16 @@ def trajectory(G: CompactQuantumGroup, seed: State, k_max: int,
     return Trajectory(states, alphas, dists)
 
 
-def detect_period(G: CompactQuantumGroup, seed: State, k_max: int = 64,
-                  tol: float = 1e-8, window_factor: int = 3):
-    """Smallest d with phi^{*(k+d)} = phi^{*k} across a verification window.
+def detect_period(G: CompactQuantumGroup, seed: State):
+    """Smallest d with phi^{*(k+d)} = phi^{*k} within 1e-8 for every k in a
+    verification window of up to 3d steps, among the first 65 powers.
 
-    Returns None when no period at most k_max is certified.
+    Returns None when no period at most 64 is certified.
     """
-    traj = trajectory(G, seed, k_max).states
-    for d in range(1, k_max + 1):
-        window = min(window_factor * d, len(traj) - d)
-        if window < 1:
-            return None
-        if all(traj[k + d].distance(traj[k]) < tol for k in range(window)):
+    traj = trajectory(G, seed, 64).states
+    for d in range(1, 65):
+        window = min(3 * d, len(traj) - d)
+        if all(traj[k + d].distance(traj[k]) < 1e-8 for k in range(window)):
             return d
     return None
 
@@ -237,8 +235,10 @@ class ConvergenceReport:
     strict: bool | None     # dual groups: |phi| = 1 only at the identity
 
 
-def convergence_to_haar(G: CompactQuantumGroup, seed: State, k_max: int = 200,
-                        tol: float = 1e-8) -> ConvergenceReport:
+def convergence_to_haar(G: CompactQuantumGroup, seed: State,
+                        k_max: int = 200) -> ConvergenceReport:
+    """Distances of the first k_max + 1 convolution powers to the Haar
+    state; converged if the last is below 1e-8."""
     strict = None
     if G.kind == "dual":
         mags = np.abs(seed.duals)
@@ -246,7 +246,7 @@ def convergence_to_haar(G: CompactQuantumGroup, seed: State, k_max: int = 200,
                       and np.all(mags[1:] < 1 - 1e-9))
     traj = trajectory(G, seed, k_max)
     dists = traj.distances_to_haar
-    return ConvergenceReport(dists, bool(dists[-1] < tol), strict)
+    return ConvergenceReport(dists, bool(dists[-1] < 1e-8), strict)
 
 
 def phase_diagram_rows(n: int = 101) -> list[dict]:

@@ -60,14 +60,14 @@ def left_convolution_operator(G: CompactQuantumGroup, phi: LinearFunctional) -> 
     return phi.duals @ G.delta
 
 
-def _cesaro_projector(T: np.ndarray, cluster: float = 1e-8) -> np.ndarray:
+def _cesaro_projector(T: np.ndarray) -> np.ndarray:
     """Limit of the operator Cesaro means (1/n) sum T^k.
 
     For a power-bounded operator this is the spectral projector onto the
     eigenvalue-1 cluster, computed from a sorted Schur form (unimodular
     eigenvalues away from 1 average out, contractive ones die).
     """
-    U, Q, sdim = schur(T, output="complex", sort=lambda lam: abs(lam - 1.0) < cluster)
+    U, Q, sdim = schur(T, output="complex", sort=lambda lam: abs(lam - 1.0) < 1e-8)
     d = T.shape[0]
     if sdim == 0:
         return np.zeros((d, d), dtype=complex)
@@ -81,33 +81,31 @@ def _cesaro_projector(T: np.ndarray, cluster: float = 1e-8) -> np.ndarray:
     return Q @ block @ Q.conj().T
 
 
-def cesaro_idempotent(G: CompactQuantumGroup, seed: State,
-                      max_doublings: int = 30, tol: float | None = None) -> CesaroResult:
+def cesaro_idempotent(G: CompactQuantumGroup, seed: State) -> CesaroResult:
     """Invariant idempotent reached by Cesaro-averaging convolution powers.
 
     The limit is the eigenvalue-1 spectral projector of left convolution by
     the seed, applied to the seed; a doubling recursion on the means,
     M_2n = (M_n + T^n M_n)/2, supplies the reported iteration count: the
-    smallest mean length n = 2^k whose mean is within 10*tol of the limit.
-    (Doublings stop at 2^30, where repeated squaring is still well below
-    the eigenvalue-drift instability of floating point.)
+    smallest mean length n = 2^k whose mean is within 10 * iter_tol of the
+    limit.  (Doublings stop at 2^30, where repeated squaring is still well
+    below the eigenvalue-drift instability of floating point.)  The limit
+    has converged if it is idempotent within iter_tol and seed-invariant
+    within 10 * iter_tol.
     """
-    tol = G.algebra.iter_tol if tol is None else tol
+    tol = G.algebra.iter_tol
     T = left_convolution_operator(G, seed)
     lim_duals = _cesaro_projector(T) @ seed.duals
     limit = State(G.algebra, lim_duals, check=False)
     M = np.eye(G.dim, dtype=complex)
     P = T.copy()
-    n, iterations = 1, None
-    for _ in range(max_doublings):
+    iterations = 1
+    for _ in range(30):
         M = 0.5 * (M + P @ M)
-        n *= 2
-        if iterations is None and np.abs(M @ seed.duals - lim_duals).max() <= 10 * tol:
-            iterations = n
+        iterations *= 2
+        if np.abs(M @ seed.duals - lim_duals).max() <= 10 * tol:
             break
         P = P @ P
-    if iterations is None:
-        iterations = n
     left = G.convolve(seed, limit, check=False)
     right = G.convolve(limit, seed, check=False)
     residual = max(limit.distance(left), limit.distance(right))
@@ -142,25 +140,25 @@ def _absorption_operator(G: CompactQuantumGroup, psi: State) -> np.ndarray:
                       G.delta @ psi.duals - rank_one])
 
 
-def generated_idempotent(G: CompactQuantumGroup, states: list[State],
-                         max_rounds: int = 8, tol: float | None = None) -> CesaroResult:
+def generated_idempotent(G: CompactQuantumGroup, states: list[State]) -> CesaroResult:
     """Idempotent absorbing every input state.
 
     Each input is first averaged to its own invariant idempotent; the
     convolution of those, in the given order, is averaged again, and the
-    construction is repeated against any input that is not yet absorbed.
-    The result has converged only if it absorbs every input.
+    construction is repeated, at most 8 times, against any input that is not
+    yet absorbed within 10 * iter_tol.  The result has converged only if it
+    absorbs every input.
     """
     if not states:
         raise AlgebraError("need at least one state")
-    tol = G.algebra.iter_tol if tol is None else tol
-    parts = [cesaro_idempotent(G, phi, tol=tol) for phi in states]
+    tol = G.algebra.iter_tol
+    parts = [cesaro_idempotent(G, phi) for phi in states]
     psi = parts[0].limit
     for r in parts[1:]:
         psi = G.convolve(psi, r.limit, check=False)
     iters = sum(r.iterations for r in parts)
-    out = cesaro_idempotent(G, State(G.algebra, psi.duals, check=False), tol=tol)
-    for _ in range(max_rounds):
+    out = cesaro_idempotent(G, State(G.algebra, psi.duals, check=False))
+    for _ in range(8):
         missing = [phi for phi in states
                    if not quasi_subgroup_member(G, out.limit, phi, 10 * tol)]
         if not missing:
@@ -169,7 +167,7 @@ def generated_idempotent(G: CompactQuantumGroup, states: list[State],
         for phi in missing:
             mixed = G.convolve(G.convolve(mixed, phi, check=False), out.limit,
                                check=False)
-        out = cesaro_idempotent(G, State(G.algebra, mixed.duals, check=False), tol=tol)
+        out = cesaro_idempotent(G, State(G.algebra, mixed.duals, check=False))
     residual = max(out.residual,
                    max(out.limit.distance(G.convolve(out.limit, phi, check=False))
                        for phi in states))
@@ -178,12 +176,13 @@ def generated_idempotent(G: CompactQuantumGroup, states: list[State],
     return CesaroResult(out.limit, iters + out.iterations, residual, converged)
 
 
-def is_group_like(G: CompactQuantumGroup, p: Projection, tol: float | None = None) -> bool:
-    """Delta(p)(1 (x) p) = p (x) p, in the Gram norm of the tensor square."""
-    tol = G.algebra.tol if tol is None else tol
+def is_group_like(G: CompactQuantumGroup, p: Projection) -> bool:
+    """Delta(p)(1 (x) p) = p (x) p within 100 tol, in the Gram norm of the
+    tensor square; the zero projection is not group-like."""
+    tol = G.algebra.tol
     if gram_norm(p) <= tol:
         return False
-    return _group_like_residual(G, p.coeffs) <= max(tol, 100 * G.algebra.tol)
+    return _group_like_residual(G, p.coeffs) <= 100 * tol
 
 
 def _group_like_residual(G: CompactQuantumGroup, p: np.ndarray) -> float:
@@ -231,22 +230,23 @@ def _face_absorption_residual(G: CompactQuantumGroup, psi: State, r: Projection)
     return float(np.abs(_absorption_operator(G, psi) @ _sandwich_matrix(G, r.coeffs)).max())
 
 
-def null_space(G: CompactQuantumGroup, phi: State, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal rows spanning N_phi = {f : phi(f* f) = 0}."""
+def null_space(G: CompactQuantumGroup, phi: State) -> np.ndarray:
+    """Orthonormal rows spanning N_phi = {f : phi(f* f) = 0}: the
+    eigenvectors of phi(e_i^* e_j) below 1e-8 max(1, largest eigenvalue)."""
     P = phi.sesquilinear_matrix()
     P = (P + P.conj().T) / 2
     evals, vecs = np.linalg.eigh(P)
-    null = vecs[:, evals < tol * max(1.0, evals.max())]
+    null = vecs[:, evals < 1e-8 * max(1.0, evals.max())]
     return null.T  # rows are coefficient vectors of null elements
 
 
-def classify_idempotent(G: CompactQuantumGroup, phi: State,
-                        tol: float = 1e-7) -> IdempotentClass:
+def classify_idempotent(G: CompactQuantumGroup, phi: State) -> IdempotentClass:
     """Haar iff the null space is a two-sided ideal.
 
     The null space of an idempotent is automatically a left ideal; failures
-    of right multiplication are recorded as witnesses.
+    of right multiplication beyond 1e-7 are recorded as witnesses.
     """
+    tol = 1e-7
     if not is_idempotent(G, phi, tol):
         raise AlgebraError("state is not idempotent")
     N = null_space(G, phi)
@@ -302,20 +302,20 @@ class CollapseProbeReport:
 
 
 def collapse_stability_probe(G: CompactQuantumGroup, psi: State,
-                             n_samples: int = 100, seed: int = 0,
-                             tol: float = 1e-7) -> CollapseProbeReport:
+                             n_samples: int = 100, seed: int = 0) -> CollapseProbeReport:
     """Whether the quasi-subgroup of psi is stable under collapse by every
     magic entry, as an exact linear certificate.
 
     The members are taken to be the states on pAp, p the support of psi;
     they span the range of the sandwich S_p, with orthonormal basis W.  The
-    premise max|A W| <= tol (A the absorption operator of psi) says that all
+    premise max|A W| <= 1e-7 (A the absorption operator of psi) says that all
     of them are members, and an ``AlgebraError`` is raised if it fails.
     Collapse by a magic entry q sends phi to S_q phi / phi(q), so the face is
-    stable under q iff max|A S_q W| <= tol; a member that gives q no mass has
+    stable under q iff max|A S_q W| <= 1e-7; a member giving q no mass has
     S_q phi = 0 and adds nothing.  ``n_samples`` and ``seed`` have no effect.
     """
-    if not is_idempotent(G, psi, max(tol, G.algebra.iter_tol)):
+    tol = 1e-7
+    if not is_idempotent(G, psi):
         raise AlgebraError("probe requires an idempotent state")
     A = _absorption_operator(G, psi)
     W = _row_space(_sandwich_matrix(G, support_projection(psi).coeffs).T).T

@@ -42,18 +42,19 @@ def birkhoff_slice(G: CompactQuantumGroup, phi: LinearFunctional) -> np.ndarray:
     return P
 
 
-def is_character(G: CompactQuantumGroup, phi: State, tol: float = 1e-8):
+def is_character(G: CompactQuantumGroup, phi: State):
     """The permutation sigma with slice P_sigma, if the slice is one.
 
-    Returns None when the slice is not a permutation matrix.  A permutation
-    slice forces multiplicativity, which is asserted rather than trusted.
+    Returns None when the slice is not within 1e-8 of a permutation matrix.
+    A permutation slice forces multiplicativity, which is asserted rather
+    than trusted.
     """
     P = birkhoff_slice(G, phi)
     R = np.round(P)
-    if np.abs(P - R).max() > tol or not _is_permutation_matrix(R):
+    if np.abs(P - R).max() > 1e-8 or not _is_permutation_matrix(R):
         return None
     mres = np.abs(G.algebra.mult @ phi.duals - np.outer(phi.duals, phi.duals)).max()
-    if mres > 100 * max(tol, G.algebra.tol):
+    if mres > 100 * max(1e-8, G.algebra.tol):
         raise AlgebraError("permutation slice but not multiplicative: "
                            "invalid input model")
     return tuple(int(np.argmax(R[:, j])) for j in range(G.N))
@@ -163,20 +164,17 @@ def canonical_partition(P, N: int) -> list[list[int]]:
     return sorted(blocks, key=lambda b: b[0])
 
 
+def _off_pattern(N: int, partition) -> list[tuple[int, int]]:
+    """Every (i, j) with i and j in different blocks, in row-major order."""
+    block_of = {x: k for k, b in enumerate(canonical_partition(partition, N)) for x in b}
+    return [(i, j) for i in range(N) for j in range(N) if block_of[i] != block_of[j]]
+
+
 def stabiliser_membership(G: CompactQuantumGroup, phi: State, partition,
                           tol: float = 1e-8) -> bool:
     """phi(u_ij) = 0 whenever i and j lie in different blocks."""
-    blocks = canonical_partition(partition, G.N)
-    block_of = {}
-    for bi, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = bi
     P = birkhoff_matrix(G, phi)
-    for i in range(G.N):
-        for j in range(G.N):
-            if block_of[i] != block_of[j] and abs(P[i, j]) > tol:
-                return False
-    return True
+    return not any(abs(P[i, j]) > tol for i, j in _off_pattern(G.N, partition))
 
 
 def stabiliser_projection(G: CompactQuantumGroup, partition) -> Projection:
@@ -185,24 +183,15 @@ def stabiliser_projection(G: CompactQuantumGroup, partition) -> Projection:
     A state lies in the stabiliser quasi-subgroup iff it gives this
     projection full mass.
     """
-    blocks = canonical_partition(partition, G.N)
-    block_of = {}
-    for bi, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = bi
-    ps = []
     one = G.algebra.unit
-    for i in range(G.N):
-        for j in range(G.N):
-            if block_of[i] != block_of[j]:
-                ps.append(Projection(G.algebra, one - G.magic[i, j]))
+    ps = [Projection(G.algebra, one - G.magic[i, j])
+          for i, j in _off_pattern(G.N, partition)]
     if not ps:
         return Projection(G.algebra, one)
     return meet(ps)
 
 
-def stabiliser_idempotent(G: CompactQuantumGroup, partition,
-                          tol: float | None = None) -> State:
+def stabiliser_idempotent(G: CompactQuantumGroup, partition) -> State:
     """Idempotent of the stabiliser quasi-subgroup of a partition.
 
     The quasi-subgroup is the face {phi : phi(r) = 1} of the state space,
@@ -211,18 +200,17 @@ def stabiliser_idempotent(G: CompactQuantumGroup, partition,
     face, and its Cesaro limit psi is the face's idempotent.  The certificate
     (L_psi - psi u^T) S_r = 0 = (R_psi - psi u^T) S_r, with S_r the sandwich
     f -> f(r . r), L_psi and R_psi convolution by psi on either side and u
-    the unit, shows that psi absorbs every state of the face on both sides.
-    psi must also stay in the face and give every diagonal magic entry
-    positive mass.
+    the unit, shows that psi absorbs every state of the face on both sides,
+    within 10 * iter_tol.  psi must also stay in the face and give every
+    diagonal magic entry positive mass.
     """
-    tol = G.algebra.iter_tol if tol is None else tol
     blocks = canonical_partition(partition, G.N)
     r = stabiliser_projection(G, blocks)
-    result = cesaro_idempotent(G, condition(G, G.haar, r), tol=tol)
+    result = cesaro_idempotent(G, condition(G, G.haar, r))
     psi = result.limit
     if not result.converged:
         raise AlgebraError("stabiliser idempotent did not converge")
-    if _face_absorption_residual(G, psi, r) > 10 * tol:
+    if _face_absorption_residual(G, psi, r) > 10 * G.algebra.iter_tol:
         raise AlgebraError("stabiliser idempotent fails to absorb its face")
     if not stabiliser_membership(G, psi, blocks, tol=1e-6):
         raise AlgebraError("stabiliser idempotent escaped the quasi-subgroup")
@@ -232,12 +220,12 @@ def stabiliser_idempotent(G: CompactQuantumGroup, partition,
     return psi
 
 
-def is_central(a: AlgebraElement, tol: float | None = None) -> bool:
+def is_central(a: AlgebraElement) -> bool:
+    """Left and right multiplication by a agree within the algebra's tol."""
     alg = a.algebra
-    tol = alg.tol if tol is None else tol
     L = alg.left_mult_matrix(a.coeffs)
     R = (a.coeffs @ alg.mult).T
-    return bool(np.abs(L - R).max() <= tol)
+    return bool(np.abs(L - R).max() <= alg.tol)
 
 
 # -- fixed points --------------------------------------------------------------
@@ -284,9 +272,9 @@ def fixed_point_distribution(G: CompactQuantumGroup, phi: State,
 
 
 def has_integer_fixed_points(G: CompactQuantumGroup, phi: State,
-                             spectrum: FixSpectrum | None = None,
-                             int_tol: float = 1e-6, tol: float = 1e-9) -> bool:
-    """All spectral mass of fix sits on eigenvalues within 1e-6 of integers."""
+                             spectrum: FixSpectrum | None = None) -> bool:
+    """All spectral mass of fix, up to 1e-9, sits on eigenvalues within
+    1e-6 of integers."""
     dist = fixed_point_distribution(G, phi, spectrum)
-    off = sum(w for lam, w in dist if abs(lam - round(lam)) > int_tol)
-    return off <= tol
+    off = sum(w for lam, w in dist if abs(lam - round(lam)) > 1e-6)
+    return off <= 1e-9

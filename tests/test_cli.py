@@ -40,7 +40,10 @@ def test_validate_corrupted_table(tmp_path, capsys):
     [{"kind": "classical", "permutations": [[0, 1], [1, 0]]}],
     {"kind": "dual", "group_table": [[0, 1], [1, 0]],
      "generators": [{"element": 2, "order": 2}]},
-], ids=["empty-permutations", "top-level-list", "generator-out-of-range"])
+    {"kind": "kac_paljutkin", "tolerance": float("inf")},
+    {"kind": "kac_paljutkin", "tolerance": 1.0},
+], ids=["empty-permutations", "top-level-list", "generator-out-of-range",
+        "infinite-tolerance", "unit-tolerance"])
 def test_validate_malformed_file_is_input_error(tmp_path, capsys, definition):
     p = tmp_path / "malformed.json"
     p.write_text(json.dumps(definition))
@@ -200,6 +203,35 @@ def test_report_aggregates(tmp_path, capsys):
     assert "classical_version" in printed
     summary = json.loads((out / "summary.json").read_text())
     assert abs(summary["classical_version"]["alpha_haar"] - 11 / 12) < 1e-12
+
+
+def test_report_rerun_skips_its_own_summary(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "haar", "group": "kp"}))
+    out = tmp_path / "out"
+    assert run(["run", spec, "--out", out]) == 0
+    assert run(["report", out]) == 0
+    first = (out / "summary.json").read_text()
+    capsys.readouterr()
+    assert run(["report", out]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-2]  # between the rules
+    assert [r.split()[0] for r in rows] == ["haar"]
+    assert (out / "summary.json").read_text() == first
+    assert set(json.loads(first)) == {"haar"}
+
+
+@pytest.mark.parametrize("name, text", [
+    ("haar.json", "{not json"),
+    ("haar.json", "[1, 2]"),
+    ("haar.json", "3"),
+    ("dihedral_sweep.json", json.dumps({"rows": []})),
+], ids=["invalid-json", "top-level-list", "top-level-number", "empty-sweep-rows"])
+def test_report_malformed_artifact_is_input_error(tmp_path, capsys, name, text):
+    (tmp_path / "order.json").write_text(json.dumps({"order": 4}))
+    (tmp_path / name).write_text(text)
+    assert run(["report", tmp_path]) == 2
+    assert f"input error: {tmp_path / name}: " in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_haar_experiment(tmp_path):
