@@ -281,8 +281,7 @@ class AlgebraElement:
 
     def is_projection(self, tol: float | None = None) -> bool:
         tol = self.algebra.tol if tol is None else tol
-        return (gram_norm(self * self - self) <= tol
-                and gram_norm(self.star() - self) <= tol)
+        return bool(_projection_residuals(self.algebra, self.coeffs[np.newaxis])[0] <= tol)
 
     def _binary(self, other, op):
         if isinstance(other, AlgebraElement):
@@ -448,6 +447,24 @@ def _require_states(alg: StarAlgebra, D: np.ndarray) -> None:
         unital = abs(D[k] @ alg.unit - 1.0)
         raise AlgebraError(f"functional is not a state within tolerance "
                            f"(row {k}, unital residual {unital:.3e})")
+
+
+def _multiplicativity_residual(alg: StarAlgebra, D: np.ndarray) -> float:
+    """max |phi(e_i e_j) - phi(e_i) phi(e_j)| over the rows phi of an (n, d)
+    stack of duals, in one product with mult as a (d, d^2) matrix."""
+    d = alg.dim
+    prods = (D @ alg.mult.reshape(d * d, d).T).reshape(-1, d, d)
+    return float(np.abs(prods - D[:, :, np.newaxis] * D[:, np.newaxis]).max(initial=0.0))
+
+
+def _projection_residuals(alg: StarAlgebra, X: np.ndarray) -> np.ndarray:
+    """Per row of an (n, d) stack of coefficients, the larger Gram norm of
+    x x - x and x* - x.  The squares take one product with mult as a
+    (d, d^2) matrix."""
+    d = alg.dim
+    squares = np.matmul(X[:, np.newaxis], (X @ alg.mult.reshape(d, d * d)).reshape(-1, d, d))
+    R = np.stack([squares[:, 0] - X, np.conj(X) @ alg.involution - X])
+    return np.sqrt(np.maximum(((np.conj(R) @ alg.gram) * R).sum(axis=2).real, 0.0)).max(axis=0)
 
 
 def eigen_clusters(evals: np.ndarray):

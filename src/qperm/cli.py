@@ -22,8 +22,10 @@ Exit codes: 0 success, 1 assertion failure, 2 input error.  A group file
 that does not follow the schema above is an input error, and so is an
 integer parameter out of range (n_samples >= 1, n_seeds >= 0, n >= 2,
 seed >= 0, k_max >= 1) or not an integer, an ``m_values`` that is not a
-non-empty list of integers >= 2, and a ``partition`` that is not a list of
-non-empty lists of integers partitioning 0..N-1 for the group's N.
+non-empty list of integers >= 2, a ``partition`` that is not a list of
+non-empty lists of integers partitioning 0..N-1 for the group's N, a
+``group`` that is not a string and ``outputs`` that are not a list of
+strings; all are found before anything is written.
 """
 from __future__ import annotations
 
@@ -451,7 +453,12 @@ def cmd_run(args) -> int:
         _check_parameters(params)
         if name in RANDOMIZED and "seed" not in params:
             raise ValueError(f"experiment {name!r} requires a seed parameter")
-        G = load_group(spec.get("group", "kp"))
+        outputs, group = spec.get("outputs", []), spec.get("group", "kp")
+        if not (isinstance(outputs, list) and all(isinstance(o, str) for o in outputs)):
+            raise ValueError(f"'outputs' must be a list of path strings, got {outputs!r}")
+        if not isinstance(group, str):
+            raise ValueError(f"'group' must be a builtin name or a file path, got {group!r}")
+        G = load_group(group)
         if "partition" in params:
             _check_partition(params["partition"], G.N)
     except AlgebraError as exc:
@@ -467,7 +474,7 @@ def cmd_run(args) -> int:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     produced = [out / a for a in artifacts]
-    for declared, src in zip(spec.get("outputs", []), produced):
+    for declared, src in zip(outputs, produced):
         dest = Path(declared)
         if not dest.is_absolute():
             dest = out / dest

@@ -30,8 +30,9 @@ from .algebra import (
     _coo,
     _contract,
     _max_abs_difference,
+    _multiplicativity_residual,
+    _projection_residuals,
     _require_states,
-    gram_norm,
 )
 
 
@@ -269,32 +270,16 @@ class CompactQuantumGroup:
         add("haar_right_invariance",
             np.abs(np.einsum("iab,b->ia", D, h) - np.outer(h, alg.unit)).max())
 
-        N = self.N
-        proj_res = 0.0
-        for i in range(N):
-            for j in range(N):
-                v = alg.element(self.magic[i, j])
-                proj_res = max(proj_res, gram_norm(v * v - v),
-                               gram_norm(v.star() - v))
-        add("magic_projections", proj_res)
-        add("magic_row_sums",
-            max(np.abs(self.magic[i].sum(axis=0) - alg.unit).max() for i in range(N)))
-        add("magic_col_sums",
-            max(np.abs(self.magic[:, j].sum(axis=0) - alg.unit).max() for j in range(N)))
-        drs = 0.0
-        for i in range(N):
-            for j in range(N):
-                lhs_m = self.delta_applied(self.magic[i, j])
-                rhs_m = sum(np.outer(self.magic[i, k], self.magic[k, j])
-                            for k in range(N))
-                drs = max(drs, np.abs(lhs_m - rhs_m).max())
-        add("magic_comultiplication", drs)
-        add("magic_antipode",
-            max(np.abs(self.magic[i, j] @ S - self.magic[j, i]).max()
-                for i in range(N) for j in range(N)))
-        add("magic_counit",
-            max(abs(self.magic[i, j] @ eps - (1.0 if i == j else 0.0))
-                for i in range(N) for j in range(N)))
+        N, d = self.N, alg.dim
+        add("magic_projections", _projection_residuals(alg, self.magic.reshape(-1, d)).max())
+        add("magic_row_sums", np.abs(self.magic.sum(axis=1) - alg.unit).max())
+        add("magic_col_sums", np.abs(self.magic.sum(axis=0) - alg.unit).max())
+        # Delta(u_ij) against sum_k u_ik (x) u_kj
+        add("magic_comultiplication", np.abs(
+            (self.magic @ D.reshape(d, d * d)).reshape(N, N, d, d)
+            - np.einsum("ika,kjb->ijab", self.magic, self.magic)).max())
+        add("magic_antipode", np.abs(self.magic @ S - self.magic.transpose(1, 0, 2)).max())
+        add("magic_counit", np.abs(self.magic @ eps - np.eye(N)).max())
         add("magic_generates", 0.0 if self._entries_generate() else 1.0, 0.5)
         return ValidationReport(checks)
 
@@ -668,24 +653,7 @@ def haar_idempotent(pi: QuantumGroupMorphism) -> State:
     return phi
 
 
-# -- characters and abelianization --------------------------------------------------
-
-
-def commutator_ideal(G: CompactQuantumGroup) -> np.ndarray:
-    """Orthonormal basis (rows) of the two-sided ideal generated by commutators."""
-    alg = G.algebra
-    c = alg.mult
-    comms = (c - np.transpose(c, (1, 0, 2))).reshape(-1, alg.dim)
-    span = _row_space(comms)
-    while True:
-        if span.shape[0] == 0:
-            return span
-        left = np.einsum("ijk,sj->sik", c, span, optimize=True).reshape(-1, alg.dim)
-        right = np.einsum("jik,sj->sik", c, span, optimize=True).reshape(-1, alg.dim)
-        grown = _row_space(np.vstack([span, left, right]))
-        if grown.shape[0] == span.shape[0]:
-            return grown
-        span = grown
+# -- centre, characters and abelianization -----------------------------------------
 
 
 def _row_space(rows: np.ndarray) -> np.ndarray:
@@ -696,70 +664,58 @@ def _row_space(rows: np.ndarray) -> np.ndarray:
     return vh[keep]
 
 
+def centre(G: CompactQuantumGroup) -> np.ndarray:
+    """Orthonormal rows spanning the centre Z(A), certified.
+
+    The magic entries generate A, so Z(A) is the null space of [L_g - R_g]
+    stacked over a basis g of their span, by one thin SVD.  Each row must
+    commute with every basis element within tol: entries that do not
+    generate A leave a larger null space, which this rejects.
+    """
+    alg, d = G.algebra, G.dim
+    # comm[i] @ x = coefficients of e_i x - x e_i
+    comm = alg.regular - alg.mult.transpose(1, 2, 0)
+    gens = _row_space(G.magic.reshape(-1, d))
+    _, s, vh = np.linalg.svd((gens @ comm.reshape(d, d * d)).reshape(-1, d),
+                             full_matrices=False)
+    Z = vh[s <= 1e-10 * max(1.0, s[0])].conj()
+    if np.abs(comm.reshape(d * d, d) @ Z.T).max(initial=0.0) > alg.tol:
+        raise AlgebraError("centre certificate failed: the magic entries do not generate")
+    return Z
+
+
 def characters(G: CompactQuantumGroup) -> list[State]:
     """All characters (multiplicative states) of the algebra.
 
-    The commutator ideal J is split off by its central unit z, and characters
-    are the points of the complementary commutative block (1-z)A, enumerated
-    by eigendecomposition of multiplication by a generic element g of the
-    block.  Its eigenvalues are the values chi(g); g has complex coefficients,
-    so that a character and its complex conjugate take different values.  The
-    draws of g come from a fixed seed, so the answer is deterministic.
+    Multiplication by a generic central element, from a fixed seed, acts on
+    Z(A) (:func:`centre`) with one eigenvalue per block, which must be
+    separated.  Its eigenvectors, scaled to sum to the unit, are the minimal
+    central projections z; those with tr L_z = 1 bound the one-dimensional
+    blocks, and each gives the character chi(a) = tau(a z) / tau(z), with
+    support z.  All of them are checked as states and for multiplicativity
+    within 100 max(1e-8, tol), in one stack.
     """
+    return [State(G.algebra, row, check=False) for row in _character_stack(G)[1]]
+
+
+def _character_stack(G: CompactQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The supports z and the characters of :func:`characters`, as (n, d) stacks."""
     alg = G.algebra
-    J = commutator_ideal(G)
-    if J.shape[0] == 0:
-        comp = np.eye(alg.dim, dtype=complex)
-    else:
-        # central unit of J: z = sum_s alpha_s J[s] with z J[t] = J[t] for all t
-        lhs = np.einsum("si,ijk,tj->tks", J, alg.mult, J, optimize=True)
-        lhs = lhs.reshape(-1, J.shape[0])
-        rhs = J.reshape(-1)
-        alpha, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        zc = alpha @ J
-        if np.abs(lhs @ alpha - rhs).max() > 1e-8 or \
-                gram_norm(alg.element(alg.product_coeffs(zc, zc) - zc)) > 1e-8:
-            raise AlgebraError("commutator ideal has no central unit")
-        unit_c = alg.unit - zc
-        # complementary commutative block (1 - z) A
-        comp = _row_space(np.einsum("ijk,i->jk", alg.mult, unit_c, optimize=True))
-    # comp rows span the commutative block; multiplication operator of a generic
-    # element, restricted to the block
-    q = comp.shape[0]
+    Z = centre(G)
+    c = len(Z)
     rng = np.random.default_rng(0)
-    for _ in range(8):
-        g = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        gc = comp.conj().T @ (comp @ g)  # project into the block
-        Mg = alg.left_mult_matrix(gc)
-        Mq = comp.conj() @ Mg @ comp.T  # operator on block coordinates
-        evals, vecs = np.linalg.eig(Mq)
-        if np.min(np.abs(np.subtract.outer(evals, evals))
-                  + np.eye(q) * 1e9) > 1e-6:
-            break
-    else:
-        raise AlgebraError("could not separate characters")
-    out = []
-    for k in range(q):
-        v = vecs[:, k]
-        coeffs = comp.T @ v  # candidate common eigenvector in the algebra
-        # character values: chi(e_i) from e_i * v = chi(e_i) v (v spans a 1-dim
-        # ideal of the commutative block after rescaling)
-        duals = np.zeros(alg.dim, dtype=complex)
-        Lv = coeffs @ alg.mult
-        vv = np.vdot(coeffs, coeffs)
-        for i in range(alg.dim):
-            duals[i] = np.vdot(coeffs, Lv[i]) / vv
-        phi = LinearFunctional(alg, duals)
-        mres = np.abs(np.einsum("ijk,k->ij", alg.mult, duals)
-                      - np.outer(duals, duals)).max()
-        if mres < 1e-7 and abs(phi(alg.one()) - 1) < 1e-7:
-            out.append(State(alg, duals))
-    # dedupe
-    uniq: list[State] = []
-    for phi in out:
-        if all(phi.distance(o) > 1e-7 for o in uniq):
-            uniq.append(phi)
-    return uniq
+    generic = (rng.standard_normal(c) + 1j * rng.standard_normal(c)) @ Z
+    evals, V = np.linalg.eig(Z.conj() @ alg.left_mult_matrix(generic) @ Z.T)
+    gaps = np.abs(np.subtract.outer(evals, evals))[~np.eye(c, dtype=bool)]
+    if gaps.min(initial=np.inf) <= 1e-6 * max(1.0, np.abs(evals).max()):
+        raise AlgebraError("generic central element does not separate the blocks")
+    z = (V * np.linalg.solve(V, Z.conj() @ alg.unit)).T @ Z
+    z = z[np.abs(z @ np.einsum("ijj->i", alg.mult) - 1) < 0.5]  # tr L_z = 1
+    chi = z @ (alg.mult @ alg.trace).T / (z @ alg.trace)[:, np.newaxis]
+    _require_states(alg, chi)
+    if _multiplicativity_residual(alg, chi) > 100 * max(1e-8, alg.tol):
+        raise AlgebraError("character is not multiplicative")
+    return z, chi
 
 
 def birkhoff_matrix(G: CompactQuantumGroup, phi: LinearFunctional) -> np.ndarray:

@@ -14,12 +14,14 @@ from .algebra import (
     LinearFunctional,
     Projection,
     State,
+    _multiplicativity_residual,
+    _projection_residuals,
     _require_states,
     eigenvector,
     meet,
     spectral_partition,
 )
-from .cqg import CompactQuantumGroup, birkhoff_matrix, characters
+from .cqg import CompactQuantumGroup, _character_stack, birkhoff_matrix
 from .idempotent import (
     _conditioned_rows,
     _face_absorption_residual,
@@ -31,15 +33,29 @@ from .idempotent import (
 
 def birkhoff_slice(G: CompactQuantumGroup, phi: LinearFunctional) -> np.ndarray:
     """Doubly stochastic matrix (phi(u_ij)); the slice of a state."""
-    P = birkhoff_matrix(G, phi)
-    if np.abs(P.imag).max() > 1e-8:
+    return _slices(G, phi.duals[np.newaxis])[0]
+
+
+def _slices(G: CompactQuantumGroup, D: np.ndarray) -> np.ndarray:
+    """The (n, N, N) slices of an (n, d) stack of states, checked real and
+    doubly stochastic."""
+    P = np.moveaxis(G.magic @ D.T, -1, 0)
+    if np.abs(P.imag).max(initial=0.0) > 1e-8:
         raise AlgebraError("slice of a state should be real")
     P = P.real
-    rows = np.abs(P.sum(axis=1) - 1).max()
-    cols = np.abs(P.sum(axis=0) - 1).max()
-    if max(rows, cols) > 1e-7 or P.min() < -1e-8:
+    sums = np.concatenate([P.sum(axis=1), P.sum(axis=2)], axis=1)
+    if np.abs(sums - 1).max(initial=0.0) > 1e-7 or P.min(initial=0.0) < -1e-8:
         raise AlgebraError("slice is not doubly stochastic; not a state?")
     return P
+
+
+def _slice_permutations(P: np.ndarray) -> list:
+    """Per slice of an (n, N, N) stack, sigma if P is within 1e-8 of P_sigma, else None."""
+    R = np.round(P)
+    ok = ((np.abs(P - R) <= 1e-8).all(axis=(1, 2)) & (R >= 0).all(axis=(1, 2))
+          & (R.sum(axis=1) == 1).all(axis=1) & (R.sum(axis=2) == 1).all(axis=1))
+    return [tuple(int(i) for i in r.argmax(axis=0)) if good else None
+            for r, good in zip(R, ok)]
 
 
 def is_character(G: CompactQuantumGroup, phi: State):
@@ -49,20 +65,12 @@ def is_character(G: CompactQuantumGroup, phi: State):
     A permutation slice forces multiplicativity, which is asserted rather
     than trusted.
     """
-    P = birkhoff_slice(G, phi)
-    R = np.round(P)
-    if np.abs(P - R).max() > 1e-8 or not _is_permutation_matrix(R):
-        return None
-    mres = np.abs(G.algebra.mult @ phi.duals - np.outer(phi.duals, phi.duals)).max()
-    if mres > 100 * max(1e-8, G.algebra.tol):
+    sigma = _slice_permutations(birkhoff_slice(G, phi)[np.newaxis])[0]
+    if sigma is not None and _multiplicativity_residual(
+            G.algebra, phi.duals[np.newaxis]) > 100 * max(1e-8, G.algebra.tol):
         raise AlgebraError("permutation slice but not multiplicative: "
                            "invalid input model")
-    return tuple(int(np.argmax(R[:, j])) for j in range(G.N))
-
-
-def _is_permutation_matrix(R: np.ndarray) -> bool:
-    return (R.min() >= 0 and np.all(R.sum(axis=0) == 1)
-            and np.all(R.sum(axis=1) == 1))
+    return sigma
 
 
 @dataclass
@@ -80,30 +88,35 @@ class ClassicalVersion:
 
 
 def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
-    """Enumerate the characters and assemble the classical-part projections.
+    """The characters (:func:`cqg.characters`) as permutations, identity
+    first, their supports z, p_C = sum z and p_Q = 1 - p_C.
 
-    The support of the character with permutation sigma is the meet of the
-    magic entries u_{sigma(j) j} it selects.  The sum p_C must be group-like.
+    Each check runs once over the stack: every slice is a permutation
+    matrix, the permutations are pairwise distinct and closed under
+    composition, the supports, p_C and p_Q are projections, and p_C is
+    group-like.
     """
-    chars = characters(G)
-    perms, supports = [], []
-    for chi in chars:
-        sigma = is_character(G, chi)
-        if sigma is None:
-            raise AlgebraError("character with a non-permutation slice")
-        perms.append(sigma)
-        supports.append(meet([G.magic_projection(sigma[j], j) for j in range(G.N)]))
+    alg = G.algebra
+    z, chi = _character_stack(G)
+    perms = _slice_permutations(_slices(G, chi))
+    if None in perms:
+        raise AlgebraError("character with a non-permutation slice")
+    if len(set(perms)) < len(perms):
+        raise AlgebraError("character permutations are not distinct")
     if not permgroups.is_closed(perms):
         raise AlgebraError("character permutations do not form a group")
-    order = sorted(range(len(perms)), key=lambda k: (perms[k] != permgroups.identity_perm(G.N), perms[k]))
-    perms = [perms[k] for k in order]
-    chars = [chars[k] for k in order]
-    supports = [supports[k] for k in order]
-    p_C = Projection(G.algebra, sum(p.coeffs for p in supports))
-    p_Q = Projection(G.algebra, G.algebra.unit - p_C.coeffs)
+    identity = permgroups.identity_perm(G.N)
+    order = sorted(range(len(perms)), key=lambda k: (perms[k] != identity, perms[k]))
+    z, chi = z[order], chi[order]
+    p_C = z.sum(axis=0)
+    if _projection_residuals(alg, np.vstack([z, p_C, alg.unit - p_C])).max() > alg.tol:
+        raise AlgebraError("a character support, p_C or p_Q is not a projection")
+    p_C, p_Q = (Projection(alg, x, check=False) for x in (p_C, alg.unit - p_C))
     if not is_group_like(G, p_C):
         raise AlgebraError("sum of character supports is not group-like")
-    return ClassicalVersion(perms, chars, supports, p_C, p_Q)
+    return ClassicalVersion([perms[k] for k in order],
+                            [State(alg, x, check=False) for x in chi],
+                            [Projection(alg, x, check=False) for x in z], p_C, p_Q)
 
 
 def projection_rank(p: Projection) -> int:

@@ -2,13 +2,23 @@
 import numpy as np
 import pytest
 
-from qperm.algebra import AlgebraError, State, support_projection
+from qperm import permgroups
+from qperm.algebra import (
+    AlgebraError,
+    LinearFunctional,
+    State,
+    gram_norm,
+    meet,
+    support_projection,
+)
+from qperm.cqg import _row_space
 from qperm.idempotent import (
     CollapseProbeReport,
     _sandwich_matrix,
     condition,
     quasi_subgroup_member,
 )
+from qperm.permutation import is_character
 
 
 def _member_bank(G, r, n, seed):
@@ -170,3 +180,94 @@ def bounds_oracle():
     """``bounds_oracle(G, cv, n_samples, seed)``: the bounds sampler one pair,
     one quantum fraction and one convolution at a time."""
     return _bounds
+
+
+def _commutator_ideal(G):
+    """Orthonormal basis (rows) of the two-sided ideal generated by
+    commutators, grown by left and right products until it is stationary."""
+    alg = G.algebra
+    c = alg.mult
+    comms = (c - np.transpose(c, (1, 0, 2))).reshape(-1, alg.dim)
+    span = _row_space(comms)
+    while True:
+        if span.shape[0] == 0:
+            return span
+        left = np.einsum("ijk,sj->sik", c, span, optimize=True).reshape(-1, alg.dim)
+        right = np.einsum("jik,sj->sik", c, span, optimize=True).reshape(-1, alg.dim)
+        grown = _row_space(np.vstack([span, left, right]))
+        if grown.shape[0] == span.shape[0]:
+            return grown
+        span = grown
+
+
+def _characters(G):
+    """The characters by the commutator ideal: its central unit z splits off
+    the commutative block (1 - z)A, whose points are the common eigenvectors
+    of multiplication by a generic element of the block, drawn from a fixed
+    seed up to 8 times until its eigenvalues separate."""
+    alg = G.algebra
+    J = _commutator_ideal(G)
+    if J.shape[0] == 0:
+        comp = np.eye(alg.dim, dtype=complex)
+    else:
+        # central unit of J: z = sum_s alpha_s J[s] with z J[t] = J[t] for all t
+        lhs = np.einsum("si,ijk,tj->tks", J, alg.mult, J, optimize=True)
+        lhs = lhs.reshape(-1, J.shape[0])
+        rhs = J.reshape(-1)
+        alpha, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        zc = alpha @ J
+        if np.abs(lhs @ alpha - rhs).max() > 1e-8 or \
+                gram_norm(alg.element(alg.product_coeffs(zc, zc) - zc)) > 1e-8:
+            raise AlgebraError("commutator ideal has no central unit")
+        comp = _row_space(np.einsum("ijk,i->jk", alg.mult, alg.unit - zc, optimize=True))
+    q = comp.shape[0]
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        g = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        gc = comp.conj().T @ (comp @ g)  # project into the block
+        Mq = comp.conj() @ alg.left_mult_matrix(gc) @ comp.T
+        evals, vecs = np.linalg.eig(Mq)
+        if np.min(np.abs(np.subtract.outer(evals, evals)) + np.eye(q) * 1e9) > 1e-6:
+            break
+    else:
+        raise AlgebraError("could not separate characters")
+    out = []
+    for k in range(q):
+        coeffs = comp.T @ vecs[:, k]
+        # chi(e_i) from e_i v = chi(e_i) v
+        Lv = coeffs @ alg.mult
+        duals = np.array([np.vdot(coeffs, Lv[i]) for i in range(alg.dim)]) \
+            / np.vdot(coeffs, coeffs)
+        mres = np.abs(np.einsum("ijk,k->ij", alg.mult, duals)
+                      - np.outer(duals, duals)).max()
+        if mres < 1e-7 and abs(LinearFunctional(alg, duals)(alg.one()) - 1) < 1e-7:
+            out.append(State(alg, duals))
+    uniq = []
+    for phi in out:
+        if all(phi.distance(o) > 1e-7 for o in uniq):
+            uniq.append(phi)
+    return uniq
+
+
+def _classical_version(G):
+    """(permutations, character duals, support coefficients), identity first
+    and then in permutation order: the characters by the commutator ideal,
+    each support the meet of the magic entries u_{sigma(j) j} it selects."""
+    rows = []
+    for chi in _characters(G):
+        sigma = is_character(G, chi)
+        assert sigma is not None
+        support = meet([G.magic_projection(sigma[j], j) for j in range(G.N)])
+        rows.append((sigma, chi.duals, support.coeffs))
+    identity = permgroups.identity_perm(G.N)
+    rows.sort(key=lambda r: (r[0] != identity, r[0]))
+    perms, duals, supports = zip(*rows)
+    return list(perms), np.array(duals), np.array(supports)
+
+
+@pytest.fixture
+def classical_version_oracle():
+    """``classical_version_oracle(G)``: the classical version by the
+    commutator ideal, a retry loop of generic elements and meets of magic
+    entries, as (permutations, (n, d) character duals, (n, d) supports)."""
+    return _classical_version

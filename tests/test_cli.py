@@ -133,13 +133,18 @@ def test_run_malformed_list_parameter_is_input_error(tmp_path, capsys, name, gro
 
 
 @pytest.mark.parametrize("spec", [["haar"], {"name": ["haar"]},
-                                  {"name": "haar", "parameters": [1]}],
-                         ids=["list", "list-name", "list-parameters"])
+                                  {"name": "haar", "parameters": [1]},
+                                  {"name": "haar", "group": "kp", "outputs": 5},
+                                  {"name": "haar", "group": "kp", "outputs": [5]},
+                                  {"name": "haar", "group": 5}],
+                         ids=["list", "list-name", "list-parameters", "scalar-outputs",
+                              "non-string-output", "non-string-group"])
 def test_run_malformed_spec_is_input_error(tmp_path, capsys, spec):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(spec))
     assert run(["run", p, "--out", tmp_path / "out"]) == 2
     assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_phase_diagram_deterministic(tmp_path):

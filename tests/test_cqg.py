@@ -11,6 +11,7 @@ from qperm.cqg import (
     CompactQuantumGroup,
     QuantumGroupMorphism,
     abelianization,
+    centre,
     characters,
     classical_group,
     dual_dihedral,
@@ -322,6 +323,35 @@ def test_characters_counts(cs3, ds4, kp):
     assert len(characters(cs3)) == 6
     assert len(characters(ds4)) == 2
     assert len(characters(kp)) == 4
+
+
+def conjugacy_classes(group):
+    """Number of conjugacy classes, from the multiplication table alone."""
+    return len({frozenset(group.mul(group.mul(h, g), group.inv(h)) for h in range(group.order))
+                for g in range(group.order)})
+
+
+def abelianization_order(group):
+    """|Gamma / [Gamma, Gamma]|, from the multiplication table alone."""
+    n = group.order
+    commutators = {group.mul(group.mul(group.inv(a), group.inv(b)), group.mul(a, b))
+                   for a in range(n) for b in range(n)}
+    return n // len(group.generated_by(sorted(commutators)))
+
+
+def test_centre_and_characters_count_from_the_group_table():
+    # C*(Gamma): one block per irreducible, so dim Z = #classes, and one
+    # character per one-dimensional irreducible, |Gamma^ab| of them; C(G):
+    # commutative, one character per point
+    duals = [name for name in BUILTIN_GROUPS if name.startswith("dual-")]
+    cyclic = [dual_group(permgroups.FiniteGroup.cyclic(n), [(1, n)]) for n in (3, 5, 6)]
+    for G in [BUILTIN_GROUPS[name]() for name in duals] + cyclic:
+        assert len(centre(G)) == conjugacy_classes(G.group), G.name
+        assert len(characters(G)) == abelianization_order(G.group), G.name
+    for name in ("trivial", "s2", "s3", "s4", "klein-s4", "z4-s4"):
+        G = BUILTIN_GROUPS[name]()
+        assert len(centre(G)) == G.dim == len(G.group_elements), name
+        assert len(characters(G)) == G.group.order, name
 
 
 def test_abelianization_morphism(kp):

@@ -9,6 +9,9 @@ group-likeness norm, which the library takes as a (d, d) Gram form, is
 compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
 ``meet``, which the library takes as one spectral projection of the average
 of the L_p, is compared with the limit of alternating products.  The
+classical version, which the library reads off the centre, is compared with
+the commutator-ideal route with meets of magic entries as supports, also in
+a complex basis.  The
 stabiliser idempotent, which the library certifies by a face-absorption
 identity, is checked to absorb sampled members of its face.  The state
 bank, which the library builds in blocks, is compared with the bank built
@@ -284,6 +287,17 @@ def test_character_kernels(G):
         assert np.abs(mres).max() < 1e-9
 
 
+def test_classical_version_matches_oracle(G, classical_version_oracle):
+    # the centre route against the commutator ideal, the retry loop and the
+    # meets of magic entries
+    perms, chars, supports = classical_version_oracle(G)
+    cv = classical_version(G)
+    assert cv.permutations == perms
+    assert_matches([chi.duals for chi in cv.characters], chars)
+    assert_matches([p.coeffs for p in cv.supports], supports)
+    assert_matches(cv.p_Q.coeffs, G.algebra.unit - supports.sum(axis=0))
+
+
 def test_character_kernels_on_a_cyclic_dual():
     # the dual of Z/3 has two non-real characters, complex conjugates of each
     # other, so the character values tell e_i v from a transposed contraction
@@ -357,6 +371,39 @@ def test_hopf_residuals_match_dense_under_perturbation(name, mult, delta):
         assert failed == {"delta_multiplicative"} \
             | ({"algebra.associativity"} if mult else set()) \
             | ({"coassociativity"} if delta else set())
+
+
+def per_entry_magic_residuals(G):
+    """The magic-grid residuals of ``validate``, one entry at a time."""
+    alg, N, m = G.algebra, G.N, G.magic
+    grid = [(i, j) for i in range(N) for j in range(N)]
+    ref = {"magic_projections": 0.0, "magic_comultiplication": 0.0}
+    for i, j in grid:
+        v = alg.element(m[i, j])
+        ref["magic_projections"] = max(ref["magic_projections"], gram_norm(v * v - v),
+                                       gram_norm(v.star() - v))
+        rhs = sum(np.outer(m[i, k], m[k, j]) for k in range(N))
+        ref["magic_comultiplication"] = max(ref["magic_comultiplication"], np.abs(
+            np.einsum("iab,i->ab", G.delta, m[i, j]) - rhs).max())
+    ref["magic_row_sums"] = max(np.abs(m[i].sum(axis=0) - alg.unit).max() for i in range(N))
+    ref["magic_col_sums"] = max(np.abs(m[:, j].sum(axis=0) - alg.unit).max() for j in range(N))
+    ref["magic_antipode"] = max(np.abs(m[i, j] @ G.antipode - m[j, i]).max() for i, j in grid)
+    ref["magic_counit"] = max(abs(m[i, j] @ G.counit.duals - (i == j)) for i, j in grid)
+    return ref
+
+
+def test_magic_residuals_match_per_entry(G):
+    # on the builtin and with 0.05 added to every coefficient of u_00
+    bad = G.magic.copy()
+    bad[0, 0] += 0.05
+    broken = CompactQuantumGroup(G.name, G.algebra, G.delta, G.counit, G.antipode, bad,
+                                 haar=G.haar, check=False)
+    for H in (G, broken):
+        report = H.validate().to_dict()
+        for axiom, ref in per_entry_magic_residuals(H).items():
+            assert abs(report[axiom]["residual"] - ref) <= RTOL * max(1.0, ref), axiom
+    assert {c.name for c in broken.validate().failures()} >= {
+        "magic_projections", "magic_row_sums", "magic_col_sums", "magic_counit"}
 
 
 # -- group-likeness against the tensor square's Gram matrix ---------------------
@@ -433,6 +480,22 @@ def test_stabiliser_idempotent_in_a_complex_basis(name):
     assert np.abs(S - S.T).max() > 0.1
     psi = stabiliser_idempotent(H, part)
     assert np.abs(psi.duals - B @ stabiliser_idempotent(G, part).duals).max() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["s3", "dual-s3", "kp", "dual-s4"])
+def test_classical_version_in_a_complex_basis(name, classical_version_oracle):
+    # the centre, its split and every certificate are basis-free: in a
+    # complex, non-orthogonal basis the characters are B chi and the
+    # supports z B^-1 of the oracle's in the original basis
+    G = BUILTIN_GROUPS[name]()
+    rng = np.random.default_rng(5)
+    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
+                               + 1j * rng.standard_normal((G.dim,) * 2))
+    perms, chars, supports = classical_version_oracle(G)
+    cv = classical_version(in_basis(G, B))
+    assert cv.permutations == perms
+    assert_matches([chi.duals for chi in cv.characters], chars @ B.T)
+    assert_matches([p.coeffs for p in cv.supports], supports @ np.linalg.inv(B))
 
 
 def planted_row(alg, base, lowest):

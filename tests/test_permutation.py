@@ -7,6 +7,7 @@ import pytest
 from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection, State, gram_norm, support_projection
 from qperm.cqg import (
+    CompactQuantumGroup,
     abelianization,
     classical_group,
     dual_dihedral,
@@ -110,6 +111,30 @@ def test_classical_version_of_classical_group(cs3):
     assert len(cv) == 6
     assert gram_norm(cv.p_Q) < 1e-10
     assert sorted(cv.permutations) == sorted(cs3.group_elements)
+
+
+def with_trivial_magic(G):
+    """G, unchecked, with the magic grid u_ij = delta_ij 1 of the same N:
+    its entries generate only the scalars."""
+    magic = np.zeros_like(G.magic)
+    magic[range(G.N), range(G.N)] = G.algebra.unit
+    return CompactQuantumGroup(G.name, G.algebra, G.delta, G.counit, G.antipode,
+                               magic, haar=G.haar, check=False)
+
+
+@pytest.mark.parametrize("name, message", [
+    # C*(S3) is not commutative: the null space of the scalars' commutators
+    # is all of A, and the centre certificate rejects it
+    ("dual-s3", "centre certificate"),
+    # C(S3) is commutative, so the certificate passes, and each of its six
+    # characters has the identity slice
+    ("s3", "not distinct"),
+])
+def test_classical_version_rejects_non_generating_magic(name, message):
+    from qperm.cli import BUILTIN_GROUPS
+
+    with pytest.raises(AlgebraError, match=message):
+        classical_version(with_trivial_magic(BUILTIN_GROUPS[name]()))
 
 
 def test_classical_version_kp(kp, kp_cv):
@@ -297,8 +322,8 @@ def test_classical_versions_across_registry():
         assert len(cv) == expected[name], name
         assert abs(quantum_fraction(G.haar, cv)
                    - (1 - len(cv) / G.dim)) < 1e-9, name
-        # oracle: each support, a meet of magic entries, is the support
-        # projection of its character
+        # each support, a rank-one minimal central projection, is the
+        # support projection of its character
         for chi, p in zip(cv.characters, cv.supports):
             supp = support_projection(chi)
             assert gram_norm(supp - p) < 1e-7, name
