@@ -20,15 +20,12 @@ from .algebra import (
 )
 from .cqg import (
     CompactQuantumGroup,
-    QuantumGroupMorphism,
     ValidationReport,
-    abelianization,
     characters,
     classical_group,
     dual_dihedral,
     dual_group,
     dual_symmetric_group,
-    haar_idempotent,
     kac_paljutkin,
     point_state,
     uniform_state,
@@ -54,6 +51,7 @@ from .idempotent import (
     collapse_stability_probe,
     condition,
     dual_subgroup_idempotent,
+    face_idempotent,
     generated_idempotent,
     idempotent_census,
     is_group_like,

@@ -24,8 +24,9 @@ integer parameter out of range (n_samples >= 1, n_seeds >= 0, n >= 2,
 seed >= 0, k_max >= 1) or not an integer, an ``m_values`` that is not a
 non-empty list of integers >= 2, a ``partition`` that is not a list of
 non-empty lists of integers partitioning 0..N-1 for the group's N, a
-``group`` that is not a string and ``outputs`` that are not a list of
-strings; all are found before anything is written.
+``group`` that is not a string, ``outputs`` that are not a list of
+strings and an ``s4hat-walkthrough`` on any group but the ``dual-s4``
+builtin; all are found before anything is written.
 """
 from __future__ import annotations
 
@@ -193,7 +194,7 @@ def load_group(ref: str) -> CompactQuantumGroup:
 
 
 def exp_haar(G, params, out):
-    h = solve_haar(G.algebra, G.delta)
+    h = solve_haar(G)
     payload = {"group": G.name, "dim": G.dim, "N": G.N,
                "haar_duals": h, "matches_stored": float(h.distance(G.haar))}
     try:
@@ -225,7 +226,7 @@ def exp_classical_version(G, params, out):
 def exp_stabiliser(G, params, out):
     partition = params.get("partition")
     if partition is None:
-        partition = [[0], list(range(1, G.N))]
+        partition = [[0], list(range(1, G.N))] if G.N > 1 else [[0]]
     psi = permutation.stabiliser_idempotent(G, partition)
     cvα = None
     try:
@@ -331,8 +332,6 @@ def exp_fix_spectrum(G, params, out):
 
 
 def exp_s4hat_walkthrough(G, params, out):
-    if G.kind != "dual" or G.dim != 24:
-        raise ValueError("s4hat-walkthrough runs on the dual-s4 builtin")
     fs = permutation.fix_spectrum(G)
     lam_plus = (5 + math.sqrt(17)) / 2
     lam_minus = (5 - math.sqrt(17)) / 2
@@ -458,6 +457,8 @@ def cmd_run(args) -> int:
             raise ValueError(f"'outputs' must be a list of path strings, got {outputs!r}")
         if not isinstance(group, str):
             raise ValueError(f"'group' must be a builtin name or a file path, got {group!r}")
+        if name == "s4hat-walkthrough" and group != "dual-s4":
+            raise ValueError(f"s4hat-walkthrough runs on the dual-s4 builtin, not {group!r}")
         G = load_group(group)
         if "partition" in params:
             _check_partition(params["partition"], G.N)

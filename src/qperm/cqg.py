@@ -103,7 +103,7 @@ class CompactQuantumGroup:
                 or self.magic.shape[2] != algebra.dim:
             raise AlgebraError("magic grid has wrong shape")
         if haar is None:
-            haar = solve_haar(algebra, self.delta)
+            haar = solve_haar(self)
         self.haar = haar if isinstance(haar, State) else State(algebra, haar)
         if check:
             report = self.validate()
@@ -194,7 +194,8 @@ class CompactQuantumGroup:
             for k in range(start, min(start + _BLOCK, n)):
                 rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
                 m = int(rng.integers(1, 4))
-                weights.append(rng.dirichlet(np.ones(m)))
+                e = rng.standard_exponential(m)  # dirichlet(ones(m)) bit for bit, less set-up
+                weights.append(e * (1.0 / e.sum()))
                 z = rng.standard_normal((m, 2, d))  # real, imaginary part of each vector
                 xs.append(z[:, 0] + 1j * z[:, 1])
             vectors, nonnull = _vector_duals(alg, np.concatenate(xs))
@@ -328,29 +329,16 @@ def _vector_duals(alg: StarAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # -- Haar ----------------------------------------------------------------------
 
 
-def solve_haar(algebra: StarAlgebra, delta: np.ndarray) -> State:
-    """Unique bi-invariant state, by linear solve of the invariance system."""
-    d = algebra.dim
-    eye = np.eye(d)
-    # (h x id)Delta(e_i) = h(e_i) 1: rows (i, b), unknowns h_a
-    left = np.ascontiguousarray(delta.transpose(0, 2, 1)).reshape(d * d, d) \
-        - np.einsum("b,ia->iba", algebra.unit, eye).reshape(d * d, d)
-    # (id x h)Delta(e_i) = h(e_i) 1: rows (i, a), unknowns h_b
-    right = delta.reshape(d * d, d) \
-        - np.einsum("a,ib->iab", algebra.unit, eye).reshape(d * d, d)
-    invariance = np.vstack([left, right])
-    sing = np.linalg.svd(invariance, compute_uv=False)
-    if sing.size >= 2 and sing[-2] < 1e-8:
-        raise AlgebraError("invariance system has a >1-dimensional solution space; "
-                           "Hopf data is not a valid quantum group")
-    M = np.vstack([invariance, algebra.unit[np.newaxis, :]])
-    b = np.zeros(M.shape[0], dtype=complex)
-    b[-1] = 1.0
-    h, *_ = np.linalg.lstsq(M, b, rcond=None)
-    resid = np.abs(M @ h - b).max()
-    if resid > 1e-8:
-        raise AlgebraError(f"no invariant state: residual {resid:.3e}")
-    return State(algebra, h)
+def solve_haar(G: CompactQuantumGroup) -> State:
+    """The Haar state: the face idempotent of r = 1 (:func:`face_idempotent`).
+
+    S_1 = I and Delta(0) = 0 make the face all states and the absorption
+    certificate say psi * phi = phi(1) psi = phi * psi for every functional:
+    psi is bi-invariant, and unique, since two such states absorb each other.
+    """
+    from .idempotent import face_idempotent  # idempotent imports this module
+
+    return face_idempotent(G, G.algebra.one())
 
 
 # -- constructors ----------------------------------------------------------------
@@ -592,68 +580,7 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
     return G
 
 
-# -- morphisms --------------------------------------------------------------------
-
-
-class QuantumGroupMorphism:
-    """Surjective unital *-homomorphism intertwining the comultiplications.
-
-    ``magic_image``, when declared, is an (N, N, dim_target) grid that the
-    source magic unitary must map onto entrywise.
-    """
-
-    def __init__(self, source: CompactQuantumGroup, target: CompactQuantumGroup,
-                 matrix, magic_image=None, check: bool = True):
-        self.source = source
-        self.target = target
-        self.matrix = np.asarray(matrix, dtype=complex)
-        self.magic_image = None if magic_image is None \
-            else np.asarray(magic_image, dtype=complex)
-        if self.matrix.shape != (target.dim, source.dim):
-            raise AlgebraError("morphism matrix has wrong shape")
-        if check:
-            res = self.check_residuals()
-            bad = {k: v for k, v in res.items() if v > 100 * source.algebra.tol}
-            if bad:
-                raise AlgebraError(f"not a quantum group morphism: {bad}")
-
-    def pullback(self, phi: LinearFunctional) -> State:
-        """phi o pi for a functional on the target."""
-        return State(self.source.algebra, self.matrix.T @ phi.duals)
-
-    def check_residuals(self) -> dict:
-        M = self.matrix
-        src, tgt = self.source.algebra, self.target.algebra
-        out = {}
-        # pi(e_i e_j) vs pi(e_i) pi(e_j)
-        lhs = np.einsum("ijm,km->ijk", src.mult, M, optimize=True)
-        rhs = np.einsum("ai,bj,abk->ijk", M, M, tgt.mult, optimize=True)
-        out["homomorphism"] = np.abs(lhs - rhs).max()
-        lhs_star = np.einsum("ia,ka->ik", src.involution, M, optimize=True)
-        rhs_star = np.einsum("ai,ak->ik", np.conj(M), tgt.involution, optimize=True)
-        out["star"] = np.abs(lhs_star - rhs_star).max()
-        out["unital"] = np.abs(M @ src.unit - tgt.unit).max()
-        lhs_d = np.einsum("ki,kab->iab", M, self.target.delta, optimize=True)
-        rhs_d = np.einsum("iab,ua,vb->iuv", self.source.delta, M, M, optimize=True)
-        out["intertwines_delta"] = np.abs(lhs_d - rhs_d).max()
-        rank = np.linalg.matrix_rank(M, tol=1e-10)
-        out["surjective"] = 0.0 if rank == self.target.dim else 1.0
-        if self.magic_image is not None:
-            imaged = np.einsum("ijc,tc->ijt", self.source.magic, M, optimize=True)
-            out["magic_image"] = np.abs(imaged - self.magic_image).max()
-        return out
-
-
-def haar_idempotent(pi: QuantumGroupMorphism) -> State:
-    """h_target o pi; idempotent on the source by construction, asserted."""
-    phi = pi.pullback(pi.target.haar)
-    conv = pi.source.convolve(phi, phi, check=False)
-    if phi.distance(conv) > pi.source.algebra.iter_tol:
-        raise AlgebraError("pulled-back Haar state is not idempotent")
-    return phi
-
-
-# -- centre, characters and abelianization -----------------------------------------
+# -- centre and characters ---------------------------------------------------------
 
 
 def _row_space(rows: np.ndarray) -> np.ndarray:
@@ -720,18 +647,3 @@ def _character_stack(G: CompactQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
 
 def birkhoff_matrix(G: CompactQuantumGroup, phi: LinearFunctional) -> np.ndarray:
     return G.magic @ phi.duals
-
-
-def abelianization(G: CompactQuantumGroup) -> QuantumGroupMorphism:
-    """Quotient onto the classical version, as functions on the character group."""
-    pairs = []
-    for chi in characters(G):
-        P = birkhoff_matrix(G, chi).real
-        sigma = tuple(int(np.argmax(P[:, j])) for j in range(G.N))
-        pairs.append((sigma, chi))
-    target = classical_group([s for s, _ in pairs], name=f"{G.name}-classical")
-    M = np.zeros((target.dim, G.dim), dtype=complex)
-    for sigma, chi in pairs:
-        M[target.group_elements.index(sigma)] = chi.duals
-    # the source magic unitary maps entrywise onto the classical one
-    return QuantumGroupMorphism(G, target, M, magic_image=target.magic)

@@ -22,10 +22,12 @@ import numpy as np
 from scipy.linalg import schur, solve_sylvester
 
 from .algebra import (
+    AlgebraElement,
     AlgebraError,
     LinearFunctional,
     Projection,
     State,
+    _require_states,
     gram_norm,
     support_projection,
 )
@@ -91,8 +93,15 @@ def cesaro_idempotent(G: CompactQuantumGroup, seed: State) -> CesaroResult:
     limit.  (Doublings stop at 2^30, where repeated squaring is still well
     below the eigenvalue-drift instability of floating point.)  The limit
     has converged if it is idempotent within iter_tol and seed-invariant
-    within 10 * iter_tol.
+    within 10 * iter_tol.  It is checked as a state.
     """
+    result = _cesaro_limit(G, seed)
+    _require_states(G.algebra, result.limit.duals[np.newaxis])
+    return result
+
+
+def _cesaro_limit(G: CompactQuantumGroup, seed: State) -> CesaroResult:
+    """:func:`cesaro_idempotent` with the limit left unchecked."""
     tol = G.algebra.iter_tol
     T = left_convolution_operator(G, seed)
     lim_duals = _cesaro_projector(T) @ seed.duals
@@ -111,7 +120,7 @@ def cesaro_idempotent(G: CompactQuantumGroup, seed: State) -> CesaroResult:
     residual = max(limit.distance(left), limit.distance(right))
     idem = limit.distance(G.convolve(limit, limit, check=False))
     converged = idem <= tol and residual <= 10 * tol
-    return CesaroResult(State(G.algebra, limit.duals), iterations, residual, converged)
+    return CesaroResult(limit, iterations, residual, converged)
 
 
 def is_idempotent(G: CompactQuantumGroup, phi: State, tol: float | None = None) -> bool:
@@ -230,6 +239,40 @@ def _face_absorption_residual(G: CompactQuantumGroup, psi: State, r: Projection)
     return float(np.abs(_absorption_operator(G, psi) @ _sandwich_matrix(G, r.coeffs)).max())
 
 
+def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
+    """Idempotent state of the face F_r = {phi : phi(r) = 1} of a
+    projection r, certified.
+
+    Van Daele's construction, as the paper adapts it, finds an idempotent in
+    every non-empty, weak-* compact, convex set of states closed under
+    convolution.  The seed is the trace conditioned on r, faithful on rAr,
+    so it lies in the relative interior of F_r and no Haar state is needed;
+    psi is its Cesaro limit.  Three certificates:
+
+    - closure: S_r^T X S_r = 0 within tol, with X the coefficient matrix of
+      Delta(1 - r) and S_r the sandwich f -> f(r . r): phi * rho gives 1 - r
+      no mass for phi, rho in F_r, so F_r is convolution-closed;
+    - state: psi is a state with psi(r) = 1 within tol;
+    - absorption: A S_r = 0 within 10 * iter_tol, with A the absorption
+      operator of psi: psi absorbs every state of F_r on both sides.
+
+    Absorption makes psi the only idempotent of F_r that absorbs F_r.
+    """
+    alg = G.algebra
+    S = _sandwich_matrix(G, r.coeffs)
+    closure = np.abs(S.T @ G.delta_applied(alg.unit - r.coeffs) @ S).max()
+    if not closure <= alg.tol:
+        raise AlgebraError(f"face is not closed under convolution (residual {closure:.3e})")
+    seed = _conditioned_rows(G, alg.trace[np.newaxis], r)[0]
+    psi = _cesaro_limit(G, State(alg, seed, check=False)).limit
+    _require_states(alg, psi.duals[np.newaxis])
+    if not abs(psi(r) - 1) <= alg.tol:
+        raise AlgebraError("face idempotent left its face")
+    if not _face_absorption_residual(G, psi, r) <= 10 * alg.iter_tol:
+        raise AlgebraError("face idempotent fails to absorb its face")
+    return psi
+
+
 def null_space(G: CompactQuantumGroup, phi: State) -> np.ndarray:
     """Orthonormal rows spanning N_phi = {f : phi(f* f) = 0}: the
     eigenvectors of phi(e_i^* e_j) below 1e-8 max(1, largest eigenvalue)."""
@@ -269,18 +312,17 @@ def classify_idempotent(G: CompactQuantumGroup, phi: State) -> IdempotentClass:
 
 
 def dual_subgroup_idempotent(G: CompactQuantumGroup, subgroup) -> State:
-    """Indicator state of a subgroup on the dual of a finite group."""
+    """Indicator state of a subgroup H on the dual of a finite group: the
+    face idempotent (:func:`face_idempotent`) of r = |H|^-1 sum_{h in H} lambda_h,
+    whose face is the set of states equal to 1 on H."""
     if G.kind != "dual":
         raise AlgebraError("subgroup indicators live on dual groups")
     subgroup = sorted(set(int(i) for i in subgroup))
     if not G.group.is_subgroup(subgroup):
         raise AlgebraError("index set is not a subgroup")
-    duals = np.zeros(G.dim, dtype=complex)
-    duals[subgroup] = 1.0
-    phi = State(G.algebra, duals)
-    if not is_idempotent(G, phi):
-        raise AlgebraError("subgroup indicator failed the idempotency check")
-    return phi
+    r = np.zeros(G.dim, dtype=complex)
+    r[subgroup] = 1.0 / len(subgroup)
+    return face_idempotent(G, Projection(G.algebra, r))
 
 
 @dataclass

@@ -22,13 +22,7 @@ from .algebra import (
     spectral_partition,
 )
 from .cqg import CompactQuantumGroup, _character_stack, birkhoff_matrix
-from .idempotent import (
-    _conditioned_rows,
-    _face_absorption_residual,
-    cesaro_idempotent,
-    condition,
-    is_group_like,
-)
+from .idempotent import _conditioned_rows, face_idempotent, is_group_like
 
 
 def birkhoff_slice(G: CompactQuantumGroup, phi: LinearFunctional) -> np.ndarray:
@@ -169,10 +163,10 @@ def _decomposed_rows(G: CompactQuantumGroup, D: np.ndarray, cv: ClassicalVersion
 
 
 def canonical_partition(P, N: int) -> list[list[int]]:
-    """Blocks sorted by minimum element; must partition {0..N-1}."""
+    """Blocks sorted by minimum element; must be non-empty and partition {0..N-1}."""
     blocks = [sorted(set(b)) for b in P]
     flat = sorted(x for b in blocks for x in b)
-    if flat != list(range(N)):
+    if flat != list(range(N)) or not all(blocks):
         raise AlgebraError("not a partition of the label set")
     return sorted(blocks, key=lambda b: b[0])
 
@@ -208,23 +202,13 @@ def stabiliser_idempotent(G: CompactQuantumGroup, partition) -> State:
     """Idempotent of the stabiliser quasi-subgroup of a partition.
 
     The quasi-subgroup is the face {phi : phi(r) = 1} of the state space,
-    with r the stabiliser projection.  The seed is the Haar state conditioned
-    on r: it is faithful on rAr, so it lies in the relative interior of the
-    face, and its Cesaro limit psi is the face's idempotent.  The certificate
-    (L_psi - psi u^T) S_r = 0 = (R_psi - psi u^T) S_r, with S_r the sandwich
-    f -> f(r . r), L_psi and R_psi convolution by psi on either side and u
-    the unit, shows that psi absorbs every state of the face on both sides,
-    within 10 * iter_tol.  psi must also stay in the face and give every
-    diagonal magic entry positive mass.
+    with r the stabiliser projection, and psi is its certified face
+    idempotent (:func:`idempotent.face_idempotent`).  psi must also satisfy
+    the stabiliser pattern within 1e-6 and give every diagonal magic entry
+    positive mass.
     """
     blocks = canonical_partition(partition, G.N)
-    r = stabiliser_projection(G, blocks)
-    result = cesaro_idempotent(G, condition(G, G.haar, r))
-    psi = result.limit
-    if not result.converged:
-        raise AlgebraError("stabiliser idempotent did not converge")
-    if _face_absorption_residual(G, psi, r) > 10 * G.algebra.iter_tol:
-        raise AlgebraError("stabiliser idempotent fails to absorb its face")
+    psi = face_idempotent(G, stabiliser_projection(G, blocks))
     if not stabiliser_membership(G, psi, blocks, tol=1e-6):
         raise AlgebraError("stabiliser idempotent escaped the quasi-subgroup")
     diag = [psi(G.magic_projection(j, j)).real for j in range(G.N)]

@@ -1,4 +1,6 @@
 """Helpers shared by several test modules."""
+import types
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,16 @@ from qperm.algebra import (
     meet,
     support_projection,
 )
-from qperm.cqg import _row_space
+from qperm.cqg import _row_space, birkhoff_matrix, characters, classical_group
 from qperm.idempotent import (
     CollapseProbeReport,
     _sandwich_matrix,
+    cesaro_idempotent,
     condition,
+    is_idempotent,
     quasi_subgroup_member,
 )
-from qperm.permutation import is_character
+from qperm.permutation import is_character, stabiliser_projection
 
 
 def _member_bank(G, r, n, seed):
@@ -271,3 +275,146 @@ def classical_version_oracle():
     commutator ideal, a retry loop of generic elements and meets of magic
     entries, as (permutations, (n, d) character duals, (n, d) supports)."""
     return _classical_version
+
+
+# -- the routes to idempotent states that face_idempotent replaced ------------------
+
+
+def _haar_by_invariance(algebra, delta):
+    """The Haar state as the unique solution of the invariance system
+    (h (x) id) Delta = h(.) 1 = (id (x) h) Delta, by SVD and lstsq."""
+    d = algebra.dim
+    eye = np.eye(d)
+    # (h x id)Delta(e_i) = h(e_i) 1: rows (i, b), unknowns h_a
+    left = np.ascontiguousarray(delta.transpose(0, 2, 1)).reshape(d * d, d) \
+        - np.einsum("b,ia->iba", algebra.unit, eye).reshape(d * d, d)
+    # (id x h)Delta(e_i) = h(e_i) 1: rows (i, a), unknowns h_b
+    right = delta.reshape(d * d, d) \
+        - np.einsum("a,ib->iab", algebra.unit, eye).reshape(d * d, d)
+    invariance = np.vstack([left, right])
+    sing = np.linalg.svd(invariance, compute_uv=False)
+    if sing.size >= 2 and sing[-2] < 1e-8:
+        raise AlgebraError("invariance system has a >1-dimensional solution space")
+    M = np.vstack([invariance, algebra.unit[np.newaxis, :]])
+    b = np.zeros(M.shape[0], dtype=complex)
+    b[-1] = 1.0
+    h, *_ = np.linalg.lstsq(M, b, rcond=None)
+    if np.abs(M @ h - b).max() > 1e-8:
+        raise AlgebraError("no invariant state")
+    return State(algebra, h)
+
+
+@pytest.fixture
+def haar_oracle():
+    """``haar_oracle(algebra, delta)``: the Haar state by the invariance SVD
+    and a least-squares solve."""
+    return _haar_by_invariance
+
+
+def _stabiliser_by_haar(G, partition):
+    """The stabiliser idempotent as the Cesaro limit of the Haar state
+    conditioned on the stabiliser projection."""
+    return cesaro_idempotent(G, condition(G, G.haar, stabiliser_projection(G, partition))).limit
+
+
+@pytest.fixture
+def stabiliser_oracle():
+    """``stabiliser_oracle(G, partition)``: the Haar-seeded Cesaro limit."""
+    return _stabiliser_by_haar
+
+
+def _dual_indicator(G, subgroup):
+    """The indicator state of a subgroup of Gamma on C*(Gamma), written down."""
+    duals = np.zeros(G.dim, dtype=complex)
+    duals[sorted(set(subgroup))] = 1.0
+    phi = State(G.algebra, duals)
+    assert is_idempotent(G, phi)
+    return phi
+
+
+@pytest.fixture
+def dual_indicator_oracle():
+    """``dual_indicator_oracle(G, subgroup)``: the hand-built indicator."""
+    return _dual_indicator
+
+
+class QuantumGroupMorphism:
+    """Surjective unital *-homomorphism intertwining the comultiplications.
+
+    ``magic_image``, when declared, is an (N, N, dim_target) grid that the
+    source magic unitary must map onto entrywise.
+    """
+
+    def __init__(self, source, target, matrix, magic_image=None, check=True):
+        self.source = source
+        self.target = target
+        self.matrix = np.asarray(matrix, dtype=complex)
+        self.magic_image = None if magic_image is None \
+            else np.asarray(magic_image, dtype=complex)
+        if self.matrix.shape != (target.dim, source.dim):
+            raise AlgebraError("morphism matrix has wrong shape")
+        if check:
+            res = self.check_residuals()
+            bad = {k: v for k, v in res.items() if v > 100 * source.algebra.tol}
+            if bad:
+                raise AlgebraError(f"not a quantum group morphism: {bad}")
+
+    def pullback(self, phi):
+        """phi o pi for a functional on the target."""
+        return State(self.source.algebra, self.matrix.T @ phi.duals)
+
+    def check_residuals(self):
+        M = self.matrix
+        src, tgt = self.source.algebra, self.target.algebra
+        out = {}
+        # pi(e_i e_j) vs pi(e_i) pi(e_j)
+        lhs = np.einsum("ijm,km->ijk", src.mult, M, optimize=True)
+        rhs = np.einsum("ai,bj,abk->ijk", M, M, tgt.mult, optimize=True)
+        out["homomorphism"] = np.abs(lhs - rhs).max()
+        lhs_star = np.einsum("ia,ka->ik", src.involution, M, optimize=True)
+        rhs_star = np.einsum("ai,ak->ik", np.conj(M), tgt.involution, optimize=True)
+        out["star"] = np.abs(lhs_star - rhs_star).max()
+        out["unital"] = np.abs(M @ src.unit - tgt.unit).max()
+        lhs_d = np.einsum("ki,kab->iab", M, self.target.delta, optimize=True)
+        rhs_d = np.einsum("iab,ua,vb->iuv", self.source.delta, M, M, optimize=True)
+        out["intertwines_delta"] = np.abs(lhs_d - rhs_d).max()
+        rank = np.linalg.matrix_rank(M, tol=1e-10)
+        out["surjective"] = 0.0 if rank == self.target.dim else 1.0
+        if self.magic_image is not None:
+            imaged = np.einsum("ijc,tc->ijt", self.source.magic, M, optimize=True)
+            out["magic_image"] = np.abs(imaged - self.magic_image).max()
+        return out
+
+
+def haar_idempotent(pi):
+    """h_target o pi; idempotent on the source by construction, asserted."""
+    phi = pi.pullback(pi.target.haar)
+    conv = pi.source.convolve(phi, phi, check=False)
+    if phi.distance(conv) > pi.source.algebra.iter_tol:
+        raise AlgebraError("pulled-back Haar state is not idempotent")
+    return phi
+
+
+def abelianization(G):
+    """Quotient onto the classical version, as functions on the character group."""
+    pairs = []
+    for chi in characters(G):
+        P = birkhoff_matrix(G, chi).real
+        sigma = tuple(int(np.argmax(P[:, j])) for j in range(G.N))
+        pairs.append((sigma, chi))
+    target = classical_group([s for s, _ in pairs], name=f"{G.name}-classical")
+    M = np.zeros((target.dim, G.dim), dtype=complex)
+    for sigma, chi in pairs:
+        M[target.group_elements.index(sigma)] = chi.duals
+    # the source magic unitary maps entrywise onto the classical one
+    return QuantumGroupMorphism(G, target, M, magic_image=target.magic)
+
+
+@pytest.fixture
+def morphisms():
+    """The quotient route: ``QuantumGroupMorphism``, ``haar_idempotent`` and
+    ``abelianization``; ``haar_idempotent(abelianization(G))`` is the
+    oracle for the face idempotent of p_C."""
+    return types.SimpleNamespace(QuantumGroupMorphism=QuantumGroupMorphism,
+                                 haar_idempotent=haar_idempotent,
+                                 abelianization=abelianization)

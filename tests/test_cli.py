@@ -136,9 +136,12 @@ def test_run_malformed_list_parameter_is_input_error(tmp_path, capsys, name, gro
                                   {"name": "haar", "parameters": [1]},
                                   {"name": "haar", "group": "kp", "outputs": 5},
                                   {"name": "haar", "group": "kp", "outputs": [5]},
-                                  {"name": "haar", "group": 5}],
+                                  {"name": "haar", "group": 5},
+                                  {"name": "s4hat-walkthrough", "group": "kp"},
+                                  {"name": "s4hat-walkthrough", "group": "dual-d12"}],
                          ids=["list", "list-name", "list-parameters", "scalar-outputs",
-                              "non-string-output", "non-string-group"])
+                              "non-string-output", "non-string-group", "s4hat-on-kp",
+                              "s4hat-on-dual-d12"])
 def test_run_malformed_spec_is_input_error(tmp_path, capsys, spec):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(spec))
@@ -179,6 +182,17 @@ def test_stabiliser_experiment_needs_no_seed(tmp_path):
         assert run(["run", spec, "--out", tmp_path / out]) == 0
     assert (tmp_path / "a" / "stabiliser.json").read_bytes() == \
         (tmp_path / "b" / "stabiliser.json").read_bytes()
+
+
+def test_stabiliser_experiment_on_one_label(tmp_path):
+    # with N = 1 the default partition is the single block {0}, whose face
+    # is every state, so the idempotent is the Haar state
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "stabiliser", "group": "trivial"}))
+    assert run(["run", spec, "--out", tmp_path / "out"]) == 0
+    data = json.loads((tmp_path / "out" / "stabiliser.json").read_text())
+    assert data["partition"] == [[0]]
+    assert data["idempotent_duals"] == [{"re": 1.0, "im": 0.0}]
 
 
 def test_run_with_declared_outputs(tmp_path):

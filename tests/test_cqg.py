@@ -1,4 +1,4 @@
-"""Quantum group constructors, validation, convolution and morphisms."""
+"""Quantum group constructors, validation, convolution and the Haar state."""
 import tracemalloc
 
 import numpy as np
@@ -9,20 +9,18 @@ from qperm.algebra import AlgebraError, Projection, StarAlgebra, State, gram_nor
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
     CompactQuantumGroup,
-    QuantumGroupMorphism,
-    abelianization,
     centre,
     characters,
     classical_group,
     dual_dihedral,
     dual_group,
     dual_symmetric_group,
-    haar_idempotent,
     kac_paljutkin,
     point_state,
     uniform_state,
 )
-from qperm.idempotent import cesaro_idempotent, is_group_like
+from qperm.idempotent import cesaro_idempotent, face_idempotent, is_group_like
+from qperm.permutation import classical_version
 
 
 @pytest.fixture(scope="module")
@@ -354,32 +352,40 @@ def test_centre_and_characters_count_from_the_group_table():
         assert len(characters(G)) == G.group.order, name
 
 
-def test_abelianization_morphism(kp):
-    pi = abelianization(kp)
+# The quotient route (tests/conftest.py) is the oracle for the face
+# idempotent of p_C; these pin the oracle itself.
+
+
+def test_abelianization_morphism(kp, morphisms):
+    pi = morphisms.abelianization(kp)
     assert pi.target.dim == 4
     res = pi.check_residuals()
     assert max(res.values()) < 1e-8
-    phi = haar_idempotent(pi)
+    phi = morphisms.haar_idempotent(pi)
     assert kp.convolve(phi, phi).distance(phi) < 1e-10
+    assert phi.distance(face_idempotent(kp, classical_version(kp).p_C)) < 1e-12
 
 
-def test_quotient_to_trivial_gives_counit(cs3):
+def test_quotient_to_trivial_gives_counit(cs3, morphisms):
     e = classical_group([permgroups.identity_perm(1)])
     M = np.zeros((1, 6))
     M[0, 0] = 1.0  # evaluation at the identity
-    pi = QuantumGroupMorphism(cs3, e, M)
-    phi = haar_idempotent(pi)
+    pi = morphisms.QuantumGroupMorphism(cs3, e, M)
+    phi = morphisms.haar_idempotent(pi)
     assert phi.distance(cs3.counit) < 1e-12
+    # the face of the point projection at the identity is the counit alone
+    point = Projection(cs3.algebra, np.eye(6)[0])
+    assert face_idempotent(cs3, point).distance(cs3.counit) < 1e-12
 
 
-def test_identity_morphism_haar(kp):
-    pi = QuantumGroupMorphism(kp, kp, np.eye(8))
-    assert haar_idempotent(pi).distance(kp.haar) < 1e-12
+def test_identity_morphism_haar(kp, morphisms):
+    pi = morphisms.QuantumGroupMorphism(kp, kp, np.eye(8))
+    assert morphisms.haar_idempotent(pi).distance(kp.haar) < 1e-12
 
 
-def test_morphism_rejects_non_homomorphism(cs3, kp):
+def test_morphism_rejects_non_homomorphism(cs3, kp, morphisms):
     with pytest.raises(AlgebraError):
-        QuantumGroupMorphism(kp, cs3, np.ones((6, 8)))
+        morphisms.QuantumGroupMorphism(kp, cs3, np.ones((6, 8)))
 
 
 def test_magic_diagonal_group_like_identity(kp, ds4, cs3):
@@ -493,12 +499,11 @@ def test_convolve_rejects_group_mismatch(kp, ds4):
         kp.convolve(kp.haar, ds4.haar)
 
 
-def test_haar_solver_rejects_degenerate_invariance(cs3):
-    # direct sum of two copies of C(S_2): the invariance system keeps both
-    # block Haar states, a two-dimensional solution space
-    from qperm.cqg import solve_haar
-    from qperm.algebra import StarAlgebra
-
+def test_haar_solver_rejects_degenerate_invariance(cs3, haar_oracle):
+    # direct sum of two copies of C(S_2), whose unit is the sum of the two
+    # block units: Delta(1) = 1_1 (x) 1_1 + 1_2 (x) 1_2 is not 1 (x) 1, so no
+    # state is invariant.  Convolution halves the mass of the trace, so its
+    # Cesaro limit is 0, not a state
     s2 = classical_group(permgroups.symmetric_group(2))
     d = 4
     mult = np.zeros((d, d, d), dtype=complex)
@@ -509,5 +514,8 @@ def test_haar_solver_rejects_degenerate_invariance(cs3):
     delta[2:, 2:, 2:] = s2.delta
     algebra = StarAlgebra(["a", "b", "c", "d"], mult, np.eye(d),
                           unit=np.ones(d), trace=np.full(d, 0.25), check=False)
+    with pytest.raises(AlgebraError, match="unital residual 1.000e"):
+        CompactQuantumGroup("two-s2", algebra, delta, np.eye(d)[0], np.eye(d),
+                            algebra.unit[np.newaxis, np.newaxis], check=False)
     with pytest.raises(AlgebraError):
-        solve_haar(algebra, delta)
+        haar_oracle(algebra, delta)

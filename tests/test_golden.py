@@ -56,8 +56,6 @@ DEFAULTED_PARAMETERS = {
     ("cqg.CompactQuantumGroup", "kind"): "family tag set by each constructor",
     ("cqg.CompactQuantumGroup", "check"): "check flag; perfbench builds unchecked groups",
     ("cqg.CompactQuantumGroup.convolve", "check"): "check flag",
-    ("cqg.QuantumGroupMorphism", "magic_image"): "optional declared image of the magic grid",
-    ("cqg.QuantumGroupMorphism", "check"): "check flag",
     ("cqg.classical_group", "name"): "group name from the file name or the registry",
     ("cqg.classical_group", "tol"): "the group file's tolerance",
     ("cqg.classical_group", "check"): "check flag",

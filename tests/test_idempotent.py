@@ -13,12 +13,9 @@ from perfbench.workloads import _criterion8_census  # noqa: E402
 from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection, State, gram_norm, support_projection
 from qperm.cqg import (
-    QuantumGroupMorphism,
-    abelianization,
     classical_group,
     dual_dihedral,
     dual_symmetric_group,
-    haar_idempotent,
     kac_paljutkin,
     point_state,
     uniform_state,
@@ -31,13 +28,14 @@ from qperm.idempotent import (
     collapse_stability_probe,
     condition,
     dual_subgroup_idempotent,
+    face_idempotent,
     generated_idempotent,
     idempotent_census,
     is_group_like,
     is_idempotent,
     quasi_subgroup_member,
 )
-from qperm.permutation import stabiliser_idempotent, stabiliser_projection
+from qperm.permutation import classical_version, stabiliser_idempotent, stabiliser_projection
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +109,7 @@ def test_generated_idempotent_single_haar(kp):
 def test_generated_strictly_above_classical_part(kp):
     # classical Haar idempotent plus a truly quantum state generate an
     # idempotent absorbing strictly more than the classical one
-    pi = abelianization(kp)
-    h_cl = haar_idempotent(pi)
+    h_cl = face_idempotent(kp, classical_version(kp).p_C)
     e11 = State(kp.algebra, np.eye(8)[4])
     res = generated_idempotent(kp, [h_cl, e11])
     assert res.converged
@@ -137,7 +134,7 @@ def test_generated_idempotent_ignores_input_order(case, request, member_bank):
         states = [G.haar]
     elif case == "classical-and-e11":
         G = request.getfixturevalue("kp")
-        states = [haar_idempotent(abelianization(G)), State(G.algebra, np.eye(8)[4])]
+        states = [face_idempotent(G, classical_version(G).p_C), State(G.algebra, np.eye(8)[4])]
     else:
         G = request.getfixturevalue("kp" if case == "kp-bank" else "ds4")
         r = stabiliser_projection(G, [[0], list(range(1, G.N))])
@@ -180,6 +177,22 @@ def test_face_absorption_residual_reads_each_side():
                 assert abs(residual - max(left, right)) < 1e-12
                 sides.add((left < 1e-12, right < 1e-12))
     assert {(True, False), (False, True)} <= sides
+
+
+@pytest.mark.parametrize("name, i, j", [("s3", 0, 1), ("kp", 0, 2)])
+def test_face_idempotent_rejects_a_face_not_closed_under_convolution(name, i, j):
+    # an off-diagonal magic entry u_ij: convolving two states on it puts
+    # mass off it, so its face holds no idempotent that the theorem gives
+    from qperm.cli import BUILTIN_GROUPS
+
+    G = BUILTIN_GROUPS[name]()
+    with pytest.raises(AlgebraError, match="not closed under convolution"):
+        face_idempotent(G, G.magic_projection(i, j))
+
+
+def test_face_idempotent_rejects_the_zero_projection(kp):
+    with pytest.raises(AlgebraError, match="zero mass"):
+        face_idempotent(kp, Projection(kp.algebra, np.zeros(kp.dim)))
 
 
 def test_counit_absorbs_only_itself(kp, cs4):
@@ -323,15 +336,17 @@ def test_collapse_probe_haar_clean(kp, ds4):
         assert report.stable
 
 
-def test_collapse_probe_classical_quotient_clean():
+def test_collapse_probe_classical_quotient_clean(morphisms):
     cs3 = classical_group(permgroups.symmetric_group(3))
-    # quotient C(S_3) -> C(S_2): restriction of functions to the subgroup {e, (12)}
+    # quotient C(S_3) -> C(S_2): restriction of functions to the subgroup
+    # {e, (12)}; the face of its indicator has the pulled-back Haar state
     s2 = classical_group(permgroups.symmetric_group(2))
     M = np.zeros((2, 6))
     M[0, cs3.group_elements.index(permgroups.identity_perm(3))] = 1.0
     M[1, cs3.group_elements.index(permgroups.from_cycles(3, (0, 1)))] = 1.0
-    pi = QuantumGroupMorphism(cs3, s2, M)
-    psi = haar_idempotent(pi)
+    pi = morphisms.QuantumGroupMorphism(cs3, s2, M)
+    psi = face_idempotent(cs3, Projection(cs3.algebra, M.sum(axis=0)))
+    assert psi.distance(morphisms.haar_idempotent(pi)) < 1e-12
     report = collapse_stability_probe(cs3, psi)
     assert report.stable
 

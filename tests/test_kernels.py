@@ -11,9 +11,12 @@ compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
 of the L_p, is compared with the limit of alternating products.  The
 classical version, which the library reads off the centre, is compared with
 the commutator-ideal route with meets of magic entries as supports, also in
-a complex basis.  The
-stabiliser idempotent, which the library certifies by a face-absorption
-identity, is checked to absorb sampled members of its face.  The state
+a complex basis.  The face idempotent, the library's one route to the Haar
+state, the stabiliser and dual-subgroup idempotents and the idempotent of
+p_C, is compared with the routes it replaced: the invariance SVD, the
+Haar-seeded Cesaro limit, the hand-built indicator and the pulled-back Haar
+state of the abelianization; it is checked to absorb sampled members of its
+face, and to agree with itself in a complex basis.  The state
 bank, which the library builds in blocks, is compared with the bank built
 one sample at a time, and the bounds sampler, which the library works as
 stacks of pairs, is compared with the sampler one pair at a time.  The
@@ -31,6 +34,7 @@ from qperm import permgroups
 from qperm.algebra import (
     AlgebraError,
     LinearFunctional,
+    Projection,
     StarAlgebra,
     State,
     _positive_rows,
@@ -40,12 +44,20 @@ from qperm.algebra import (
     support_projection,
 )
 from qperm.cli import BUILTIN_GROUPS
-from qperm.cqg import CompactQuantumGroup, birkhoff_matrix, characters, dual_group
+from qperm.cqg import (
+    CompactQuantumGroup,
+    birkhoff_matrix,
+    characters,
+    dual_group,
+    solve_haar,
+)
 from qperm.dynamics import verify_bounds_empirically
 from qperm.idempotent import (
     _group_like_residual,
     _sandwich_matrix,
     condition,
+    dual_subgroup_idempotent,
+    face_idempotent,
     is_group_like,
     left_convolution_operator,
     quasi_subgroup_member,
@@ -235,25 +247,56 @@ def test_meet_matches_alternating_products(G):
         assert_matches(r.coeffs, coeffs)
 
 
-def test_stabiliser_idempotent_absorbs_sampled_members(G, member_bank):
-    # the removed route: psi must absorb the counit and 24 sampled states on
-    # the face of r, on both sides; every set partition on kp and dual-S4,
-    # the single-point partitions {j} | rest, where r = u_jj, everywhere
+def stabiliser_cases(G):
+    """(partition, r): every set partition on kp and dual-S4, the
+    single-point partitions {j} | rest, where r = u_jj, everywhere."""
     labels = list(range(G.N))
     if G.name in ("kac-paljutkin", "dual-S4"):
-        cases = [(part, stabiliser_projection(G, part))
-                 for part in set_partitions(labels)]
-    else:
-        cases = [([[j], [k for k in labels if k != j]], G.magic_projection(j, j))
-                 for j in labels]
-    tol = 10 * G.algebra.iter_tol
-    for part, r in cases:
-        part = [b for b in part if b]
+        return [(part, stabiliser_projection(G, part)) for part in set_partitions(labels)]
+    return [([b for b in ([j], [k for k in labels if k != j]) if b], G.magic_projection(j, j))
+            for j in labels]
+
+
+def test_stabiliser_idempotent_absorbs_sampled_members(G, member_bank):
+    # psi must absorb the counit and 24 sampled states on the face of r, on
+    # both sides, within 1e-12 (the face route's certificate allows 10 iter_tol)
+    for part, r in stabiliser_cases(G):
         psi = stabiliser_idempotent(G, part)
         members = member_bank(G, r, 24, 0)
         assert len(members) == 25, part
         for phi in members:
-            assert quasi_subgroup_member(G, psi, phi, tol), part
+            assert quasi_subgroup_member(G, psi, phi, 1e-12), part
+
+
+def test_haar_face_matches_invariance_oracle(G, haar_oracle):
+    # r = 1 against the removed route: the invariance system's SVD and lstsq
+    ref = haar_oracle(G.algebra, G.delta).duals
+    assert np.abs(solve_haar(G).duals - ref).max() <= 1e-12
+    assert np.abs(G.haar.duals - ref).max() <= 1e-12
+
+
+def test_stabiliser_face_matches_haar_seeded_oracle(G, stabiliser_oracle):
+    # against the removed route: the Cesaro limit of the Haar state, not the
+    # trace, conditioned on the stabiliser projection
+    for part, _ in stabiliser_cases(G):
+        ref = stabiliser_oracle(G, part).duals
+        assert np.abs(stabiliser_idempotent(G, part).duals - ref).max() <= 1e-12, part
+
+
+@pytest.mark.parametrize("name", sorted(n for n in BUILTIN_GROUPS if n.startswith("dual-")))
+def test_dual_subgroup_faces_match_indicator_oracle(name, dual_indicator_oracle):
+    # every subgroup face of every dual builtin against the written-down indicator
+    G = BUILTIN_GROUPS[name]()
+    for sub in G.group.subgroups():
+        ref = dual_indicator_oracle(G, sub).duals
+        assert np.abs(dual_subgroup_idempotent(G, sub).duals - ref).max() <= 1e-12, sorted(sub)
+
+
+def test_p_c_face_matches_quotient_oracle(G, morphisms):
+    # against the removed route: the Haar state of the classical version,
+    # pulled back through the abelianization
+    ref = morphisms.haar_idempotent(morphisms.abelianization(G)).duals
+    assert np.abs(face_idempotent(G, classical_version(G).p_C).duals - ref).max() <= 1e-12
 
 
 def assert_centre_matches(alg, a):
@@ -480,6 +523,31 @@ def test_stabiliser_idempotent_in_a_complex_basis(name):
     assert np.abs(S - S.T).max() > 0.1
     psi = stabiliser_idempotent(H, part)
     assert np.abs(psi.duals - B @ stabiliser_idempotent(G, part).duals).max() < 1e-8
+
+
+@pytest.mark.parametrize("name, face", [("s3", "unit"), ("dual-s3", "unit"), ("kp", "unit"),
+                                        ("kp", "stabiliser"), ("dual-s3", "subgroup")])
+def test_face_idempotent_in_a_complex_basis(name, face):
+    # the certificates are basis-free: in a complex, non-orthogonal basis the
+    # face of r B^-1 has the idempotent B psi, psi that of r in the original
+    # basis; away from r = 1 the sandwich S_r is not symmetric there
+    G = BUILTIN_GROUPS[name]()
+    rng = np.random.default_rng(7)
+    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
+                               + 1j * rng.standard_normal((G.dim,) * 2))
+    H = in_basis(G, B)
+    if face == "unit":
+        r = G.algebra.unit
+    elif face == "stabiliser":
+        r = stabiliser_projection(G, [[0, 1], [2, 3]]).coeffs
+    else:  # the subgroup {e, t} of a transposition t, averaged
+        r = 0.5 * (np.eye(G.dim)[0] + np.eye(G.dim)[G.generator_indices[0]])
+    rH = Projection(H.algebra, r @ np.linalg.inv(B))
+    if face != "unit":
+        S = _sandwich_matrix(H, rH.coeffs)
+        assert np.abs(S - S.T).max() > 0.1
+    psi = face_idempotent(H, rH)
+    assert np.abs(psi.duals - B @ face_idempotent(G, Projection(G.algebra, r)).duals).max() < 1e-8
 
 
 @pytest.mark.parametrize("name", ["s3", "dual-s3", "kp", "dual-s4"])

@@ -8,18 +8,17 @@ from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection, State, gram_norm, support_projection
 from qperm.cqg import (
     CompactQuantumGroup,
-    abelianization,
     classical_group,
     dual_dihedral,
     dual_symmetric_group,
-    haar_idempotent,
     kac_paljutkin,
     point_state,
 )
 from qperm.dynamics import verify_bounds_empirically
-from qperm.idempotent import condition, is_group_like, quasi_subgroup_member
+from qperm.idempotent import condition, face_idempotent, is_group_like, quasi_subgroup_member
 from qperm.permutation import (
     birkhoff_slice,
+    canonical_partition,
     classical_version,
     decompose,
     fix_spectrum,
@@ -160,10 +159,10 @@ def test_character_supports_orthogonal_central(kp_cv, kp):
                 assert gram_norm(prod) < 1e-9
 
 
-def test_p_c_group_like_and_matches_abelianization_support(kp, kp_cv):
+def test_p_c_group_like_and_matches_abelianization_support(kp, kp_cv, morphisms):
     assert is_group_like(kp, kp_cv.p_C)
-    pi = abelianization(kp)
-    h_cl = haar_idempotent(pi)
+    h_cl = morphisms.haar_idempotent(morphisms.abelianization(kp))
+    assert h_cl.distance(face_idempotent(kp, kp_cv.p_C)) < 1e-12
     p = support_projection(h_cl)
     assert gram_norm(p - kp_cv.p_C) < 1e-9
 
@@ -213,8 +212,7 @@ def test_decompose_rejects_a_non_central_split(kp, kp_cv):
 
 
 def test_classical_absorption_forces_random(kp, kp_cv):
-    pi = abelianization(kp)
-    psi_cl = haar_idempotent(pi)
+    psi_cl = face_idempotent(kp, kp_cv.p_C)
     for phi in kp.sample_states(30, seed=43):
         if quasi_subgroup_member(kp, psi_cl, phi):
             assert quantum_fraction(phi, kp_cv) <= 1e-7
@@ -238,6 +236,14 @@ def test_stabiliser_single_point_is_conditioned_haar(kp):
         hj = condition(kp, kp.haar, kp.magic_projection(j, j))
         assert psi.distance(hj) < 1e-8
         assert stabiliser_membership(kp, psi, blocks)
+
+
+def test_canonical_partition_rejects_an_empty_block():
+    # [[0], []] was the stabiliser experiment's default partition at N = 1
+    assert canonical_partition([[0]], 1) == [[0]]
+    for partition in ([[0], []], [[], [1, 0]]):
+        with pytest.raises(AlgebraError, match="partition"):
+            canonical_partition(partition, 2 if partition[1] else 1)
 
 
 def test_stabiliser_membership_pattern(kp):

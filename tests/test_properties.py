@@ -1,0 +1,72 @@
+"""Property tests on generated groups: the face idempotent of every subgroup.
+
+Groups are generated by one or two random permutations of at most four
+points, as functions on the group and as its dual.  On C(G) the face of the
+indicator of a subgroup H is the set of measures on H, and its idempotent
+is the uniform measure on H; on C*(G) the face of |H|^-1 sum_h lambda_h is
+the set of states equal to 1 on H, and its idempotent is the indicator of
+H.  On C(G) the face of a subset that is not a subgroup is not closed
+under convolution.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qperm import permgroups
+from qperm.algebra import AlgebraError, Projection
+from qperm.cqg import classical_group, dual_group, uniform_state
+from qperm.idempotent import face_idempotent
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def generators(draw):
+    """One or two permutations of n <= 4 points."""
+    n = draw(st.integers(1, 4))
+    return [tuple(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(1, 2)))]
+
+
+def indicator(G, subset):
+    """Coefficients of sum_{s in subset} e_s."""
+    r = np.zeros(G.dim)
+    r[sorted(subset)] = 1.0
+    return r
+
+
+@PROPERTY
+@given(generators())
+def test_subgroup_faces_of_a_generated_classical_group(gens):
+    G = classical_group(permgroups.closure(gens))
+    for sub in G.group.subgroups():
+        psi = face_idempotent(G, Projection(G.algebra, indicator(G, sub)))
+        expect = uniform_state(G, [G.group_elements[i] for i in sub])
+        assert psi.distance(expect) < 1e-12, sorted(sub)
+
+
+@PROPERTY
+@given(generators())
+def test_subgroup_faces_of_a_generated_dual_group(gens):
+    group = permgroups.FiniteGroup.from_permutations(permgroups.closure(gens))
+    index = [group.perms.index(g) for g in gens]
+    G = dual_group(group, [(i, group.element_order(i)) for i in index])
+    for sub in group.subgroups():
+        r = Projection(G.algebra, indicator(G, sub) / len(sub))
+        assert np.abs(face_idempotent(G, r).duals - indicator(G, sub)).max() < 1e-12, sorted(sub)
+
+
+@PROPERTY
+@given(generators(), st.data())
+def test_non_subgroup_faces_of_a_generated_classical_group_are_not_closed(gens, data):
+    # a non-empty subset S of a finite group with S S in S is a subgroup, so
+    # the face of any other subset puts mass off S under convolution
+    G = classical_group(permgroups.closure(gens))
+    subset = data.draw(st.sets(st.integers(0, G.dim - 1), min_size=1))
+    r = Projection(G.algebra, indicator(G, subset))
+    if G.group.is_subgroup(subset):
+        expect = uniform_state(G, [G.group_elements[i] for i in subset])
+        assert face_idempotent(G, r).distance(expect) < 1e-12
+    else:
+        with pytest.raises(AlgebraError, match="not closed under convolution"):
+            face_idempotent(G, r)
