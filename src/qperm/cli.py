@@ -19,14 +19,15 @@ name or definition-file path), parameters and optional explicit output paths:
      "parameters": {"n_samples": 500, "seed": 7}, "outputs": ["bounds.json"]}
 
 Exit codes: 0 success, 1 assertion failure, 2 input error.  A group file
-that does not follow the schema above is an input error, and so is an
-integer parameter out of range (n_samples >= 1, n_seeds >= 0, n >= 2,
+off the schema above or listing over 120 elements is an input error, and so
+is an integer parameter out of range (n_samples >= 1, n_seeds >= 0, n >= 2,
 seed >= 0, k_max >= 1) or not an integer, an ``m_values`` that is not a
-non-empty list of integers >= 2, a ``partition`` that is not a list of
-non-empty lists of integers partitioning 0..N-1 for the group's N, a
-``group`` that is not a string, ``outputs`` that are not a list of
-strings and an ``s4hat-walkthrough`` on any group but the ``dual-s4``
-builtin; all are found before anything is written.
+non-empty list of integers in 2..60 (dual dihedral up to dim 120), a
+``partition`` that is not a list of non-empty lists of integers
+partitioning 0..N-1 for the group's N, a ``group`` that is not a string,
+``outputs`` that are not a list of strings and an ``s4hat-walkthrough`` on
+any group but the ``dual-s4`` builtin; all are found before anything is
+written.
 """
 from __future__ import annotations
 
@@ -52,6 +53,8 @@ from .cqg import (
 )
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
+
+MAX_DIM = 120  # largest group file or dihedral sweep: (d, d, d) arrays grow as d^3
 
 
 def _fmt(x) -> str:
@@ -138,17 +141,18 @@ def _check_group_schema(data) -> None:
     kind = data.get("kind")
     if kind == "classical":
         perms = data.get("permutations")
-        if not isinstance(perms, list) or not perms or not isinstance(perms[0], list):
-            raise ValueError("'permutations' must be a non-empty list of lists")
+        if not (isinstance(perms, list) and 0 < len(perms) <= MAX_DIM
+                and isinstance(perms[0], list)):
+            raise ValueError(f"'permutations' must be a list of 1 to {MAX_DIM} lists")
         n = len(perms[0])
         if n == 0 or not all(_int_list(p, n) and len(set(p)) == n for p in perms):
             raise ValueError(f"every permutation must list the images of 0..{n - 1}")
     elif kind == "dual":
         table = data.get("group_table")
         n = len(table) if isinstance(table, list) else 0
-        if n == 0 or not all(_int_list(row, n) for row in table):
+        if not 0 < n <= MAX_DIM or not all(_int_list(row, n) for row in table):
             raise ValueError("'group_table' must be a non-empty square table of "
-                             "element indices")
+                             f"element indices, of at most {MAX_DIM} elements")
         labels = data.get("labels")
         if labels and not (isinstance(labels, list) and len(labels) == n
                            and all(isinstance(l, str) for l in labels)):
@@ -406,9 +410,9 @@ def _check_parameters(params) -> None:
                              f"got {params[key]!r}")
     ms = params.get("m_values")
     if "m_values" in params and not (isinstance(ms, list) and ms and all(
-            _is_int(m) and m >= 2 for m in ms)):
+            _is_int(m) and 2 <= m <= MAX_DIM // 2 for m in ms)):
         raise ValueError("parameter 'm_values' must be a non-empty list of "
-                         f"integers >= 2, got {ms!r}")
+                         f"integers in 2..{MAX_DIM // 2}, got {ms!r}")
 
 
 def _check_partition(partition, N: int) -> None:

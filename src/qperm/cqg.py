@@ -351,9 +351,10 @@ def classical_group(perms: list[tuple], name: str | None = None,
     The magic unitary is u_ij = 1_{j -> i}; comultiplication dualizes the
     group law, so convolution of point masses is composition.
     """
-    if not permgroups.is_closed(perms):
-        raise AlgebraError("permutations are not closed under composition")
-    group = permgroups.FiniteGroup.from_permutations(perms)
+    try:
+        group = permgroups.FiniteGroup.from_permutations(perms)
+    except ValueError as exc:  # not closed under composition
+        raise AlgebraError(str(exc)) from exc
     order = group.perms
     n = len(order)
     deg = len(order[0])

@@ -11,6 +11,7 @@ import numpy as np
 
 from .algebra import AlgebraError, State
 from .cqg import CompactQuantumGroup
+from .idempotent import left_convolution_operator
 from .permutation import ClassicalVersion, _decomposed_rows, _quantum_fractions, quantum_fraction
 
 SQRT2 = math.sqrt(2.0)
@@ -186,16 +187,25 @@ class Trajectory:
         return len(self.states)
 
 
+def _powers(G: CompactQuantumGroup, phi: State, k: int) -> np.ndarray:
+    """(k+1, d) stack of the rows T^j phi = phi^{*(j+1)}, T the left convolution
+    operator of phi: each pass applies T^m to the m rows so far and squares T."""
+    T = left_convolution_operator(G, phi)
+    P = phi.duals[np.newaxis]
+    while len(P) <= k:
+        P = np.vstack([P, P @ T.T])
+        T = T @ T
+    return P[:k + 1]
+
+
 def trajectory(G: CompactQuantumGroup, seed: State, k_max: int,
                cv: ClassicalVersion | None = None) -> Trajectory:
-    states, alphas, dists = [], [], []
-    cur = seed
-    for _ in range(k_max + 1):
-        states.append(cur)
-        alphas.append(quantum_fraction(cur, cv) if cv is not None else float("nan"))
-        dists.append(cur.distance(G.haar))
-        cur = G.convolve(cur, seed, check=False)
-    return Trajectory(states, alphas, dists)
+    """The :class:`Trajectory` of the seed (alphas NaN without cv), off one power stack."""
+    P = _powers(G, seed, k_max)
+    alphas = (_quantum_fractions(P, cv).tolist() if cv is not None
+              else [float("nan")] * len(P))
+    dists = np.abs(P - G.haar.duals).max(axis=1).tolist()
+    return Trajectory([State(G.algebra, row, check=False) for row in P], alphas, dists)
 
 
 def detect_period(G: CompactQuantumGroup, seed: State):
@@ -204,10 +214,10 @@ def detect_period(G: CompactQuantumGroup, seed: State):
 
     Returns None when no period at most 64 is certified.
     """
-    traj = trajectory(G, seed, 64).states
+    P = _powers(G, seed, 64)
     for d in range(1, 65):
-        window = min(3 * d, len(traj) - d)
-        if all(traj[k + d].distance(traj[k]) < 1e-8 for k in range(window)):
+        w = min(3 * d, len(P) - d)
+        if np.abs(P[d:d + w] - P[:w]).max() < 1e-8:
             return d
     return None
 

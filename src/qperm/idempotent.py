@@ -6,7 +6,8 @@ of the Cesaro means (phi + phi*2 + ... + phi*n)/n is that operator's
 eigenvalue-1 spectral projector applied to the seed.  Computing the limit
 spectrally reaches machine precision where stepwise means stall at O(1/n);
 a doubling recursion on the means, M_2n = (M_n + T^n M_n)/2, still supplies
-an honest iteration count.
+an honest iteration count.  Every limit goes through the checked
+:func:`cesaro_idempotent`; the idempotent generated by states is their mean's.
 
 Absorption by an idempotent psi is linear too: the stacked (2d, d) matrix
 A = [L_psi - psi u^T; R_psi - psi u^T] sends a unital phi to
@@ -27,7 +28,6 @@ from .algebra import (
     LinearFunctional,
     Projection,
     State,
-    _require_states,
     gram_norm,
     support_projection,
 )
@@ -95,17 +95,10 @@ def cesaro_idempotent(G: CompactQuantumGroup, seed: State) -> CesaroResult:
     has converged if it is idempotent within iter_tol and seed-invariant
     within 10 * iter_tol.  It is checked as a state.
     """
-    result = _cesaro_limit(G, seed)
-    _require_states(G.algebra, result.limit.duals[np.newaxis])
-    return result
-
-
-def _cesaro_limit(G: CompactQuantumGroup, seed: State) -> CesaroResult:
-    """:func:`cesaro_idempotent` with the limit left unchecked."""
     tol = G.algebra.iter_tol
     T = left_convolution_operator(G, seed)
     lim_duals = _cesaro_projector(T) @ seed.duals
-    limit = State(G.algebra, lim_duals, check=False)
+    limit = State(G.algebra, lim_duals)
     M = np.eye(G.dim, dtype=complex)
     P = T.copy()
     iterations = 1
@@ -150,39 +143,22 @@ def _absorption_operator(G: CompactQuantumGroup, psi: State) -> np.ndarray:
 
 
 def generated_idempotent(G: CompactQuantumGroup, states: list[State]) -> CesaroResult:
-    """Idempotent absorbing every input state.
+    """Smallest idempotent absorbing every input: the Cesaro limit psi of their mean.
 
-    Each input is first averaged to its own invariant idempotent; the
-    convolution of those, in the given order, is averaged again, and the
-    construction is repeated, at most 8 times, against any input that is not
-    yet absorbed within 10 * iter_tol.  The result has converged only if it
-    absorbs every input.
-    """
+    psi * phi = phi o E, E = (psi (x) id) Delta a conditional expectation onto a
+    left coideal B, and psi = counit o E is a character, so a pure state, of B:
+    psi * mean = psi makes every input equal the counit on B, so psi absorbs it
+    (on the right by (id (x) psi) Delta).  Converged also needs max|A Phi^T| <=
+    10 * iter_tol, A the absorption operator of psi, Phi the stacked inputs."""
     if not states:
         raise AlgebraError("need at least one state")
-    tol = G.algebra.iter_tol
-    parts = [cesaro_idempotent(G, phi) for phi in states]
-    psi = parts[0].limit
-    for r in parts[1:]:
-        psi = G.convolve(psi, r.limit, check=False)
-    iters = sum(r.iterations for r in parts)
-    out = cesaro_idempotent(G, State(G.algebra, psi.duals, check=False))
-    for _ in range(8):
-        missing = [phi for phi in states
-                   if not quasi_subgroup_member(G, out.limit, phi, 10 * tol)]
-        if not missing:
-            break
-        mixed = out.limit
-        for phi in missing:
-            mixed = G.convolve(G.convolve(mixed, phi, check=False), out.limit,
-                               check=False)
-        out = cesaro_idempotent(G, State(G.algebra, mixed.duals, check=False))
-    residual = max(out.residual,
-                   max(out.limit.distance(G.convolve(out.limit, phi, check=False))
-                       for phi in states))
-    converged = out.converged and all(
-        quasi_subgroup_member(G, out.limit, phi, 10 * tol) for phi in states)
-    return CesaroResult(out.limit, iters + out.iterations, residual, converged)
+    if any(phi.algebra is not G.algebra for phi in states):
+        raise AlgebraError("functionals live on a different algebra")
+    Phi = np.array([phi.duals for phi in states])
+    out = cesaro_idempotent(G, State(G.algebra, Phi.mean(axis=0), check=False))
+    absorption = float(np.abs(_absorption_operator(G, out.limit) @ Phi.T).max())
+    converged = out.converged and absorption <= 10 * G.algebra.iter_tol
+    return CesaroResult(out.limit, out.iterations, max(out.residual, absorption), converged)
 
 
 def is_group_like(G: CompactQuantumGroup, p: Projection) -> bool:
@@ -264,8 +240,7 @@ def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
     if not closure <= alg.tol:
         raise AlgebraError(f"face is not closed under convolution (residual {closure:.3e})")
     seed = _conditioned_rows(G, alg.trace[np.newaxis], r)[0]
-    psi = _cesaro_limit(G, State(alg, seed, check=False)).limit
-    _require_states(alg, psi.duals[np.newaxis])
+    psi = cesaro_idempotent(G, State(alg, seed, check=False)).limit
     if not abs(psi(r) - 1) <= alg.tol:
         raise AlgebraError("face idempotent left its face")
     if not _face_absorption_residual(G, psi, r) <= 10 * alg.iter_tol:

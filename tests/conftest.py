@@ -22,7 +22,7 @@ from qperm.idempotent import (
     is_idempotent,
     quasi_subgroup_member,
 )
-from qperm.permutation import is_character, stabiliser_projection
+from qperm.permutation import is_character, quantum_fraction, stabiliser_projection
 
 
 def _member_bank(G, r, n, seed):
@@ -418,3 +418,68 @@ def morphisms():
     return types.SimpleNamespace(QuantumGroupMorphism=QuantumGroupMorphism,
                                  haar_idempotent=haar_idempotent,
                                  abelianization=abelianization)
+
+
+# -- the stepwise convolution routes that the operator routes replaced ---------------
+
+
+def _generated_by_rounds(G, states):
+    """The generated idempotent by rounds: each input's own Cesaro limit,
+    their convolution in the given order averaged again, then up to 8 rounds
+    that convolve every input not yet absorbed within 10 iter_tol between
+    copies of the current limit and average once more."""
+    tol = G.algebra.iter_tol
+    parts = [cesaro_idempotent(G, phi).limit for phi in states]
+    psi = parts[0]
+    for r in parts[1:]:
+        psi = G.convolve(psi, r, check=False)
+    out = cesaro_idempotent(G, psi).limit
+    for _ in range(8):
+        missing = [phi for phi in states
+                   if not quasi_subgroup_member(G, out, phi, 10 * tol)]
+        if not missing:
+            break
+        mixed = out
+        for phi in missing:
+            mixed = G.convolve(G.convolve(mixed, phi, check=False), out, check=False)
+        out = cesaro_idempotent(G, mixed).limit
+    assert all(quasi_subgroup_member(G, out, phi, 10 * tol) for phi in states)
+    return out
+
+
+@pytest.fixture
+def generated_oracle():
+    """``generated_oracle(G, states)``: the generated idempotent by rounds of
+    per-input limits, convolutions and membership tests."""
+    return _generated_by_rounds
+
+
+def _trajectory_by_steps(G, seed, k_max, cv=None):
+    """(powers, alphas, distances to Haar) with one convolution, one quantum
+    fraction and one distance per step."""
+    states, alphas, dists = [], [], []
+    cur = seed
+    for _ in range(k_max + 1):
+        states.append(cur)
+        alphas.append(quantum_fraction(cur, cv) if cv is not None else float("nan"))
+        dists.append(cur.distance(G.haar))
+        cur = G.convolve(cur, seed, check=False)
+    return states, alphas, dists
+
+
+def _period_by_steps(G, seed):
+    """The period check on the per-step powers, one pair of states at a time."""
+    traj = _trajectory_by_steps(G, seed, 64)[0]
+    for d in range(1, 65):
+        window = min(3 * d, len(traj) - d)
+        if all(traj[k + d].distance(traj[k]) < 1e-8 for k in range(window)):
+            return d
+    return None
+
+
+@pytest.fixture
+def dynamics_oracle():
+    """The per-step routes: ``trajectory(G, seed, k_max, cv)`` as lists and
+    ``detect_period(G, seed)``."""
+    return types.SimpleNamespace(trajectory=_trajectory_by_steps,
+                                 detect_period=_period_by_steps)

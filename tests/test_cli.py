@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, artifacts, determinism."""
+import itertools
 import json
 
 import pytest
 
 from qperm.cli import BUILTIN_GROUPS, load_group, main
+from qperm.permgroups import FiniteGroup
 
 
 def run(args):
@@ -42,8 +44,14 @@ def test_validate_corrupted_table(tmp_path, capsys):
      "generators": [{"element": 2, "order": 2}]},
     {"kind": "kac_paljutkin", "tolerance": float("inf")},
     {"kind": "kac_paljutkin", "tolerance": 1.0},
+    {"kind": "dual", "group_table": FiniteGroup.dihedral(61).table,
+     "generators": [{"element": g, "order": 2}
+                    for g in FiniteGroup.dihedral(61).dihedral_reflections()]},
+    {"kind": "classical",
+     "permutations": [list(p) for p in itertools.islice(itertools.permutations(range(6)), 121)]},
 ], ids=["empty-permutations", "top-level-list", "generator-out-of-range",
-        "infinite-tolerance", "unit-tolerance"])
+        "infinite-tolerance", "unit-tolerance", "dihedral-61-past-dim-120",
+        "classical-121-elements"])
 def test_validate_malformed_file_is_input_error(tmp_path, capsys, definition):
     p = tmp_path / "malformed.json"
     p.write_text(json.dumps(definition))
@@ -118,10 +126,11 @@ def test_run_malformed_integer_parameter_is_input_error(tmp_path, capsys, name, 
     ("dihedral-sweep", "dual-d3", {"m_values": "abc"}),
     ("dihedral-sweep", "dual-d3", {"m_values": [0]}),
     ("dihedral-sweep", "dual-d3", {"m_values": [3.5]}),
+    ("dihedral-sweep", "dual-d3", {"m_values": [61]}),
     ("stabiliser", "kp", {"partition": [0, 1]}),
     ("stabiliser", "kp", {"partition": [[0], [1, "a"]]}),
     ("stabiliser", "kp", {"partition": [[0], [1]]}),
-], ids=["m-one", "m-bool", "m-scalar", "m-string", "m-zero", "m-float",
+], ids=["m-one", "m-bool", "m-scalar", "m-string", "m-zero", "m-float", "m-past-dim-120",
         "flat-partition", "non-integer-block", "partial-partition"])
 def test_run_malformed_list_parameter_is_input_error(tmp_path, capsys, name, group,
                                                      params):

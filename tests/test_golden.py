@@ -67,7 +67,7 @@ DEFAULTED_PARAMETERS = {
     ("cqg.kac_paljutkin", "tol"): "the group file's tolerance",
     ("cqg.kac_paljutkin", "check"): "check flag",
     ("idempotent.IdempotentClass", "witnesses"): "record field",
-    ("idempotent.is_idempotent", "tol"): "src uses iter_tol and 10 iter_tol",
+    ("idempotent.is_idempotent", "tol"): "quasi_subgroup_member and classify_idempotent pass one",
     ("idempotent.quasi_subgroup_member", "tol"): "the tests rely on the default",
     ("idempotent.collapse_stability_probe", "n_samples"): "perfbench passes and reads it",
     ("idempotent.collapse_stability_probe", "seed"): "perfbench passes it",

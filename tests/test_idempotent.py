@@ -120,6 +120,13 @@ def test_generated_strictly_above_classical_part(kp):
     assert res.limit.distance(h_cl) > 0.1
 
 
+def test_generated_idempotent_rejects_no_input_and_another_algebra(kp):
+    with pytest.raises(AlgebraError, match="at least one state"):
+        generated_idempotent(kp, [])
+    with pytest.raises(AlgebraError, match="different algebra"):
+        generated_idempotent(kp, [kp.haar, kac_paljutkin().haar])
+
+
 @pytest.mark.parametrize("case", ["two-transpositions", "single-haar",
                                   "classical-and-e11", "kp-bank", "dual-s4-bank"])
 def test_generated_idempotent_ignores_input_order(case, request, member_bank):

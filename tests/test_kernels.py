@@ -21,7 +21,11 @@ bank, which the library builds in blocks, is compared with the bank built
 one sample at a time, and the bounds sampler, which the library works as
 stacks of pairs, is compared with the sampler one pair at a time.  The
 stacked Cholesky positivity check is compared with the smallest eigenvalue
-of each row's sesquilinear matrix.
+of each row's sesquilinear matrix.  The generated idempotent, which the
+library takes as the one Cesaro limit of the inputs' mean, is compared with
+the rounds of per-input limits, convolutions and membership tests it
+replaced, and the stacked convolution powers behind ``trajectory`` and
+``detect_period`` with one convolution per step.
 """
 import dataclasses
 import json
@@ -50,14 +54,16 @@ from qperm.cqg import (
     characters,
     dual_group,
     solve_haar,
+    uniform_state,
 )
-from qperm.dynamics import verify_bounds_empirically
+from qperm.dynamics import detect_period, trajectory, verify_bounds_empirically
 from qperm.idempotent import (
     _group_like_residual,
     _sandwich_matrix,
     condition,
     dual_subgroup_idempotent,
     face_idempotent,
+    generated_idempotent,
     is_group_like,
     left_convolution_operator,
     quasi_subgroup_member,
@@ -297,6 +303,51 @@ def test_p_c_face_matches_quotient_oracle(G, morphisms):
     # pulled back through the abelianization
     ref = morphisms.haar_idempotent(morphisms.abelianization(G)).duals
     assert np.abs(face_idempotent(G, classical_version(G).p_C).duals - ref).max() <= 1e-12
+
+
+def state_pool(G):
+    """The counit, the basis functionals that are states (at most three), the
+    idempotents of the cyclic subgroups of the first two non-identity
+    elements on classical and dual groups, and a bank state."""
+    basis = []
+    for row in np.eye(G.dim):
+        try:
+            basis.append(State(G.algebra, row))
+        except AlgebraError:
+            continue
+    cyclic = []
+    for i in range(1, min(G.dim, 3)):
+        if G.kind == "classical":
+            sub = G.group.generated_by([i])
+            cyclic.append(uniform_state(G, [G.group_elements[k] for k in sub]))
+        elif G.kind == "dual":
+            cyclic.append(dual_subgroup_idempotent(G, G.group.generated_by([i])))
+    return [G.counit] + basis[:3] + cyclic + G.sample_states(1, seed=19)
+
+
+def test_generated_idempotent_matches_rounds_oracle(G, generated_oracle):
+    # the Cesaro limit of the mean against the removed route of per-input
+    # limits, convolutions and membership rounds: every pool state alone,
+    # every consecutive pair and the first three together
+    pool = state_pool(G)
+    cases = [[phi] for phi in pool] + [pool[k:k + 2] for k in range(len(pool) - 1)]
+    for states in cases + [pool[:3]]:
+        res = generated_idempotent(G, states)
+        assert res.converged and res.residual <= 1e-12
+        assert np.abs(res.limit.duals - generated_oracle(G, states).duals).max() <= 1e-12
+
+
+def test_power_stack_matches_per_step_oracle(G, dynamics_oracle):
+    # the stacked powers against one convolution per step: distances and
+    # fractions within 1e-12, the same periods
+    cv = classical_version(G)
+    for seed in state_pool(G):
+        traj = trajectory(G, seed, 64, cv)
+        states, alphas, dists = dynamics_oracle.trajectory(G, seed, 64, cv)
+        assert_matches([phi.duals for phi in traj.states], [phi.duals for phi in states])
+        assert np.abs(np.subtract(traj.alphas, alphas)).max() <= 1e-12
+        assert np.abs(np.subtract(traj.distances_to_haar, dists)).max() <= 1e-12
+        assert detect_period(G, seed) == dynamics_oracle.detect_period(G, seed)
 
 
 def assert_centre_matches(alg, a):

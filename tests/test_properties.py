@@ -7,6 +7,11 @@ is the uniform measure on H; on C*(G) the face of |H|^-1 sum_h lambda_h is
 the set of states equal to 1 on H, and its idempotent is the indicator of
 H.  On C(G) the face of a subset that is not a subgroup is not closed
 under convolution.
+
+The idempotent generated by point masses at a set X of elements of G is the
+uniform measure on the subgroup X generates (Kawada-Ito); on C*(G), where
+convolution is pointwise, the one generated by the indicators of H and K is
+the indicator of their intersection.
 """
 import numpy as np
 import pytest
@@ -15,8 +20,8 @@ from hypothesis import strategies as st
 
 from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection
-from qperm.cqg import classical_group, dual_group, uniform_state
-from qperm.idempotent import face_idempotent
+from qperm.cqg import classical_group, dual_group, point_state, uniform_state
+from qperm.idempotent import dual_subgroup_idempotent, face_idempotent, generated_idempotent
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -70,3 +75,25 @@ def test_non_subgroup_faces_of_a_generated_classical_group_are_not_closed(gens, 
     else:
         with pytest.raises(AlgebraError, match="not closed under convolution"):
             face_idempotent(G, r)
+
+
+@PROPERTY
+@given(generators(), st.data())
+def test_point_masses_generate_the_uniform_measure_on_their_subgroup(gens, data):
+    G = classical_group(permgroups.closure(gens))
+    X = data.draw(st.lists(st.integers(0, G.dim - 1), min_size=1, max_size=3))
+    res = generated_idempotent(G, [point_state(G, G.group_elements[i]) for i in X])
+    expect = uniform_state(G, [G.group_elements[i] for i in G.group.generated_by(X)])
+    assert res.converged and res.limit.distance(expect) < 1e-12, X
+
+
+@PROPERTY
+@given(generators(), st.data())
+def test_subgroup_indicators_generate_the_indicator_of_their_intersection(gens, data):
+    group = permgroups.FiniteGroup.from_permutations(permgroups.closure(gens))
+    index = [group.perms.index(g) for g in gens]
+    G = dual_group(group, [(i, group.element_order(i)) for i in index])
+    H, K = (data.draw(st.sampled_from(group.subgroups())) for _ in range(2))
+    res = generated_idempotent(G, [dual_subgroup_idempotent(G, H), dual_subgroup_idempotent(G, K)])
+    assert res.converged
+    assert np.abs(res.limit.duals - indicator(G, H & K)).max() < 1e-12, (sorted(H), sorted(K))
