@@ -54,12 +54,21 @@ def _coo(T: np.ndarray) -> _Coo:
 
 
 def _summed(shape: tuple, keys: np.ndarray, vals: np.ndarray) -> _Coo:
-    """Add up the values that share a key and drop exact zeros."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    acc = np.zeros(uniq.size, dtype=complex)
-    np.add.at(acc, inv, vals)
+    """Add up the values that share a key and drop exact zeros.
+
+    A stable sort keeps each key's values in input order, and ``bincount``
+    adds them one after another from zero, so every sum is the one
+    ``np.add.at`` forms; ``np.add.reduceat`` adds in another order.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.diff(keys, prepend=-1) != 0  # keys are flat positions, never -1
+    group = np.cumsum(first) - 1
+    acc = np.empty(int(first.sum()), dtype=complex)
+    acc.real = np.bincount(group, vals.real, acc.size)
+    acc.imag = np.bincount(group, vals.imag, acc.size)
     keep = acc != 0
-    return _Coo(shape, uniq[keep], acc[keep])
+    return _Coo(shape, keys[first][keep], acc[keep])
 
 
 def _contract(spec: str, a: _Coo, b: _Coo) -> _Coo:
@@ -221,6 +230,14 @@ class StarAlgebra:
         L = self._chol
         return np.linalg.solve(L.conj().T, M @ L.conj().T)
 
+    @cached_property
+    def _sesquilinear(self) -> np.ndarray:
+        """(d, d^2) matrix K with (phi @ K)[i d + j] = phi(e_i^* e_j):
+        involution and mult folded once."""
+        d = self.dim
+        K = (self.involution @ self.mult.reshape(d, d * d)).reshape(d * d, d)
+        return np.ascontiguousarray(K.T)
+
     # -- axioms ---------------------------------------------------------------
 
     @cached_property
@@ -248,10 +265,12 @@ class StarAlgebra:
         )
         iv = self.involution
         out["involution_squared"] = np.abs(np.conj(iv) @ iv - np.eye(self.dim)).max()
-        # (e_i e_j)* = e_j* e_i*; the product coefficients conjugate through star
-        lhs = np.einsum("ijm,mk->ijk", np.conj(c), iv, optimize=True)
-        rhs = np.einsum("ja,ib,abk->ijk", iv, iv, c, optimize=True)
-        out["involution_antihom"] = np.abs(lhs - rhs).max()
+        # (e_i e_j)* = e_j* e_i*; the product coefficients conjugate through star:
+        # sum_m conj(c[i, j, m]) iv[m, k] against sum_ab iv[j, a] iv[i, b] c[a, b, k]
+        d = self.dim
+        lhs = np.conj(c).reshape(d * d, d) @ iv
+        rhs = iv @ (iv @ c.reshape(d, d * d)).reshape(d, d, d)  # [j, i, k]
+        out["involution_antihom"] = np.abs(lhs.reshape(d, d, d) - rhs.transpose(1, 0, 2)).max()
         min_eig = float(np.linalg.eigvalsh(self.gram).min())
         out["gram_positive_definite"] = 0.0 if min_eig > self.tol else 2 * self.tol - min_eig
         tau_ab = np.einsum("ijk,k->ij", c, self.trace)
@@ -399,9 +418,15 @@ def is_positive_functional(phi: LinearFunctional) -> bool:
     return bool(_positive_rows(phi.algebra, phi.duals[np.newaxis], phi.algebra.tol)[0])
 
 
-# Stacks of duals are checked this many rows at a time, so the (rows, d, d)
-# sesquilinear temporaries stay small whatever the number of rows.
-_BLOCK = 32
+# Stacked kernels take _block_rows(d) rows at a time: up to 2^16 entries
+# (1 MB complex) per (rows, d, d) temporary, but never fewer than 32 rows,
+# which amortise each block's read of a (d, d^2) operator at large d.
+_BLOCK_ENTRIES = 2 ** 16
+_BLOCK_MIN_ROWS = 32
+
+
+def _block_rows(d: int) -> int:
+    return max(_BLOCK_MIN_ROWS, _BLOCK_ENTRIES // d ** 2)
 
 
 def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
@@ -410,12 +435,11 @@ def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
     H has a Cholesky factor after the shift H + tol I, that is, the smallest
     eigenvalue of H exceeds -tol up to rounding."""
     d = alg.dim
-    mult = alg.mult.reshape(d * d, d)
+    block = _block_rows(d)
     ok = np.zeros(D.shape[0], dtype=bool)
-    for start in range(0, D.shape[0], _BLOCK):
-        rows = D[start:start + _BLOCK]
-        # P[m] = involution @ (mult @ rows[m]), each (d, d) block contiguous
-        P = alg.involution @ (rows @ mult.T).reshape(-1, d, d)
+    for start in range(0, D.shape[0], block):
+        rows = D[start:start + block]
+        P = (rows @ alg._sesquilinear).reshape(-1, d, d)
         Ph = P.conj().transpose(0, 2, 1)
         hermitian = np.abs(P - Ph).max(axis=(1, 2)) <= tol
         P += Ph  # the Hermitian part, in place, so a block holds few (b, d, d) arrays
@@ -427,7 +451,7 @@ def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
         except np.linalg.LinAlgError:  # refactored row by row, to name the rows that fail
             factored = len(rows) > 1 and [_positive_rows(alg, row, tol)[0]
                                           for row in rows[:, np.newaxis]]
-        ok[start:start + _BLOCK] = hermitian & factored
+        ok[start:start + block] = hermitian & factored
     return ok
 
 

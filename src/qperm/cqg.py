@@ -26,7 +26,7 @@ from .algebra import (
     Projection,
     StarAlgebra,
     State,
-    _BLOCK,
+    _block_rows,
     _coo,
     _contract,
     _max_abs_difference,
@@ -151,14 +151,16 @@ class CompactQuantumGroup:
 
     def _convolve_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Row k is (A[k] (x) B[k]) o Delta: one product with Delta as a
-        (d, d^2) matrix per 32 rows, so no (n, d^2) array is formed."""
+        (d, d^2) matrix per block of rows (``algebra._block_rows``), so no
+        (n, d^2) array is formed."""
         d = self.dim
         delta = self.delta.reshape(d, d * d).T
+        block = _block_rows(d)
         out = np.empty((len(A), d), dtype=complex)
-        for start in range(0, len(A), _BLOCK):
-            a, b = A[start:start + _BLOCK], B[start:start + _BLOCK]
+        for start in range(0, len(A), block):
+            a, b = A[start:start + block], B[start:start + block]
             pairs = (a[:, :, np.newaxis] * b[:, np.newaxis]).reshape(-1, d * d)
-            out[start:start + _BLOCK] = pairs @ delta
+            out[start:start + block] = pairs @ delta
         return out
 
     def reverse(self, phi: LinearFunctional) -> State:
@@ -182,16 +184,18 @@ class CompactQuantumGroup:
         """The (n, d) checked duals of :meth:`sample_states`.
 
         Sample k is seeded by (seed, k) alone, so batches are reproducible
-        however they are chunked.  Samples are built 32 at a time: each draws
-        its m vectors in one normal draw, the block's vector states are formed
-        in one contraction and checked together, then mixed in the order their
-        vectors were drawn, and the mixes are checked together again.
+        however they are chunked.  Samples are built a block of rows at a time
+        (``algebra._block_rows``): each draws its m vectors in one normal draw,
+        the block's vector states are formed in one contraction and checked
+        together, then mixed in the order their vectors were drawn, and the
+        mixes are checked together again.
         """
         alg, d = self.algebra, self.dim
+        block = _block_rows(d)
         out = np.empty((n, d), dtype=complex)
-        for start in range(0, n, _BLOCK):
+        for start in range(0, n, block):
             weights, xs = [], []
-            for k in range(start, min(start + _BLOCK, n)):
+            for k in range(start, min(start + block, n)):
                 rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
                 m = int(rng.integers(1, 4))
                 e = rng.standard_exponential(m)  # dirichlet(ones(m)) bit for bit, less set-up
@@ -210,14 +214,14 @@ class CompactQuantumGroup:
                 w = np.array([weights[i][t] for i in rows])
                 mixes[rows] += w[:, np.newaxis] * vectors[first[rows] + t]
             _require_states(alg, mixes)
-            out[start:start + _BLOCK] = mixes
+            out[start:start + block] = mixes
         return out
 
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         alg, D, c = self.algebra, self.delta, self.algebra.mult
-        tol = alg.tol
+        tol, d = alg.tol, alg.dim
         checks = []
 
         def add(name, residual, tolerance=tol):
@@ -242,10 +246,12 @@ class CompactQuantumGroup:
         add("delta_multiplicative", _max_abs_difference(
             _contract("ijm,mkl->ijkl", cc, Dc), rhs))
 
-        lhs = np.einsum("ik,kab->iab", alg.involution, D, optimize=True)
-        rhs = np.einsum("iab,au,bv->iuv", np.conj(D), alg.involution,
-                        alg.involution, optimize=True)
-        add("delta_star_map", np.abs(lhs - rhs).max())
+        # Delta(e_i*) against (* (x) *) Delta(e_i):
+        # sum_k iv[i, k] D[k, a, b] against sum_uv conj(D[i, u, v]) iv[u, a] iv[v, b]
+        iv = alg.involution
+        lhs = iv @ D.reshape(d, d * d)
+        rhs = iv.T @ (np.conj(D).reshape(d * d, d) @ iv).reshape(d, d, d)
+        add("delta_star_map", np.abs(lhs.reshape(d, d, d) - rhs).max())
 
         eps = self.counit.duals
         add("counit_left", np.abs(np.einsum("iab,a->ib", D, eps) - np.eye(alg.dim)).max())
@@ -255,14 +261,18 @@ class CompactQuantumGroup:
                                     abs(eps @ alg.unit - 1.0)))
 
         S = self.antipode
-        left = np.einsum("iab,au,ubk->ik", D, S, c, optimize=True)
-        right = np.einsum("iab,bu,auk->ik", D, S, c, optimize=True)
+        # Sc[a, b, k] = sum_u S[a, u] c[u, b, k], the coefficients of S(e_a) e_b
+        Sc = (S @ c.reshape(d, d * d)).reshape(d * d, d)
+        # m(S (x) id) Delta and m(id (x) S) Delta against eps(.) 1
+        left = D.reshape(d, d * d) @ Sc
+        right = (D.reshape(d * d, d) @ S).reshape(d, d * d) @ c.reshape(d * d, d)
         target = np.outer(eps, alg.unit)
         add("antipode_left", np.abs(left - target).max())
         add("antipode_right", np.abs(right - target).max())
         add("antipode_kac", np.abs(S @ S - np.eye(alg.dim)).max())
-        anti = np.einsum("ijm,mu->iju", c, S, optimize=True) \
-            - np.einsum("ju,iv,uvk->ijk", S, S, c, optimize=True)
+        # S(e_i e_j) against S(e_j) S(e_i): sum_uv S[j, u] S[i, v] c[u, v, k]
+        anti = (c.reshape(d * d, d) @ S).reshape(d, d, d) \
+            - (S @ Sc.reshape(d, d, d)).transpose(1, 0, 2)
         add("antipode_antihom", np.abs(anti).max())
 
         h = self.haar.duals
@@ -271,7 +281,7 @@ class CompactQuantumGroup:
         add("haar_right_invariance",
             np.abs(np.einsum("iab,b->ia", D, h) - np.outer(h, alg.unit)).max())
 
-        N, d = self.N, alg.dim
+        N = self.N
         add("magic_projections", _projection_residuals(alg, self.magic.reshape(-1, d)).max())
         add("magic_row_sums", np.abs(self.magic.sum(axis=1) - alg.unit).max())
         add("magic_col_sums", np.abs(self.magic.sum(axis=0) - alg.unit).max())

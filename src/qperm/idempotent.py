@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur, solve_sylvester
+from scipy.linalg import LinAlgError, schur
+from scipy.linalg.lapack import ztrsyl
 
 from .algebra import (
     AlgebraElement,
@@ -67,7 +68,9 @@ def _cesaro_projector(T: np.ndarray) -> np.ndarray:
 
     For a power-bounded operator this is the spectral projector onto the
     eigenvalue-1 cluster, computed from a sorted Schur form (unimodular
-    eigenvalues away from 1 average out, contractive ones die).
+    eigenvalues away from 1 average out, contractive ones die).  The
+    coupling block R solves A R - R B = C on the triangular diagonal blocks
+    of the Schur form, by LAPACK's triangular Sylvester solver.
     """
     U, Q, sdim = schur(T, output="complex", sort=lambda lam: abs(lam - 1.0) < 1e-8)
     d = T.shape[0]
@@ -76,7 +79,10 @@ def _cesaro_projector(T: np.ndarray) -> np.ndarray:
     if sdim == d:
         return np.eye(d, dtype=complex)
     A, B, C = U[:sdim, :sdim], U[sdim:, sdim:], U[:sdim, sdim:]
-    R = solve_sylvester(A, -B, C)
+    R, scale, info = ztrsyl(A, B, C, isgn=-1)
+    if info < 0:
+        raise LinAlgError(f"illegal value in argument {-info} of ztrsyl")
+    R /= scale
     block = np.zeros((d, d), dtype=complex)
     block[:sdim, :sdim] = np.eye(sdim)
     block[:sdim, sdim:] = R
@@ -108,10 +114,11 @@ def cesaro_idempotent(G: CompactQuantumGroup, seed: State) -> CesaroResult:
         if np.abs(M @ seed.duals - lim_duals).max() <= 10 * tol:
             break
         P = P @ P
-    left = G.convolve(seed, limit, check=False)
-    right = G.convolve(limit, seed, check=False)
-    residual = max(limit.distance(left), limit.distance(right))
-    idem = limit.distance(G.convolve(limit, limit, check=False))
+    # seed * limit, limit * seed and limit * limit, against the limit
+    gaps = np.abs(G._convolve_rows(np.array([seed.duals, lim_duals, lim_duals]),
+                                   np.array([lim_duals, seed.duals, lim_duals]))
+                  - lim_duals).max(axis=1)
+    residual, idem = float(gaps[:2].max()), float(gaps[2])
     converged = idem <= tol and residual <= 10 * tol
     return CesaroResult(limit, iterations, residual, converged)
 

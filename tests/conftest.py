@@ -3,12 +3,14 @@ import types
 
 import numpy as np
 import pytest
+from scipy.linalg import schur, solve_sylvester
 
-from qperm import permgroups
+from qperm import algebra, permgroups
 from qperm.algebra import (
     AlgebraError,
     LinearFunctional,
     State,
+    _Coo,
     gram_norm,
     meet,
     support_projection,
@@ -483,3 +485,99 @@ def dynamics_oracle():
     ``detect_period(G, seed)``."""
     return types.SimpleNamespace(trajectory=_trajectory_by_steps,
                                  detect_period=_period_by_steps)
+
+
+# -- the kernels before their repeated work was taken out ----------------------------
+
+
+def _summed_by_add_at(shape, keys, vals):
+    """Duplicate keys summed by ``np.unique`` and ``np.add.at``, exact zeros dropped."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    acc = np.zeros(uniq.size, dtype=complex)
+    np.add.at(acc, inv, vals)
+    keep = acc != 0
+    return _Coo(shape, uniq[keep], acc[keep])
+
+
+def _positive_rows_unfolded(alg, D, tol):
+    """The positivity mask 32 rows at a time, with the involution applied to
+    each block's products with mult as a second batched product."""
+    d = alg.dim
+    mult = alg.mult.reshape(d * d, d)
+    ok = np.zeros(D.shape[0], dtype=bool)
+    for start in range(0, D.shape[0], 32):
+        rows = D[start:start + 32]
+        P = alg.involution @ (rows @ mult.T).reshape(-1, d, d)
+        Ph = P.conj().transpose(0, 2, 1)
+        hermitian = np.abs(P - Ph).max(axis=(1, 2)) <= tol
+        H = 0.5 * (P + Ph) + tol * np.eye(d)
+        factored = np.zeros(len(rows), dtype=bool)
+        for k, h in enumerate(H):
+            try:
+                np.linalg.cholesky(h)
+                factored[k] = True
+            except np.linalg.LinAlgError:
+                pass
+        ok[start:start + 32] = hermitian & factored
+    return ok
+
+
+def _cesaro_projector_by_solve_sylvester(T):
+    """The eigenvalue-1 spectral projector, with the coupling block from
+    ``scipy.linalg.solve_sylvester``, which takes its own Schur forms."""
+    U, Q, sdim = schur(T, output="complex", sort=lambda lam: abs(lam - 1.0) < 1e-8)
+    d = T.shape[0]
+    if sdim in (0, d):
+        return np.eye(d, dtype=complex) if sdim else np.zeros((d, d), dtype=complex)
+    R = solve_sylvester(U[:sdim, :sdim], -U[sdim:, sdim:], U[:sdim, sdim:])
+    block = np.zeros((d, d), dtype=complex)
+    block[:sdim, :sdim] = np.eye(sdim)
+    block[:sdim, sdim:] = R
+    return Q @ block @ Q.conj().T
+
+
+def _validate_residuals_by_einsum(G):
+    """The residuals of ``validate`` that are dense contractions, by the
+    einsums that state their index meaning."""
+    alg, D, S = G.algebra, G.delta, G.antipode
+    c, iv, eps = alg.mult, alg.involution, G.counit.duals
+    target = np.outer(eps, alg.unit)
+    anti = np.einsum("ijm,mu->iju", c, S, optimize=True) \
+        - np.einsum("ju,iv,uvk->ijk", S, S, c, optimize=True)
+    return {
+        "algebra.involution_antihom": np.abs(
+            np.einsum("ijm,mk->ijk", np.conj(c), iv, optimize=True)
+            - np.einsum("ja,ib,abk->ijk", iv, iv, c, optimize=True)).max(),
+        "delta_star_map": np.abs(
+            np.einsum("ik,kab->iab", iv, D, optimize=True)
+            - np.einsum("iab,au,bv->iuv", np.conj(D), iv, iv, optimize=True)).max(),
+        "antipode_left": np.abs(
+            np.einsum("iab,au,ubk->ik", D, S, c, optimize=True) - target).max(),
+        "antipode_right": np.abs(
+            np.einsum("iab,bu,auk->ik", D, S, c, optimize=True) - target).max(),
+        "antipode_antihom": np.abs(anti).max(),
+    }
+
+
+@pytest.fixture
+def kernel_oracles():
+    """The kernels as they were: ``summed`` (np.unique + np.add.at),
+    ``positive_rows`` (32 rows, involution as a second product),
+    ``cesaro_projector`` (solve_sylvester) and ``validate_residuals`` (einsums)."""
+    return types.SimpleNamespace(summed=_summed_by_add_at,
+                                 positive_rows=_positive_rows_unfolded,
+                                 cesaro_projector=_cesaro_projector_by_solve_sylvester,
+                                 validate_residuals=_validate_residuals_by_einsum)
+
+
+@pytest.fixture
+def force_block(monkeypatch):
+    """``force_block(d, rows)``: the stacked kernels take ``rows`` rows at a
+    time at dimension d, through the library's own block rule; undone after
+    the test."""
+    def force(d, rows):
+        monkeypatch.setattr(algebra, "_BLOCK_MIN_ROWS", 1)
+        monkeypatch.setattr(algebra, "_BLOCK_ENTRIES", rows * d * d)
+        assert algebra._block_rows(d) == rows
+        return rows
+    return force

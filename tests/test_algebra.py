@@ -13,6 +13,7 @@ from qperm.algebra import (
     AlgebraError,
     Projection,
     State,
+    _block_rows,
     _require_states,
     _state_rows,
     gram_norm,
@@ -233,16 +234,18 @@ def one_test_short_of_a_state(G, kind):
 
 
 @pytest.mark.parametrize("kind", ["non-unital", "non-Hermitian", "negative"])
-def test_state_check_flags_one_bad_row_in_a_stack(dual_s3, kind):
-    # the stacked check works 32 rows at a time: bad rows on either side of
-    # each block boundary and in a last, partial block
+def test_state_check_flags_one_bad_row_in_a_stack(dual_s3, kind, force_block):
+    # the stacked check works a block of rows at a time, here forced to 8
+    # rows: bad rows on either side of each block boundary and in a last,
+    # partial block
     alg = dual_s3.algebra
     row = one_test_short_of_a_state(dual_s3, kind)
     assert is_positive_functional(alg.functional(row)) == (kind == "non-unital")
     with pytest.raises(AlgebraError):
         State(alg, row)
-    for n, bad in [(1, 0), (32, 0), (32, 31), (33, 0), (33, 31), (33, 32),
-                   (65, 0), (65, 31), (65, 32), (65, 64)]:
+    b = force_block(alg.dim, 8)
+    for n, bad in [(1, 0), (b, 0), (b, b - 1), (b + 1, 0), (b + 1, b - 1), (b + 1, b),
+                   (2 * b + 1, 0), (2 * b + 1, b - 1), (2 * b + 1, b), (2 * b + 1, 2 * b)]:
         D = np.array([phi.duals for phi in dual_s3.sample_states(n, seed=n)])
         D[bad] = row
         assert np.array_equal(_state_rows(alg, D), np.arange(n) != bad), (n, bad)
@@ -252,15 +255,17 @@ def test_state_check_flags_one_bad_row_in_a_stack(dual_s3, kind):
 
 def test_state_positivity_checked_under_optimize():
     # phi = 2 f1* - f2* on kp: phi(1) = 2 - 1 = 1, but phi(f2) = -1 < 0; it
-    # must be rejected alone and as the last row of a stack of 33
+    # must be rejected alone and as the last row of a stack one row longer
+    # than the library's block, so that it sits alone in a partial block
+    b = _block_rows(8)
     script = ("import numpy as np\n"
               "from qperm.algebra import AlgebraError, State, _state_rows\n"
               "from qperm.cqg import kac_paljutkin\n"
               "G = kac_paljutkin()\n"
               "duals = 2 * np.eye(8)[0] - np.eye(8)[1]\n"
-              "D = np.array([phi.duals for phi in G.sample_states(33, seed=1)])\n"
-              "D[32] = duals\n"
-              "if _state_rows(G.algebra, D).tolist() != [True] * 32 + [False]:\n"
+              f"D = np.array([phi.duals for phi in G.sample_states({b + 1}, seed=1)])\n"
+              f"D[{b}] = duals\n"
+              f"if _state_rows(G.algebra, D).tolist() != [True] * {b} + [False]:\n"
               "    raise SystemExit('non-positive row of a stack accepted')\n"
               "try:\n"
               "    State(G.algebra, duals)\n"

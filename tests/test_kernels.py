@@ -25,7 +25,11 @@ of each row's sesquilinear matrix.  The generated idempotent, which the
 library takes as the one Cesaro limit of the inputs' mean, is compared with
 the rounds of per-input limits, convolutions and membership tests it
 replaced, and the stacked convolution powers behind ``trajectory`` and
-``detect_period`` with one convolution per step.
+``detect_period`` with one convolution per step.  The hot kernels are
+compared with their earlier forms: the sort-and-count duplicate sums with
+``np.add.at`` bit for bit, the positivity check on its folded kernel with
+the unfolded one, the triangular Sylvester step with ``solve_sylvester``
+and the fixed-product ``validate`` residuals with their einsums.
 """
 import dataclasses
 import json
@@ -42,6 +46,8 @@ from qperm.algebra import (
     StarAlgebra,
     State,
     _positive_rows,
+    _state_rows,
+    _summed,
     gram_norm,
     meet,
     spectral_projection,
@@ -58,6 +64,7 @@ from qperm.cqg import (
 )
 from qperm.dynamics import detect_period, trajectory, verify_bounds_empirically
 from qperm.idempotent import (
+    _cesaro_projector,
     _group_like_residual,
     _sandwich_matrix,
     condition,
@@ -127,22 +134,26 @@ def test_cqg_kernels(G):
         assert_matches(G.vector_state(a).duals, full / (full @ alg.unit))
 
 
-def test_sample_states_match_per_sample_oracle(G, sample_states_oracle):
-    # the library builds the bank 32 samples at a time; whatever the block
-    # boundaries, it must equal the bank built one sample at a time
+def test_sample_states_match_per_sample_oracle(G, sample_states_oracle, force_block):
+    # the library builds the bank a block of samples at a time, here forced
+    # to 8; whatever the block boundaries, it must equal the bank built one
+    # sample at a time, and no samples give an empty bank
+    b = force_block(G.dim, 8)
     for seed in (3, 11):
-        ref = np.array([phi.duals for phi in sample_states_oracle(G, 33, seed)])
-        for n in (0, 1, 33):
+        ref = np.array([phi.duals for phi in sample_states_oracle(G, 4 * b + 1, seed)])
+        for n in (0, 1, b, b + 1, 4 * b + 1):
             bank = G.sample_states(n, seed)
             assert len(bank) == n
             got = np.array([phi.duals for phi in bank]).reshape(n, G.dim)
             assert np.abs(got - ref[:n]).max(initial=0.0) <= 1e-14, (seed, n)
 
 
-def test_bounds_sampler_matches_per_pair_oracle(G, bounds_oracle):
-    # fewer than, exactly and more than the 8 decomposed pairs, and a batch
-    # whose convolutions cross a 32-row block
+def test_bounds_sampler_matches_per_pair_oracle(G, bounds_oracle, force_block):
+    # fewer than, exactly and more than the 8 decomposed pairs; with blocks
+    # forced to 4 rows, the bank and the convolutions of every batch of 7 or
+    # more pairs cross block boundaries and end in a partial block
     cv = classical_version(G)
+    force_block(G.dim, 4)
     for seed in (3, 11):
         for n in (1, 7, 8, 17):
             ref, violations = bounds_oracle(G, cv, n, seed)
@@ -528,6 +539,13 @@ def test_group_like_residual_matches_tensor_square(G):
         assert_matches(_group_like_residual(G, p), tensor_square_residual(G, p))
 
 
+def complex_basis(G, seed):
+    """I + 0.3 (X + iY) with X, Y seeded Gaussian: a complex, non-orthogonal basis."""
+    rng = np.random.default_rng(seed)
+    return np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
+                                  + 1j * rng.standard_normal((G.dim,) * 2))
+
+
 def in_basis(G, B):
     """G with the basis f_i = sum_k B[i, k] e_k; coefficients map x -> x @ B^-1."""
     a, Bi = G.algebra, np.linalg.inv(B)
@@ -545,9 +563,7 @@ def test_group_like_residual_in_a_complex_basis(name):
     # the norm is basis-free; a complex, non-orthogonal basis gives a Gram
     # matrix that is neither real nor symmetric
     G = BUILTIN_GROUPS[name]()
-    rng = np.random.default_rng(5)
-    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
-                               + 1j * rng.standard_normal((G.dim,) * 2))
+    B = complex_basis(G, 5)
     H = in_basis(G, B)
     assert H.validate().ok
     assert np.abs(H.algebra.gram - H.algebra.gram.T).max() > 0.1
@@ -565,9 +581,7 @@ def test_stabiliser_idempotent_in_a_complex_basis(name):
     # in a complex, non-orthogonal basis S_r is not symmetric, and psi must
     # still be certified and map to the original one
     G = BUILTIN_GROUPS[name]()
-    rng = np.random.default_rng(7)
-    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
-                               + 1j * rng.standard_normal((G.dim,) * 2))
+    B = complex_basis(G, 7)
     H = in_basis(G, B)
     part = [[0], list(range(1, G.N))]
     S = _sandwich_matrix(H, stabiliser_projection(H, part).coeffs)
@@ -583,9 +597,7 @@ def test_face_idempotent_in_a_complex_basis(name, face):
     # face of r B^-1 has the idempotent B psi, psi that of r in the original
     # basis; away from r = 1 the sandwich S_r is not symmetric there
     G = BUILTIN_GROUPS[name]()
-    rng = np.random.default_rng(7)
-    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
-                               + 1j * rng.standard_normal((G.dim,) * 2))
+    B = complex_basis(G, 7)
     H = in_basis(G, B)
     if face == "unit":
         r = G.algebra.unit
@@ -607,9 +619,7 @@ def test_classical_version_in_a_complex_basis(name, classical_version_oracle):
     # complex, non-orthogonal basis the characters are B chi and the
     # supports z B^-1 of the oracle's in the original basis
     G = BUILTIN_GROUPS[name]()
-    rng = np.random.default_rng(5)
-    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
-                               + 1j * rng.standard_normal((G.dim,) * 2))
+    B = complex_basis(G, 5)
     perms, chars, supports = classical_version_oracle(G)
     cv = classical_version(in_basis(G, B))
     assert cv.permutations == perms
@@ -633,24 +643,24 @@ def smallest_eigenvalue(alg, row):
 
 
 @pytest.mark.parametrize("name", ["kp", "dual-s4"])
-def test_positive_rows_match_smallest_eigenvalue(name):
+def test_positive_rows_match_smallest_eigenvalue(name, force_block):
     # in a complex non-orthogonal basis, for the state tolerance and the
     # functional one: rows with smallest eigenvalue -2 tol (rejected),
     # -tol / 2 and 0 (a state conditioned on p_Q, rank-deficient; both
-    # accepted), around bank states, in stacks of 1, 32, 33 and 65 rows
+    # accepted), around bank states, in stacks of 1, b, b + 1 and 2b + 1
+    # rows with blocks forced to b = 32 rows
     G = BUILTIN_GROUPS[name]()
-    rng = np.random.default_rng(13)
-    B = np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
-                               + 1j * rng.standard_normal((G.dim,) * 2))
+    B = complex_basis(G, 13)
     H = in_basis(G, B)
     alg = H.algebra
     cv = classical_version(G)
     conditioned = B @ condition(G, G.sample_states(1, seed=2)[0], cv.p_Q).duals
+    b = force_block(alg.dim, 32)
     for tol in (alg.tol, 100 * alg.tol):
         base = H.sample_states(1, seed=4)[0].duals
         negative, shallow = (planted_row(alg, base, t * tol) for t in (-2.0, -0.5))
-        for n, bad in [(1, 0), (32, 0), (32, 31), (33, 0), (33, 31), (33, 32),
-                       (65, 0), (65, 31), (65, 32), (65, 64)]:
+        for n, bad in [(1, 0), (b, 0), (b, b - 1), (b + 1, 0), (b + 1, b - 1), (b + 1, b),
+                       (2 * b + 1, 0), (2 * b + 1, b - 1), (2 * b + 1, b), (2 * b + 1, 2 * b)]:
             D = np.array([phi.duals for phi in H.sample_states(n, seed=n)])
             if bad > 0:
                 D[bad - 1] = shallow
@@ -662,3 +672,124 @@ def test_positive_rows_match_smallest_eigenvalue(name):
             got = _positive_rows(alg, D, tol)
             assert np.array_equal(got[clear], (lowest >= -tol)[clear]), (tol, n, bad)
             assert np.array_equal(got, np.arange(n) != bad), (tol, n, bad)
+
+
+# -- the hot kernels against their earlier forms ---------------------------------------
+
+
+def assert_same_coo(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(got.keys, ref.keys)
+    assert np.array_equal(got.vals.view(np.uint64), ref.vals.view(np.uint64))
+
+
+def test_summed_matches_add_at_bit_for_bit(kernel_oracles):
+    # runs of up to ~100 equal keys with values over 16 orders of magnitude
+    # (np.add.reduceat would add the longer runs pairwise), sums that cancel
+    # exactly and must be dropped, a single key, and empty input
+    rng = np.random.default_rng(3)
+    for size, span in [(2000, 40), (5000, 5000), (1, 1)]:
+        keys = rng.integers(0, span, size)
+        vals = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
+            * 10.0 ** rng.uniform(-8, 8, size)
+        assert_same_coo(_summed((span,), keys, vals), kernel_oracles.summed((span,), keys, vals))
+    keys = np.array([7, 3, 7, 3, 7, 9, 3])
+    vals = np.array([0.5, 1j, 0.25, -1j, -0.75, 2.0, 0.0])
+    got = _summed((10,), keys, vals)
+    assert got.keys.tolist() == [9] and got.vals.tolist() == [2.0]
+    assert_same_coo(got, kernel_oracles.summed((10,), keys, vals))
+    empty = _summed((4, 4), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex))
+    assert empty.keys.size == 0 and empty.vals.size == 0
+    assert_same_coo(empty, kernel_oracles.summed((4, 4), empty.keys, empty.vals))
+
+
+def unital_planted_row(alg, base, lowest):
+    """(base + s tau) / (1 + s), with s in (-1, 0) chosen so that the smallest
+    eigenvalue of the Hermitian part of its sesquilinear matrix is ``lowest``:
+    unital, and as s nears -1 the row nears the multiple of base - tau, which
+    vanishes on 1 and so has a negative eigenvalue unless base = tau."""
+    def gap(s):
+        return smallest_eigenvalue(alg, (base + s * alg.trace) / (1 + s)) - lowest
+    s = brentq(gap, -1 + 1e-6, 0.0, xtol=1e-18, rtol=1e-15)
+    return (base + s * alg.trace) / (1 + s)
+
+
+def rows_failing_each_test(alg, bank):
+    """Rows built to fail one state test each: unitality (2 phi), Hermiticity
+    (phi plus i/10 times the difference of two states, and (1 + i/10) phi)
+    and positivity (smallest eigenvalue -200 tol), and a shallow row
+    (smallest eigenvalue -tol / 2) that both checks accept.  On the trivial
+    algebra the counit is the only state, so there is no second state and
+    the last two are shifted by a multiple of tau, which is not unital."""
+    phi, rho = bank[0], bank[1]
+    plant = unital_planted_row if alg.dim > 1 else planted_row
+    rows = {"non-unital": 2 * phi,
+            "non-Hermitian": phi + 0.1j * (rho - phi),
+            "non-Hermitian, non-unital": (1 + 0.1j) * phi,
+            "negative": plant(alg, phi, -200 * alg.tol),
+            "shallow": plant(alg, phi, -0.5 * alg.tol)}
+    if alg.dim == 1:
+        del rows["non-Hermitian"]
+    return rows
+
+
+@pytest.mark.parametrize("basis", ["builtin", "complex"])
+def test_positive_rows_match_unfolded_kernel(G, basis, kernel_oracles, force_block):
+    # every such row at the start, the end and on both sides of a forced
+    # 8-row block boundary of a 21-row stack of bank states, at the
+    # functional and the state tolerance: the masks must equal the unfolded
+    # kernel's, and the state mask its with the unital test
+    H = G if basis == "builtin" else in_basis(G, complex_basis(G, 17))
+    alg = H.algebra
+    bank = H._state_bank(21, 5)
+    bad = rows_failing_each_test(alg, bank)
+    b = force_block(alg.dim, 8)
+    for kind, row in bad.items():
+        for at in (0, b - 1, b, 2 * b, 20):
+            D = bank.copy()
+            D[at] = row
+            for tol in (alg.tol, 100 * alg.tol):
+                ref = kernel_oracles.positive_rows(alg, D, tol)
+                assert np.array_equal(_positive_rows(alg, D, tol), ref), (kind, at, tol)
+            unital = np.abs(D @ alg.unit - 1) <= 10 * max(alg.tol, 1e-12)
+            states = _state_rows(alg, D)
+            assert np.array_equal(states, unital & ref), (kind, at)
+            assert states[at] == (kind == "shallow" and alg.dim > 1), (kind, at)
+
+
+def test_cesaro_projector_matches_sylvester_oracle(G, kernel_oracles):
+    # the counit, Haar and trace seeds, and on kp the E11 functional, whose
+    # convolution operator has the eigenvalue -1
+    seeds = [G.counit, G.haar, State(G.algebra, G.algebra.trace)]
+    if G.name == "kac-paljutkin":
+        seeds.append(State(G.algebra, np.eye(G.dim)[G.algebra.labels.index("E11")]))
+        T = left_convolution_operator(G, seeds[-1])
+        assert np.abs(np.linalg.eigvals(T) + 1).min() < 1e-12
+    for phi in seeds:
+        T = left_convolution_operator(G, phi)
+        ref = kernel_oracles.cesaro_projector(T)
+        assert np.abs(_cesaro_projector(T) - ref).max() <= 1e-12
+
+
+def assert_validate_residuals_match(H, kernel_oracles):
+    report = H.validate().to_dict()
+    for axiom, ref in kernel_oracles.validate_residuals(H).items():
+        assert abs(report[axiom]["residual"] - ref) <= 1e-14 * max(1.0, ref), axiom
+
+
+def test_validate_residuals_match_einsums(G, kernel_oracles):
+    assert_validate_residuals_match(G, kernel_oracles)
+
+
+@pytest.mark.parametrize("name", ["s3", "dual-s3", "kp", "dual-d4"])
+@pytest.mark.parametrize("basis", ["complex", "perturbed"])
+def test_validate_residuals_match_einsums_in_a_complex_basis(name, basis, kernel_oracles):
+    # in a complex basis the involution and antipode are neither real nor
+    # symmetric; perturbed mult and Delta make every residual large.  (The
+    # structure constants are dense there, so the sparse Hopf contractions
+    # limit this to small groups.)
+    G = BUILTIN_GROUPS[name]()
+    H = in_basis(G, complex_basis(G, 23))
+    if basis == "perturbed":
+        H = perturbed(H, 1)
+    assert_validate_residuals_match(H, kernel_oracles)
