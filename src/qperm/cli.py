@@ -20,10 +20,10 @@ name or definition-file path), parameters and optional explicit output paths:
 
 Exit codes: 0 success, 1 assertion failure, 2 input error.  A group file
 off the schema above or listing over 120 elements is an input error, and so
-is an integer parameter out of range (n_samples >= 1, n_seeds >= 0, n >= 2,
-seed >= 0, k_max >= 1) or not an integer, an ``m_values`` that is not a
-non-empty list of integers in 2..60 (dual dihedral up to dim 120), a
-``partition`` that is not a list of non-empty lists of integers
+is an integer parameter out of range (n_samples 1..10^5, n_seeds 0..10^4,
+n 2..1001, seed >= 0, k_max 1..10^4) or not an integer, an ``m_values``
+that is not a non-empty list of integers in 2..60 (dual dihedral up to
+dim 120), a ``partition`` that is not a list of non-empty lists of integers
 partitioning 0..N-1 for the group's N, a ``group`` that is not a string,
 ``outputs`` that are not a list of strings and an ``s4hat-walkthrough`` on
 any group but the ``dual-s4`` builtin; all are found before anything is
@@ -32,6 +32,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -275,16 +276,18 @@ def exp_idempotent_census(G, params, out):
 
 def exp_phase_diagram(G, params, out):
     n = int(params.get("n", 101))
-    rows = dynamics.phase_diagram_rows(n)
+    cols = dynamics.phase_diagram_rows(n)
+    grid = [_fmt(x) for x in cols["beta"][:n]]  # the grid values, formatted once
+    flag_text = [",".join(bits) for bits in itertools.product("01", repeat=3)]
+    flags = cols["q2i"] * 4 + cols["q3i"] * 2 + cols["qhalfw"]
     path = out / "phase_diagram.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("alpha,beta,region,q2i,q3i,qhalfw,lower,upper\n")
-        for r in rows:
-            fh.write(",".join([_fmt(r["alpha"]), _fmt(r["beta"]), r["region"],
-                               str(int(r["q2i"])), str(int(r["q3i"])),
-                               str(int(r["qhalfw"])), _fmt(r["lower"]),
-                               _fmt(r["upper"])]) + "\n")
+        fh.writelines(f"{a},{b},{region},{flag_text[f]},{_fmt(lo)},{_fmt(up)}\n"
+                      for (a, b), region, f, lo, up in zip(
+                          itertools.product(grid, repeat=2), cols["region"].tolist(),
+                          flags.tolist(), cols["lower"].tolist(), cols["upper"].tolist()))
     return ["phase_diagram.csv"]
 
 
@@ -397,17 +400,21 @@ EXPERIMENTS = {
 
 RANDOMIZED = {"idempotent-census", "bounds-empirical"}
 
-# Smallest accepted value of each integer parameter an experiment reads.
-INT_PARAMETERS = {"n_samples": 1, "n_seeds": 0, "n": 2, "seed": 0, "k_max": 1}
+# (smallest, largest) accepted value of each integer parameter an experiment
+# reads; None leaves it unbounded.  The caps keep a run desk-sized: the grid
+# holds n^2 points, and samples, seeds and steps are each held in memory.
+INT_PARAMETERS = {"n_samples": (1, 10 ** 5), "n_seeds": (0, 10 ** 4), "n": (2, 1001),
+                  "seed": (0, None), "k_max": (1, 10 ** 4)}
 
 
 def _check_parameters(params) -> None:
     if not isinstance(params, dict):
         raise ValueError("experiment parameters must be a JSON object")
-    for key, low in INT_PARAMETERS.items():
-        if key in params and not (_is_int(params[key]) and params[key] >= low):
-            raise ValueError(f"parameter {key!r} must be an integer >= {low}, "
-                             f"got {params[key]!r}")
+    for key, (low, high) in INT_PARAMETERS.items():
+        v = params.get(key)
+        if key in params and not (_is_int(v) and low <= v and (high is None or v <= high)):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise ValueError(f"parameter {key!r} must be an integer {bound}, got {v!r}")
     ms = params.get("m_values")
     if "m_values" in params and not (isinstance(ms, list) and ms and all(
             _is_int(m) and 2 <= m <= MAX_DIM // 2 for m in ms)):

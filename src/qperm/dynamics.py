@@ -48,6 +48,41 @@ class RegionLabel:
     notes: list = field(default_factory=list)
 
 
+_REGIONS = ("degenerate", "Q_I", "Boundary_W", "Q_W")  # by region code
+_NOTES = ("q2i inequality outside Q_I",
+          "q3i threshold outside [0, 1]: domain undetermined",
+          "qhalfw inequality outside Q_W")
+
+
+def _phase_labels(A, B) -> tuple:
+    """Region codes (indices into _REGIONS), the q2i, q3i and qhalfw flags and
+    the three note flags (:data:`_NOTES`) of the points (A, B), as arrays of
+    their shape; float64 scalars give scalars.  Only arithmetic, comparisons
+    and elementwise logic, the same IEEE operations for one point or a grid."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        live = ~((A <= BOUNDARY_EPS) & (B <= BOUNDARY_EPS))  # the origin is degenerate
+        disc = A + B - 4 * A * B
+        boundary = abs(disc) <= BOUNDARY_EPS
+        q_i = live & ~boundary & (disc > 0)
+        q_w = live & ~boundary & ~(disc > 0)
+        code = q_i * 1 + (live & boundary) * 2 + q_w * 3
+
+        def two_inc(x, y):
+            return (x < 1.0 - BOUNDARY_EPS) & (y < (2 * x - 1) / (2 * x - 2))
+
+        def three_inc(x, y):  # (inequality, threshold inside [0, 1])
+            t = 1 - SQRT2 / (1 - 2 * x)
+            inside = ~(abs(1 - 2 * x) <= BOUNDARY_EPS) & (0.0 <= t) & (t <= 1.0)
+            return inside & (y < t), inside
+
+        raw_q2i = live & (two_inc(A, B) | two_inc(B, A))
+        (q3_ab, in_ab), (q3_ba, in_ba) = three_inc(A, B), three_inc(B, A)
+        raw_half = live & (A > 0) & (B > (1 - 1 / SQRT2) / A)
+    q2i = raw_q2i & q_i
+    return (code, q2i, (q3_ab | q3_ba) & q2i, raw_half & q_w,
+            raw_q2i & ~q_i, live & ~in_ab & ~in_ba, raw_half & ~q_w)
+
+
 def phase_region(point: PhasePoint | tuple) -> RegionLabel:
     """Classify a pair of quantum fractions into the convolution phase regions.
 
@@ -59,46 +94,9 @@ def phase_region(point: PhasePoint | tuple) -> RegionLabel:
     inequality fires outside it.
     """
     p = point if isinstance(point, PhasePoint) else PhasePoint(*point)
-    a, b = p.alpha, p.beta
-    if a <= BOUNDARY_EPS and b <= BOUNDARY_EPS:
-        return RegionLabel("degenerate")
-    disc = a + b - 4 * a * b
-    if abs(disc) <= BOUNDARY_EPS:
-        region = "Boundary_W"
-    elif disc > 0:
-        region = "Q_I"
-    else:
-        region = "Q_W"
-    label = RegionLabel(region)
-
-    def two_inc(x, y):
-        if x >= 1.0 - BOUNDARY_EPS:
-            return False
-        return y < (2 * x - 1) / (2 * x - 2)
-
-    raw_q2i = two_inc(a, b) or two_inc(b, a)
-    label.q2i = raw_q2i and region == "Q_I"
-    if raw_q2i and not label.q2i:
-        label.notes.append("q2i inequality outside Q_I")
-
-    def three_inc(x, y):
-        if abs(1 - 2 * x) <= BOUNDARY_EPS:
-            return False, "domain"
-        t = 1 - SQRT2 / (1 - 2 * x)
-        if not (0.0 <= t <= 1.0):
-            return False, "domain"
-        return y < t, None
-    q3_ab, note_ab = three_inc(a, b)
-    q3_ba, note_ba = three_inc(b, a)
-    label.q3i = (q3_ab or q3_ba) and label.q2i
-    if note_ab == "domain" and note_ba == "domain":
-        label.notes.append("q3i threshold outside [0, 1]: domain undetermined")
-
-    raw_half = a > 0 and b > (1 - 1 / SQRT2) / a
-    label.qhalfw = raw_half and region == "Q_W"
-    if raw_half and not label.qhalfw:
-        label.notes.append("qhalfw inequality outside Q_W")
-    return label
+    code, q2i, q3i, qhalfw, *notes = _phase_labels(np.float64(p.alpha), np.float64(p.beta))
+    return RegionLabel(_REGIONS[code], bool(q2i), bool(q3i), bool(qhalfw),
+                       [text for text, on in zip(_NOTES, notes) if on])
 
 
 def idempotent_gap_check(alpha: float, tol: float = 1e-7) -> bool:
@@ -259,16 +257,13 @@ def convergence_to_haar(G: CompactQuantumGroup, seed: State,
     return ConvergenceReport(dists, bool(dists[-1] < 1e-8), strict)
 
 
-def phase_diagram_rows(n: int = 101) -> list[dict]:
-    """Uniform grid over the unit square with region labels and bounds."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            a = i / (n - 1)
-            b = j / (n - 1)
-            lab = phase_region((a, b))
-            lower, upper = convolution_bounds(a, b)
-            rows.append({"alpha": a, "beta": b, "region": lab.region,
-                         "q2i": lab.q2i, "q3i": lab.q3i, "qhalfw": lab.qhalfw,
-                         "lower": lower, "upper": upper})
-    return rows
+def phase_diagram_rows(n: int = 101) -> dict:
+    """Uniform n x n grid over the unit square, alpha-major, as columns keyed
+    by the CSV header: alpha, beta, region name, the three flags and the
+    convolution bounds (:func:`convolution_bounds`)."""
+    grid = np.arange(n) / (n - 1)
+    A, B = np.repeat(grid, n), np.tile(grid, n)
+    code, q2i, q3i, qhalfw = _phase_labels(A, B)[:4]
+    return {"alpha": A, "beta": B, "region": np.array(_REGIONS)[code],
+            "q2i": q2i, "q3i": q3i, "qhalfw": qhalfw,
+            "lower": A + B - 2 * A * B, "upper": A + B - A * B}

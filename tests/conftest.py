@@ -17,6 +17,7 @@ from qperm.algebra import (
 )
 from qperm.cqg import _row_space, birkhoff_matrix, characters, classical_group
 from qperm.idempotent import (
+    CesaroResult,
     CollapseProbeReport,
     _sandwich_matrix,
     cesaro_idempotent,
@@ -485,6 +486,98 @@ def dynamics_oracle():
     ``detect_period(G, seed)``."""
     return types.SimpleNamespace(trajectory=_trajectory_by_steps,
                                  detect_period=_period_by_steps)
+
+
+# -- the per-item experiment loops that the stacked passes replaced ------------------
+
+
+def _phase_region_by_point(a, b):
+    """(region, q2i, q3i, qhalfw, notes) of one point, one branch at a time."""
+    eps, sqrt2 = 1e-12, np.sqrt(2.0)
+    if a <= eps and b <= eps:
+        return "degenerate", False, False, False, []
+    disc = a + b - 4 * a * b
+    region = "Boundary_W" if abs(disc) <= eps else "Q_I" if disc > 0 else "Q_W"
+    notes = []
+
+    def two_inc(x, y):
+        if x >= 1.0 - eps:
+            return False
+        return y < (2 * x - 1) / (2 * x - 2)
+
+    raw_q2i = two_inc(a, b) or two_inc(b, a)
+    q2i = raw_q2i and region == "Q_I"
+    if raw_q2i and not q2i:
+        notes.append("q2i inequality outside Q_I")
+
+    def three_inc(x, y):
+        if abs(1 - 2 * x) <= eps:
+            return False, "domain"
+        t = 1 - sqrt2 / (1 - 2 * x)
+        if not (0.0 <= t <= 1.0):
+            return False, "domain"
+        return y < t, None
+
+    q3_ab, note_ab = three_inc(a, b)
+    q3_ba, note_ba = three_inc(b, a)
+    q3i = (q3_ab or q3_ba) and q2i
+    if note_ab == "domain" and note_ba == "domain":
+        notes.append("q3i threshold outside [0, 1]: domain undetermined")
+    raw_half = a > 0 and b > (1 - 1 / sqrt2) / a
+    qhalfw = raw_half and region == "Q_W"
+    if raw_half and not qhalfw:
+        notes.append("qhalfw inequality outside Q_W")
+    return region, q2i, q3i, qhalfw, notes
+
+
+def _phase_csv_by_rows(n):
+    """The phase-diagram CSV text: one dict per grid point, one line per dict."""
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    lines = ["alpha,beta,region,q2i,q3i,qhalfw,lower,upper\n"]
+    for i in range(n):
+        for j in range(n):
+            a, b = i / (n - 1), j / (n - 1)
+            region, q2i, q3i, qhalfw, _ = _phase_region_by_point(a, b)
+            lower, upper = a + b - 2 * a * b, a + b - a * b
+            lines.append(",".join([fmt(a), fmt(b), region, str(int(q2i)), str(int(q3i)),
+                                   str(int(qhalfw)), fmt(lower), fmt(upper)]) + "\n")
+    return "".join(lines)
+
+
+def _cesaro_by_matrix_doubling(G, seed):
+    """One Cesaro limit: the projector applied to the seed, the iteration
+    count from the doubling recursion on the operator means,
+    M_2n = (M_n + T^n M_n)/2, and the three certificates one convolution
+    at a time."""
+    tol = G.algebra.iter_tol
+    T = seed.duals @ G.delta
+    limit = State(G.algebra, _cesaro_projector_by_solve_sylvester(T) @ seed.duals)
+    M, P, iterations = np.eye(G.dim, dtype=complex), T, 1
+    for _ in range(30):
+        M = 0.5 * (M + P @ M)
+        iterations *= 2
+        if np.abs(M @ seed.duals - limit.duals).max() <= 10 * tol:
+            break
+        P = P @ P
+    residual = max(G.convolve(seed, limit, check=False).distance(limit),
+                   G.convolve(limit, seed, check=False).distance(limit))
+    idem = G.convolve(limit, limit, check=False).distance(limit)
+    return CesaroResult(limit, iterations, residual, idem <= tol and residual <= 10 * tol)
+
+
+def _census_by_seed(G, n_seeds, seed, extra_seeds):
+    """The census one seed and one Cesaro limit at a time."""
+    return [_cesaro_by_matrix_doubling(G, phi)
+            for phi in list(extra_seeds) + _sample_states(G, n_seeds, seed)]
+
+
+@pytest.fixture
+def experiment_oracles():
+    """The per-item routes: ``phase_region(a, b)`` as a tuple with its notes,
+    the ``phase_csv(n)`` text and the ``census(G, n_seeds, seed, extra_seeds)``."""
+    return types.SimpleNamespace(phase_region=_phase_region_by_point,
+                                 phase_csv=_phase_csv_by_rows,
+                                 census=_census_by_seed)
 
 
 # -- the kernels before their repeated work was taken out ----------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qperm import cli
 from qperm.cli import BUILTIN_GROUPS, load_group, main
 from qperm.permgroups import FiniteGroup
 
@@ -119,6 +120,27 @@ def test_run_malformed_integer_parameter_is_input_error(tmp_path, capsys, name, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, params", [
+    ("phase-diagram", {"n": 1002}),
+    ("bounds-empirical", {"n_samples": 10 ** 18, "seed": 1}),
+    ("idempotent-census", {"n_seeds": 10 ** 4 + 1, "seed": 1}),
+    ("periodicity", {"k_max": 10 ** 18}),
+], ids=["grid", "samples", "seeds", "steps"])
+def test_run_oversized_parameter_is_input_error(tmp_path, capsys, monkeypatch, name, params):
+    # rejected before a group is built, and nothing is written
+    monkeypatch.setattr(cli, "load_group", lambda ref: pytest.fail("group was built"))
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"name": name, "group": "kp", "parameters": params}))
+    assert run(["run", p, "--out", tmp_path / "out"]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parameter_caps_are_accepted():
+    cli._check_parameters({key: high if high is not None else 10 ** 30
+                           for key, (_, high) in cli.INT_PARAMETERS.items()})
+
+
 @pytest.mark.parametrize("name, group, params", [
     ("dihedral-sweep", "dual-d3", {"m_values": [1]}),
     ("dihedral-sweep", "dual-d3", {"m_values": [True]}),
@@ -170,6 +192,16 @@ def test_phase_diagram_deterministic(tmp_path):
     assert a == b
     header = a.decode().splitlines()[0]
     assert header == "alpha,beta,region,q2i,q3i,qhalfw,lower,upper"
+
+
+@pytest.mark.parametrize("n", [2, 3, 11, 101])
+def test_phase_diagram_matches_per_row_writer(tmp_path, experiment_oracles, n):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"name": "phase-diagram", "group": "trivial",
+                             "parameters": {"n": n}}))
+    assert run(["run", p, "--out", tmp_path]) == 0
+    assert (tmp_path / "phase_diagram.csv").read_bytes() \
+        == experiment_oracles.phase_csv(n).encode()
 
 
 def test_bounds_experiment_deterministic(tmp_path):

@@ -13,8 +13,10 @@ from qperm.cqg import (
 )
 from qperm.dynamics import (
     BOUNDARY_EPS,
+    _NOTES,
     ConvergenceReport,
     PhasePoint,
+    _phase_labels,
     convergence_to_haar,
     convolution_bounds,
     detect_period,
@@ -105,10 +107,42 @@ def test_phase_point_validation():
 
 
 def test_phase_diagram_grid_shape():
-    rows = phase_diagram_rows(11)
-    assert len(rows) == 121
-    regions = {r["region"] for r in rows}
-    assert {"Q_I", "Q_W", "degenerate"} <= regions
+    cols = phase_diagram_rows(11)
+    assert list(cols) == ["alpha", "beta", "region", "q2i", "q3i", "qhalfw", "lower", "upper"]
+    assert all(len(col) == 121 for col in cols.values())
+    assert {"Q_I", "Q_W", "degenerate"} <= set(cols["region"].tolist())
+
+
+def _tie_points():
+    """Points on or within rounding of every threshold of phase_region."""
+    pts = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1e-13, 1e-13), (1e-12, 0.0), (0.0, 1e-12),
+           (2e-12, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5 - 5e-14, 0.3), (0.5 + 5e-14, 0.3)]
+    for x in (0.0, 0.3, 0.5, 0.9, 1.0):
+        pts += [(1 - 1e-13, x), (x, 1 - 1e-13), (1 - 1e-12, x), (x, 1 - 2e-12)]
+    for a in np.linspace(0.26, 1.0, 15):
+        b = a / (4 * a - 1)  # the wild boundary, disc = 0
+        if b <= 1:
+            pts += [(a, b + e) for e in (0.0, -1e-13, 1e-13, -1e-12, 1e-12, -3e-12, 3e-12)]
+        half = (1 - 1 / np.sqrt(2.0)) / a  # the half-wild threshold
+        two = (2 * a - 1) / (2 * a - 2) if a < 1 else 2.0  # the two-increasing one
+        pts += [(a, y + e) for y in (half, two) if 0 <= y <= 1 for e in (0.0, -1e-15, 1e-15)]
+    return [(min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)) for x, y in pts]
+
+
+def test_phase_region_matches_per_point_oracle(experiment_oracles):
+    # the kernel over the 257 x 257 grid, phase_region itself on every
+    # fourth grid point (the 65 x 65 grid) and on the ties, notes included
+    cols = phase_diagram_rows(257)
+    notes = zip(*(flags.tolist() for flags in _phase_labels(cols["alpha"], cols["beta"])[4:]))
+    got = [(*label, [text for text, on in zip(_NOTES, flags) if on]) for label, flags in zip(
+        zip(*(cols[key].tolist() for key in ("region", "q2i", "q3i", "qhalfw"))), notes)]
+    assert got == [experiment_oracles.phase_region(a, b)
+                   for a, b in zip(cols["alpha"].tolist(), cols["beta"].tolist())]
+    grid = np.linspace(0, 1, 257)[::4].tolist()
+    for a, b in [(a, b) for a in grid for b in grid] + _tie_points():
+        lab = phase_region((a, b))
+        assert (lab.region, lab.q2i, lab.q3i, lab.qhalfw, lab.notes) \
+            == experiment_oracles.phase_region(a, b), (a, b)
 
 
 def test_gap_check():

@@ -12,6 +12,7 @@ if str(ROOT) not in sys.path:
 from perfbench.workloads import _criterion8_census  # noqa: E402
 from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection, State, gram_norm, support_projection
+from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
     classical_group,
     dual_dihedral,
@@ -190,8 +191,6 @@ def test_face_absorption_residual_reads_each_side():
 def test_face_idempotent_rejects_a_face_not_closed_under_convolution(name, i, j):
     # an off-diagonal magic entry u_ij: convolving two states on it puts
     # mass off it, so its face holds no idempotent that the theorem gives
-    from qperm.cli import BUILTIN_GROUPS
-
     G = BUILTIN_GROUPS[name]()
     with pytest.raises(AlgebraError, match="not closed under convolution"):
         face_idempotent(G, G.magic_projection(i, j))
@@ -498,6 +497,23 @@ def test_idempotents_are_reverse_invariant(kp, ds4, cs4):
     homes = [kp, kp, kp, kp, ds4, cs4, ds4]
     for psi, G in zip(found, homes):
         assert G.reverse(psi).distance(psi) < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_census_matches_per_seed_oracle(experiment_oracles, name):
+    G = BUILTIN_GROUPS[name]()
+    extra = [G.counit, G.haar, State(G.algebra, G.algebra.trace)]
+    got = idempotent_census(G, 8, seed=11, extra_seeds=extra)
+    want = experiment_oracles.census(G, 8, 11, extra)
+    assert len(got) == len(want) == 11
+    for res, ref in zip(got, want):
+        assert res.limit.distance(ref.limit) <= 1e-12
+        assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    one = cesaro_idempotent(G, extra[2])
+    assert np.array_equal(one.limit.duals, got[2].limit.duals)
+    assert (one.iterations, one.residual, one.converged) \
+        == (got[2].iterations, got[2].residual, got[2].converged)
+    assert idempotent_census(G, 0) == []
 
 
 def test_census_converges(kp):

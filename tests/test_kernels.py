@@ -771,6 +771,13 @@ def test_cesaro_projector_matches_sylvester_oracle(G, kernel_oracles):
         assert np.abs(_cesaro_projector(T) - ref).max() <= 1e-12
 
 
+def test_cesaro_projector_rejects_non_finite_operators():
+    T = np.eye(3, dtype=complex)
+    T[1, 2] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _cesaro_projector(T)
+
+
 def assert_validate_residuals_match(H, kernel_oracles):
     report = H.validate().to_dict()
     for axiom, ref in kernel_oracles.validate_residuals(H).items():
