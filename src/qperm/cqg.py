@@ -275,11 +275,9 @@ class CompactQuantumGroup:
             - (S @ Sc.reshape(d, d, d)).transpose(1, 0, 2)
         add("antipode_antihom", np.abs(anti).max())
 
-        h = self.haar.duals
-        add("haar_left_invariance",
-            np.abs(np.einsum("iab,a->ib", D, h) - np.outer(h, alg.unit)).max())
-        add("haar_right_invariance",
-            np.abs(np.einsum("iab,b->ia", D, h) - np.outer(h, alg.unit)).max())
+        left, right = np.abs(_absorption_operator(self, self.haar.duals)).reshape(2, -1).max(axis=1)
+        add("haar_left_invariance", left)
+        add("haar_right_invariance", right)
 
         N = self.N
         add("magic_projections", _projection_residuals(alg, self.magic.reshape(-1, d)).max())
@@ -340,15 +338,27 @@ def _vector_duals(alg: StarAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def solve_haar(G: CompactQuantumGroup) -> State:
-    """The Haar state: the face idempotent of r = 1 (:func:`face_idempotent`).
+    """The Haar state h(x) = Tr(L_x) / d, the regular trace over the dimension.
 
-    S_1 = I and Delta(0) = 0 make the face all states and the absorption
-    certificate say psi * phi = phi(1) psi = phi * psi for every functional:
-    psi is bi-invariant, and unique, since two such states absorb each other.
+    The regular trace is a two-sided integral of a semisimple, cosemisimple
+    Hopf algebra (Larson-Radford, 1988), but h is returned only as a checked
+    state whose absorption operator, the left and right invariance residuals,
+    is 0 within tol; a bi-invariant state is unique, as two absorb each
+    other.  The algebra's trace is not used: it may be any faithful trace.
     """
-    from .idempotent import face_idempotent  # idempotent imports this module
+    alg = G.algebra
+    h = State(alg, np.einsum("ijj->i", alg.mult) / G.dim)
+    residual = np.abs(_absorption_operator(G, h.duals)).max()
+    if not residual <= alg.tol:
+        raise AlgebraError(f"regular trace is not bi-invariant (residual {residual:.3e})")
+    return h
 
-    return face_idempotent(G, G.algebra.one())
+
+def _absorption_operator(G: CompactQuantumGroup, psi: np.ndarray) -> np.ndarray:
+    """(2d, d) matrix [L_psi - psi u^T; R_psi - psi u^T] of duals psi, u the
+    unit: it sends a unital phi to (psi * phi - psi, phi * psi - psi)."""
+    rank_one = np.outer(psi, G.algebra.unit)
+    return np.vstack([psi @ G.delta - rank_one, G.delta @ psi - rank_one])
 
 
 # -- constructors ----------------------------------------------------------------

@@ -6,16 +6,16 @@ of the Cesaro means (phi + phi*2 + ... + phi*n)/n is that operator's
 eigenvalue-1 spectral projector applied to the seed.  Computing the limit
 spectrally reaches machine precision where stepwise means stall at O(1/n);
 a doubling recursion on the means of the seed's powers,
-v_2n = (v_n + T^n v_n)/2, still supplies an honest iteration count.  Every
-limit goes through the checked row kernel behind :func:`cesaro_idempotent`,
-which the census runs once on its whole stack of seeds; the idempotent
-generated by states is their mean's.
+v_2n = (v_n + T^n v_n)/2, still supplies an honest iteration count.  The
+census and the idempotent generated by states (their mean's limit) go
+through the checked row kernel behind :func:`cesaro_idempotent`; the
+idempotent of a closed face needs no limit: it is the conditioned Haar
+state (:func:`face_idempotent`).
 
-Absorption by an idempotent psi is linear too: the stacked (2d, d) matrix
-A = [L_psi - psi u^T; R_psi - psi u^T] sends a unital phi to
-(psi * phi - psi, phi * psi - psi).  Quasi-subgroup membership, the
-absorption of a whole face and stability under collapse are all read off A
-applied to a fixed matrix, with no sampled states.
+Absorption by an idempotent psi is linear too: A = [L_psi - psi u^T;
+R_psi - psi u^T] sends a unital phi to (psi * phi - psi, phi * psi - psi).
+Quasi-subgroup membership, face absorption and stability under collapse are
+all read off A applied to a fixed matrix, with no sampled states.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .algebra import (
     gram_norm,
     support_projection,
 )
-from .cqg import CompactQuantumGroup, _row_space
+from .cqg import CompactQuantumGroup, _absorption_operator, _row_space
 
 
 @dataclass
@@ -164,20 +164,7 @@ def quasi_subgroup_member(G: CompactQuantumGroup, psi: State, phi: State,
     """Whether phi is absorbed by the idempotent psi on both sides."""
     if not is_idempotent(G, psi, max(tol, G.algebra.iter_tol)):
         raise AlgebraError("absorbing state is not idempotent")
-    return bool(np.abs(_absorption_operator(G, psi) @ phi.duals).max() <= tol)
-
-
-def _absorption_operator(G: CompactQuantumGroup, psi: State) -> np.ndarray:
-    """Stacked (2d, d) matrix [L_psi - psi u^T; R_psi - psi u^T].
-
-    L_psi and R_psi = Delta(.) psi are convolution by psi on the left and on
-    the right, and u is the unit, so a unital phi goes to the pair
-    (psi * phi - psi, phi * psi - psi): A phi = 0 iff psi absorbs phi on both
-    sides.
-    """
-    rank_one = np.outer(psi.duals, G.algebra.unit)
-    return np.vstack([left_convolution_operator(G, psi) - rank_one,
-                      G.delta @ psi.duals - rank_one])
+    return bool(np.abs(_absorption_operator(G, psi.duals) @ phi.duals).max() <= tol)
 
 
 def generated_idempotent(G: CompactQuantumGroup, states: list[State]) -> CesaroResult:
@@ -194,7 +181,7 @@ def generated_idempotent(G: CompactQuantumGroup, states: list[State]) -> CesaroR
         raise AlgebraError("functionals live on a different algebra")
     Phi = np.array([phi.duals for phi in states])
     out = cesaro_idempotent(G, State(G.algebra, Phi.mean(axis=0), check=False))
-    absorption = float(np.abs(_absorption_operator(G, out.limit) @ Phi.T).max())
+    absorption = float(np.abs(_absorption_operator(G, out.limit.duals) @ Phi.T).max())
     converged = out.converged and absorption <= 10 * G.algebra.iter_tol
     return CesaroResult(out.limit, out.iterations, max(out.residual, absorption), converged)
 
@@ -242,46 +229,47 @@ def _sandwich_matrix(G: CompactQuantumGroup, q: np.ndarray) -> np.ndarray:
     return (q @ c) @ (q @ c.reshape(d, d * d)).reshape(d, d)
 
 
-def _face_absorption_residual(G: CompactQuantumGroup, psi: State, r: Projection) -> float:
-    """Largest entry of A S_r, with A the absorption operator of psi.
-
-    A state phi with phi(r) = 1 satisfies phi = S_r phi (Cauchy-Schwarz), so
-    A phi = A S_r phi.  States on rAr span the range of S_r: the residual is
-    zero iff psi absorbs every state of the face {phi : phi(r) = 1} on both
-    sides.
-    """
-    return float(np.abs(_absorption_operator(G, psi) @ _sandwich_matrix(G, r.coeffs)).max())
-
-
 def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
     """Idempotent state of the face F_r = {phi : phi(r) = 1} of a
-    projection r, certified.
+    projection r, in closed form and certified.
 
-    Van Daele's construction, as the paper adapts it, finds an idempotent in
-    every non-empty, weak-* compact, convex set of states closed under
-    convolution.  The seed is the trace conditioned on r, faithful on rAr,
-    so it lies in the relative interior of F_r and no Haar state is needed;
-    psi is its Cesaro limit.  Three certificates:
+    The paper's adaptation of Van Daele's proof finds an idempotent in every
+    non-empty, weak-* compact, convolution-closed convex set of states.  On
+    a closed face it is psi = h(r . r) / h(r), h the Haar state, which is
+    faithful, tracial and bi-invariant:
 
-    - closure: S_r^T X S_r = 0 within tol, with X the coefficient matrix of
-      Delta(1 - r) and S_r the sandwich f -> f(r . r): phi * rho gives 1 - r
-      no mass for phi, rho in F_r, so F_r is convolution-closed;
-    - state: psi is a state with psi(r) = 1 within tol;
-    - absorption: A S_r = 0 within 10 * iter_tol, with A the absorption
-      operator of psi: psi absorbs every state of F_r on both sides.
+    1. Every phi in F_r is phi(r . r), so F_r is closed iff
+       (r (x) r) Delta(1 - r) (r (x) r) = 0, iff Delta(r)(r (x) r) = r (x) r.
+    2. Then r is group-like: X = Delta(r)((1 - r) (x) r) has (h (x) h)(X* X)
+       = (h (x) h)(Delta(r)(1 (x) r)) - (h (x) h)(r (x) r) = h(r)^2 - h(r)^2
+       = 0 by traciality, 1 and left invariance, so X = 0 and
+       Delta(r)(1 (x) r) = r (x) r; by right invariance Delta(r)(r (x) 1) = r (x) r.
+    3. By 2, (r (x) r) Delta(x) (r (x) r) = (1 (x) r) Delta(rxr) (1 (x) r);
+       slicing with h (x) phi, phi in F_r, gives psi * phi = psi, and
+       phi * psi = psi by right invariance.  psi is in F_r, so it is
+       idempotent and the only idempotent of F_r that absorbs F_r.  (Not
+       every member's Cesaro limit: the counit, when in F_r, is its own.)
 
-    Absorption makes psi the only idempotent of F_r that absorbs F_r.
+    One sandwich S_r: f -> f(r . r) serves the three certificates, so the
+    answer does not rest on the proof:
+
+    - closure: S_r^T X S_r = 0 within tol, X the coefficients of Delta(1 - r);
+    - state: psi = S_r h / h(r) is a state with psi(r) = 1 within tol;
+    - absorption: A S_r = 0 within 10 * iter_tol, A the absorption operator
+      of psi; every phi in F_r is S_r phi, so psi absorbs F_r on both sides.
     """
-    alg = G.algebra
+    alg, h = G.algebra, G.haar.duals
     S = _sandwich_matrix(G, r.coeffs)
     closure = np.abs(S.T @ G.delta_applied(alg.unit - r.coeffs) @ S).max()
     if not closure <= alg.tol:
         raise AlgebraError(f"face is not closed under convolution (residual {closure:.3e})")
-    seed = _conditioned_rows(G, alg.trace[np.newaxis], r)[0]
-    psi = cesaro_idempotent(G, State(alg, seed, check=False)).limit
+    mass = (h @ r.coeffs).real
+    if not mass > alg.tol:
+        raise AlgebraError("conditioning on a projection of zero mass is undefined")
+    psi = State(alg, S @ h / mass)
     if not abs(psi(r) - 1) <= alg.tol:
         raise AlgebraError("face idempotent left its face")
-    if not _face_absorption_residual(G, psi, r) <= 10 * alg.iter_tol:
+    if not np.abs(_absorption_operator(G, psi.duals) @ S).max() <= 10 * alg.iter_tol:
         raise AlgebraError("face idempotent fails to absorb its face")
     return psi
 
@@ -372,7 +360,7 @@ def collapse_stability_probe(G: CompactQuantumGroup, psi: State,
     tol = 1e-7
     if not is_idempotent(G, psi):
         raise AlgebraError("probe requires an idempotent state")
-    A = _absorption_operator(G, psi)
+    A = _absorption_operator(G, psi.duals)
     W = _row_space(_sandwich_matrix(G, support_projection(psi).coeffs).T).T
     if not np.abs(A @ W).max() <= tol:
         raise AlgebraError("some state on the support of psi is not absorbed by psi")

@@ -25,7 +25,7 @@ from qperm.idempotent import (
     is_idempotent,
     quasi_subgroup_member,
 )
-from qperm.permutation import is_character, quantum_fraction, stabiliser_projection
+from qperm.permutation import is_character, quantum_fraction
 
 
 def _member_bank(G, r, n, seed):
@@ -280,7 +280,7 @@ def classical_version_oracle():
     return _classical_version
 
 
-# -- the routes to idempotent states that face_idempotent replaced ------------------
+# -- the routes that the regular trace and the conditioned Haar state replaced -------
 
 
 def _haar_by_invariance(algebra, delta):
@@ -307,23 +307,27 @@ def _haar_by_invariance(algebra, delta):
     return State(algebra, h)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def haar_oracle():
     """``haar_oracle(algebra, delta)``: the Haar state by the invariance SVD
     and a least-squares solve."""
     return _haar_by_invariance
 
 
-def _stabiliser_by_haar(G, partition):
-    """The stabiliser idempotent as the Cesaro limit of the Haar state
-    conditioned on the stabiliser projection."""
-    return cesaro_idempotent(G, condition(G, G.haar, stabiliser_projection(G, partition))).limit
+def _face_by_cesaro(G, r):
+    """The idempotent of the face {phi : phi(r) = 1} as the Cesaro limit of
+    the trace conditioned on r, which is faithful on rAr; r = 1 gives the
+    Haar state."""
+    alg = G.algebra
+    trace = State(alg, alg.trace / (alg.trace @ alg.unit))
+    return cesaro_idempotent(G, condition(G, trace, r)).limit
 
 
 @pytest.fixture
-def stabiliser_oracle():
-    """``stabiliser_oracle(G, partition)``: the Haar-seeded Cesaro limit."""
-    return _stabiliser_by_haar
+def face_oracle():
+    """``face_oracle(G, r)``: the trace-seeded Cesaro limit on the face of a
+    projection r, the route that the conditioned Haar state replaced."""
+    return _face_by_cesaro
 
 
 def _dual_indicator(G, subgroup):

@@ -502,8 +502,9 @@ def test_convolve_rejects_group_mismatch(kp, ds4):
 def test_haar_solver_rejects_degenerate_invariance(cs3, haar_oracle):
     # direct sum of two copies of C(S_2), whose unit is the sum of the two
     # block units: Delta(1) = 1_1 (x) 1_1 + 1_2 (x) 1_2 is not 1 (x) 1, so no
-    # state is invariant.  Convolution halves the mass of the trace, so its
-    # Cesaro limit is 0, not a state
+    # state is invariant.  The regular trace h is still a state, 1/4 at each
+    # point, and the invariance certificate rejects it: (h (x) id) Delta(e_a)
+    # lives on the block of e_a, h(e_a) 1 on both blocks (residual 1/4)
     s2 = classical_group(permgroups.symmetric_group(2))
     d = 4
     mult = np.zeros((d, d, d), dtype=complex)
@@ -514,7 +515,7 @@ def test_haar_solver_rejects_degenerate_invariance(cs3, haar_oracle):
     delta[2:, 2:, 2:] = s2.delta
     algebra = StarAlgebra(["a", "b", "c", "d"], mult, np.eye(d),
                           unit=np.ones(d), trace=np.full(d, 0.25), check=False)
-    with pytest.raises(AlgebraError, match="unital residual 1.000e"):
+    with pytest.raises(AlgebraError, match=r"not bi-invariant \(residual 2.500e-01\)"):
         CompactQuantumGroup("two-s2", algebra, delta, np.eye(d)[0], np.eye(d),
                             algebra.unit[np.newaxis, np.newaxis], check=False)
     with pytest.raises(AlgebraError):

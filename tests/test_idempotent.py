@@ -14,6 +14,7 @@ from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection, State, gram_norm, support_projection
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
+    _absorption_operator,
     classical_group,
     dual_dihedral,
     dual_symmetric_group,
@@ -23,7 +24,7 @@ from qperm.cqg import (
 )
 from qperm.idempotent import (
     CesaroResult,
-    _face_absorption_residual,
+    _sandwich_matrix,
     cesaro_idempotent,
     classify_idempotent,
     collapse_stability_probe,
@@ -165,9 +166,9 @@ def test_haar_absorbs_all_sampled(kp):
 
 def test_face_absorption_residual_reads_each_side():
     # on C(S_3) the face of the point projection at g is {delta_g}, so the
-    # certificate is the larger absorption distance of delta_g.  A uniform
-    # state on a left coset of <t> absorbs on one side only, on a right coset
-    # on the other, so both sides are read
+    # certificate max|A S_r| of face_idempotent is the larger absorption
+    # distance of delta_g.  A uniform state on a left coset of <t> absorbs on
+    # one side only, on a right coset on the other, so both sides are read
     cs3 = classical_group(permgroups.symmetric_group(3))
     t = permgroups.from_cycles(3, (0, 1))
     sub = permgroups.closure([t])
@@ -181,7 +182,8 @@ def test_face_absorption_residual_reads_each_side():
                 dg = point_state(cs3, g)
                 left = psi.distance(cs3.convolve(psi, dg, check=False))
                 right = psi.distance(cs3.convolve(dg, psi, check=False))
-                residual = _face_absorption_residual(cs3, psi, r)
+                S = _sandwich_matrix(cs3, r.coeffs)
+                residual = np.abs(_absorption_operator(cs3, psi.duals) @ S).max()
                 assert abs(residual - max(left, right)) < 1e-12
                 sides.add((left < 1e-12, right < 1e-12))
     assert {(True, False), (False, True)} <= sides

@@ -11,12 +11,13 @@ compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
 of the L_p, is compared with the limit of alternating products.  The
 classical version, which the library reads off the centre, is compared with
 the commutator-ideal route with meets of magic entries as supports, also in
-a complex basis.  The face idempotent, the library's one route to the Haar
-state, the stabiliser and dual-subgroup idempotents and the idempotent of
-p_C, is compared with the routes it replaced: the invariance SVD, the
-Haar-seeded Cesaro limit, the hand-built indicator and the pulled-back Haar
-state of the abelianization; it is checked to absorb sampled members of its
-face, and to agree with itself in a complex basis.  The state
+a complex basis.  The Haar state, the regular trace, is compared with the
+invariance SVD and with the trace-seeded Cesaro limit that it replaced.  The
+face idempotent, the conditioned Haar state behind the stabiliser,
+dual-subgroup and p_C idempotents, is compared with that Cesaro limit on
+each face, the hand-built indicator and the pulled-back Haar state of the
+abelianization; it is checked to absorb sampled members of its face, and to
+agree with itself in a complex basis.  The state
 bank, which the library builds in blocks, is compared with the bank built
 one sample at a time, and the bounds sampler, which the library works as
 stacks of pairs, is compared with the sampler one pair at a time.  The
@@ -285,35 +286,44 @@ def test_stabiliser_idempotent_absorbs_sampled_members(G, member_bank):
             assert quasi_subgroup_member(G, psi, phi, 1e-12), part
 
 
-def test_haar_face_matches_invariance_oracle(G, haar_oracle):
-    # r = 1 against the removed route: the invariance system's SVD and lstsq
+def test_haar_face_matches_invariance_oracle(G, haar_oracle, face_oracle):
+    # the regular trace against the removed routes: the invariance system's
+    # SVD and lstsq, and the trace-seeded Cesaro limit on the face of r = 1
     ref = haar_oracle(G.algebra, G.delta).duals
     assert np.abs(solve_haar(G).duals - ref).max() <= 1e-12
     assert np.abs(G.haar.duals - ref).max() <= 1e-12
+    assert np.abs(face_oracle(G, G.algebra.one()).duals - ref).max() <= 1e-12
 
 
-def test_stabiliser_face_matches_haar_seeded_oracle(G, stabiliser_oracle):
-    # against the removed route: the Cesaro limit of the Haar state, not the
-    # trace, conditioned on the stabiliser projection
+def test_stabiliser_face_matches_haar_seeded_oracle(G, face_oracle):
+    # against the removed route, the Cesaro limit of the trace conditioned on
+    # the stabiliser projection (the name is from when the seed was Haar)
     for part, _ in stabiliser_cases(G):
-        ref = stabiliser_oracle(G, part).duals
+        ref = face_oracle(G, stabiliser_projection(G, part)).duals
         assert np.abs(stabiliser_idempotent(G, part).duals - ref).max() <= 1e-12, part
 
 
 @pytest.mark.parametrize("name", sorted(n for n in BUILTIN_GROUPS if n.startswith("dual-")))
-def test_dual_subgroup_faces_match_indicator_oracle(name, dual_indicator_oracle):
-    # every subgroup face of every dual builtin against the written-down indicator
+def test_dual_subgroup_faces_match_indicator_oracle(name, dual_indicator_oracle, face_oracle):
+    # every subgroup face of every dual builtin against the written-down
+    # indicator and the trace-seeded Cesaro limit
     G = BUILTIN_GROUPS[name]()
     for sub in G.group.subgroups():
         ref = dual_indicator_oracle(G, sub).duals
-        assert np.abs(dual_subgroup_idempotent(G, sub).duals - ref).max() <= 1e-12, sorted(sub)
+        psi = dual_subgroup_idempotent(G, sub).duals
+        assert np.abs(psi - ref).max() <= 1e-12, sorted(sub)
+        r = np.zeros(G.dim)
+        r[sorted(sub)] = 1 / len(sub)
+        assert np.abs(face_oracle(G, Projection(G.algebra, r)).duals - ref).max() <= 1e-12
 
 
-def test_p_c_face_matches_quotient_oracle(G, morphisms):
-    # against the removed route: the Haar state of the classical version,
-    # pulled back through the abelianization
+def test_p_c_face_matches_quotient_oracle(G, morphisms, face_oracle):
+    # against the removed routes: the Haar state of the classical version,
+    # pulled back through the abelianization, and the trace-seeded Cesaro limit
     ref = morphisms.haar_idempotent(morphisms.abelianization(G)).duals
-    assert np.abs(face_idempotent(G, classical_version(G).p_C).duals - ref).max() <= 1e-12
+    p_C = classical_version(G).p_C
+    assert np.abs(face_idempotent(G, p_C).duals - ref).max() <= 1e-12
+    assert np.abs(face_oracle(G, p_C).duals - ref).max() <= 1e-12
 
 
 def state_pool(G):

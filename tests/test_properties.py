@@ -12,6 +12,11 @@ The idempotent generated by point masses at a set X of elements of G is the
 uniform measure on the subgroup X generates (Kawada-Ito); on C*(G), where
 convolution is pointwise, the one generated by the indicators of H and K is
 the indicator of their intersection.
+
+On each generated group the Haar state, the regular trace, is checked
+against the invariance SVD.  The regular trace is not the algebra's trace,
+which may be any faithful trace: C(S_3) with a skewed one keeps the uniform
+Haar state.
 """
 import numpy as np
 import pytest
@@ -19,8 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import permgroups
-from qperm.algebra import AlgebraError, Projection
-from qperm.cqg import classical_group, dual_group, point_state, uniform_state
+from qperm.algebra import AlgebraError, Projection, StarAlgebra
+from qperm.cqg import (
+    CompactQuantumGroup,
+    classical_group,
+    dual_group,
+    point_state,
+    solve_haar,
+    uniform_state,
+)
 from qperm.idempotent import dual_subgroup_idempotent, face_idempotent, generated_idempotent
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -42,8 +54,9 @@ def indicator(G, subset):
 
 @PROPERTY
 @given(generators())
-def test_subgroup_faces_of_a_generated_classical_group(gens):
+def test_subgroup_faces_of_a_generated_classical_group(haar_oracle, gens):
     G = classical_group(permgroups.closure(gens))
+    assert np.abs(solve_haar(G).duals - haar_oracle(G.algebra, G.delta).duals).max() < 1e-12
     for sub in G.group.subgroups():
         psi = face_idempotent(G, Projection(G.algebra, indicator(G, sub)))
         expect = uniform_state(G, [G.group_elements[i] for i in sub])
@@ -52,10 +65,11 @@ def test_subgroup_faces_of_a_generated_classical_group(gens):
 
 @PROPERTY
 @given(generators())
-def test_subgroup_faces_of_a_generated_dual_group(gens):
+def test_subgroup_faces_of_a_generated_dual_group(haar_oracle, gens):
     group = permgroups.FiniteGroup.from_permutations(permgroups.closure(gens))
     index = [group.perms.index(g) for g in gens]
     G = dual_group(group, [(i, group.element_order(i)) for i in index])
+    assert np.abs(solve_haar(G).duals - haar_oracle(G.algebra, G.delta).duals).max() < 1e-12
     for sub in group.subgroups():
         r = Projection(G.algebra, indicator(G, sub) / len(sub))
         assert np.abs(face_idempotent(G, r).duals - indicator(G, sub)).max() < 1e-12, sorted(sub)
@@ -97,3 +111,14 @@ def test_subgroup_indicators_generate_the_indicator_of_their_intersection(gens, 
     res = generated_idempotent(G, [dual_subgroup_idempotent(G, H), dual_subgroup_idempotent(G, K)])
     assert res.converged
     assert np.abs(res.limit.duals - indicator(G, H & K)).max() < 1e-12, (sorted(H), sorted(K))
+
+
+def test_haar_state_ignores_a_skewed_trace():
+    # C(S_3) with the faithful trace weights 1..6 is a valid group; its Haar
+    # state is still uniform, so the solver must not start from this trace
+    cs3 = classical_group(permgroups.symmetric_group(3))
+    alg = cs3.algebra
+    skewed = StarAlgebra(alg.labels, alg.mult, alg.involution, alg.unit, np.arange(1.0, 7.0))
+    G = CompactQuantumGroup("skewed-s3", skewed, cs3.delta, cs3.counit.duals, cs3.antipode,
+                            cs3.magic)
+    assert np.abs(G.haar.duals - 1 / 6).max() < 1e-15
