@@ -27,19 +27,15 @@ from .cqg import (
     dual_group,
     dual_symmetric_group,
     kac_paljutkin,
-    point_state,
     uniform_state,
 )
 from .dynamics import (
-    PhasePoint,
-    RegionLabel,
     Trajectory,
     convergence_to_haar,
     convolution_bounds,
     detect_period,
     finite_quantum_formulas,
     idempotent_gap_check,
-    phase_region,
     trajectory,
     verify_bounds_empirically,
 )
@@ -57,20 +53,15 @@ from .idempotent import (
     is_group_like,
     is_idempotent,
     null_space,
-    quasi_subgroup_member,
 )
 from .permutation import (
     ClassicalVersion,
     FixSpectrum,
-    birkhoff_slice,
     classical_version,
     decompose,
     fix_eigenvector_seed,
     fix_spectrum,
-    fixed_point_distribution,
     has_integer_fixed_points,
-    is_central,
-    is_character,
     projection_rank,
     quantum_fraction,
     stabiliser_idempotent,

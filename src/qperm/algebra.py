@@ -167,20 +167,6 @@ class StarAlgebra:
     def element(self, coeffs) -> "AlgebraElement":
         return AlgebraElement(self, coeffs)
 
-    def basis_element(self, i: int) -> "AlgebraElement":
-        c = np.zeros(self.dim, dtype=complex)
-        c[i] = 1.0
-        return AlgebraElement(self, c)
-
-    def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit)
-
-    def functional(self, duals) -> "LinearFunctional":
-        return LinearFunctional(self, duals)
-
-    def state(self, duals, check: bool = True) -> "State":
-        return State(self, duals, check=check)
-
     # -- cached geometry -----------------------------------------------------
 
     @cached_property
@@ -203,6 +189,11 @@ class StarAlgebra:
         """Left regular representation: regular[i] @ x == coefficients of e_i x."""
         _ = self._chol  # faithfulness check
         return np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1)))
+
+    @cached_property
+    def _regular_trace(self) -> np.ndarray:
+        """Tr(L_{e_i}), the trace of left multiplication by each basis element."""
+        return np.einsum("ijj->i", self.mult)
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         d = self.dim
@@ -294,9 +285,6 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, self.algebra.star_coeffs(self.coeffs))
-
-    def norm(self) -> float:
-        return gram_norm(self)
 
     def is_projection(self, tol: float | None = None) -> bool:
         tol = self.algebra.tol if tol is None else tol

@@ -333,7 +333,7 @@ def exp_fix_spectrum(G, params, out):
                "counit_distribution": fs.distribution(G.counit),
                "haar_distribution": fs.distribution(G.haar),
                "haar_integer_fixed_points":
-                   permutation.has_integer_fixed_points(G, G.haar, fs)}
+                   permutation.has_integer_fixed_points(G.haar, fs)}
     write_json(out / "fix_spectrum.json", payload)
     return ["fix_spectrum.json"]
 
@@ -361,7 +361,7 @@ def exp_s4hat_walkthrough(G, params, out):
         "haar_weight_at_lambda_plus": haar_weight,
         "terminal_distribution": terminal,
         "limit_has_integer_fixed_points":
-            permutation.has_integer_fixed_points(G, G.haar, fs),
+            permutation.has_integer_fixed_points(G.haar, fs),
     }
     write_json(out / "s4hat.json", payload)
     if not conv.converged or haar_weight <= 0:

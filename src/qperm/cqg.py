@@ -57,16 +57,8 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def max_residual(self) -> float:
-        return max(c.residual for c in self.checks)
-
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {c.name: {"residual": c.residual, "tolerance": c.tolerance,
-                         "passed": c.passed} for c in self.checks}
 
     def __str__(self) -> str:
         w = max(len(c.name) for c in self.checks)
@@ -347,7 +339,7 @@ def solve_haar(G: CompactQuantumGroup) -> State:
     other.  The algebra's trace is not used: it may be any faithful trace.
     """
     alg = G.algebra
-    h = State(alg, np.einsum("ijj->i", alg.mult) / G.dim)
+    h = State(alg, alg._regular_trace / G.dim)
     residual = np.abs(_absorption_operator(G, h.duals)).max()
     if not residual <= alg.tol:
         raise AlgebraError(f"regular trace is not bi-invariant (residual {residual:.3e})")
@@ -407,15 +399,10 @@ def classical_group(perms: list[tuple], name: str | None = None,
     return G
 
 
-def point_state(G: CompactQuantumGroup, sigma: tuple) -> State:
-    """Evaluation at a group element of a classical group algebra."""
-    return uniform_state(G, [sigma])
-
-
 def uniform_state(G: CompactQuantumGroup, elements) -> State:
     """Uniform probability measure on a set of elements of a classical group."""
     if G.kind != "classical":
-        raise AlgebraError("point and uniform states are for classical function algebras")
+        raise AlgebraError("uniform states are for classical function algebras")
     index = sorted({G.group_elements.index(tuple(p)) for p in elements})
     if not index:
         raise AlgebraError("the uniform state needs at least one element")
@@ -658,7 +645,7 @@ def _character_stack(G: CompactQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
     if gaps.min(initial=np.inf) <= 1e-6 * max(1.0, np.abs(evals).max()):
         raise AlgebraError("generic central element does not separate the blocks")
     z = (V * np.linalg.solve(V, Z.conj() @ alg.unit)).T @ Z
-    z = z[np.abs(z @ np.einsum("ijj->i", alg.mult) - 1) < 0.5]  # tr L_z = 1
+    z = z[np.abs(z @ alg._regular_trace - 1) < 0.5]  # tr L_z = 1
     chi = z @ (alg.mult @ alg.trace).T / (z @ alg.trace)[:, np.newaxis]
     _require_states(alg, chi)
     if _multiplicativity_residual(alg, chi) > 100 * max(1e-8, alg.tol):

@@ -14,8 +14,8 @@ state (:func:`face_idempotent`).
 
 Absorption by an idempotent psi is linear too: A = [L_psi - psi u^T;
 R_psi - psi u^T] sends a unital phi to (psi * phi - psi, phi * psi - psi).
-Quasi-subgroup membership, face absorption and stability under collapse are
-all read off A applied to a fixed matrix, with no sampled states.
+Absorption of the generating states, of a face and of its collapses are all
+read off A applied to a fixed matrix, with no sampled states.
 """
 from __future__ import annotations
 
@@ -154,17 +154,8 @@ def _cesaro_rows(G: CompactQuantumGroup, S: np.ndarray) -> list[CesaroResult]:
     return results
 
 
-def is_idempotent(G: CompactQuantumGroup, phi: State, tol: float | None = None) -> bool:
-    tol = G.algebra.iter_tol if tol is None else tol
-    return phi.distance(G.convolve(phi, phi, check=False)) <= tol
-
-
-def quasi_subgroup_member(G: CompactQuantumGroup, psi: State, phi: State,
-                          tol: float = 1e-7) -> bool:
-    """Whether phi is absorbed by the idempotent psi on both sides."""
-    if not is_idempotent(G, psi, max(tol, G.algebra.iter_tol)):
-        raise AlgebraError("absorbing state is not idempotent")
-    return bool(np.abs(_absorption_operator(G, psi.duals) @ phi.duals).max() <= tol)
+def is_idempotent(G: CompactQuantumGroup, phi: State) -> bool:
+    return phi.distance(G.convolve(phi, phi, check=False)) <= G.algebra.iter_tol
 
 
 def generated_idempotent(G: CompactQuantumGroup, states: list[State]) -> CesaroResult:
@@ -291,7 +282,7 @@ def classify_idempotent(G: CompactQuantumGroup, phi: State) -> IdempotentClass:
     of right multiplication beyond 1e-7 are recorded as witnesses.
     """
     tol = 1e-7
-    if not is_idempotent(G, phi, tol):
+    if not is_idempotent(G, phi):
         raise AlgebraError("state is not idempotent")
     N = null_space(G, phi)
     if N.shape[0] == 0:

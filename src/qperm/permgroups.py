@@ -19,13 +19,6 @@ def compose(a: tuple, b: tuple) -> tuple:
     return tuple(a[b[j]] for j in range(len(a)))
 
 
-def invert(a: tuple) -> tuple:
-    out = [0] * len(a)
-    for j, v in enumerate(a):
-        out[v] = j
-    return tuple(out)
-
-
 def perm_order(a: tuple) -> int:
     e = identity_perm(len(a))
     p, k = a, 1

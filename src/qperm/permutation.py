@@ -1,6 +1,6 @@
-"""Quantum-permutation analysis: Birkhoff slices, characters and the classical
-version, character supports, the random / truly-quantum decomposition,
-stabiliser quasi-subgroups, and the fixed-point observable."""
+"""Quantum-permutation analysis: characters and the classical version read
+off their Birkhoff slices, character supports, the random / truly-quantum
+decomposition, stabiliser quasi-subgroups, and the fixed-point observable."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,11 +10,8 @@ import numpy as np
 from . import permgroups
 from .algebra import (
     AlgebraError,
-    AlgebraElement,
-    LinearFunctional,
     Projection,
     State,
-    _multiplicativity_residual,
     _projection_residuals,
     _require_states,
     eigenvector,
@@ -23,11 +20,6 @@ from .algebra import (
 )
 from .cqg import CompactQuantumGroup, _character_stack, birkhoff_matrix
 from .idempotent import _conditioned_rows, face_idempotent, is_group_like
-
-
-def birkhoff_slice(G: CompactQuantumGroup, phi: LinearFunctional) -> np.ndarray:
-    """Doubly stochastic matrix (phi(u_ij)); the slice of a state."""
-    return _slices(G, phi.duals[np.newaxis])[0]
 
 
 def _slices(G: CompactQuantumGroup, D: np.ndarray) -> np.ndarray:
@@ -50,21 +42,6 @@ def _slice_permutations(P: np.ndarray) -> list:
           & (R.sum(axis=1) == 1).all(axis=1) & (R.sum(axis=2) == 1).all(axis=1))
     return [tuple(int(i) for i in r.argmax(axis=0)) if good else None
             for r, good in zip(R, ok)]
-
-
-def is_character(G: CompactQuantumGroup, phi: State):
-    """The permutation sigma with slice P_sigma, if the slice is one.
-
-    Returns None when the slice is not within 1e-8 of a permutation matrix.
-    A permutation slice forces multiplicativity, which is asserted rather
-    than trusted.
-    """
-    sigma = _slice_permutations(birkhoff_slice(G, phi)[np.newaxis])[0]
-    if sigma is not None and _multiplicativity_residual(
-            G.algebra, phi.duals[np.newaxis]) > 100 * max(1e-8, G.algebra.tol):
-        raise AlgebraError("permutation slice but not multiplicative: "
-                           "invalid input model")
-    return sigma
 
 
 @dataclass
@@ -115,7 +92,7 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
 
 def projection_rank(p: Projection) -> int:
     """Rank of p in the left regular representation, the trace of L_p."""
-    return int(round(float(np.trace(p.algebra.left_mult_matrix(p.coeffs)).real)))
+    return int(round(float((p.coeffs @ p.algebra._regular_trace).real)))
 
 
 def quantum_fraction(phi: State, cv: ClassicalVersion) -> float:
@@ -217,14 +194,6 @@ def stabiliser_idempotent(G: CompactQuantumGroup, partition) -> State:
     return psi
 
 
-def is_central(a: AlgebraElement) -> bool:
-    """Left and right multiplication by a agree within the algebra's tol."""
-    alg = a.algebra
-    L = alg.left_mult_matrix(a.coeffs)
-    R = (a.coeffs @ alg.mult).T
-    return bool(np.abs(L - R).max() <= alg.tol)
-
-
 # -- fixed points --------------------------------------------------------------
 
 
@@ -232,7 +201,6 @@ def is_central(a: AlgebraElement) -> bool:
 class FixSpectrum:
     """Spectral data of the main character fix = sum_j u_jj."""
 
-    element: AlgebraElement
     eigenvalues: list[float]
     projections: list[Projection]
 
@@ -251,7 +219,7 @@ def fix_spectrum(G: CompactQuantumGroup) -> FixSpectrum:
     lams = [lam for lam, _ in parts]
     if lams and (lams[0] < -1e-8 or lams[-1] > G.N + 1e-8):
         raise AlgebraError("fix spectrum escapes [0, N]")
-    return FixSpectrum(fix, lams, [p for _, p in parts])
+    return FixSpectrum(lams, [p for _, p in parts])
 
 
 def fix_eigenvector_seed(G: CompactQuantumGroup) -> State:
@@ -262,16 +230,9 @@ def fix_eigenvector_seed(G: CompactQuantumGroup) -> State:
     return State(G.algebra, np.mean(duals, axis=0))
 
 
-def fixed_point_distribution(G: CompactQuantumGroup, phi: State,
-                             spectrum: FixSpectrum | None = None):
-    spectrum = fix_spectrum(G) if spectrum is None else spectrum
-    return spectrum.distribution(phi)
-
-
-def has_integer_fixed_points(G: CompactQuantumGroup, phi: State,
-                             spectrum: FixSpectrum | None = None) -> bool:
-    """All spectral mass of fix, up to 1e-9, sits on eigenvalues within
-    1e-6 of integers."""
-    dist = fixed_point_distribution(G, phi, spectrum)
+def has_integer_fixed_points(phi: State, spectrum: FixSpectrum) -> bool:
+    """All spectral mass of fix (``spectrum``, from :func:`fix_spectrum`), up
+    to 1e-9, sits on eigenvalues within 1e-6 of integers."""
+    dist = spectrum.distribution(phi)
     off = sum(w for lam, w in dist if abs(lam - round(lam)) > 1e-6)
     return off <= 1e-9

@@ -15,7 +15,7 @@ from qperm.algebra import (
     meet,
     support_projection,
 )
-from qperm.cqg import _row_space, birkhoff_matrix, characters, classical_group
+from qperm.cqg import _row_space, birkhoff_matrix, centre, characters, classical_group
 from qperm.idempotent import (
     CesaroResult,
     CollapseProbeReport,
@@ -23,9 +23,32 @@ from qperm.idempotent import (
     cesaro_idempotent,
     condition,
     is_idempotent,
-    quasi_subgroup_member,
 )
-from qperm.permutation import is_character, quantum_fraction
+from qperm.permutation import quantum_fraction
+
+
+def _absorbs(G, psi, phi, tol=1e-7):
+    """Whether psi absorbs phi on both sides: psi * phi and phi * psi are
+    each within tol of psi, by two convolutions."""
+    return max(psi.distance(G.convolve(psi, phi, check=False)),
+               psi.distance(G.convolve(phi, psi, check=False))) <= tol
+
+
+@pytest.fixture
+def absorbs():
+    """``absorbs(G, psi, phi, tol=1e-7)``: quasi-subgroup membership of phi
+    in the idempotent psi, by two convolutions."""
+    return _absorbs
+
+
+@pytest.fixture
+def in_centre():
+    """``in_centre(G, x)``: whether the coefficients x of an element of G's
+    algebra lie in the span of the centre (:func:`cqg.centre`)."""
+    def member(G, x):
+        Z = centre(G)
+        return bool(np.abs(x - (x @ Z.conj().T) @ Z).max() <= 1e-9 * max(1.0, np.abs(x).max()))
+    return member
 
 
 def _member_bank(G, r, n, seed):
@@ -92,7 +115,7 @@ def _collapse_probe(G, psi, n_samples, seed, tol=1e-7):
             cand = _vector_state(G, x)
         except AlgebraError:
             continue
-        if quasi_subgroup_member(G, psi, cand, tol):
+        if _absorbs(G, psi, cand, tol):
             members.append(cand)
     violations = []
     for phi in members:
@@ -102,7 +125,7 @@ def _collapse_probe(G, psi, n_samples, seed, tol=1e-7):
                 if phi(q).real <= 1e-9:
                     continue
                 collapsed = condition(G, phi, q)
-                if not quasi_subgroup_member(G, psi, collapsed, tol):
+                if not _absorbs(G, psi, collapsed, tol):
                     dist = max(psi.distance(G.convolve(psi, collapsed, check=False)),
                                psi.distance(G.convolve(collapsed, psi, check=False)))
                     violations.append(((i, j), float(dist)))
@@ -247,7 +270,7 @@ def _characters(G):
             / np.vdot(coeffs, coeffs)
         mres = np.abs(np.einsum("ijk,k->ij", alg.mult, duals)
                       - np.outer(duals, duals)).max()
-        if mres < 1e-7 and abs(LinearFunctional(alg, duals)(alg.one()) - 1) < 1e-7:
+        if mres < 1e-7 and abs(LinearFunctional(alg, duals)(alg.element(alg.unit)) - 1) < 1e-7:
             out.append(State(alg, duals))
     uniq = []
     for phi in out:
@@ -259,11 +282,15 @@ def _characters(G):
 def _classical_version(G):
     """(permutations, character duals, support coefficients), identity first
     and then in permutation order: the characters by the commutator ideal,
-    each support the meet of the magic entries u_{sigma(j) j} it selects."""
+    each permutation read off its rounded Birkhoff matrix, and each support
+    the meet of the magic entries u_{sigma(j) j} it selects."""
     rows = []
     for chi in _characters(G):
-        sigma = is_character(G, chi)
-        assert sigma is not None
+        P = birkhoff_matrix(G, chi)
+        R = np.round(P.real)
+        sigma = tuple(int(i) for i in R.argmax(axis=0))
+        assert np.abs(P - R).max() <= 1e-8 and sorted(sigma) == list(range(G.N))
+        assert np.array_equal(R, np.eye(G.N)[list(sigma)].T)
         support = meet([G.magic_projection(sigma[j], j) for j in range(G.N)])
         rows.append((sigma, chi.duals, support.coeffs))
     identity = permgroups.identity_perm(G.N)
@@ -442,15 +469,14 @@ def _generated_by_rounds(G, states):
         psi = G.convolve(psi, r, check=False)
     out = cesaro_idempotent(G, psi).limit
     for _ in range(8):
-        missing = [phi for phi in states
-                   if not quasi_subgroup_member(G, out, phi, 10 * tol)]
+        missing = [phi for phi in states if not _absorbs(G, out, phi, 10 * tol)]
         if not missing:
             break
         mixed = out
         for phi in missing:
             mixed = G.convolve(G.convolve(mixed, phi, check=False), out, check=False)
         out = cesaro_idempotent(G, mixed).limit
-    assert all(quasi_subgroup_member(G, out, phi, 10 * tol) for phi in states)
+    assert all(_absorbs(G, out, phi, 10 * tol) for phi in states)
     return out
 
 
@@ -496,42 +522,29 @@ def dynamics_oracle():
 
 
 def _phase_region_by_point(a, b):
-    """(region, q2i, q3i, qhalfw, notes) of one point, one branch at a time."""
+    """(region, q2i, q3i, qhalfw) of one point, one branch at a time."""
     eps, sqrt2 = 1e-12, np.sqrt(2.0)
     if a <= eps and b <= eps:
-        return "degenerate", False, False, False, []
+        return "degenerate", False, False, False
     disc = a + b - 4 * a * b
     region = "Boundary_W" if abs(disc) <= eps else "Q_I" if disc > 0 else "Q_W"
-    notes = []
 
     def two_inc(x, y):
         if x >= 1.0 - eps:
             return False
         return y < (2 * x - 1) / (2 * x - 2)
 
-    raw_q2i = two_inc(a, b) or two_inc(b, a)
-    q2i = raw_q2i and region == "Q_I"
-    if raw_q2i and not q2i:
-        notes.append("q2i inequality outside Q_I")
+    q2i = (two_inc(a, b) or two_inc(b, a)) and region == "Q_I"
 
     def three_inc(x, y):
         if abs(1 - 2 * x) <= eps:
-            return False, "domain"
+            return False
         t = 1 - sqrt2 / (1 - 2 * x)
-        if not (0.0 <= t <= 1.0):
-            return False, "domain"
-        return y < t, None
+        return 0.0 <= t <= 1.0 and y < t
 
-    q3_ab, note_ab = three_inc(a, b)
-    q3_ba, note_ba = three_inc(b, a)
-    q3i = (q3_ab or q3_ba) and q2i
-    if note_ab == "domain" and note_ba == "domain":
-        notes.append("q3i threshold outside [0, 1]: domain undetermined")
-    raw_half = a > 0 and b > (1 - 1 / sqrt2) / a
-    qhalfw = raw_half and region == "Q_W"
-    if raw_half and not qhalfw:
-        notes.append("qhalfw inequality outside Q_W")
-    return region, q2i, q3i, qhalfw, notes
+    q3i = (three_inc(a, b) or three_inc(b, a)) and q2i
+    qhalfw = a > 0 and b > (1 - 1 / sqrt2) / a and region == "Q_W"
+    return region, q2i, q3i, qhalfw
 
 
 def _phase_csv_by_rows(n):
@@ -541,7 +554,7 @@ def _phase_csv_by_rows(n):
     for i in range(n):
         for j in range(n):
             a, b = i / (n - 1), j / (n - 1)
-            region, q2i, q3i, qhalfw, _ = _phase_region_by_point(a, b)
+            region, q2i, q3i, qhalfw = _phase_region_by_point(a, b)
             lower, upper = a + b - 2 * a * b, a + b - a * b
             lines.append(",".join([fmt(a), fmt(b), region, str(int(q2i)), str(int(q3i)),
                                    str(int(qhalfw)), fmt(lower), fmt(upper)]) + "\n")
@@ -577,8 +590,9 @@ def _census_by_seed(G, n_seeds, seed, extra_seeds):
 
 @pytest.fixture
 def experiment_oracles():
-    """The per-item routes: ``phase_region(a, b)`` as a tuple with its notes,
-    the ``phase_csv(n)`` text and the ``census(G, n_seeds, seed, extra_seeds)``."""
+    """The per-item routes: ``phase_region(a, b)`` as a (region, q2i, q3i,
+    qhalfw) tuple, the ``phase_csv(n)`` text and the ``census(G, n_seeds,
+    seed, extra_seeds)``."""
     return types.SimpleNamespace(phase_region=_phase_region_by_point,
                                  phase_csv=_phase_csv_by_rows,
                                  census=_census_by_seed)

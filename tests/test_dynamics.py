@@ -8,14 +8,12 @@ from qperm.cqg import (
     classical_group,
     dual_symmetric_group,
     kac_paljutkin,
-    point_state,
     uniform_state,
 )
 from qperm.dynamics import (
     BOUNDARY_EPS,
-    _NOTES,
+    _REGIONS,
     ConvergenceReport,
-    PhasePoint,
     _phase_labels,
     convergence_to_haar,
     convolution_bounds,
@@ -23,7 +21,6 @@ from qperm.dynamics import (
     finite_quantum_formulas,
     idempotent_gap_check,
     phase_diagram_rows,
-    phase_region,
     trajectory,
     verify_bounds_empirically,
 )
@@ -75,35 +72,31 @@ def test_bounds_rejects_out_of_range():
         convolution_bounds(-0.1, 0.5)
 
 
+def phase_labels(points):
+    """(region, q2i, q3i, qhalfw) of each (alpha, beta), from one array pass."""
+    A, B = np.array(points, dtype=float).T
+    code, *flags = _phase_labels(A, B)
+    return list(zip(np.array(_REGIONS)[code].tolist(), *(f.tolist() for f in flags)))
+
+
 def test_phase_region_examples():
-    assert phase_region((0.25, 0.9)).region == "Q_I"
-    assert phase_region((0.5, 0.5)).region == "Boundary_W"
-    lab = phase_region((1.0, 1.0))
-    assert lab.region == "Q_W" and lab.qhalfw
-    assert phase_region((0.0, 0.0)).region == "degenerate"
-    assert phase_region((0.05, 0.05)).region == "Q_I"
+    labels = phase_labels([(0.25, 0.9), (0.5, 0.5), (1.0, 1.0), (0.0, 0.0), (0.05, 0.05)])
+    assert [lab[0] for lab in labels] == ["Q_I", "Boundary_W", "Q_W", "degenerate", "Q_I"]
+    assert labels[2][3]  # qhalfw at (1, 1)
 
 
 def test_phase_region_symmetry():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        a, b = rng.uniform(0, 1, size=2)
-        x, y = phase_region((a, b)), phase_region((b, a))
-        assert (x.region, x.q2i, x.q3i, x.qhalfw) == (y.region, y.q2i, y.q3i, y.qhalfw)
+    A, B = np.random.default_rng(2).uniform(0, 1, size=(2, 100))
+    for x, y in zip(_phase_labels(A, B), _phase_labels(B, A)):
+        assert np.array_equal(x, y)
 
 
 def test_phase_flags_monotone_along_rays():
     # Q_3I implies Q_2I implies Q_I; walking toward the origin preserves flags
+    t = np.linspace(1, 0.01, 40)
     for ray in (0.7, 1.0, 0.3):
-        prev = None
-        for t in np.linspace(1, 0.01, 40):
-            lab = phase_region((t * ray, t * 0.9))
-            assert lab.q3i <= lab.q2i <= (lab.region == "Q_I")
-
-
-def test_phase_point_validation():
-    with pytest.raises(AlgebraError):
-        PhasePoint(1.2, 0.0)
+        code, q2i, q3i, _ = _phase_labels(t * ray, t * 0.9)
+        assert (q3i <= q2i).all() and (q2i <= (code == 1)).all()
 
 
 def test_phase_diagram_grid_shape():
@@ -114,7 +107,7 @@ def test_phase_diagram_grid_shape():
 
 
 def _tie_points():
-    """Points on or within rounding of every threshold of phase_region."""
+    """Points on or within rounding of every threshold of the phase labels."""
     pts = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1e-13, 1e-13), (1e-12, 0.0), (0.0, 1e-12),
            (2e-12, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5 - 5e-14, 0.3), (0.5 + 5e-14, 0.3)]
     for x in (0.0, 0.3, 0.5, 0.9, 1.0):
@@ -130,19 +123,14 @@ def _tie_points():
 
 
 def test_phase_region_matches_per_point_oracle(experiment_oracles):
-    # the kernel over the 257 x 257 grid, phase_region itself on every
-    # fourth grid point (the 65 x 65 grid) and on the ties, notes included
+    # the kernel over the 257 x 257 grid of phase_diagram_rows and over the
+    # ties, against the labels one point at a time
     cols = phase_diagram_rows(257)
-    notes = zip(*(flags.tolist() for flags in _phase_labels(cols["alpha"], cols["beta"])[4:]))
-    got = [(*label, [text for text, on in zip(_NOTES, flags) if on]) for label, flags in zip(
-        zip(*(cols[key].tolist() for key in ("region", "q2i", "q3i", "qhalfw"))), notes)]
-    assert got == [experiment_oracles.phase_region(a, b)
-                   for a, b in zip(cols["alpha"].tolist(), cols["beta"].tolist())]
-    grid = np.linspace(0, 1, 257)[::4].tolist()
-    for a, b in [(a, b) for a in grid for b in grid] + _tie_points():
-        lab = phase_region((a, b))
-        assert (lab.region, lab.q2i, lab.q3i, lab.qhalfw, lab.notes) \
-            == experiment_oracles.phase_region(a, b), (a, b)
+    got = zip(*(cols[key].tolist() for key in ("region", "q2i", "q3i", "qhalfw")))
+    assert list(got) == [experiment_oracles.phase_region(a, b)
+                         for a, b in zip(cols["alpha"].tolist(), cols["beta"].tolist())]
+    ties = _tie_points()
+    assert phase_labels(ties) == [experiment_oracles.phase_region(a, b) for a, b in ties]
 
 
 def test_gap_check():
@@ -219,7 +207,7 @@ def test_point_mass_period_is_element_order(cs4):
     for g in [permgroups.from_cycles(4, (0, 1)),
               permgroups.from_cycles(4, (0, 1, 2)),
               permgroups.from_cycles(4, (0, 1, 2, 3))]:
-        assert detect_period(cs4, point_state(cs4, g)) == permgroups.perm_order(g)
+        assert detect_period(cs4, uniform_state(cs4, [g])) == permgroups.perm_order(g)
 
 
 def test_e11_alternation(kp, kp_cv):
@@ -257,7 +245,7 @@ def test_convergence_to_haar_mixed_seed(kp):
 
 def test_point_mass_does_not_converge(cs4):
     g = permgroups.from_cycles(4, (0, 1, 2))
-    rep = convergence_to_haar(cs4, point_state(cs4, g), k_max=60)
+    rep = convergence_to_haar(cs4, uniform_state(cs4, [g]), k_max=60)
     assert not rep.converged
 
 

@@ -5,9 +5,10 @@ The specs, their gates and the committed reference artifacts
 exact on structure, strings, ints and bools and within 1e-10 on numbers.
 Re-record the reference with ``python3 perfbench/record_reference.py``.
 
-The public API is pinned too: every defaulted parameter of the seven qperm
-modules is on an allow-list with the reason it stays, so that a per-call
-tolerance or iteration knob cannot come back unnoticed.
+The public API is pinned too: every name that ``qperm`` exports, and every
+defaulted parameter of the seven qperm modules, is on an allow-list with the
+reason it stays, so that an uncalled wrapper or a per-call tolerance or
+iteration knob cannot come back unnoticed.
 """
 import importlib
 import inspect
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import qperm
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -42,13 +45,83 @@ def test_experiment_matches_reference(tasks, label):
     assert task.check(task.run()) is None
 
 
+# name in qperm.__all__ -> why it stays: its caller in the CLI, in perfbench or
+# in another module, or the ROADMAP item that needs it.
+EXPORTED_NAMES = {
+    "algebra": "module; the CLI and perfbench import it",
+    "cqg": "module; the CLI and perfbench import it",
+    "dynamics": "module; the CLI and perfbench import it",
+    "idempotent": "module; the CLI and perfbench import it",
+    "permgroups": "module; the CLI and perfbench import it",
+    "permutation": "module; the CLI and perfbench import it",
+    "AlgebraElement": "element type; face_idempotent and the spectral functions take one",
+    "AlgebraError": "the one error type; the CLI turns it into an exit code",
+    "CesaroResult": "returned by cesaro_idempotent; perfbench reads its iterations",
+    "ClassicalVersion": "returned by classical_version; dynamics takes one",
+    "CompactQuantumGroup": "the group type; the CLI builds group files with it",
+    "FixSpectrum": "returned by fix_spectrum; has_integer_fixed_points takes one",
+    "IdempotentClass": "returned by classify_idempotent, which the CLI calls",
+    "LinearFunctional": "base of State; convolve and birkhoff_matrix take functionals",
+    "Projection": "projection type; face_idempotent and meet take them",
+    "StarAlgebra": "the algebra type; every cqg constructor builds one",
+    "State": "state type; the CLI and perfbench build states",
+    "Trajectory": "returned by trajectory, which the CLI calls",
+    "ValidationReport": "returned by validate, which the CLI prints",
+    "cesaro_idempotent": "perfbench builds census limits with it",
+    "characters": "perfbench span cqg.characters",
+    "classical_group": "the CLI builtins and group files; perfbench",
+    "classical_version": "the CLI and perfbench",
+    "classify_idempotent": "the CLI census and perfbench",
+    "collapse_stability_probe": "perfbench passes n_samples and seed (ROADMAP item 4)",
+    "condition": "perfbench calls it",
+    "convergence_to_haar": "the CLI s4hat walkthrough",
+    "convolution_bounds": "verify_bounds_empirically",
+    "decompose": "perfbench span permutation.decompose",
+    "detect_period": "the CLI periodicity experiment",
+    "dual_dihedral": "the CLI builtins; perfbench",
+    "dual_group": "the CLI group files; perfbench",
+    "dual_subgroup_idempotent": "perfbench builds its census with it",
+    "dual_symmetric_group": "the CLI builtins; perfbench",
+    "face_idempotent": "stabiliser_idempotent and dual_subgroup_idempotent",
+    "finite_quantum_formulas": "the CLI classical-version experiment",
+    "fix_eigenvector_seed": "the CLI s4hat walkthrough",
+    "fix_spectrum": "the CLI fix-spectrum and s4hat experiments",
+    "generated_idempotent": "the join closure of the idempotent lattice (ROADMAP item 2)",
+    "gram_norm": "is_group_like and the spectral functions",
+    "has_integer_fixed_points": "the CLI fix-spectrum and s4hat experiments",
+    "idempotent_census": "the CLI census",
+    "idempotent_gap_check": "the CLI census",
+    "is_group_like": "the CLI, classical_version and perfbench",
+    "is_idempotent": "the CLI stabiliser experiment; perfbench checks its key",
+    "is_positive_functional": "perfbench metric algebra.is_positive_functional.calls",
+    "kac_paljutkin": "the CLI builtin kp; perfbench",
+    "meet": "the CLI dihedral sweep and stabiliser_projection",
+    "null_space": "classify_idempotent",
+    "projection_rank": "the CLI classical-version experiment",
+    "quantum_fraction": "the CLI and dynamics",
+    "spectral_partition": "fix_spectrum",
+    "spectral_projection": "support_projection; perfbench span algebra.spectral_projection",
+    "stabiliser_idempotent": "the CLI stabiliser experiment",
+    "stabiliser_membership": "stabiliser_idempotent",
+    "support_projection": "collapse_stability_probe and perfbench",
+    "trajectory": "the CLI periodicity experiment",
+    "uniform_state": "the CLI periodicity experiment",
+    "verify_bounds_empirically": "the CLI bounds-empirical experiment; perfbench",
+}
+
+
+def test_exported_names_are_the_allow_list():
+    found, allowed = set(qperm.__all__), set(EXPORTED_NAMES)
+    assert found - allowed == set()  # a new public name needs a reason
+    assert allowed - found == set()  # a kept name is gone
+
+
 # (callable, defaulted parameter) -> why it stays.  Tolerances and iteration
 # counts belong to the algebra (``tol`` from the group file, ``iter_tol`` fixed)
 # or are written at their one point of use.
 DEFAULTED_PARAMETERS = {
     ("algebra.StarAlgebra", "tol"): "the group file's tolerance",
     ("algebra.StarAlgebra", "check"): "check flag; the validator tests build bad algebras",
-    ("algebra.StarAlgebra.state", "check"): "check flag",
     ("algebra.AlgebraElement.is_projection", "tol"): "src uses alg.tol and 100 alg.tol",
     ("algebra.Projection", "check"): "check flag; the zero projection is built unchecked",
     ("algebra.State", "check"): "check flag; convolutions of states skip the check",
@@ -67,23 +140,13 @@ DEFAULTED_PARAMETERS = {
     ("cqg.kac_paljutkin", "tol"): "the group file's tolerance",
     ("cqg.kac_paljutkin", "check"): "check flag",
     ("idempotent.IdempotentClass", "witnesses"): "record field",
-    ("idempotent.is_idempotent", "tol"): "quasi_subgroup_member and classify_idempotent pass one",
-    ("idempotent.quasi_subgroup_member", "tol"): "the tests rely on the default",
     ("idempotent.collapse_stability_probe", "n_samples"): "perfbench passes and reads it",
     ("idempotent.collapse_stability_probe", "seed"): "perfbench passes it",
     ("idempotent.idempotent_census", "seed"): "the CLI seed",
     ("idempotent.idempotent_census", "extra_seeds"): "the CLI adds the counit and Haar",
     ("permutation.stabiliser_membership", "tol"): "the tests rely on the default",
-    ("permutation.fixed_point_distribution", "spectrum"): "the CLI reuses one spectrum",
-    ("permutation.has_integer_fixed_points", "spectrum"): "the CLI reuses one spectrum",
-    ("dynamics.RegionLabel", "q2i"): "record field",
-    ("dynamics.RegionLabel", "q3i"): "record field",
-    ("dynamics.RegionLabel", "qhalfw"): "record field",
-    ("dynamics.RegionLabel", "notes"): "record field",
-    ("dynamics.idempotent_gap_check", "tol"): "the acceptance tests pass it",
     ("dynamics.verify_bounds_empirically", "n_samples"): "the CLI n_samples",
     ("dynamics.verify_bounds_empirically", "seed"): "the CLI seed",
-    ("dynamics.verify_bounds_empirically", "tol"): "the acceptance tests pass it",
     ("dynamics.trajectory", "cv"): "fractions are NaN without a classical version",
     ("dynamics.convergence_to_haar", "k_max"): "the CLI k_max",
     ("dynamics.phase_diagram_rows", "n"): "the CLI n",

@@ -29,7 +29,6 @@ from qperm.cqg import (
     CompactQuantumGroup,
     classical_group,
     dual_group,
-    point_state,
     solve_haar,
     uniform_state,
 )
@@ -96,7 +95,7 @@ def test_non_subgroup_faces_of_a_generated_classical_group_are_not_closed(gens, 
 def test_point_masses_generate_the_uniform_measure_on_their_subgroup(gens, data):
     G = classical_group(permgroups.closure(gens))
     X = data.draw(st.lists(st.integers(0, G.dim - 1), min_size=1, max_size=3))
-    res = generated_idempotent(G, [point_state(G, G.group_elements[i]) for i in X])
+    res = generated_idempotent(G, [uniform_state(G, [G.group_elements[i]]) for i in X])
     expect = uniform_state(G, [G.group_elements[i] for i in G.group.generated_by(X)])
     assert res.converged and res.limit.distance(expect) < 1e-12, X
 
