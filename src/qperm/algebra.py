@@ -514,42 +514,35 @@ def eigenvector(f: AlgebraElement, target: float) -> np.ndarray:
     return np.linalg.solve(alg._chol.conj().T, U[:, int(np.argmin(np.abs(evals - target)))])
 
 
-def _projection_from_eigvecs(alg: StarAlgebra, U_sel: np.ndarray) -> Projection:
-    P = alg.from_hermitian_frame(U_sel @ U_sel.conj().T)
-    return Projection(alg, alg.matrix_to_coeffs(P))
+def _selected_projection(alg: StarAlgebra, evals: np.ndarray, U: np.ndarray,
+                         select) -> Projection:
+    """The projection onto the columns of U, eigenvectors in the trace frame,
+    of every cluster (:func:`eigen_clusters`) whose mean passes ``select``,
+    pulled back with its back-map residual enforced; zero if none passes."""
+    sel = [k for cluster in eigen_clusters(evals)
+           if select(float(np.mean(evals[cluster]))) for k in cluster]
+    if not sel:
+        return Projection(alg, np.zeros(alg.dim), check=False)
+    V = U[:, sel]
+    return Projection(alg, alg.matrix_to_coeffs(alg.from_hermitian_frame(V @ V.conj().T)))
 
 
 def spectral_projection(f: AlgebraElement, intervals) -> Projection:
-    """Spectral projection 1_E(f) for self-adjoint f, E a union of intervals.
-
-    Eigenvalues are clustered (:func:`eigen_clusters`, relative distance
-    1e-6) and a whole cluster is selected iff its mean lies in E.  The
-    projection of the regular image is pulled back to the algebra; at finite
-    dimension it always lies there, and the back-map residual is enforced.
-    """
-    alg = f.algebra
+    """Spectral projection 1_E(f) for self-adjoint f, E a union of intervals:
+    a whole eigenvalue cluster is selected iff its mean lies in E
+    (:func:`_selected_projection`)."""
     if isinstance(intervals, tuple) and np.isscalar(intervals[0]):
         intervals = [intervals]
-    evals, U = _self_adjoint_eig(f)
-    sel = []
-    for cluster in eigen_clusters(evals):
-        mean = float(np.mean(evals[cluster]))
-        if any(lo <= mean <= hi for lo, hi in intervals):
-            sel.extend(cluster)
-    if not sel:
-        return Projection(alg, np.zeros(alg.dim), check=False)
-    return _projection_from_eigvecs(alg, U[:, sel])
+    return _selected_projection(f.algebra, *_self_adjoint_eig(f),
+                                lambda mean: any(lo <= mean <= hi for lo, hi in intervals))
 
 
 def spectral_partition(f: AlgebraElement):
-    """All (eigenvalue, Projection) pairs of a self-adjoint element."""
-    alg = f.algebra
+    """All (cluster mean, Projection) pairs of a self-adjoint element."""
     evals, U = _self_adjoint_eig(f)
-    out = []
-    for cluster in eigen_clusters(evals):
-        lam = float(np.mean(evals[cluster]))
-        out.append((lam, _projection_from_eigvecs(alg, U[:, cluster])))
-    return out
+    means = [float(np.mean(evals[cluster])) for cluster in eigen_clusters(evals)]
+    return [(lam, _selected_projection(f.algebra, evals, U, lambda mean: mean == lam))
+            for lam in means]
 
 
 def support_projection(phi: State) -> Projection:
@@ -564,10 +557,9 @@ def support_projection(phi: State) -> Projection:
     pair = (alg.mult @ alg.trace).T
     d = np.linalg.solve(pair, phi.duals)
     d_el = alg.element(d)
-    d_herm = 0.5 * (d_el + d_el.star())
-    evals, _ = _self_adjoint_eig(d_herm)
+    evals, U = _self_adjoint_eig(0.5 * (d_el + d_el.star()))
     thresh = max(alg.tol, 1e3 * np.finfo(float).eps * max(1.0, float(evals.max())))
-    p = spectral_projection(d_herm, [(thresh, np.inf)])
+    p = _selected_projection(alg, evals, U, lambda mean: mean >= thresh)
     val = phi(p)
     if abs(val - 1.0) > 100 * alg.tol:
         raise AlgebraError(f"support postcondition failed: phi(p) = {val}")
@@ -577,10 +569,10 @@ def support_projection(phi: State) -> Projection:
 def meet(ps) -> Projection:
     """Largest projection below every p in ps.
 
-    In the trace-orthonormal frame the average of the L_p is a positive
-    contraction that fixes exactly the vectors every L_p fixes, so the meet
-    is its eigenvalue-1 spectral projection.  The result must lie below
-    every p.
+    L is linear, so L of the mean of the ps is the mean of the L_p: in the
+    trace frame a positive contraction fixing exactly what every L_p fixes.
+    The meet is its spectral projection above 1 - 1e3 iter_tol, and must lie
+    below every p.
     """
     ps = list(ps)
     if not ps:
@@ -592,12 +584,8 @@ def meet(ps) -> Projection:
             raise AlgebraError("projections live on different algebras")
         if not p.is_projection(100 * alg.tol):
             raise AlgebraError("meet input is not a projection")
-    avg = sum(alg.to_hermitian_frame(alg.left_mult_matrix(p.coeffs)) for p in ps) / len(ps)
-    evals, U = np.linalg.eigh((avg + avg.conj().T) / 2)
-    sel = np.where(evals > 1.0 - 1e3 * tol)[0]
-    if len(sel) == 0:
-        return Projection(alg, np.zeros(alg.dim), check=False)
-    r = _projection_from_eigvecs(alg, U[:, sel])
+    mean = alg.element(sum(p.coeffs for p in ps) / len(ps))
+    r = _selected_projection(alg, *_self_adjoint_eig(mean), lambda lam: lam > 1.0 - 1e3 * tol)
     for p in ps:
         if gram_norm(p * r - r) > 100 * tol or gram_norm(r * p - r) > 100 * tol:
             raise AlgebraError("meet postcondition failed: result not below inputs")

@@ -356,6 +356,19 @@ def _absorption_operator(G: CompactQuantumGroup, psi: np.ndarray) -> np.ndarray:
 # -- constructors ----------------------------------------------------------------
 
 
+def _group_law(group: permgroups.FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law tensor T[a, b, ab] = 1, the diagonal tensor D[a, a, a] = 1 and
+    the inversion matrix V[a, a^-1] = 1, the slice T[:, :, e], of a finite
+    group: the products, coproducts and antipodes of C(Gamma) and C*(Gamma)."""
+    n = group.order
+    a = np.arange(n)
+    T = np.zeros((n, n, n), dtype=complex)
+    T[a[:, np.newaxis], a, np.array(group.table)] = 1.0
+    D = np.zeros((n, n, n), dtype=complex)
+    D[a, a, a] = 1.0
+    return T, D, T[:, :, 0].copy()
+
+
 def classical_group(perms: list[tuple], name: str | None = None,
                     tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantumGroup:
     """Algebra of functions on a finite permutation group.
@@ -368,32 +381,17 @@ def classical_group(perms: list[tuple], name: str | None = None,
     except ValueError as exc:  # not closed under composition
         raise AlgebraError(str(exc)) from exc
     order = group.perms
-    n = len(order)
-    deg = len(order[0])
-    idx = {p: i for i, p in enumerate(order)}
-
-    mult = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        mult[i, i, i] = 1.0
-    delta = np.zeros((n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            delta[group.table[a][b], a, b] = 1.0
-    antipode = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        antipode[a, group.inv(a)] = 1.0
-    counit = np.zeros(n, dtype=complex)
-    counit[0] = 1.0
+    n, deg = len(order), len(order[0])
+    delta, mult, antipode = _group_law(group)
+    delta = delta.transpose(2, 0, 1).copy()  # C order; T is freed before validation
     magic = np.zeros((deg, deg, n), dtype=complex)
-    for j in range(deg):
-        for s, p in enumerate(order):
-            magic[p[j], j, s] = 1.0
+    magic[np.array(order), np.arange(deg), np.arange(n)[:, np.newaxis]] = 1.0
 
     algebra = StarAlgebra([f"d[{l}]" for l in group.labels], mult,
                           involution=np.eye(n), unit=np.ones(n),
                           trace=np.full(n, 1.0 / n), tol=tol)
     G = CompactQuantumGroup(name or f"classical-{n}", algebra, delta,
-                            counit, antipode, magic, kind="classical", check=check)
+                            np.eye(n)[0], antipode, magic, kind="classical", check=check)
     G.group = group
     G.group_elements = order
     return G
@@ -429,41 +427,24 @@ def dual_group(group: permgroups.FiniteGroup, gens: list[tuple[int, int]],
     if not group.generates([g for g, _ in gens]):
         raise AlgebraError("listed elements do not generate the group")
 
-    mult = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mult[i, j, group.table[i][j]] = 1.0
-    involution = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        involution[i, group.inv(i)] = 1.0
-    delta = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        delta[i, i, i] = 1.0
-    counit = np.ones(n, dtype=complex)
-    antipode = involution.copy()
-    trace = np.zeros(n, dtype=complex)
-    trace[0] = 1.0
+    mult, delta, involution = _group_law(group)
 
     N = sum(d for _, d in gens)
     magic = np.zeros((N, N, n), dtype=complex)
     off = 0
     for g, d in gens:
-        powers = [0] * d
-        p = 0
-        for m in range(d):
-            powers[m] = p
-            p = group.table[p][g]
-        for j in range(d):
-            for k in range(d):
-                for m in range(d):
-                    phase = np.exp(2j * np.pi * (((j - k) * m) % d) / d)
-                    magic[off + j, off + k, powers[m]] += phase / d
+        powers = [0]
+        for _ in range(d - 1):
+            powers.append(group.table[powers[-1]][g])
+        j, k, m = np.indices((d, d, d))
+        angle = 2 * np.pi * ((j - k) * m % d) / d
+        magic[off + j, off + k, np.array(powers)[m]] = np.exp(1j * angle) / d
         off += d
 
     algebra = StarAlgebra([f"lam[{l}]" for l in group.labels], mult, involution,
-                          unit=np.eye(n)[0], trace=trace, tol=tol)
-    G = CompactQuantumGroup(name or f"dual[{n}]", algebra, delta, counit,
-                            antipode, magic, kind="dual", check=check)
+                          unit=np.eye(n)[0], trace=np.eye(n)[0], tol=tol)
+    G = CompactQuantumGroup(name or f"dual[{n}]", algebra, delta, np.ones(n),
+                            involution, magic, kind="dual", check=check)
     G.group = group
     G.group_elements = group.perms if group.perms is not None else list(range(n))
     G.generator_indices = [g for g, _ in gens]
@@ -536,26 +517,21 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
     for i in range(dim):
         for j in range(dim):
             mult[i, j] = bmul(eye[i], eye[j])
-    involution = np.zeros((dim, dim), dtype=complex)
-    for i, target in enumerate([0, 1, 2, 3, 4, 6, 5, 7]):
-        involution[i, target] = 1.0
+    involution = np.eye(dim)[[0, 1, 2, 3, 4, 6, 5, 7]]  # E12* = E21
     trace = np.array([1, 1, 1, 1, 2, 0, 0, 2], dtype=complex) / 8.0
 
     algebra = StarAlgebra(["f1", "f2", "f3", "f4", "E11", "E12", "E21", "E22"],
                           mult, involution, unit=one, trace=trace, tol=tol)
 
     # comultiplication from the generator images, through the word basis
-    def outer(a, b):
-        return np.outer(a, b)
-
     def tmul(X, Y):
         return np.einsum("iIk,jJl,ij,IJ->kl", mult, mult, X, Y, optimize=True)
 
-    twist = 0.5 * (outer(one, one) + outer(one, x) + outer(y, one) - outer(y, x))
-    dx, dy = outer(x, x), outer(y, y)
-    dz = tmul(twist, outer(z, z))
+    twist = 0.5 * (np.outer(one, one) + np.outer(one, x) + np.outer(y, one) - np.outer(y, x))
+    dx, dy = np.outer(x, x), np.outer(y, y)
+    dz = tmul(twist, np.outer(z, z))
     words = [one, x, y, bmul(x, y), z, bmul(x, z), bmul(y, z), bmul(bmul(x, y), z)]
-    dwords = [outer(one, one), dx, dy, tmul(dx, dy), dz, tmul(dx, dz),
+    dwords = [np.outer(one, one), dx, dy, tmul(dx, dy), dz, tmul(dx, dz),
               tmul(dy, dz), tmul(tmul(dx, dy), dz)]
     Winv = np.linalg.inv(np.array(words).T)
     delta = np.einsum("wi,wab->iab", Winv, np.array(dwords))

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def identity_perm(n: int) -> tuple:
     return tuple(range(n))
@@ -20,12 +22,7 @@ def compose(a: tuple, b: tuple) -> tuple:
 
 
 def perm_order(a: tuple) -> int:
-    e = identity_perm(len(a))
-    p, k = a, 1
-    while p != e:
-        p = compose(a, p)
-        k += 1
-    return k
+    return coset_order(a, {identity_perm(len(a))})
 
 
 def from_cycles(n: int, *cycles) -> tuple:
@@ -38,7 +35,7 @@ def from_cycles(n: int, *cycles) -> tuple:
 
 
 def closure(gens: list[tuple]) -> list[tuple]:
-    """Group generated by the given permutations, identity first."""
+    """Group generated by the given permutations, sorted, so identity first."""
     if not gens:
         raise ValueError("need at least one generator")
     n = len(gens[0])
@@ -53,20 +50,12 @@ def closure(gens: list[tuple]) -> list[tuple]:
                     els.add(c)
                     new.append(c)
         frontier = new
-    rest = sorted(els - {identity_perm(n)})
-    return [identity_perm(n)] + rest
-
-
-def is_closed(perms: list[tuple]) -> bool:
-    s = set(perms)
-    if identity_perm(len(perms[0])) not in s:
-        return False
-    return all(compose(a, b) in s for a in s for b in s)
+    return sorted(els)
 
 
 def symmetric_group(n: int) -> list[tuple]:
-    e = identity_perm(n)
-    return [e] + sorted(set(itertools.permutations(range(n))) - {e})
+    """All permutations of n points in lexicographic order, so identity first."""
+    return list(itertools.permutations(range(n)))
 
 
 @dataclass
@@ -80,7 +69,7 @@ class FiniteGroup:
     labels: list[str]
     table: list[list[int]]
     perms: list = field(default=None, repr=False)
-    _inv: list[int] = field(default=None, repr=False)
+    _inv: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -175,11 +164,15 @@ class FiniteGroup:
 
     @classmethod
     def from_permutations(cls, perms: list[tuple], labels=None) -> "FiniteGroup":
-        if not is_closed(perms):
-            raise ValueError("permutation list is not closed under composition")
-        order = [identity_perm(len(perms[0]))] + sorted(set(perms) - {identity_perm(len(perms[0]))})
+        """The group of a list of permutations, sorted, so identity first.  A
+        finite set closed under composition is a group: closure is the check."""
+        order = sorted(set(perms))
+        P = np.array(order)
         idx = {p: i for i, p in enumerate(order)}
-        table = [[idx[compose(a, b)] for b in order] for a in order]
+        try:  # P[a, P[b]] lists the images of a compose b
+            table = [[idx[tuple(ab)] for ab in row] for row in P[:, P].tolist()]
+        except KeyError:
+            raise ValueError("permutation list is not closed under composition") from None
         if labels is None:
             labels = [perm_label(p) for p in order]
         return cls(labels, table, perms=order)

@@ -59,8 +59,8 @@ class ClassicalVersion:
 
 
 def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
-    """The characters (:func:`cqg.characters`) as permutations, identity
-    first, their supports z, p_C = sum z and p_Q = 1 - p_C.
+    """The characters (:func:`cqg.characters`) as permutations, sorted, so
+    identity first, their supports z, p_C = sum z and p_Q = 1 - p_C.
 
     Each check runs once over the stack: every slice is a permutation
     matrix, the permutations are pairwise distinct and closed under
@@ -74,10 +74,11 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
         raise AlgebraError("character with a non-permutation slice")
     if len(set(perms)) < len(perms):
         raise AlgebraError("character permutations are not distinct")
-    if not permgroups.is_closed(perms):
-        raise AlgebraError("character permutations do not form a group")
-    identity = permgroups.identity_perm(G.N)
-    order = sorted(range(len(perms)), key=lambda k: (perms[k] != identity, perms[k]))
+    try:
+        permgroups.FiniteGroup.from_permutations(perms)
+    except ValueError:
+        raise AlgebraError("character permutations do not form a group") from None
+    order = sorted(range(len(perms)), key=perms.__getitem__)  # identity first
     z, chi = z[order], chi[order]
     p_C = z.sum(axis=0)
     if _projection_residuals(alg, np.vstack([z, p_C, alg.unit - p_C])).max() > alg.tol:

@@ -598,6 +598,79 @@ def experiment_oracles():
                                  census=_census_by_seed)
 
 
+# -- the per-entry constructors and the meet that the shared routes replaced --------
+
+
+def _group_law_by_loops(G):
+    """mult, delta, involution, antipode and magic of a classical or dual
+    group, rebuilt from G.group one entry at a time."""
+    group = G.group
+    n = group.order
+    law = np.zeros((n, n, n), dtype=complex)
+    diagonal = np.zeros((n, n, n), dtype=complex)
+    inverse = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        diagonal[a, a, a] = 1.0
+        inverse[a, group.inv(a)] = 1.0
+        for b in range(n):
+            law[a, b, group.table[a][b]] = 1.0
+    if G.kind == "classical":
+        order = group.perms
+        magic = np.zeros((len(order[0]), len(order[0]), n), dtype=complex)
+        for j in range(len(order[0])):
+            for s, p in enumerate(order):
+                magic[p[j], j, s] = 1.0
+        return {"mult": diagonal, "delta": law.transpose(2, 0, 1), "involution": np.eye(n),
+                "antipode": inverse, "magic": magic}
+    orders = [group.element_order(g) for g in G.generator_indices]
+    magic = np.zeros((sum(orders), sum(orders), n), dtype=complex)
+    off = 0
+    for g, d in zip(G.generator_indices, orders):
+        powers = [0] * d
+        for m in range(1, d):
+            powers[m] = group.table[powers[m - 1]][g]
+        for j in range(d):
+            for k in range(d):
+                for m in range(d):
+                    phase = np.exp(2j * np.pi * (((j - k) * m) % d) / d)
+                    magic[off + j, off + k, powers[m]] += phase / d
+        off += d
+    return {"mult": law, "delta": diagonal, "involution": inverse, "antipode": inverse,
+            "magic": magic}
+
+
+def _group_law_mismatches(G):
+    """Names of the structure arrays of G that differ from the per-entry
+    loops in any entry (``np.array_equal``)."""
+    got = {"mult": G.algebra.mult, "delta": G.delta, "involution": G.algebra.involution,
+           "antipode": G.antipode, "magic": G.magic}
+    return [name for name, ref in _group_law_by_loops(G).items()
+            if not np.array_equal(got[name], ref)]
+
+
+@pytest.fixture(scope="session")
+def group_law_oracle():
+    """``group_law_oracle(G)``: the structure arrays of a classical or dual
+    group that differ from the per-entry constructor loops, by name."""
+    return _group_law_mismatches
+
+
+def _meet_by_mean_of_frames(ps):
+    """Coefficients of the meet: the eigenvalue-1 spectral projection of the
+    mean of the L_p, each conjugated into the trace frame on its own."""
+    alg = ps[0].algebra
+    avg = sum(alg.to_hermitian_frame(alg.left_mult_matrix(p.coeffs)) for p in ps) / len(ps)
+    evals, U = np.linalg.eigh((avg + avg.conj().T) / 2)
+    V = U[:, evals > 1.0 - 1e3 * alg.iter_tol]
+    return alg.matrix_to_coeffs(alg.from_hermitian_frame(V @ V.conj().T))
+
+
+@pytest.fixture
+def meet_oracle():
+    """``meet_oracle(ps)``: the meet by the mean of the per-input frames."""
+    return _meet_by_mean_of_frames
+
+
 # -- the kernels before their repeated work was taken out ----------------------------
 
 

@@ -67,6 +67,19 @@ def test_validate_classical_file(tmp_path):
     assert run(["validate", p]) == 0
 
 
+def test_classical_file_of_degree_twenty(tmp_path):
+    # Z/20 acting regularly on 20 points: base-20 integer codes of these
+    # permutations overflow int64, so the composition lookup must not use them
+    group = tmp_path / "z20.json"
+    group.write_text(json.dumps({"kind": "classical", "permutations": [
+        [(j + k) % 20 for j in range(20)] for k in range(20)]}))
+    assert run(["validate", group]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "classical-version", "group": str(group)}))
+    assert run(["run", spec, "--out", tmp_path / "out"]) == 0
+    assert json.loads((tmp_path / "out" / "classical_version.json").read_text())["order"] == 20
+
+
 def test_validate_kac_paljutkin_file(tmp_path):
     p = tmp_path / "kp.json"
     p.write_text(json.dumps({"kind": "kac_paljutkin", "tolerance": 1e-9}))

@@ -286,6 +286,11 @@ def test_dual_group_rejects_bad_generators():
         dual_group(group, [(t12, 2)])  # does not generate
 
 
+@pytest.mark.parametrize("name", sorted(set(BUILTIN_GROUPS) - {"kp"}))
+def test_builtin_group_laws_match_the_loop_constructors(name, group_law_oracle):
+    assert group_law_oracle(BUILTIN_GROUPS[name]()) == []
+
+
 def test_kac_paljutkin_basics(kp):
     assert kp.dim == 8 and kp.N == 4
     # counit is evaluation on the first one-dimensional block

@@ -151,7 +151,6 @@ DEFAULTED_PARAMETERS = {
     ("dynamics.convergence_to_haar", "k_max"): "the CLI k_max",
     ("dynamics.phase_diagram_rows", "n"): "the CLI n",
     ("permgroups.FiniteGroup", "perms"): "record field: the permutations, if any",
-    ("permgroups.FiniteGroup", "_inv"): "record field filled in __post_init__",
     ("permgroups.FiniteGroup.from_permutations", "labels"): "labels default to cycle notation",
     ("cli.main", "argv"): "the command line; sys.argv when absent",
 }

@@ -7,8 +7,10 @@ residuals, which the library contracts sparsely, are compared with the dense
 einsums in the same way, on the builtins and on dense perturbations.  The
 group-likeness norm, which the library takes as a (d, d) Gram form, is
 compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
-``meet``, which the library takes as one spectral projection of the average
-of the L_p, is compared with the limit of alternating products.  The
+``meet``, which the library takes as one spectral projection of L of the
+mean of the inputs, is compared with the limit of alternating products and
+with the spectral projection of the mean of the L_p, each taken into the
+trace frame on its own.  The
 classical version, which the library reads off the centre, is compared with
 the commutator-ideal route with meets of magic entries as supports, also in
 a complex basis.  The Haar state, the regular trace, is compared with the
@@ -239,6 +241,13 @@ def set_partitions(items):
         yield [[items[0]]] + part
 
 
+def off_pattern_complements(G, part):
+    """1 - u_ij for every i and j in different blocks of the partition."""
+    block = {x: b for b, xs in enumerate(part) for x in xs}
+    return [G.algebra.element(G.algebra.unit - G.magic[i, j])
+            for i in range(G.N) for j in range(G.N) if block[i] != block[j]]
+
+
 def test_meet_matches_alternating_products(G):
     # the families the library meets: each character's magic entries, every
     # pair of diagonal entries (the dihedral sweep's u_11, u_33 among them),
@@ -253,15 +262,30 @@ def test_meet_matches_alternating_products(G):
             ps = [G.magic_projection(i, i), G.magic_projection(j, j)]
             cases.append((ps, meet(ps)))
     for part in set_partitions(list(range(G.N))):
-        block = {x: b for b, xs in enumerate(part) for x in xs}
-        ps = [alg.element(alg.unit - G.magic[i, j])
-              for i in range(G.N) for j in range(G.N) if block[i] != block[j]]
+        ps = off_pattern_complements(G, part)
         if ps:
             cases.append((ps, stabiliser_projection(G, part)))
     for ps, r in cases:
         rank, coeffs = alternating_meet(alg, ps)
         assert projection_rank(r) == rank
         assert_matches(r.coeffs, coeffs)
+
+
+@pytest.mark.parametrize("name", ["kp", "s4", "dual-s4"])
+def test_stabiliser_meets_match_mean_of_frames_oracle(name, meet_oracle):
+    G = BUILTIN_GROUPS[name]()
+    for part in set_partitions(list(range(G.N))):
+        ps = off_pattern_complements(G, part)
+        if ps:
+            assert_matches(stabiliser_projection(G, part).coeffs, meet_oracle(ps))
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_dihedral_meet_matches_mean_of_frames_oracle(m, meet_oracle):
+    # the dihedral sweep's meet of u_11 and u_33
+    G = BUILTIN_GROUPS[f"dual-d{m}"]()
+    ps = [G.magic_projection(0, 0), G.magic_projection(2, 2)]
+    assert_matches(meet(ps).coeffs, meet_oracle(ps))
 
 
 def stabiliser_cases(G):

@@ -1,7 +1,8 @@
 """Property tests on generated groups: the face idempotent of every subgroup.
 
 Groups are generated by one or two random permutations of at most four
-points, as functions on the group and as its dual.  On C(G) the face of the
+points, as functions on the group and as its dual; their structure arrays
+are checked entry for entry against the per-entry constructor loops.  On C(G) the face of the
 indicator of a subgroup H is the set of measures on H, and its idempotent
 is the uniform measure on H; on C*(G) the face of |H|^-1 sum_h lambda_h is
 the set of states equal to 1 on H, and its idempotent is the indicator of
@@ -110,6 +111,16 @@ def test_subgroup_indicators_generate_the_indicator_of_their_intersection(gens, 
     res = generated_idempotent(G, [dual_subgroup_idempotent(G, H), dual_subgroup_idempotent(G, K)])
     assert res.converged
     assert np.abs(res.limit.duals - indicator(G, H & K)).max() < 1e-12, (sorted(H), sorted(K))
+
+
+@PROPERTY
+@given(generators())
+def test_generated_group_laws_match_the_loop_constructors(group_law_oracle, gens):
+    perms = permgroups.closure(gens)
+    group = permgroups.FiniteGroup.from_permutations(perms)
+    index = [group.perms.index(g) for g in gens]
+    assert group_law_oracle(classical_group(perms)) == []
+    assert group_law_oracle(dual_group(group, [(i, group.element_order(i)) for i in index])) == []
 
 
 def test_haar_state_ignores_a_skewed_trace():
