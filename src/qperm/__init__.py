@@ -52,7 +52,6 @@ from .idempotent import (
     idempotent_census,
     is_group_like,
     is_idempotent,
-    null_space,
 )
 from .permutation import (
     ClassicalVersion,

@@ -349,11 +349,6 @@ class LinearFunctional:
         coeffs = a.coeffs if isinstance(a, AlgebraElement) else np.asarray(a)
         return complex(self.duals @ coeffs)
 
-    def sesquilinear_matrix(self) -> np.ndarray:
-        """P[i, j] = phi(e_i^* e_j); PSD iff the functional is positive."""
-        alg = self.algebra
-        return alg.involution @ (alg.mult @ self.duals)
-
     def _binary(self, other, op):
         if isinstance(other, LinearFunctional):
             if other.algebra is not self.algebra:
@@ -471,12 +466,18 @@ def _multiplicativity_residual(alg: StarAlgebra, D: np.ndarray) -> float:
 
 def _projection_residuals(alg: StarAlgebra, X: np.ndarray) -> np.ndarray:
     """Per row of an (n, d) stack of coefficients, the larger Gram norm of
-    x x - x and x* - x.  The squares take one product with mult as a
-    (d, d^2) matrix."""
+    x x - x and x* - x.  The squares of a block of rows (:func:`_block_rows`)
+    take one product with mult as a (d, d^2) matrix."""
     d = alg.dim
-    squares = np.matmul(X[:, np.newaxis], (X @ alg.mult.reshape(d, d * d)).reshape(-1, d, d))
-    R = np.stack([squares[:, 0] - X, np.conj(X) @ alg.involution - X])
-    return np.sqrt(np.maximum(((np.conj(R) @ alg.gram) * R).sum(axis=2).real, 0.0)).max(axis=0)
+    block = _block_rows(d)
+    out = np.empty(len(X))
+    for start in range(0, len(X), block):
+        x = X[start:start + block]
+        squares = np.matmul(x[:, np.newaxis], (x @ alg.mult.reshape(d, d * d)).reshape(-1, d, d))
+        R = np.stack([squares[:, 0] - x, np.conj(x) @ alg.involution - x])
+        out[start:start + block] = np.sqrt(np.maximum(
+            ((np.conj(R) @ alg.gram) * R).sum(axis=2).real, 0.0)).max(axis=0)
+    return out
 
 
 def eigen_clusters(evals: np.ndarray):

@@ -255,9 +255,9 @@ def exp_idempotent_census(G, params, out):
     cv = permutation.classical_version(G)
     extra = [G.counit, G.haar]
     results = idempotent.idempotent_census(G, n_seeds, seed=seed, extra_seeds=extra)
+    alphas = permutation._quantum_fractions(np.array([res.limit.duals for res in results]), cv)
     rows, gap_ok = [], True
-    for k, res in enumerate(results):
-        alpha = permutation.quantum_fraction(res.limit, cv)
+    for k, (res, alpha) in enumerate(zip(results, alphas.tolist())):
         cls = idempotent.classify_idempotent(G, res.limit)
         ok = dynamics.idempotent_gap_check(alpha)
         gap_ok = gap_ok and ok

@@ -275,10 +275,13 @@ class CompactQuantumGroup:
         add("magic_projections", _projection_residuals(alg, self.magic.reshape(-1, d)).max())
         add("magic_row_sums", np.abs(self.magic.sum(axis=1) - alg.unit).max())
         add("magic_col_sums", np.abs(self.magic.sum(axis=0) - alg.unit).max())
-        # Delta(u_ij) against sum_k u_ik (x) u_kj
-        add("magic_comultiplication", np.abs(
-            (self.magic @ D.reshape(d, d * d)).reshape(N, N, d, d)
-            - np.einsum("ika,kjb->ijab", self.magic, self.magic)).max())
+        # Delta(u_ij) against sum_k u_ik (x) u_kj, for a block of grid rows i
+        # at a time: N (d, d) arrays a grid row, _block_rows(d) of them a block
+        rows = max(1, _block_rows(d) // N)
+        add("magic_comultiplication", max(np.abs(
+            (self.magic[i:i + rows] @ D.reshape(d, d * d)).reshape(-1, N, d, d)
+            - np.einsum("ika,kjb->ijab", self.magic[i:i + rows], self.magic)).max()
+            for i in range(0, N, rows)))
         add("magic_antipode", np.abs(self.magic @ S - self.magic.transpose(1, 0, 2)).max())
         add("magic_counit", np.abs(self.magic @ eps - np.eye(N)).max())
         add("magic_generates", 0.0 if self._entries_generate() else 1.0, 0.5)

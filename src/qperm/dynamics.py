@@ -18,14 +18,13 @@ SQRT2 = math.sqrt(2.0)
 BOUNDARY_EPS = 1e-12
 
 
-def convolution_bounds(alpha: float, beta: float) -> tuple[float, float]:
-    """Sharp bounds a+b-2ab <= omega(p_Q of the convolution) <= a+b-ab."""
-    for v in (alpha, beta):
-        if not (0.0 - 1e-12 <= v <= 1.0 + 1e-12):
-            raise AlgebraError("quantum fractions live in [0, 1]")
-    lower = alpha + beta - 2 * alpha * beta
-    upper = alpha + beta - alpha * beta
-    return lower, upper
+def convolution_bounds(alpha, beta):
+    """Sharp bounds a+b-2ab <= omega(p_Q of the convolution) <= a+b-ab, of
+    two numbers or, elementwise, of two arrays of one shape."""
+    if not np.all((-1e-12 <= alpha) & (alpha <= 1.0 + 1e-12)
+                  & (-1e-12 <= beta) & (beta <= 1.0 + 1e-12)):
+        raise AlgebraError("quantum fractions live in [0, 1]")
+    return alpha + beta - 2 * alpha * beta, alpha + beta - alpha * beta
 
 
 _REGIONS = ("degenerate", "Q_I", "Boundary_W", "Q_W")  # by region code
@@ -35,7 +34,7 @@ def _phase_labels(A, B) -> tuple:
     """Region codes (indices into _REGIONS) and the q2i, q3i and qhalfw flags
     of the points (A, B) of two arrays.  Ties with the wild boundary
     a + b = 4ab within 1e-12 are Boundary_W, and the origin is degenerate.
-    q3i is never set: its rule applies where t = 1 - sqrt(2)/(1 - 2a) is in
+    q3i is all False: its rule applies where t = 1 - sqrt(2)/(1 - 2a) is in
     [0, 1], but t <= 1 - sqrt(2) < 0 for a < 1/2 and t >= 1 + sqrt(2) > 1 for a > 1/2."""
     with np.errstate(divide="ignore", invalid="ignore"):
         live = ~((A <= BOUNDARY_EPS) & (B <= BOUNDARY_EPS))  # the origin is degenerate
@@ -48,12 +47,8 @@ def _phase_labels(A, B) -> tuple:
         def two_inc(x, y):
             return (x < 1.0 - BOUNDARY_EPS) & (y < (2 * x - 1) / (2 * x - 2))
 
-        def three_inc(x, y):
-            t = 1 - SQRT2 / (1 - 2 * x)
-            return ~(abs(1 - 2 * x) <= BOUNDARY_EPS) & (0.0 <= t) & (t <= 1.0) & (y < t)
-
         q2i = live & (two_inc(A, B) | two_inc(B, A)) & q_i
-        q3i = (three_inc(A, B) | three_inc(B, A)) & q2i
+        q3i = np.zeros_like(q2i)
         qhalfw = live & (A > 0) & (B > (1 - 1 / SQRT2) / A) & q_w
     return code, q2i, q3i, qhalfw
 
@@ -100,32 +95,26 @@ def verify_bounds_empirically(G: CompactQuantumGroup, cv: ClassicalVersion,
     keep = defined[:, 0, left] & defined[:, 1, right]
     phis = np.concatenate([bank[:, 0], parts[:, 0, left][keep]])
     rhos = np.concatenate([bank[:, 1], parts[:, 1, right][keep]])
-    fractions = [_quantum_fractions(D, cv).tolist()
-                 for D in (phis, rhos, G._convolve_rows(phis, rhos))]
-
-    samples, violations = [], []
-    for k, (a, b, w) in enumerate(zip(*fractions)):
-        lower, upper = convolution_bounds(a, b)
-        bad = None
-        if not (lower - tol <= w <= upper + tol):
-            bad = "bounds"
-        elif w <= tol and not ((a <= tol and b <= tol)
-                               or (a >= 1 - tol and b >= 1 - tol)):
-            bad = "random convolution from a mixed pair"
-        elif a <= tol and b <= tol and w > tol:
-            bad = "random pair with quantum convolution"
-        elif ((a <= tol and b >= 1 - tol) or (a >= 1 - tol and b <= tol)) \
-                and w < 1 - tol:
-            bad = "random/quantum pair not truly quantum"
-        samples.append(BoundsSample(a, b, w))
-        if bad:
-            witness = {"reason": bad, "alpha": a, "beta": b, "omega": w,
-                       "phi": _ser(phis[k]), "rho": _ser(rhos[k])}
-            violations.append(witness)
-    if violations:
-        raise AlgebraError("convolution bound violated: "
-                           + json.dumps(violations[0]))
-    return BoundsReport(samples, violations)
+    a, b, w = (_quantum_fractions(D, cv) for D in (phis, rhos, G._convolve_rows(phis, rhos)))
+    lower, upper = convolution_bounds(a, b)
+    random_a, random_b, quantum_a, quantum_b = a <= tol, b <= tol, a >= 1 - tol, b >= 1 - tol
+    # the rules in the order a violation is named by
+    rules = {
+        "bounds": ~((lower - tol <= w) & (w <= upper + tol)),
+        "random convolution from a mixed pair":
+            (w <= tol) & ~(random_a & random_b | quantum_a & quantum_b),
+        "random pair with quantum convolution": random_a & random_b & (w > tol),
+        "random/quantum pair not truly quantum":
+            (random_a & quantum_b | quantum_a & random_b) & (w < 1 - tol),
+    }
+    bad = np.flatnonzero(np.any(list(rules.values()), axis=0))
+    if bad.size:
+        k = int(bad[0])
+        witness = {"reason": next(name for name, mask in rules.items() if mask[k]),
+                   "alpha": float(a[k]), "beta": float(b[k]), "omega": float(w[k]),
+                   "phi": _ser(phis[k]), "rho": _ser(rhos[k])}
+        raise AlgebraError("convolution bound violated: " + json.dumps(witness))
+    return BoundsReport([BoundsSample(*s) for s in zip(a.tolist(), b.tolist(), w.tolist())], [])
 
 
 def _ser(duals: np.ndarray) -> list:
@@ -223,6 +212,6 @@ def phase_diagram_rows(n: int = 101) -> dict:
     grid = np.arange(n) / (n - 1)
     A, B = np.repeat(grid, n), np.tile(grid, n)
     code, q2i, q3i, qhalfw = _phase_labels(A, B)
+    lower, upper = convolution_bounds(A, B)
     return {"alpha": A, "beta": B, "region": np.array(_REGIONS)[code],
-            "q2i": q2i, "q3i": q3i, "qhalfw": qhalfw,
-            "lower": A + B - 2 * A * B, "upper": A + B - A * B}
+            "q2i": q2i, "q3i": q3i, "qhalfw": qhalfw, "lower": lower, "upper": upper}

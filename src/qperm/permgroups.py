@@ -77,13 +77,13 @@ class FiniteGroup:
             raise ValueError("table shape does not match labels")
         if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
             raise ValueError("index 0 must be the identity")
-        self._inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == 0:
-                    self._inv[i] = j
-        if any(v is None for v in self._inv):
-            raise ValueError("table has no inverses; not a group")
+        T, points = np.array(self.table), np.arange(n)
+        # without this, an element may lack an inverse, or its powers may
+        # never return to the identity
+        if not ((np.sort(T, axis=1) == points).all()
+                and (np.sort(T, axis=0) == points[:, np.newaxis]).all()):
+            raise ValueError("table rows and columns must permute 0..n-1; not a group")
+        self._inv = (T == 0).argmax(axis=1).tolist()
 
     @property
     def order(self) -> int:

@@ -141,8 +141,9 @@ def _decomposed_rows(G: CompactQuantumGroup, D: np.ndarray, cv: ClassicalVersion
 
 
 def canonical_partition(P, N: int) -> list[list[int]]:
-    """Blocks sorted by minimum element; must be non-empty and partition {0..N-1}."""
-    blocks = [sorted(set(b)) for b in P]
+    """Blocks sorted by minimum element; must be non-empty and partition
+    {0..N-1}, each point listed once."""
+    blocks = [sorted(b) for b in P]
     flat = sorted(x for b in blocks for x in b)
     if flat != list(range(N)) or not all(blocks):
         raise AlgebraError("not a partition of the label set")

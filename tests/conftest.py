@@ -598,6 +598,33 @@ def experiment_oracles():
                                  census=_census_by_seed)
 
 
+# -- the per-basis classifier that the star-closure test replaced -------------------
+
+
+def _classify_by_basis_loop(G, phi):
+    """(kind, null-space dimension) of an idempotent: the null space from the
+    sesquilinear matrix phi(e_i^* e_j) with the library's cut, and NonHaar
+    if multiplying the null basis by a basis element, on the left or on the
+    right, leaves its span by more than 1e-7."""
+    alg = G.algebra
+    P = alg.involution @ (alg.mult @ phi.duals)
+    evals, vecs = np.linalg.eigh((P + P.conj().T) / 2)
+    N = vecs[:, evals < 1e-8 * max(1.0, evals.max())].T
+    proj = N.conj().T @ N
+    for i in range(G.dim):
+        for prods in (N @ alg.mult[i], N @ alg.mult[:, i, :]):  # rows e_i n, then n e_i
+            if np.abs(prods - prods @ proj).max(initial=0.0) > 1e-7:
+                return "NonHaar", N.shape[0]
+    return "Haar", N.shape[0]
+
+
+@pytest.fixture
+def classify_oracle():
+    """``classify_oracle(G, phi)``: (kind, null-space dimension) by testing
+    the null space for a two-sided ideal, one basis element at a time."""
+    return _classify_by_basis_loop
+
+
 # -- the per-entry constructors and the meet that the shared routes replaced --------
 
 

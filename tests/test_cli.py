@@ -25,13 +25,16 @@ def test_validate_unknown_group_is_input_error(capsys):
 
 
 def test_validate_corrupted_table(tmp_path, capsys):
-    bad = {"kind": "dual",
-           "group_table": [[0, 1], [1, 1]],   # no inverses: not a group
-           "generators": [{"element": 1, "order": 2}]}
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(bad))
-    assert run(["validate", p]) == 1
-    assert "axiom" in capsys.readouterr().err
+    for bad in ({"kind": "dual",
+                 "group_table": [[0, 1], [1, 1]],   # no inverses: not a group
+                 "generators": [{"element": 1, "order": 2}]},
+                {"kind": "dual",  # the powers of 1 run 1, 2, 2, ... and never reach 0
+                 "group_table": [[0, 1, 2], [1, 2, 0], [2, 2, 0]],
+                 "generators": [{"element": 1, "order": 3}]}):
+        p.write_text(json.dumps(bad))
+        assert run(["validate", p]) == 1
+        assert "axiom" in capsys.readouterr().err
     not_closed = {"kind": "classical",
                   "permutations": [[0, 1, 2], [1, 0, 2], [1, 2, 0]]}
     p.write_text(json.dumps(not_closed))

@@ -457,16 +457,20 @@ def test_algebra_invariants_checked_once(monkeypatch):
 
 def test_validation_memory_scales_with_non_zeros():
     # dual-D30 has dim 60, where one dense d^4 complex array takes 207 MB;
-    # its mult and delta have d^2 and d non-zeros
-    tracemalloc.start()
-    try:
-        G = dual_dihedral(30, check=True)
-        ok = G.validate().ok
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ok
-    assert peak < 100 * 2**20
+    # its mult and delta have d^2 and d non-zeros.  Z40 acting regularly has
+    # N = d = 40, where one (N, N, d, d) complex array takes 41 MB
+    z40 = [tuple((j + k) % 40 for j in range(40)) for k in range(40)]
+    for build, bound in ((lambda: dual_dihedral(30, check=True), 100 * 2**20),
+                         (lambda: classical_group(z40), 32 * 2**20)):
+        tracemalloc.start()
+        try:
+            G = build()
+            ok = G.validate().ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < bound
 
 
 def test_group_likeness_memory_stays_at_d_squared():

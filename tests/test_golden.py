@@ -96,11 +96,10 @@ EXPORTED_NAMES = {
     "is_positive_functional": "perfbench metric algebra.is_positive_functional.calls",
     "kac_paljutkin": "the CLI builtin kp; perfbench",
     "meet": "the CLI dihedral sweep and stabiliser_projection",
-    "null_space": "classify_idempotent",
     "projection_rank": "the CLI classical-version experiment",
     "quantum_fraction": "the CLI and dynamics",
     "spectral_partition": "fix_spectrum",
-    "spectral_projection": "support_projection; perfbench span algebra.spectral_projection",
+    "spectral_projection": "perfbench span algebra.spectral_projection",
     "stabiliser_idempotent": "the CLI stabiliser experiment",
     "stabiliser_membership": "stabiliser_idempotent",
     "support_projection": "collapse_stability_probe and perfbench",
@@ -139,7 +138,6 @@ DEFAULTED_PARAMETERS = {
     ("cqg.dual_dihedral", "check"): "check flag",
     ("cqg.kac_paljutkin", "tol"): "the group file's tolerance",
     ("cqg.kac_paljutkin", "check"): "check flag",
-    ("idempotent.IdempotentClass", "witnesses"): "record field",
     ("idempotent.collapse_stability_probe", "n_samples"): "perfbench passes and reads it",
     ("idempotent.collapse_stability_probe", "seed"): "perfbench passes it",
     ("idempotent.idempotent_census", "seed"): "the CLI seed",

@@ -32,7 +32,11 @@ replaced, and the stacked convolution powers behind ``trajectory`` and
 compared with their earlier forms: the sort-and-count duplicate sums with
 ``np.add.at`` bit for bit, the positivity check on its folded kernel with
 the unfolded one, the triangular Sylvester step with ``solve_sylvester``
-and the fixed-product ``validate`` residuals with their einsums.
+and the fixed-product ``validate`` residuals with their einsums.  The
+Haar / non-Haar classifier, which the library decides by whether the null
+space is closed under the star, is compared with the test of the null space
+for a two-sided ideal one basis element at a time, on the counit, Haar,
+stabiliser, dual-subgroup and census idempotents, and in a complex basis.
 """
 import dataclasses
 import json
@@ -70,10 +74,13 @@ from qperm.idempotent import (
     _cesaro_projector,
     _group_like_residual,
     _sandwich_matrix,
+    cesaro_idempotent,
+    classify_idempotent,
     condition,
     dual_subgroup_idempotent,
     face_idempotent,
     generated_idempotent,
+    idempotent_census,
     is_group_like,
     left_convolution_operator,
 )
@@ -116,7 +123,7 @@ def test_algebra_kernels(G):
                        np.einsum("ijk,i,j->k", alg.mult, a, b))
         assert_matches(alg.left_mult_matrix(a),
                        np.einsum("i,ikj->kj", a, alg.regular))
-        assert_matches(LinearFunctional(alg, b).sesquilinear_matrix(),
+        assert_matches((b @ alg._sesquilinear).reshape(alg.dim, alg.dim),
                        np.einsum("ia,ajk,k->ij", alg.involution, alg.mult, b))
 
 
@@ -347,6 +354,52 @@ def test_p_c_face_matches_quotient_oracle(G, morphisms, face_oracle):
     p_C = classical_version(G).p_C
     assert np.abs(face_idempotent(G, p_C).duals - ref).max() <= 1e-12
     assert np.abs(face_oracle(G, p_C).duals - ref).max() <= 1e-12
+
+
+def classification_cases(G):
+    """Idempotents of G: the counit and the Haar state; every stabiliser
+    idempotent on kp, S4 and dual-S4; every dual-subgroup idempotent on
+    dual-S3, dual-S4 and dual-D4..D6; the seed-0 census limits on kp and
+    dual-S4; and on kp the Cesaro limits of the basis functionals that are
+    states."""
+    cases = [G.counit, G.haar]
+    if G.name in ("kac-paljutkin", "s4", "dual-S4"):
+        cases += [stabiliser_idempotent(G, part) for part in set_partitions(list(range(G.N)))]
+    if G.name in ("dual-S3", "dual-S4", "dual-D4", "dual-D5", "dual-D6"):
+        cases += [dual_subgroup_idempotent(G, sub) for sub in G.group.subgroups()]
+    if G.name in ("kac-paljutkin", "dual-S4"):
+        cases += [res.limit for res in idempotent_census(G, 50, seed=0,
+                                                         extra_seeds=[G.counit, G.haar])]
+    if G.name == "kac-paljutkin":
+        eye = np.eye(G.dim)
+        cases += [cesaro_idempotent(G, State(G.algebra, row)).limit
+                  for row in eye[_state_rows(G.algebra, eye)]]
+    return cases
+
+
+def test_classify_matches_basis_loop_oracle(G, classify_oracle):
+    # the star-closure test against the per-basis two-sided-ideal test it
+    # replaced, with the residual's gap between the classes
+    for psi in classification_cases(G):
+        cls = classify_idempotent(G, psi)
+        assert (cls.kind, cls.null_space_dim) == classify_oracle(G, psi)
+        if cls.kind == "Haar":
+            assert cls.residual <= 1e-12
+        else:
+            assert cls.residual >= 1e-2
+
+
+@pytest.mark.parametrize("name", ["s3", "dual-s3", "kp"])
+def test_classify_in_a_complex_basis(name):
+    # the null space and its star closure are basis-free: in a complex,
+    # non-orthogonal basis B psi has the class and null dimension of psi
+    G = BUILTIN_GROUPS[name]()
+    B = complex_basis(G, 11)
+    H = in_basis(G, B)
+    for psi in classification_cases(G):
+        got = classify_idempotent(H, State(H.algebra, B @ psi.duals, check=False))
+        ref = classify_idempotent(G, psi)
+        assert (got.kind, got.null_space_dim) == (ref.kind, ref.null_space_dim)
 
 
 def state_pool(G):
@@ -673,7 +726,7 @@ def planted_row(alg, base, lowest):
 
 
 def smallest_eigenvalue(alg, row):
-    P = LinearFunctional(alg, row).sesquilinear_matrix()
+    P = alg.involution @ (alg.mult @ row)  # phi(e_i^* e_j)
     return np.linalg.eigvalsh((P + P.conj().T) / 2)[0]
 
 

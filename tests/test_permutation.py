@@ -238,11 +238,12 @@ def test_stabiliser_single_point_is_conditioned_haar(kp):
 
 
 def test_canonical_partition_rejects_an_empty_block():
-    # [[0], []] was the stabiliser experiment's default partition at N = 1
+    # [[0], []] was the stabiliser experiment's default partition at N = 1;
+    # a point listed twice in a block is no partition either
     assert canonical_partition([[0]], 1) == [[0]]
-    for partition in ([[0], []], [[], [1, 0]]):
+    for partition, N in (([[0], []], 1), ([[], [1, 0]], 2), ([[0, 0], [1, 2, 3]], 4)):
         with pytest.raises(AlgebraError, match="partition"):
-            canonical_partition(partition, 2 if partition[1] else 1)
+            canonical_partition(partition, N)
 
 
 def test_stabiliser_membership_pattern(kp):
