@@ -13,7 +13,7 @@ is immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +29,10 @@ DEFAULT_ITER_TOL = 1e-7
 
 # -- sparse contractions of structure constants ---------------------------------
 #
-# The Hopf-axiom checks contract structure-constant tensors whose dense forms
-# are d^3, with d^4 and d^5 intermediates, but whose non-zeros number about
-# d^2 for the shipped families.  They are contracted here in coordinate form,
-# so work and memory follow the number of matching pairs of non-zeros.
+# Every axiom on mult, Delta, the involution and the antipode contracts
+# tensors of up to d^3 entries, with d^4 and d^5 intermediates, but about d^2
+# non-zeros for the shipped families.  They are contracted here in coordinate
+# form, so work and memory follow the number of matching pairs of non-zeros.
 
 
 class _Coo(NamedTuple):
@@ -41,11 +41,6 @@ class _Coo(NamedTuple):
     shape: tuple
     keys: np.ndarray
     vals: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(math.prod(self.shape), dtype=complex)
-        out[self.keys] = self.vals
-        return out.reshape(self.shape)
 
 
 def _coo(T: np.ndarray) -> _Coo:
@@ -60,65 +55,78 @@ def _summed(shape: tuple, keys: np.ndarray, vals: np.ndarray) -> _Coo:
     adds them one after another from zero, so every sum is the one
     ``np.add.at`` forms; ``np.add.reduceat`` adds in another order.
     """
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    first = np.diff(keys, prepend=-1) != 0  # keys are flat positions, never -1
-    group = np.cumsum(first) - 1
-    acc = np.empty(int(first.sum()), dtype=complex)
-    acc.real = np.bincount(group, vals.real, acc.size)
-    acc.imag = np.bincount(group, vals.imag, acc.size)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = keys != np.concatenate(([-1], keys[:-1]))  # keys are flat positions, never -1
+    keys = keys[first]
+    group = first.cumsum() - 1
+    acc = np.empty(keys.size, dtype=complex)
+    acc.real = np.bincount(group, vals.real[order], acc.size)
+    acc.imag = np.bincount(group, vals.imag[order], acc.size)
     keep = acc != 0
-    return _Coo(shape, keys[first][keep], acc[keep])
+    return _Coo(shape, keys[keep], acc[keep])
 
 
-def _contract(spec: str, a: _Coo, b: _Coo) -> _Coo:
-    """Two-operand einsum over non-zeros, e.g. ``"ijm,mkl->ijkl"``.
+@cache
+def _plan(spec: str, shape_a: tuple, shape_b: tuple):
+    """The output shape of a contraction ``spec`` and, per operand, the
+    divisors and sizes that read each label's coordinate off a flat key and
+    the (labels, 2) weights that map the coordinates to the joint index over
+    the summed labels and to the output position.  Kept per spec and shapes:
+    parsing is most of the cost of a small contraction."""
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    size = dict(zip(sa, shape_a))
+    summed = [x for x in sb if x in size]
+    if (not summed or any(size[x] != n for x, n in zip(sb, shape_b) if x in size)
+            or sorted(out) != sorted(set(sa + sb) - set(summed))):
+        raise AlgebraError(f"unsupported contraction {spec!r} for these shapes")
+    size.update(zip(sb, shape_b))
+    weight = {x: math.prod(size[y] for y in labels[k + 1:])
+              for labels in (out, summed) for k, x in enumerate(labels)}
+    return (tuple(size[x] for x in out),) + tuple(
+        (np.array([math.prod(shape[k + 1:]) for k in range(len(shape))]), np.array(shape),
+         np.array([(weight[x], 0) if x in summed else (0, weight[x]) for x in labels]))
+        for labels, shape in ((sa, shape_a), (sb, shape_b)))
+
+
+def _pairs(spec: str, a: _Coo, b: _Coo) -> _Coo:
+    """Every product of two non-zeros that meet in a two-operand einsum over
+    non-zeros, e.g. ``"ijm,mkl->ijkl"``, unsummed: keys repeat.
 
     The labels shared by both operands are summed and every other label is
     an output axis.  b is sorted on its summed index and a's summed indices
     are located in it, so every product formed pairs two non-zeros that meet.
     """
-    inputs, out = spec.split("->")
-    sa, sb = inputs.split(",")
-    summed = [x for x in sa if x in sb]
-    size_a, size_b = dict(zip(sa, a.shape)), dict(zip(sb, b.shape))
-    if (not summed or any(size_a[x] != size_b[x] for x in summed)
-            or sorted(out) != sorted(set(sa + sb) - set(summed))):
-        raise AlgebraError(f"unsupported contraction {spec!r} for these shapes")
-    size = size_a | size_b
-    shape = tuple(size[x] for x in out)
-    stride = {x: math.prod(shape[k + 1:]) for k, x in enumerate(out)}
-    joint = tuple(size[x] for x in summed)
-
-    def split(labels, t):
-        """Summed-index key and output-key contribution of each entry of t."""
-        coords = dict(zip(labels, np.unravel_index(t.keys, t.shape)))
-        part = np.zeros(t.keys.size, dtype=np.intp)
-        for x in labels:
-            if x in stride:
-                part += coords[x] * stride[x]
-        return np.ravel_multi_index([coords[x] for x in summed], joint), part
-
-    ka, pa = split(sa, a)
-    kb, pb = split(sb, b)
-    order = np.argsort(kb, kind="stable")
+    shape, (div_a, size_a, W_a), (div_b, size_b, W_b) = _plan(spec, a.shape, b.shape)
+    ka, pa = (a.keys[:, np.newaxis] // div_a % size_a @ W_a).T
+    kb, pb = (b.keys[:, np.newaxis] // div_b % size_b @ W_b).T
+    order = kb.argsort(kind="stable")
     kb = kb[order]
-    lo = np.searchsorted(kb, ka, "left")
-    counts = np.searchsorted(kb, ka, "right") - lo
-    ai = np.repeat(np.arange(ka.size), counts)
+    lo = kb.searchsorted(ka, "left")
+    counts = kb.searchsorted(ka, "right") - lo
+    ai = np.arange(ka.size).repeat(counts)
     # the n-th pair of a-entry ai takes the n-th match of its run in sorted b
-    runs = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    bj = order[runs + np.arange(ai.size)]
-    return _summed(shape, pa[ai] + pb[bj], a.vals[ai] * b.vals[bj])
+    bj = order[(lo - (counts.cumsum() - counts)).repeat(counts) + np.arange(ai.size)]
+    keys, vals = pa[ai], a.vals[ai]
+    keys += pb[bj]
+    vals *= b.vals[bj]
+    return _Coo(shape, keys, vals)
+
+
+def _contract(spec: str, a: _Coo, b: _Coo) -> _Coo:
+    """The einsum ``spec`` over non-zeros, summed (:func:`_pairs`)."""
+    return _summed(*_pairs(spec, a, b))
 
 
 def _max_abs_difference(x: _Coo, y: _Coo) -> float:
-    """max |x - y| over the union of both non-zero patterns."""
+    """max |x - y| over the union of both non-zero patterns, x and y unsummed
+    (:func:`_pairs`): the terms of x and of -y are added in one pass."""
     if x.shape != y.shape:
         raise AlgebraError("compared tensors have different shapes")
     diff = _summed(x.shape, np.concatenate([x.keys, y.keys]),
                    np.concatenate([x.vals, -y.vals]))
-    return float(np.abs(diff.vals).max()) if diff.vals.size else 0.0
+    return float(np.abs(diff.vals).max(initial=0.0))
 
 
 class StarAlgebra:
@@ -249,7 +257,7 @@ class StarAlgebra:
         # (e_i e_j) e_k against e_i (e_j e_k)
         cc = self._mult_coo
         out["associativity"] = _max_abs_difference(
-            _contract("ijm,mkl->ijkl", cc, cc), _contract("jkm,iml->ijkl", cc, cc))
+            _pairs("ijm,mkl->ijkl", cc, cc), _pairs("jkm,iml->ijkl", cc, cc))
         out["unit"] = max(
             np.abs(np.einsum("ijk,i->jk", c, self.unit) - np.eye(self.dim)).max(),
             np.abs(np.einsum("ijk,j->ik", c, self.unit) - np.eye(self.dim)).max(),
@@ -258,10 +266,10 @@ class StarAlgebra:
         out["involution_squared"] = np.abs(np.conj(iv) @ iv - np.eye(self.dim)).max()
         # (e_i e_j)* = e_j* e_i*; the product coefficients conjugate through star:
         # sum_m conj(c[i, j, m]) iv[m, k] against sum_ab iv[j, a] iv[i, b] c[a, b, k]
-        d = self.dim
-        lhs = np.conj(c).reshape(d * d, d) @ iv
-        rhs = iv @ (iv @ c.reshape(d, d * d)).reshape(d, d, d)  # [j, i, k]
-        out["involution_antihom"] = np.abs(lhs.reshape(d, d, d) - rhs.transpose(1, 0, 2)).max()
+        ivc = _coo(iv)
+        out["involution_antihom"] = _max_abs_difference(
+            _pairs("ijm,mk->ijk", cc._replace(vals=np.conj(cc.vals)), ivc),
+            _pairs("ja,iak->ijk", ivc, _contract("ib,abk->iak", ivc, cc)))
         min_eig = float(np.linalg.eigvalsh(self.gram).min())
         out["gram_positive_definite"] = 0.0 if min_eig > self.tol else 2 * self.tol - min_eig
         tau_ab = np.einsum("ijk,k->ij", c, self.trace)

@@ -30,6 +30,7 @@ from .algebra import (
     _coo,
     _contract,
     _max_abs_difference,
+    _pairs,
     _multiplicativity_residual,
     _projection_residuals,
     _require_states,
@@ -222,10 +223,10 @@ class CompactQuantumGroup:
         for axiom, res in alg.check_invariants().items():
             add(f"algebra.{axiom}", res)
 
-        Dc, cc = _coo(D), alg._mult_coo
+        Dc, cc, ivc, Sc = _coo(D), alg._mult_coo, _coo(alg.involution), _coo(self.antipode)
         # (Delta (x) id) Delta against (id (x) Delta) Delta
         add("coassociativity", _max_abs_difference(
-            _contract("iuk,uab->iabk", Dc, Dc), _contract("iau,ubk->iabk", Dc, Dc)))
+            _pairs("iuk,uab->iabk", Dc, Dc), _pairs("iau,ubk->iabk", Dc, Dc)))
 
         add("delta_unital", np.abs(self.delta_applied(alg.unit)
                                    - np.outer(alg.unit, alg.unit)).max())
@@ -234,16 +235,14 @@ class CompactQuantumGroup:
         # = sum D[i,a,b] c[a,A,k] D[j,A,B] c[b,B,l] e_k (x) e_l, one pair at a time
         rhs = _contract("iab,aAk->ibAk", Dc, cc)
         rhs = _contract("ibAk,jAB->ibkjB", rhs, Dc)
-        rhs = _contract("ibkjB,bBl->ijkl", rhs, cc)
         add("delta_multiplicative", _max_abs_difference(
-            _contract("ijm,mkl->ijkl", cc, Dc), rhs))
+            _pairs("ijm,mkl->ijkl", cc, Dc), _pairs("ibkjB,bBl->ijkl", rhs, cc)))
 
         # Delta(e_i*) against (* (x) *) Delta(e_i):
         # sum_k iv[i, k] D[k, a, b] against sum_uv conj(D[i, u, v]) iv[u, a] iv[v, b]
-        iv = alg.involution
-        lhs = iv @ D.reshape(d, d * d)
-        rhs = iv.T @ (np.conj(D).reshape(d * d, d) @ iv).reshape(d, d, d)
-        add("delta_star_map", np.abs(lhs.reshape(d, d, d) - rhs).max())
+        rhs = _contract("iuv,ua->iav", Dc._replace(vals=np.conj(Dc.vals)), ivc)
+        add("delta_star_map", _max_abs_difference(
+            _pairs("ik,kab->iab", ivc, Dc), _pairs("iav,vb->iab", rhs, ivc)))
 
         eps = self.counit.duals
         add("counit_left", np.abs(np.einsum("iab,a->ib", D, eps) - np.eye(alg.dim)).max())
@@ -253,19 +252,18 @@ class CompactQuantumGroup:
                                     abs(eps @ alg.unit - 1.0)))
 
         S = self.antipode
-        # Sc[a, b, k] = sum_u S[a, u] c[u, b, k], the coefficients of S(e_a) e_b
-        Sc = (S @ c.reshape(d, d * d)).reshape(d * d, d)
-        # m(S (x) id) Delta and m(id (x) S) Delta against eps(.) 1
-        left = D.reshape(d, d * d) @ Sc
-        right = (D.reshape(d * d, d) @ S).reshape(d, d * d) @ c.reshape(d * d, d)
-        target = np.outer(eps, alg.unit)
-        add("antipode_left", np.abs(left - target).max())
-        add("antipode_right", np.abs(right - target).max())
+        # m(S (x) id) Delta and m(id (x) S) Delta against eps(.) 1:
+        # sum D[i, a, b] S[a, u] c[u, b, k] and sum D[i, a, b] S[b, u] c[a, u, k]
+        target = _coo(np.outer(eps, alg.unit))
+        add("antipode_left", _max_abs_difference(
+            _pairs("iab,abk->ik", Dc, _contract("au,ubk->abk", Sc, cc)), target))
+        add("antipode_right", _max_abs_difference(
+            _pairs("iau,auk->ik", _contract("iab,bu->iau", Dc, Sc), cc), target))
         add("antipode_kac", np.abs(S @ S - np.eye(alg.dim)).max())
         # S(e_i e_j) against S(e_j) S(e_i): sum_uv S[j, u] S[i, v] c[u, v, k]
-        anti = (c.reshape(d * d, d) @ S).reshape(d, d, d) \
-            - (S @ Sc.reshape(d, d, d)).transpose(1, 0, 2)
-        add("antipode_antihom", np.abs(anti).max())
+        add("antipode_antihom", _max_abs_difference(
+            _pairs("ijm,mk->ijk", cc, Sc),
+            _pairs("ju,iuk->ijk", Sc, _contract("iv,uvk->iuk", Sc, cc))))
 
         left, right = np.abs(_absorption_operator(self, self.haar.duals)).reshape(2, -1).max(axis=1)
         add("haar_left_invariance", left)
@@ -275,12 +273,14 @@ class CompactQuantumGroup:
         add("magic_projections", _projection_residuals(alg, self.magic.reshape(-1, d)).max())
         add("magic_row_sums", np.abs(self.magic.sum(axis=1) - alg.unit).max())
         add("magic_col_sums", np.abs(self.magic.sum(axis=0) - alg.unit).max())
-        # Delta(u_ij) against sum_k u_ik (x) u_kj, for a block of grid rows i
-        # at a time: N (d, d) arrays a grid row, _block_rows(d) of them a block
+        # Delta(u_ij) against sum_k u_ik (x) u_kj, the sum one product indexed
+        # [(i, a), (j, b)], for a block of grid rows i at a time: N (d, d)
+        # arrays a grid row, _block_rows(d) of them a block
         rows = max(1, _block_rows(d) // N)
         add("magic_comultiplication", max(np.abs(
             (self.magic[i:i + rows] @ D.reshape(d, d * d)).reshape(-1, N, d, d)
-            - np.einsum("ika,kjb->ijab", self.magic[i:i + rows], self.magic)).max()
+            - (self.magic[i:i + rows].transpose(0, 2, 1).reshape(-1, N)
+               @ self.magic.reshape(N, N * d)).reshape(-1, d, N, d).transpose(0, 2, 1, 3)).max()
             for i in range(0, N, rows)))
         add("magic_antipode", np.abs(self.magic @ S - self.magic.transpose(1, 0, 2)).max())
         add("magic_counit", np.abs(self.magic @ eps - np.eye(N)).max())
@@ -288,22 +288,17 @@ class CompactQuantumGroup:
         return ValidationReport(checks)
 
     def _entries_generate(self) -> bool:
-        alg = self.algebra
-        gens = self.magic.reshape(self.N * self.N, alg.dim)
-        # right multiplication by each entry: (e_i g)[k]
-        right = _contract("gj,ijk->gik", _coo(gens), alg._mult_coo)
-        basis = _row_space(np.vstack([alg.unit[np.newaxis, :], gens]))
-        # span_{t+1} = span_t + span_t gens = span_t + new_t gens, where new_t
-        # completes span_{t-1} to span_t; so only the new rows are multiplied
-        new = basis
-        while basis.shape[0] < alg.dim:
-            prods = _contract("bi,gik->bgk", _coo(new), right).to_dense()
-            prods = prods.reshape(-1, alg.dim)
-            new = _row_space(prods - (prods @ basis.conj().T) @ basis)
-            if new.shape[0] == 0:
-                return False
-            basis = np.vstack([basis, new])
-        return True
+        """Whether the unit and the magic entries generate the algebra: each
+        round replaces their span V with V + V V, from the dense products
+        prods[x, y] = V[x] V[y], until V is the algebra or stops growing, so
+        words of length n take log2(n) rounds."""
+        alg, d = self.algebra, self.dim
+        basis, rank = _row_space(np.vstack([alg.unit, self.magic.reshape(-1, d)])), 0
+        while rank < basis.shape[0] < d:
+            rank = basis.shape[0]
+            prods = basis @ (basis @ alg.mult.reshape(d, d * d)).reshape(-1, d, d)
+            basis = _row_space(np.vstack([basis, prods.reshape(-1, d)]))
+        return basis.shape[0] == d
 
     def __repr__(self):
         return f"CompactQuantumGroup({self.name}, dim={self.dim}, N={self.N})"
@@ -571,8 +566,13 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
 
 
 def _row_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning a stack, cut at singular values 1e-10 of the
+    largest.  A stack over twice as tall as wide is first reduced to its R
+    factor, with the same singular values and row space."""
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1])
+    if rows.shape[0] > 2 * rows.shape[1]:
+        rows = np.linalg.qr(rows, mode="r")
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     keep = s > 1e-10 * max(1.0, s[0] if s.size else 1.0)
     return vh[keep]

@@ -11,6 +11,8 @@ from qperm.algebra import (
     LinearFunctional,
     State,
     _Coo,
+    _coo,
+    _contract,
     gram_norm,
     meet,
     support_projection,
@@ -792,3 +794,51 @@ def force_block(monkeypatch):
         assert algebra._block_rows(d) == rows
         return rows
     return force
+
+
+# -- the generation check as it was: the span grown one word length a round ------
+
+
+def _row_space_by_svd(rows):
+    """Orthonormal rows spanning a stack, from the thin SVD of the stack
+    itself, cut at singular values 1e-10 of the largest."""
+    if rows.size == 0:
+        return rows.reshape(0, rows.shape[-1])
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[s > 1e-10 * max(1.0, s[0] if s.size else 1.0)]
+
+
+def _entries_generate_by_words(G):
+    """Whether the unit and the magic entries generate the algebra, by
+    span_{t+1} = span_t + span_t gens = span_t + new_t gens, where new_t
+    completes span_{t-1} to span_t: only the new rows are multiplied, by the
+    sparse contraction with the right multiplications by the entries."""
+    alg = G.algebra
+    gens = G.magic.reshape(G.N * G.N, alg.dim)
+    # right multiplication by each entry: (e_i g)[k]
+    right = _contract("gj,ijk->gik", _coo(gens), alg._mult_coo)
+    basis = _row_space_by_svd(np.vstack([alg.unit[np.newaxis, :], gens]))
+    new = basis
+    while basis.shape[0] < alg.dim:
+        sparse = _contract("bi,gik->bgk", _coo(new), right)
+        prods = np.zeros(new.shape[0] * gens.shape[0] * alg.dim, dtype=complex)
+        prods[sparse.keys] = sparse.vals
+        prods = prods.reshape(-1, alg.dim)
+        new = _row_space_by_svd(prods - (prods @ basis.conj().T) @ basis)
+        if new.shape[0] == 0:
+            return False
+        basis = np.vstack([basis, new])
+    return True
+
+
+@pytest.fixture
+def row_space_oracle():
+    """``row_space_oracle(rows)``: the row space by the SVD of the whole stack."""
+    return _row_space_by_svd
+
+
+@pytest.fixture(scope="session")
+def generation_oracle():
+    """``generation_oracle(G)``: whether the magic entries generate, growing
+    the span by one word length a round."""
+    return _entries_generate_by_words

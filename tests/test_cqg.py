@@ -1,10 +1,11 @@
 """Quantum group constructors, validation, convolution and the Haar state."""
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qperm import algebra, cqg, permgroups
+from qperm import cqg, permgroups
 from qperm.algebra import AlgebraError, Projection, StarAlgebra, State, gram_norm
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
@@ -433,14 +434,18 @@ def test_validator_catches_a_grid_that_does_not_generate():
 
 
 def test_algebra_invariants_checked_once(monkeypatch):
+    # counts computations of the invariant report, however many kernel
+    # calls each one makes
     calls = []
-    real = algebra._max_abs_difference
+    real = StarAlgebra._invariants.func
 
-    def counting(x, y):
+    def counting(self):
         calls.append(1)
-        return real(x, y)
+        return real(self)
 
-    monkeypatch.setattr(algebra, "_max_abs_difference", counting)
+    counted = functools.cached_property(counting)
+    counted.__set_name__(StarAlgebra, "_invariants")
+    monkeypatch.setattr(StarAlgebra, "_invariants", counted)
     G = kac_paljutkin()  # checks the algebra, then validates the group
     G.validate()
     assert len(calls) == 1

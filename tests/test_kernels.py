@@ -31,12 +31,14 @@ replaced, and the stacked convolution powers behind ``trajectory`` and
 ``detect_period`` with one convolution per step.  The hot kernels are
 compared with their earlier forms: the sort-and-count duplicate sums with
 ``np.add.at`` bit for bit, the positivity check on its folded kernel with
-the unfolded one, the triangular Sylvester step with ``solve_sylvester``
-and the fixed-product ``validate`` residuals with their einsums.  The
-Haar / non-Haar classifier, which the library decides by whether the null
-space is closed under the star, is compared with the test of the null space
-for a two-sided ideal one basis element at a time, on the counit, Haar,
-stabiliser, dual-subgroup and census idempotents, and in a complex basis.
+the unfolded one, the triangular Sylvester step with ``solve_sylvester``,
+the pair-kernel ``validate`` residuals with their einsums, and the row
+space of a tall stack, taken through its R factor, with the SVD of the
+whole stack.  The Haar / non-Haar classifier, which the library decides by
+whether the null space is closed under the star, is compared with the test
+of the null space for a two-sided ideal one basis element at a time, on the
+counit, Haar, stabiliser, dual-subgroup and census idempotents, and in a
+complex basis.
 """
 import dataclasses
 import json
@@ -63,6 +65,7 @@ from qperm.algebra import (
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
     CompactQuantumGroup,
+    _row_space,
     birkhoff_matrix,
     characters,
     dual_group,
@@ -789,6 +792,19 @@ def test_summed_matches_add_at_bit_for_bit(kernel_oracles):
     empty = _summed((4, 4), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex))
     assert empty.keys.size == 0 and empty.vals.size == 0
     assert_same_coo(empty, kernel_oracles.summed((4, 4), empty.keys, empty.vals))
+
+
+def test_row_space_matches_full_svd(G, row_space_oracle):
+    # the magic stack, over twice as tall as wide on klein-s4, z4-s4, dual-s3
+    # and dual-d3, and the stack of products of every pair of its rows, so
+    # tall on every builtin but the trivial one: the same projector
+    d = G.dim
+    stack = G.magic.reshape(-1, d)
+    prods = stack @ (stack @ G.algebra.mult.reshape(d, d * d)).reshape(-1, d, d)
+    for rows in (stack, prods.reshape(-1, d)):
+        got, ref = _row_space(rows), row_space_oracle(rows)
+        assert got.shape == ref.shape
+        assert np.abs(got.conj().T @ got - ref.conj().T @ ref).max() <= 1e-12
 
 
 def unital_planted_row(alg, base, lowest):

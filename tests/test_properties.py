@@ -14,6 +14,10 @@ uniform measure on the subgroup X generates (Kawada-Ito); on C*(G), where
 convolution is pointwise, the one generated by the indicators of H and K is
 the indicator of their intersection.
 
+The generation check on the magic entries, which squares their span,
+decides as the span grown one word length a round does, on the generated
+groups and on every builtin, dual-D20 and a sub-grid that does not generate.
+
 On each generated group the Haar state, the regular trace, is checked
 against the invariance SVD.  The regular trace is not the algebra's trace,
 which may be any faithful trace: C(S_3) with a skewed one keeps the uniform
@@ -26,9 +30,11 @@ from hypothesis import strategies as st
 
 from qperm import permgroups
 from qperm.algebra import AlgebraError, Projection, StarAlgebra
+from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
     CompactQuantumGroup,
     classical_group,
+    dual_dihedral,
     dual_group,
     solve_haar,
     uniform_state,
@@ -121,6 +127,34 @@ def test_generated_group_laws_match_the_loop_constructors(group_law_oracle, gens
     index = [group.perms.index(g) for g in gens]
     assert group_law_oracle(classical_group(perms)) == []
     assert group_law_oracle(dual_group(group, [(i, group.element_order(i)) for i in index])) == []
+
+
+def test_generation_matches_word_growth(generation_oracle):
+    # span squaring against one word length a round: every builtin; dual-D20,
+    # whose entries need words of length 20 (5 squaring rounds, 20 word
+    # rounds); one reflection block of dual-D6, a magic unitary whose entries
+    # do not generate; and the generated groups, as functions and as duals
+    def agree(G):
+        got = G._entries_generate()
+        assert got == generation_oracle(G), G.name
+        return got
+
+    assert all(agree(build()) for build in BUILTIN_GROUPS.values())
+    assert agree(dual_dihedral(20))
+    d6 = dual_dihedral(6)
+    assert not agree(CompactQuantumGroup("sub", d6.algebra, d6.delta, d6.counit, d6.antipode,
+                                         d6.magic[:2, :2], haar=d6.haar, check=False))
+
+    @PROPERTY
+    @given(generators())
+    def generated(gens):
+        perms = permgroups.closure(gens)
+        group = permgroups.FiniteGroup.from_permutations(perms)
+        index = [group.perms.index(g) for g in gens]
+        assert agree(classical_group(perms))
+        assert agree(dual_group(group, [(i, group.element_order(i)) for i in index]))
+
+    generated()
 
 
 def test_haar_state_ignores_a_skewed_trace():
