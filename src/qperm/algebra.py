@@ -180,8 +180,7 @@ class StarAlgebra:
     @cached_property
     def gram(self) -> np.ndarray:
         """G[i, j] = tau(e_i^* e_j); Hermitian positive definite."""
-        G = np.einsum("ia,ajk,k->ij", self.involution, self.mult, self.trace,
-                      optimize=True)
+        G = self.involution @ (self.mult @ self.trace)
         return (G + G.conj().T) / 2.0
 
     @cached_property

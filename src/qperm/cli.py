@@ -19,11 +19,13 @@ name or definition-file path), parameters and optional explicit output paths:
      "parameters": {"n_samples": 500, "seed": 7}, "outputs": ["bounds.json"]}
 
 Exit codes: 0 success, 1 assertion failure, 2 input error.  A group file
-off the schema above or listing over 120 elements is an input error, and so
-is an integer parameter out of range (n_samples 1..10^5, n_seeds 0..10^4,
-n 2..1001, seed >= 0, k_max 1..10^4) or not an integer, an ``m_values``
-that is not a non-empty list of integers in 2..60 (dual dihedral up to
-dim 120), a ``partition`` that is not a list of non-empty lists of integers
+off the schema above, listing over 120 elements or acting on over 120
+points (a classical file's degree, a dual file's sum of generator orders)
+is an input error, found before any array is built.  So is an integer
+parameter out of range (n_samples 1..10^5, n_seeds 0..10^4, n 2..1001,
+seed >= 0, k_max 1..10^4) or not an integer, an ``m_values`` that is not a
+non-empty list of integers in 2..60 (dual dihedral up to dim 120), a
+``partition`` that is not a list of non-empty lists of integers
 partitioning 0..N-1 for the group's N, a ``group`` that is not a string,
 ``outputs`` that are not a list of strings and an ``s4hat-walkthrough`` on
 any group but the ``dual-s4`` builtin; all are found before anything is
@@ -128,6 +130,14 @@ def _int_list(v, n: int) -> bool:
             and all(_is_int(x) and 0 <= x < n for x in v))
 
 
+def _check_points(n: int) -> None:
+    """The size budget: at most MAX_DIM points.  With at most MAX_DIM
+    elements, the (N, N, d) magic grid then holds N^2 d <= MAX_DIM^3 entries,
+    no more than one structure-constant tensor."""
+    if n > MAX_DIM:
+        raise ValueError(f"a group file acts on at most {MAX_DIM} points, not {n}")
+
+
 def _check_group_schema(data) -> None:
     """Raise ValueError unless ``data`` follows the group-file schema.
 
@@ -146,6 +156,7 @@ def _check_group_schema(data) -> None:
                 and isinstance(perms[0], list)):
             raise ValueError(f"'permutations' must be a list of 1 to {MAX_DIM} lists")
         n = len(perms[0])
+        _check_points(n)
         if n == 0 or not all(_int_list(p, n) and len(set(p)) == n for p in perms):
             raise ValueError(f"every permutation must list the images of 0..{n - 1}")
     elif kind == "dual":
@@ -165,6 +176,7 @@ def _check_group_schema(data) -> None:
                 and g["order"] >= 1 for g in gens):
             raise ValueError("'generators' must be a non-empty list of "
                              f"{{\"element\": 0..{n - 1}, \"order\": d >= 1}}")
+        _check_points(sum(g["order"] for g in gens))
     elif kind != "kac_paljutkin":
         raise ValueError(f"unknown group kind: {kind!r}")
 
@@ -302,6 +314,9 @@ def exp_bounds(G, params, out):
                "alpha_range": [min(alphas), max(alphas)],
                "samples": [[s.alpha, s.beta, s.omega] for s in rep.samples]}
     write_json(out / "bounds.json", payload)
+    if rep.violations:
+        raise AlgebraError(f"{len(rep.violations)} convolution bound violations, the first: "
+                           + json.dumps(rep.violations[0]))
     return ["bounds.json"]
 
 

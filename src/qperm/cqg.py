@@ -522,8 +522,10 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
                           mult, involution, unit=one, trace=trace, tol=tol)
 
     # comultiplication from the generator images, through the word basis
+    M = mult.reshape(dim * dim, dim)
+
     def tmul(X, Y):
-        return np.einsum("iIk,jJl,ij,IJ->kl", mult, mult, X, Y, optimize=True)
+        return M.T @ np.kron(X, Y) @ M
 
     twist = 0.5 * (np.outer(one, one) + np.outer(one, x) + np.outer(y, one) - np.outer(y, x))
     dx, dy = np.outer(x, x), np.outer(y, y)

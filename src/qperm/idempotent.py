@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import zgees, ztrsyl
 
 from .algebra import (
     AlgebraElement,
@@ -73,36 +71,37 @@ def left_convolution_operator(G: CompactQuantumGroup, phi: LinearFunctional) -> 
 
 
 def _cesaro_projector(T: np.ndarray) -> np.ndarray:
-    """Limit of the operator Cesaro means (1/n) sum T^k.
+    """Limit of the operator Cesaro means (1/n) sum_{k<n} T^k, for one (d, d)
+    operator or an (n, d, d) stack of them, from one SVD of A = I - T.
 
-    For a power-bounded operator this is the spectral projector onto the
-    eigenvalue-1 cluster, computed from a sorted Schur form (unimodular
-    eigenvalues away from 1 average out, contractive ones die).  The
-    coupling block R solves A R - R B = C on the triangular diagonal blocks
-    of the Schur form, by LAPACK's triangular Sylvester solver.  The form
-    comes from LAPACK zgees called as ``scipy.linalg.schur`` calls it (a
-    workspace query, then the sorted factorisation), without that
-    wrapper's per-call overhead, about as large as the two calls at d = 8.
+    The mean ergodic theorem: for a power-bounded T, the means converge to
+    the projection E onto ker A along ran A.  On ran A, x = y - Ty, the
+    mean is (y - T^n y)/n -> 0; on ker A it is x.  Power-boundedness makes
+    the eigenvalue 1 semisimple (a Jordan block there grows like n), so
+    ker A and ran A are complementary.  Left convolution by a state phi is
+    a contraction in the dual norm, |phi * rho| <= |phi (x) rho| = |rho|
+    as Delta is a unital *-homomorphism, so it is power-bounded.
+
+    With A = U S V^H, the right singular vectors N with sigma < 1e-8 span
+    ker A, and the left ones M span ker A^H = (ran A)^perp.  M^H N is
+    invertible, since M^H N c = 0 puts N c in ker A n ran A = 0.  So
+    E = N (M^H N)^-1 M^H: it fixes ker A and kills ran A.
+
+    The singular values come sorted, so the kernel is spanned by the last
+    columns; the operators of a stack with the same kernel size share one
+    batched solve.
     """
     T = np.asarray_chkfinite(T)
-    lwork = int(zgees(lambda lam: None, T, lwork=-1)[-2][0].real)
-    U, sdim, _, Q, _, info = zgees(lambda lam: abs(lam - 1.0) < 1e-8, T, lwork=lwork, sort_t=1)
-    if info:
-        raise LinAlgError(f"sorted Schur form failed (zgees info {info})")
-    d = T.shape[0]
-    if sdim == 0:
-        return np.zeros((d, d), dtype=complex)
-    if sdim == d:
-        return np.eye(d, dtype=complex)
-    A, B, C = U[:sdim, :sdim], U[sdim:, sdim:], U[:sdim, sdim:]
-    R, scale, info = ztrsyl(A, B, C, isgn=-1)
-    if info < 0:
-        raise LinAlgError(f"illegal value in argument {-info} of ztrsyl")
-    R /= scale
-    block = np.zeros((d, d), dtype=complex)
-    block[:sdim, :sdim] = np.eye(sdim)
-    block[:sdim, sdim:] = R
-    return Q @ block @ Q.conj().T
+    d = T.shape[-1]
+    U, sigma, Vh = np.linalg.svd(np.eye(d) - T.reshape(-1, d, d))
+    size = (sigma < 1e-8).sum(axis=1)
+    E = np.zeros_like(U)
+    for k in np.unique(size[size > 0]).tolist():
+        at = size == k
+        N = Vh[at, d - k:].conj().swapaxes(1, 2)
+        Mh = U[at, :, d - k:].conj().swapaxes(1, 2)
+        E[at] = N @ np.linalg.solve(Mh @ N, Mh)
+    return E.reshape(T.shape)
 
 
 def cesaro_idempotent(G: CompactQuantumGroup, seed: State) -> CesaroResult:
@@ -123,7 +122,7 @@ def cesaro_idempotent(G: CompactQuantumGroup, seed: State) -> CesaroResult:
 
 def _cesaro_rows(G: CompactQuantumGroup, S: np.ndarray) -> list[CesaroResult]:
     """:func:`cesaro_idempotent` of every row of an (n, d) stack of seed
-    duals: the n convolution operators in one product, one projector each,
+    duals: the n convolution operators in one product, one stacked projector,
     one state check of the limits, the doubling recursion on the whole stack
     (a row leaves it once it is stationary) and one 3n-row convolution for
     the seed * limit, limit * seed and limit * limit certificates."""
@@ -131,9 +130,7 @@ def _cesaro_rows(G: CompactQuantumGroup, S: np.ndarray) -> list[CesaroResult]:
     if not n:
         return []
     T = (S[:, np.newaxis, np.newaxis] @ G.delta)[:, :, 0]  # row k: left convolution by S[k]
-    L = np.empty_like(S)
-    for k in range(n):
-        L[k] = _cesaro_projector(T[k]) @ S[k]
+    L = (_cesaro_projector(T) @ S[:, :, np.newaxis])[:, :, 0]
     _require_states(alg, L)
     iterations = np.empty(n, dtype=int)
     # the rows still doubling, their means v_m and limits as columns, and T^m

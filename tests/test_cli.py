@@ -1,12 +1,20 @@
-"""Command-line interface: exit codes, artifacts, determinism."""
+"""Command-line interface: exit codes, artifacts, determinism, start-up."""
+import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qperm
 from qperm import cli
 from qperm.cli import BUILTIN_GROUPS, load_group, main
+from qperm.dynamics import verify_bounds_empirically
 from qperm.permgroups import FiniteGroup
+from qperm.permutation import classical_version
 
 
 def run(args):
@@ -230,6 +238,24 @@ def test_bounds_experiment_deterministic(tmp_path):
         (tmp_path / "b" / "bounds.json").read_bytes()
 
 
+def test_bounds_experiment_writes_then_fails_on_violations(tmp_path, monkeypatch, capsys):
+    # with p_C and p_Q swapped, classical pairs convolve to quantum mass
+    def swapped(G):
+        cv = classical_version(G)
+        return dataclasses.replace(cv, p_C=cv.p_Q, p_Q=cv.p_C)
+
+    monkeypatch.setattr(cli.permutation, "classical_version", swapped)
+    G = BUILTIN_GROUPS["kp"]()
+    count = len(verify_bounds_empirically(G, swapped(G), n_samples=20, seed=5).violations)
+    assert count
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"name": "bounds-empirical", "group": "kp",
+                             "parameters": {"n_samples": 20, "seed": 5}}))
+    assert run(["run", p, "--out", tmp_path]) == 1
+    assert json.loads((tmp_path / "bounds.json").read_text())["violations"] == count
+    assert f"{count} convolution bound violations" in capsys.readouterr().err
+
+
 def test_stabiliser_experiment_needs_no_seed(tmp_path):
     # the stabiliser idempotent samples nothing; sampling keys are ignored
     spec = tmp_path / "spec.json"
@@ -351,3 +377,70 @@ def test_every_experiment_runs(tmp_path):
     assert s4hat["converged_to_haar"] is True
     assert s4hat["haar_weight_at_lambda_plus"] > 0
     assert s4hat["limit_has_integer_fixed_points"] is False
+
+
+def run_child(script, *args, address_space=None):
+    """Run a Python script in a fresh interpreter that imports this qperm,
+    with BLAS on one thread and, if given, an address-space limit in bytes
+    set on that child only.  Returns the completed process."""
+    src = str(Path(qperm.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit if address_space else None)
+
+
+def test_group_files_over_the_size_budget_exit_2(tmp_path):
+    # each would ask numpy for gigabytes for its (N, N, d) magic grid; the
+    # schema rejects them from the parsed file, under a 3 GB limit
+    z2 = {"kind": "dual", "group_table": [[0, 1], [1, 0]]}
+    probes = {
+        "degree-20000": {"kind": "classical", "permutations": [list(range(20000))]},
+        "z2-x10000": dict(z2, generators=[{"element": 1, "order": 2}] * 10000),
+        "z2-x3000": dict(z2, generators=[{"element": 1, "order": 2}] * 3000),
+    }
+    for name, data in probes.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    script = ("import contextlib, io, json, sys\n"
+              "from qperm import cli\n"
+              "codes = {}\n"
+              "for path in sys.argv[1:]:\n"
+              "    err = io.StringIO()\n"
+              "    with contextlib.redirect_stderr(err):\n"
+              "        codes[path] = [cli.main(['validate', path]), err.getvalue()]\n"
+              "print(json.dumps(codes))\n")
+    paths = [tmp_path / f"{name}.json" for name in probes]
+    done = run_child(script, *paths, address_space=3 * 2 ** 30)
+    assert done.returncode == 0, done.stderr
+    for path, (code, err) in json.loads(done.stdout).items():
+        assert code == 2, path
+        assert "at most 120 points" in err, path
+
+
+def test_size_budget_boundary():
+    # Z/40 acting regularly (N^2 d = 64 000) is inside the budget; 121 points are not
+    cli._check_group_schema({"kind": "classical", "permutations": [
+        [(j + k) % 40 for j in range(40)] for k in range(40)]})
+    with pytest.raises(ValueError, match="at most 120 points, not 121"):
+        cli._check_group_schema({"kind": "classical", "permutations": [list(range(121))]})
+
+
+def test_qperm_starts_without_scipy():
+    # scipy is a test dependency only: a fresh import of qperm and its CLI,
+    # and a whole `qperm validate kp`, load no scipy module
+    script = ("import contextlib, io, json, sys\n"
+              "import qperm, qperm.cli\n"
+              "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              "after_import = scipy()\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = qperm.cli.main(['validate', 'kp'])\n"
+              "print(json.dumps([after_import, code, scipy()]))\n")
+    done = run_child(script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], 0, []]

@@ -31,9 +31,10 @@ replaced, and the stacked convolution powers behind ``trajectory`` and
 ``detect_period`` with one convolution per step.  The hot kernels are
 compared with their earlier forms: the sort-and-count duplicate sums with
 ``np.add.at`` bit for bit, the positivity check on its folded kernel with
-the unfolded one, the triangular Sylvester step with ``solve_sylvester``,
-the pair-kernel ``validate`` residuals with their einsums, and the row
-space of a tall stack, taken through its R factor, with the SVD of the
+the unfolded one, the Cesaro projector (the kernel/range projector of
+I - T from one SVD) with the sorted Schur form and ``solve_sylvester``,
+also on defective, rotating and non-normal operators, the pair-kernel
+``validate`` residuals with their einsums, and the row space of a tall stack, taken through its R factor, with the SVD of the
 whole stack.  The Haar / non-Haar classifier, which the library decides by
 whether the null space is closed under the star, is compared with the test
 of the null space for a two-sided ideal one basis element at a time, on the
@@ -181,16 +182,20 @@ def test_bounds_sampler_reports_the_oracles_first_violation(bounds_oracle):
     G = BUILTIN_GROUPS["kp"]()
     cv = classical_version(G)
     swapped = dataclasses.replace(cv, p_C=cv.p_Q, p_Q=cv.p_C)
-    _, violations = bounds_oracle(G, swapped, 17, 3)
+    # the report holds every violating pair's witness, in pair order
+    rows, violations = bounds_oracle(G, swapped, 17, 3)
     assert violations
-    reason, phi, rho = violations[0]
-    with pytest.raises(AlgebraError, match="convolution bound violated") as err:
-        verify_bounds_empirically(G, swapped, n_samples=17, seed=3)
-    witness = json.loads(str(err.value).split(": ", 1)[1])
-    assert witness["reason"] == reason
-    for key, ref in (("phi", phi), ("rho", rho)):
-        got = np.array(witness[key]) @ [1, 1j]
-        assert np.abs(got - ref).max() <= 1e-14, key
+    report = verify_bounds_empirically(G, swapped, n_samples=17, seed=3)
+    assert not report.ok
+    assert len(report.violations) == len(violations)
+    for witness, (reason, phi, rho) in zip(report.violations, violations):
+        assert witness["reason"] == reason
+        json.dumps(witness)  # a witness is plain JSON
+        for key, ref in (("phi", phi), ("rho", rho)):
+            got = np.array(witness[key]) @ [1, 1j]
+            assert np.abs(got - ref).max() <= 1e-14, key
+    got = np.array([[s.alpha, s.beta, s.omega] for s in report.samples])
+    assert np.abs(got - rows).max() <= 1e-14
 
 
 def test_idempotent_kernels(G):
@@ -873,6 +878,43 @@ def test_cesaro_projector_matches_sylvester_oracle(G, kernel_oracles):
         T = left_convolution_operator(G, phi)
         ref = kernel_oracles.cesaro_projector(T)
         assert np.abs(_cesaro_projector(T) - ref).max() <= 1e-12
+
+
+# (4, 4) power-bounded operators S D S^-1, S fixed, well conditioned and far
+# from unitary, so that ker(I - T) is not orthogonal to ran(I - T)
+HARD_SPECTRA = {
+    # a Jordan block at 0 beside the simple eigenvalue 1
+    "jordan-at-zero": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0.5]]),
+    # unimodular eigenvalues away from 1 average out
+    "rotation": np.diag([1, -1, np.exp(0.4j * np.pi), 0.3]),
+    # eigenvalue 1 twice, the operator non-normal
+    "double-one": np.diag([1, 1, 0.3, -0.6]),
+}
+
+
+def hard_operator(name):
+    S = np.eye(4) + 0.6 * np.random.default_rng(5).standard_normal((4, 4))
+    return S @ HARD_SPECTRA[name] @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("name", sorted(HARD_SPECTRA))
+def test_cesaro_projector_matches_sylvester_oracle_off_the_builtins(name, kernel_oracles):
+    T = hard_operator(name)
+    E = _cesaro_projector(T)
+    assert np.abs(E - kernel_oracles.cesaro_projector(T)).max() <= 1e-12
+    assert np.abs(T @ E - E).max() <= 1e-12  # onto ker(I - T)
+    # oblique, so the orthogonal projector onto ker(I - T) would fail above
+    assert np.abs(E.conj().T - E).max() > 0.1
+
+
+def test_cesaro_projector_stacked_matches_one_at_a_time(kernel_oracles):
+    # kernels of size 2, 1, 1, none and all along one stack
+    stack = np.array([hard_operator(name) for name in sorted(HARD_SPECTRA)]
+                     + [0.5 * np.eye(4), np.eye(4)])
+    E = _cesaro_projector(stack)
+    for k, T in enumerate(stack):
+        assert np.abs(E[k] - _cesaro_projector(T)).max() <= 1e-15, k
+        assert np.abs(E[k] - kernel_oracles.cesaro_projector(T)).max() <= 1e-12, k
 
 
 def test_cesaro_projector_rejects_non_finite_operators():
