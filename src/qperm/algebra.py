@@ -27,6 +27,15 @@ DEFAULT_TOL = 1e-9
 DEFAULT_ITER_TOL = 1e-7
 
 
+def _certify(check: str, residual, tol: float) -> float:
+    """The residual of a certificate, as a float, if it is at most tol;
+    otherwise, NaN and inf included, AlgebraError naming the check."""
+    residual = float(residual)
+    if not residual <= tol:
+        raise AlgebraError(f"{check} (residual {residual:.3e}, tolerance {tol:.3e})")
+    return residual
+
+
 # -- sparse contractions of structure constants ---------------------------------
 #
 # Every axiom on mult, Delta, the involution and the antipode contracts
@@ -158,10 +167,8 @@ class StarAlgebra:
                 or self.unit.shape != (self.dim,) or self.trace.shape != (self.dim,)):
             raise AlgebraError("algebra data shapes are inconsistent")
         if check:
-            bad = {k: v for k, v in self.check_invariants().items()
-                   if not (v <= self.tol)}
-            if bad:
-                raise AlgebraError(f"algebra axioms violated: {bad}")
+            for axiom, residual in self.check_invariants().items():
+                _certify(f"algebra axiom {axiom} violated", residual, self.tol)
 
     # -- arithmetic on raw coefficient vectors ------------------------------
 
@@ -187,7 +194,7 @@ class StarAlgebra:
     def _chol(self) -> np.ndarray:
         """Lower Cholesky factor of the Gram matrix."""
         evals = np.linalg.eigvalsh(self.gram)
-        if evals.min() <= self.tol:
+        if not evals.min() > self.tol:
             raise AlgebraError(f"trace is not faithful (min Gram eigenvalue {evals.min():.3e})")
         return np.linalg.cholesky(self.gram)
 
@@ -214,9 +221,9 @@ class StarAlgebra:
         M is not the left multiplication operator of any algebra element.
         """
         sol = M @ self.unit
-        resid = np.abs(self.left_mult_matrix(sol) - M).max()
-        if resid > max(self.tol, 1e3 * np.finfo(float).eps * max(1.0, np.abs(M).max())):
-            raise AlgebraError(f"matrix is outside the regular image (residual {resid:.3e})")
+        _certify("matrix is outside the regular image",
+                 np.abs(self.left_mult_matrix(sol) - M).max(),
+                 max(self.tol, 1e3 * np.finfo(float).eps * max(1.0, np.abs(M).max())))
         return sol
 
     def to_hermitian_frame(self, M: np.ndarray) -> np.ndarray:
@@ -293,10 +300,6 @@ class AlgebraElement:
     def star(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, self.algebra.star_coeffs(self.coeffs))
 
-    def is_projection(self, tol: float | None = None) -> bool:
-        tol = self.algebra.tol if tol is None else tol
-        return bool(_projection_residuals(self.algebra, self.coeffs[np.newaxis])[0] <= tol)
-
     def _binary(self, other, op):
         if isinstance(other, AlgebraElement):
             if other.algebra is not self.algebra:
@@ -337,8 +340,9 @@ class Projection(AlgebraElement):
 
     def __init__(self, algebra, coeffs, check: bool = True):
         super().__init__(algebra, coeffs)
-        if check and not self.is_projection():
-            raise AlgebraError("not a projection within tolerance")
+        if check:
+            _certify("not a projection within tolerance",
+                     _projection_residuals(algebra, self.coeffs[np.newaxis])[0], algebra.tol)
 
 
 class LinearFunctional:
@@ -399,9 +403,12 @@ class State(LinearFunctional):
 
 
 def gram_norm(a: AlgebraElement) -> float:
-    v = a.coeffs
-    val = np.real(np.conj(v) @ a.algebra.gram @ v)
-    return float(np.sqrt(max(val, 0.0)))
+    return float(_gram_norms(a.algebra, a.coeffs))
+
+
+def _gram_norms(alg: StarAlgebra, R: np.ndarray) -> np.ndarray:
+    """The Gram norm of each row, along the last axis, of a stack of coefficients."""
+    return np.sqrt(np.maximum(((np.conj(R) @ alg.gram) * R).sum(axis=-1).real, 0.0))
 
 
 def is_positive_functional(phi: LinearFunctional) -> bool:
@@ -482,8 +489,7 @@ def _projection_residuals(alg: StarAlgebra, X: np.ndarray) -> np.ndarray:
         x = X[start:start + block]
         squares = np.matmul(x[:, np.newaxis], (x @ alg.mult.reshape(d, d * d)).reshape(-1, d, d))
         R = np.stack([squares[:, 0] - x, np.conj(x) @ alg.involution - x])
-        out[start:start + block] = np.sqrt(np.maximum(
-            ((np.conj(R) @ alg.gram) * R).sum(axis=2).real, 0.0)).max(axis=0)
+        out[start:start + block] = _gram_norms(alg, R).max(axis=0)
     return out
 
 
@@ -506,12 +512,9 @@ def _self_adjoint_eig(f: AlgebraElement):
     Returns (evals, U) with U orthonormal in the trace inner product frame.
     """
     alg = f.algebra
-    if gram_norm(f.star() - f) > 100 * alg.tol:
-        raise AlgebraError("element is not self-adjoint")
+    _certify("element is not self-adjoint", gram_norm(f.star() - f), 100 * alg.tol)
     M = alg.to_hermitian_frame(alg.left_mult_matrix(f.coeffs))
-    M = (M + M.conj().T) / 2
-    evals, U = np.linalg.eigh(M)
-    return evals, U
+    return np.linalg.eigh((M + M.conj().T) / 2)
 
 
 def eigenvector(f: AlgebraElement, target: float) -> np.ndarray:
@@ -568,9 +571,7 @@ def support_projection(phi: State) -> Projection:
     evals, U = _self_adjoint_eig(0.5 * (d_el + d_el.star()))
     thresh = max(alg.tol, 1e3 * np.finfo(float).eps * max(1.0, float(evals.max())))
     p = _selected_projection(alg, evals, U, lambda mean: mean >= thresh)
-    val = phi(p)
-    if abs(val - 1.0) > 100 * alg.tol:
-        raise AlgebraError(f"support postcondition failed: phi(p) = {val}")
+    _certify("support postcondition failed: phi(p) is not 1", abs(phi(p) - 1.0), 100 * alg.tol)
     return p
 
 
@@ -580,21 +581,21 @@ def meet(ps) -> Projection:
     L is linear, so L of the mean of the ps is the mean of the L_p: in the
     trace frame a positive contraction fixing exactly what every L_p fixes.
     The meet is its spectral projection above 1 - 1e3 iter_tol, and must lie
-    below every p.
+    below every p: p r = r p = r within 100 iter_tol, all p in one stack.
     """
     ps = list(ps)
     if not ps:
         raise AlgebraError("meet of an empty family")
     alg = ps[0].algebra
-    tol = alg.iter_tol
-    for p in ps:
-        if p.algebra is not alg:
-            raise AlgebraError("projections live on different algebras")
-        if not p.is_projection(100 * alg.tol):
-            raise AlgebraError("meet input is not a projection")
-    mean = alg.element(sum(p.coeffs for p in ps) / len(ps))
+    if any(p.algebra is not alg for p in ps):
+        raise AlgebraError("projections live on different algebras")
+    P, d, tol = np.array([p.coeffs for p in ps]), alg.dim, alg.iter_tol
+    _certify("meet input is not a projection", _projection_residuals(alg, P).max(), 100 * alg.tol)
+    mean = alg.element(sum(P) / len(P))
     r = _selected_projection(alg, *_self_adjoint_eig(mean), lambda lam: lam > 1.0 - 1e3 * tol)
-    for p in ps:
-        if gram_norm(p * r - r) > 100 * tol or gram_norm(r * p - r) > 100 * tol:
-            raise AlgebraError("meet postcondition failed: result not below inputs")
+    x, mult = r.coeffs, alg.mult.reshape(d, d * d)
+    # the rows p r - r, then r p - r, of every p (as in product_coeffs)
+    below = np.vstack([x @ (P @ mult).reshape(-1, d, d), P @ (x @ mult).reshape(d, d)]) - x
+    _certify("meet postcondition failed: result not below inputs",
+             _gram_norms(alg, below).max(), 100 * tol)
     return r

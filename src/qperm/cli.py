@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, idempotent, permgroups, permutation
-from .algebra import DEFAULT_TOL, AlgebraError, State, meet
+from .algebra import DEFAULT_TOL, AlgebraError, State, _certify, meet
 from .cqg import (
     CompactQuantumGroup,
     classical_group,
@@ -181,14 +181,22 @@ def _check_group_schema(data) -> None:
         raise ValueError(f"unknown group kind: {kind!r}")
 
 
+def _read_json(path) -> object:
+    """The JSON value in a file; ValueError if it is malformed or nested too deeply."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # json's decoder recurses once a level
+            raise ValueError("JSON nested too deeply") from None
+
+
 def load_group(ref: str) -> CompactQuantumGroup:
     if ref in BUILTIN_GROUPS:
         return BUILTIN_GROUPS[ref]()
     path = Path(ref)
     if not path.exists():
         raise FileNotFoundError(f"unknown builtin and no such file: {ref}")
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     _check_group_schema(data)
     kind = data["kind"]
     tol = float(data.get("tolerance", DEFAULT_TOL))
@@ -379,7 +387,7 @@ def exp_s4hat_walkthrough(G, params, out):
             permutation.has_integer_fixed_points(G.haar, fs),
     }
     write_json(out / "s4hat.json", payload)
-    if not conv.converged or haar_weight <= 0:
+    if not (conv.converged and haar_weight > 0):
         raise AlgebraError("walkthrough failed its convergence targets")
     return ["s4hat.json"]
 
@@ -395,8 +403,7 @@ def exp_dihedral_sweep(G, params, out):
     payload = {"rows": rows,
                "trend_to_zero": rows[-1]["haar_of_meet"] < rows[0]["haar_of_meet"]}
     write_json(out / "dihedral_sweep.json", payload)
-    if any(r["error"] > 1e-8 for r in rows):
-        raise AlgebraError("dihedral sweep mismatch with 1/(2m)")
+    _certify("dihedral sweep mismatch with 1/(2m)", np.max([r["error"] for r in rows]), 1e-8)
     return ["dihedral_sweep.json"]
 
 
@@ -466,8 +473,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        with open(args.spec) as fh:
-            spec = json.load(fh)
+        spec = _read_json(args.spec)
         if not isinstance(spec, dict):
             raise ValueError("experiment spec must be a JSON object")
         name = spec["name"]
@@ -501,14 +507,14 @@ def cmd_run(args) -> int:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     produced = [out / a for a in artifacts]
-    for declared, src in zip(outputs, produced):
-        dest = Path(declared)
-        if not dest.is_absolute():
-            dest = out / dest
-        if dest != src:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            src.replace(dest)
-            produced[produced.index(src)] = dest
+    try:  # an absolute declared path replaces out
+        for k, dest in enumerate(out / declared for declared in outputs[:len(produced)]):
+            if dest != produced[k]:
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                produced[k] = produced[k].replace(dest)
+    except (OSError, ValueError) as exc:  # a directory or a null byte, say
+        print(f"input error: cannot write a declared output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     for a in produced:
         print(a)
     return EXIT_OK
@@ -516,13 +522,14 @@ def cmd_run(args) -> int:
 
 def _summary_entry(f: Path) -> dict:
     """The headline values of one artifact; ValueError if it is malformed."""
-    with open(f) as fh:
-        data = json.load(fh)
+    data = _read_json(f)
     if not isinstance(data, dict):
         raise ValueError("an artifact must hold a JSON object")
     entry = {key: data[key] for key in (
         "alpha_haar", "violations", "all_gap_ok", "order", "converged_to_haar",
         "haar_weight_at_lambda_plus", "p_C_group_like", "trend_to_zero") if key in data}
+    if not all(isinstance(v, (int, float)) for v in entry.values()):  # bool is an int
+        raise ValueError("a headline value must be a number or a boolean")
     if "rows" in data and f.stem == "dihedral_sweep":
         rows = data["rows"]
         if not (isinstance(rows, list) and rows and all(

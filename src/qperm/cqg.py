@@ -27,6 +27,7 @@ from .algebra import (
     StarAlgebra,
     State,
     _block_rows,
+    _certify,
     _coo,
     _contract,
     _max_abs_difference,
@@ -338,9 +339,8 @@ def solve_haar(G: CompactQuantumGroup) -> State:
     """
     alg = G.algebra
     h = State(alg, alg._regular_trace / G.dim)
-    residual = np.abs(_absorption_operator(G, h.duals)).max()
-    if not residual <= alg.tol:
-        raise AlgebraError(f"regular trace is not bi-invariant (residual {residual:.3e})")
+    _certify("regular trace is not bi-invariant",
+             np.abs(_absorption_operator(G, h.duals)).max(), alg.tol)
     return h
 
 
@@ -595,8 +595,8 @@ def centre(G: CompactQuantumGroup) -> np.ndarray:
     _, s, vh = np.linalg.svd((gens @ comm.reshape(d, d * d)).reshape(-1, d),
                              full_matrices=False)
     Z = vh[s <= 1e-10 * max(1.0, s[0])].conj()
-    if np.abs(comm.reshape(d * d, d) @ Z.T).max(initial=0.0) > alg.tol:
-        raise AlgebraError("centre certificate failed: the magic entries do not generate")
+    _certify("centre certificate failed: the magic entries do not generate",
+             np.abs(comm.reshape(d * d, d) @ Z.T).max(initial=0.0), alg.tol)
     return Z
 
 
@@ -623,14 +623,14 @@ def _character_stack(G: CompactQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
     generic = (rng.standard_normal(c) + 1j * rng.standard_normal(c)) @ Z
     evals, V = np.linalg.eig(Z.conj() @ alg.left_mult_matrix(generic) @ Z.T)
     gaps = np.abs(np.subtract.outer(evals, evals))[~np.eye(c, dtype=bool)]
-    if gaps.min(initial=np.inf) <= 1e-6 * max(1.0, np.abs(evals).max()):
+    if not gaps.min(initial=np.inf) > 1e-6 * max(1.0, np.abs(evals).max()):
         raise AlgebraError("generic central element does not separate the blocks")
     z = (V * np.linalg.solve(V, Z.conj() @ alg.unit)).T @ Z
     z = z[np.abs(z @ alg._regular_trace - 1) < 0.5]  # tr L_z = 1
     chi = z @ (alg.mult @ alg.trace).T / (z @ alg.trace)[:, np.newaxis]
     _require_states(alg, chi)
-    if _multiplicativity_residual(alg, chi) > 100 * max(1e-8, alg.tol):
-        raise AlgebraError("character is not multiplicative")
+    _certify("character is not multiplicative", _multiplicativity_residual(alg, chi),
+             100 * max(1e-8, alg.tol))
     return z, chi
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraError, State
+from .algebra import State, _certify
 from .cqg import CompactQuantumGroup
 from .idempotent import left_convolution_operator
 from .permutation import ClassicalVersion, _decomposed_rows, _quantum_fractions, quantum_fraction
@@ -20,9 +20,8 @@ BOUNDARY_EPS = 1e-12
 def convolution_bounds(alpha, beta):
     """Sharp bounds a+b-2ab <= omega(p_Q of the convolution) <= a+b-ab, of
     two numbers or, elementwise, of two arrays of one shape."""
-    if not np.all((-1e-12 <= alpha) & (alpha <= 1.0 + 1e-12)
-                  & (-1e-12 <= beta) & (beta <= 1.0 + 1e-12)):
-        raise AlgebraError("quantum fractions live in [0, 1]")
+    ab = np.array(np.broadcast_arrays(alpha, beta))
+    _certify("quantum fractions live in [0, 1]", np.max([-ab, ab - 1.0], initial=0.0), 1e-12)
     return alpha + beta - 2 * alpha * beta, alpha + beta - alpha * beta
 
 
@@ -174,9 +173,7 @@ def finite_quantum_formulas(G: CompactQuantumGroup, cv: ClassicalVersion) -> dic
     """
     alpha_formula = 1.0 - len(cv) / G.dim
     alpha_direct = quantum_fraction(G.haar, cv)
-    if abs(alpha_formula - alpha_direct) > 1e-9:
-        raise AlgebraError(
-            f"haar fraction {alpha_direct} disagrees with 1-|G|/dim {alpha_formula}")
+    _certify("haar fraction disagrees with 1 - |G|/dim", abs(alpha_formula - alpha_direct), 1e-9)
     return {"alpha_haar": alpha_direct,
             "alpha_haar_formula": alpha_formula,
             "bound_2nfact": 2 * math.factorial(G.N)}

@@ -29,6 +29,7 @@ from .algebra import (
     LinearFunctional,
     Projection,
     State,
+    _certify,
     _require_states,
     gram_norm,
     support_projection,
@@ -254,17 +255,15 @@ def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
     """
     alg, h = G.algebra, G.haar.duals
     S = _sandwich_matrix(G, r.coeffs)
-    closure = np.abs(S.T @ G.delta_applied(alg.unit - r.coeffs) @ S).max()
-    if not closure <= alg.tol:
-        raise AlgebraError(f"face is not closed under convolution (residual {closure:.3e})")
+    _certify("face is not closed under convolution",
+             np.abs(S.T @ G.delta_applied(alg.unit - r.coeffs) @ S).max(), alg.tol)
     mass = (h @ r.coeffs).real
     if not mass > alg.tol:
         raise AlgebraError("conditioning on a projection of zero mass is undefined")
     psi = State(alg, S @ h / mass)
-    if not abs(psi(r) - 1) <= alg.tol:
-        raise AlgebraError("face idempotent left its face")
-    if not np.abs(_absorption_operator(G, psi.duals) @ S).max() <= 10 * alg.iter_tol:
-        raise AlgebraError("face idempotent fails to absorb its face")
+    _certify("face idempotent left its face", abs(psi(r) - 1), alg.tol)
+    _certify("face idempotent fails to absorb its face",
+             np.abs(_absorption_operator(G, psi.duals) @ S).max(), 10 * alg.iter_tol)
     return psi
 
 
@@ -341,8 +340,7 @@ def collapse_stability_probe(G: CompactQuantumGroup, psi: State,
         raise AlgebraError("probe requires an idempotent state")
     A = _absorption_operator(G, psi.duals)
     W = _row_space(_sandwich_matrix(G, support_projection(psi).coeffs).T).T
-    if not np.abs(A @ W).max() <= tol:
-        raise AlgebraError("some state on the support of psi is not absorbed by psi")
+    _certify("some state on the support of psi is not absorbed by psi", np.abs(A @ W).max(), tol)
     N = G.N
     sandwiches = np.array([_sandwich_matrix(G, q) for q in G.magic.reshape(N * N, -1)])
     residuals = np.abs(A @ sandwiches @ W).max(axis=(1, 2))

@@ -12,6 +12,7 @@ from .algebra import (
     AlgebraError,
     Projection,
     State,
+    _certify,
     _projection_residuals,
     _require_states,
     eigenvector,
@@ -26,12 +27,11 @@ def _slices(G: CompactQuantumGroup, D: np.ndarray) -> np.ndarray:
     """The (n, N, N) slices of an (n, d) stack of states, checked real and
     doubly stochastic."""
     P = np.moveaxis(G.magic @ D.T, -1, 0)
-    if np.abs(P.imag).max(initial=0.0) > 1e-8:
-        raise AlgebraError("slice of a state should be real")
+    _certify("slice of a state should be real", np.abs(P.imag).max(initial=0.0), 1e-8)
     P = P.real
     sums = np.concatenate([P.sum(axis=1), P.sum(axis=2)], axis=1)
-    if np.abs(sums - 1).max(initial=0.0) > 1e-7 or P.min(initial=0.0) < -1e-8:
-        raise AlgebraError("slice is not doubly stochastic; not a state?")
+    _certify("slice is not doubly stochastic", np.abs(sums - 1).max(initial=0.0), 1e-7)
+    _certify("slice has a negative entry; not a state?", -P.min(initial=0.0), 1e-8)
     return P
 
 
@@ -81,8 +81,8 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
     order = sorted(range(len(perms)), key=perms.__getitem__)  # identity first
     z, chi = z[order], chi[order]
     p_C = z.sum(axis=0)
-    if _projection_residuals(alg, np.vstack([z, p_C, alg.unit - p_C])).max() > alg.tol:
-        raise AlgebraError("a character support, p_C or p_Q is not a projection")
+    _certify("a character support, p_C or p_Q is not a projection",
+             _projection_residuals(alg, np.vstack([z, p_C, alg.unit - p_C])).max(), alg.tol)
     p_C, p_Q = (Projection(alg, x, check=False) for x in (p_C, alg.unit - p_C))
     if not is_group_like(G, p_C):
         raise AlgebraError("sum of character supports is not group-like")
@@ -104,9 +104,8 @@ def quantum_fraction(phi: State, cv: ClassicalVersion) -> float:
 def _quantum_fractions(D: np.ndarray, cv: ClassicalVersion) -> np.ndarray:
     """phi(p_Q) of each row of an (n, d) stack of states, range-checked and clipped."""
     vals = D @ cv.p_Q.coeffs
-    ok = (abs(vals.imag) <= 1e-8) & (-1e-8 <= vals.real) & (vals.real <= 1 + 1e-8)
-    if not ok.all():
-        raise AlgebraError(f"quantum fraction out of range: {vals[np.argmin(ok)]}")
+    _certify("quantum fraction out of range",
+             np.max([abs(vals.imag), -vals.real, vals.real - 1], initial=0.0), 1e-8)
     return np.minimum(np.maximum(vals.real, 0.0), 1.0)
 
 
@@ -132,8 +131,8 @@ def _decomposed_rows(G: CompactQuantumGroup, D: np.ndarray, cv: ClassicalVersion
     for k, p in enumerate((cv.p_C, cv.p_Q)):
         parts[defined[:, k], k] = _conditioned_rows(G, D[defined[:, k]], p)
     _require_states(G.algebra, parts[defined])
-    if not np.abs((weights[:, :, np.newaxis] * parts).sum(axis=1) - D).max(initial=0) <= 1e-8:
-        raise AlgebraError("random/quantum decomposition failed to reconstruct")
+    _certify("random/quantum decomposition failed to reconstruct",
+             np.abs((weights[:, :, np.newaxis] * parts).sum(axis=1) - D).max(initial=0), 1e-8)
     return alpha, parts, defined
 
 
@@ -158,9 +157,9 @@ def _off_pattern(N: int, partition) -> list[tuple[int, int]]:
 
 def stabiliser_membership(G: CompactQuantumGroup, phi: State, partition,
                           tol: float = 1e-8) -> bool:
-    """phi(u_ij) = 0 whenever i and j lie in different blocks."""
-    P = birkhoff_matrix(G, phi)
-    return not any(abs(P[i, j]) > tol for i, j in _off_pattern(G.N, partition))
+    """phi(u_ij) = 0 within tol whenever i and j lie in different blocks."""
+    i, j = np.array(_off_pattern(G.N, partition), dtype=int).reshape(-1, 2).T
+    return bool(np.abs(birkhoff_matrix(G, phi)[i, j]).max(initial=0.0) <= tol)
 
 
 def stabiliser_projection(G: CompactQuantumGroup, partition) -> Projection:
@@ -191,7 +190,7 @@ def stabiliser_idempotent(G: CompactQuantumGroup, partition) -> State:
     if not stabiliser_membership(G, psi, blocks, tol=1e-6):
         raise AlgebraError("stabiliser idempotent escaped the quasi-subgroup")
     diag = [psi(G.magic_projection(j, j)).real for j in range(G.N)]
-    if min(diag) <= 1e-10:
+    if not np.min(diag) > 1e-10:
         raise AlgebraError("stabiliser idempotent must weight every diagonal entry")
     return psi
 
@@ -208,9 +207,7 @@ class FixSpectrum:
 
     def distribution(self, phi: State) -> list[tuple[float, float]]:
         weights = [max(phi(p).real, 0.0) for p in self.projections]
-        total = sum(weights)
-        if abs(total - 1.0) > 1e-7:
-            raise AlgebraError(f"spectral weights sum to {total}, not 1")
+        _certify("spectral weights do not sum to 1", abs(sum(weights) - 1.0), 1e-7)
         return list(zip(self.eigenvalues, weights))
 
 
@@ -219,8 +216,7 @@ def fix_spectrum(G: CompactQuantumGroup) -> FixSpectrum:
     parts = spectral_partition(fix)
     parts.sort(key=lambda t: t[0])
     lams = [lam for lam, _ in parts]
-    if lams and (lams[0] < -1e-8 or lams[-1] > G.N + 1e-8):
-        raise AlgebraError("fix spectrum escapes [0, N]")
+    _certify("fix spectrum escapes [0, N]", np.max([-lams[0], lams[-1] - G.N]), 1e-8)
     return FixSpectrum(lams, [p for _, p in parts])
 
 

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import qperm
 from qperm import cli
@@ -288,6 +290,15 @@ def test_run_with_declared_outputs(tmp_path):
     assert abs(data["alpha_haar"] - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("declared", [".", "a\x00"], ids=["directory", "null-byte"])
+def test_unwritable_declared_output_is_input_error(tmp_path, capsys, declared):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"name": "haar", "group": "kp", "outputs": [declared]}))
+    assert run(["run", p, "--out", tmp_path / "out"]) == 2
+    assert "cannot write a declared output" in capsys.readouterr().err
+    assert (tmp_path / "out" / "haar.json").exists()
+
+
 def test_report_empty_dir_fails(tmp_path):
     assert run(["report", tmp_path]) == 2
 
@@ -444,3 +455,138 @@ def test_qperm_starts_without_scipy():
     done = run_child(script)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[], 0, []]
+
+
+# -- nesting and the fuzzed input boundary -----------------------------------------
+
+# json's decoder recurses once a level, so past the recursion limit it raises
+# RecursionError, which is not a ValueError
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "report"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "nested.json"
+    if command == "validate":
+        path.write_text('{"kind": "dual", "group_table": %s}' % DEEP)
+        args = ["validate", path]
+    elif command == "run":
+        path.write_text('{"name": "haar", "group": "kp", "parameters": %s}' % DEEP)
+        args = ["run", path, "--out", tmp_path / "out"]
+    else:
+        path.write_text(DEEP)
+        args = ["report", tmp_path]
+    assert run(args) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "summary.json").exists()
+
+
+def test_nested_headline_value_is_input_error(tmp_path, capsys):
+    # parsed, but summarising it would recurse through the nesting when written
+    nested = "[" * 600 + "]" * 600
+    (tmp_path / "haar.json").write_text('{"alpha_haar": %s}' % nested)
+    assert run(["report", tmp_path]) == 2
+    assert "a headline value must be a number or a boolean" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+# Raw JSON that json.dumps cannot write, spliced in for these placeholders:
+# nesting past the recursion limit, nesting below it and an integer literal
+# past the interpreter's 4300-digit conversion limit.
+RAW = {"<deep>": DEEP, "<nested>": "[" * 600 + "]" * 600, "<huge>": "9" * 5000}
+
+# Integers are small or beyond every cap: an in-range value as large as a cap
+# would run a desk-sized experiment, seconds long, which is not the boundary.
+NASTY = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4),
+    st.sampled_from([10 ** 5 + 1, 2 ** 63, -2 ** 63, 10 ** 30]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(".a\x00", max_size=3),
+    st.lists(st.integers(-2, 4), max_size=4),
+    st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["element", "order", "kind"]), st.integers(-1, 4),
+                    max_size=2),
+    st.sampled_from(sorted(RAW)),
+)
+
+# the builtins of dimension at most 8
+SMALL_BUILTINS = ["trivial", "s2", "s3", "klein-s4", "z4-s4", "kp", "dual-z2", "dual-s3",
+                  "dual-d3", "dual-d4"]
+
+
+def _json_text(value) -> str:
+    text = json.dumps(value)  # NaN and Infinity become their literals
+    for marker, raw in RAW.items():
+        text = text.replace(json.dumps(marker), raw)
+    return text
+
+
+@st.composite
+def _mutated(draw, document: dict, removable=None):
+    """document with up to two keys, or one extra, set to a bad value or
+    removed (only those in ``removable``, all by default), or replaced whole."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(NASTY)
+    document = dict(document)
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(document) + ["extra"]))
+        if (removable is None or key in removable) and draw(st.booleans()):
+            document.pop(key, None)
+        else:
+            document[key] = draw(NASTY)
+    return document
+
+
+@st.composite
+def group_files(draw):
+    kind = draw(st.sampled_from(["classical", "dual", "kac_paljutkin"]))
+    n = draw(st.integers(1, 4))
+    if kind == "classical":
+        base = {"kind": kind, "permutations": [[(j + k) % n for j in range(n)]
+                                                for k in range(n)]}
+    elif kind == "dual":
+        base = {"kind": kind, "group_table": [[(i + j) % n for j in range(n)] for i in range(n)],
+                "generators": [{"element": 1 % n, "order": n}],
+                "labels": [f"g{i}" for i in range(n)]}
+    else:
+        base = {"kind": kind}
+    base["tolerance"] = 1e-9
+    return draw(_mutated(base))
+
+
+@st.composite
+def specs(draw, group_file: str):
+    params = {"seed": draw(st.integers(0, 3)), "n_seeds": draw(st.integers(0, 4)),
+              "n_samples": draw(st.integers(1, 8)), "n": draw(st.integers(2, 11)),
+              "k_max": draw(st.integers(1, 8)),
+              "m_values": draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        params["partition"] = draw(st.lists(st.lists(st.integers(0, 3), min_size=1,
+                                                     max_size=2), min_size=1, max_size=3))
+    base = {"name": draw(st.sampled_from(sorted(cli.EXPERIMENTS))),
+            "group": draw(st.sampled_from(SMALL_BUILTINS + [group_file])),
+            # the defaults of n_samples and m_values are seconds of work
+            "parameters": draw(_mutated(params, removable={"seed", "n_seeds", "n", "k_max",
+                                                           "partition"})),
+            # never absolute: declared outputs are written to
+            "outputs": draw(st.lists(st.one_of(st.sampled_from(["a.json", "b/c.json"]),
+                                               st.text(".a\x00", max_size=3)), max_size=2))}
+    return draw(_mutated(base))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@example(data=None)  # both files nested past the recursion limit
+def test_fuzzed_group_files_and_specs_exit_0_1_or_2(tmp_path, data):
+    group_path, spec_path = tmp_path / "group.json", tmp_path / "spec.json"
+    if data is None:
+        group_text = '{"kind": "dual", "group_table": %s}' % DEEP
+        spec_text = '{"name": "haar", "group": "kp", "parameters": %s}' % DEEP
+    else:
+        group_text = _json_text(data.draw(group_files()))
+        spec_text = _json_text(data.draw(specs(str(group_path))))
+    group_path.write_text(group_text)
+    spec_path.write_text(spec_text)
+    assert run(["validate", group_path]) in (0, 1, 2)
+    assert run(["run", spec_path, "--out", tmp_path / "out"]) in (0, 1, 2)

@@ -528,7 +528,8 @@ def test_haar_solver_rejects_degenerate_invariance(cs3, haar_oracle):
     delta[2:, 2:, 2:] = s2.delta
     algebra = StarAlgebra(["a", "b", "c", "d"], mult, np.eye(d),
                           unit=np.ones(d), trace=np.full(d, 0.25), check=False)
-    with pytest.raises(AlgebraError, match=r"not bi-invariant \(residual 2.500e-01\)"):
+    with pytest.raises(AlgebraError,
+                       match=r"not bi-invariant \(residual 2.500e-01, tolerance 1.000e-09\)"):
         CompactQuantumGroup("two-s2", algebra, delta, np.eye(d)[0], np.eye(d),
                             algebra.unit[np.newaxis, np.newaxis], check=False)
     with pytest.raises(AlgebraError):

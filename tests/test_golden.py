@@ -121,7 +121,6 @@ def test_exported_names_are_the_allow_list():
 DEFAULTED_PARAMETERS = {
     ("algebra.StarAlgebra", "tol"): "the group file's tolerance",
     ("algebra.StarAlgebra", "check"): "check flag; the validator tests build bad algebras",
-    ("algebra.AlgebraElement.is_projection", "tol"): "src uses alg.tol and 100 alg.tol",
     ("algebra.Projection", "check"): "check flag; the zero projection is built unchecked",
     ("algebra.State", "check"): "check flag; convolutions of states skip the check",
     ("cqg.CompactQuantumGroup", "haar"): "a known Haar state; solved for when absent",
