@@ -243,6 +243,58 @@ class StarAlgebra:
         K = (self.involution @ self.mult.reshape(d, d * d)).reshape(d * d, d)
         return np.ascontiguousarray(K.T)
 
+    @cached_property
+    def _summands(self) -> tuple:
+        """The finest partition of the basis indices, as index arrays in
+        order of their first index, such that every non-zero mult[i, j, k]
+        has i, j and k in one part and the involution maps each part to
+        itself.  So A is the direct sum of the *-ideals the parts span, and
+        phi(e_i^* e_j) = 0 for every phi when i and j lie in different parts.
+
+        When the unit is one basis element e_u, the non-zeros e_u e_j = e_j
+        put every index with u: one part.  Otherwise each index is linked to
+        every index it meets in a non-zero of mult or the involution, and
+        squaring the links until they stop growing links each index to its
+        whole part."""
+        d = self.dim
+        if np.count_nonzero(self.unit) == 1:
+            return (np.arange(d),)
+        keys = self._mult_coo.keys
+        link = np.zeros(d * d)
+        link[keys % (d * d)] = 1.0  # j ~ k
+        link[keys // (d * d) * d + keys % d] = 1.0  # i ~ k
+        link = link.reshape(d, d) + (self.involution != 0) + np.eye(d)
+        link += link.T
+        while True:
+            grown = link @ link  # path counts: only their signs are read
+            if np.array_equal(grown > 0, link > 0):
+                break
+            link = np.minimum(grown, 1.0)
+        first = (link > 0).argmax(axis=1)  # the smallest index of each index's part
+        order = first.argsort(kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(first[order])) + 1).tolist(), d]
+        return tuple(order[a:b] for a, b in zip(cuts, cuts[1:]))
+
+    @cached_property
+    def _summand_forms(self) -> tuple:
+        """Per size s of summand (:attr:`_summands`), (s, K): K is the
+        (d, g s^2) block of columns of the sesquilinear form
+        (:attr:`_sesquilinear`) on the g summands of that size, so that
+        (phi @ K).reshape(g, s, s) holds phi(e_i^* e_j) for i, j in each.
+        Built per size from the summands' own rows of mult and the
+        involution; a single summand is the whole form."""
+        parts = self._summands
+        if len(parts) == 1:
+            return ((self.dim, self._sesquilinear),)
+        forms = []
+        for s in sorted({p.size for p in parts}):
+            idx = np.array([p for p in parts if p.size == s])  # (g, s)
+            star = self.involution[idx[:, :, np.newaxis], idx[:, np.newaxis]]  # e_i^* on e_m
+            prod = self.mult[idx[:, :, np.newaxis], idx[:, np.newaxis]]  # e_m e_j
+            K = np.einsum("gim,gmjk->kgij", star, prod).reshape(self.dim, -1)
+            forms.append((s, np.ascontiguousarray(K)))
+        return tuple(forms)
+
     # -- axioms ---------------------------------------------------------------
 
     @cached_property
@@ -389,7 +441,9 @@ class LinearFunctional:
 
 
 class State(LinearFunctional):
-    """Positive unital functional; positivity via the GNS Gram matrix."""
+    """Positive unital functional, checked (:func:`_require_states`) unless
+    ``check=False``: positivity of the GNS form phi(e_i^* e_j), per direct
+    summand of the algebra (:func:`_positive_rows`)."""
 
     __slots__ = ()
 
@@ -430,25 +484,40 @@ def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
     """Per-row mask of an (n, d) stack of duals: the sesquilinear matrix
     phi(e_i^* e_j) of the row is Hermitian within tol and its Hermitian part
     H has a Cholesky factor after the shift H + tol I, that is, the smallest
-    eigenvalue of H exceeds -tol up to rounding."""
-    d = alg.dim
-    block = _block_rows(d)
+    eigenvalue of H exceeds -tol up to rounding.
+
+    The matrix is zero between summands (:attr:`StarAlgebra._summands`), so
+    both tests run on its diagonal blocks alone: per block of rows
+    (:func:`_block_rows`), the summands of one size take one product with
+    their columns of the form and one batched Cholesky.  A 1 x 1 block [h]
+    takes the same two tests in closed form: [h] - [h]^* is 2i Im h, and
+    [Re h + tol] has a Cholesky factor iff Re h + tol > 0 (NaN fails both).
+    A row costs O(d sum s^2 + sum s^3) for summands of sizes s, not O(d^3).
+    """
+    block = _block_rows(alg.dim)
     ok = np.zeros(D.shape[0], dtype=bool)
     for start in range(0, D.shape[0], block):
         rows = D[start:start + block]
-        P = (rows @ alg._sesquilinear).reshape(-1, d, d)
-        Ph = P.conj().transpose(0, 2, 1)
-        hermitian = np.abs(P - Ph).max(axis=(1, 2)) <= tol
-        P += Ph  # the Hermitian part, in place, so a block holds few (b, d, d) arrays
-        P *= 0.5
-        P += tol * np.eye(d)
-        try:
-            np.linalg.cholesky(P)
-            factored = True
-        except np.linalg.LinAlgError:  # refactored row by row, to name the rows that fail
+        passed, factored = np.ones(len(rows), dtype=bool), True
+        for s, K in alg._summand_forms:
+            P = rows @ K
+            if s == 1:
+                passed &= ((2 * np.abs(P.imag) <= tol) & (P.real + tol > 0)).all(axis=1)
+                continue
+            P = P.reshape(-1, s, s)
+            Ph = P.conj().transpose(0, 2, 1)
+            passed &= np.abs(P - Ph).reshape(len(rows), -1).max(axis=1) <= tol  # Hermitian
+            P += Ph  # the Hermitian part, in place, so a block holds few (b, s, s) arrays
+            P *= 0.5
+            P += tol * np.eye(s)
+            try:
+                np.linalg.cholesky(P)
+            except np.linalg.LinAlgError:
+                factored = False
+        if not factored:  # refactored row by row, to name the rows that fail
             factored = len(rows) > 1 and [_positive_rows(alg, row, tol)[0]
                                           for row in rows[:, np.newaxis]]
-        ok[start:start + block] = hermitian & factored
+        ok[start:start + block] = passed & factored
     return ok
 
 

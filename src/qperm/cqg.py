@@ -182,7 +182,11 @@ class CompactQuantumGroup:
         (``algebra._block_rows``): each draws its m vectors in one normal draw,
         the block's vector states are formed in one contraction and checked
         together, then mixed in the order their vectors were drawn, and the
-        mixes are checked together again.
+        mixes are checked together again.  Both checks stay: each is one
+        stacked positivity check per summand of the algebra
+        (``algebra._positive_rows``), so on C(G) and kp it costs a small
+        part of the block's set-up, and on a dual in the group basis, one
+        summand, the dense check.
         """
         alg, d = self.algebra, self.dim
         block = _block_rows(d)

@@ -203,7 +203,9 @@ def convergence_to_haar(G: CompactQuantumGroup, seed: State,
 def phase_diagram_rows(n: int = 101) -> dict:
     """Uniform n x n grid over the unit square, alpha-major, as columns keyed
     by the CSV header: alpha, beta, region name, the three flags and the
-    convolution bounds (:func:`convolution_bounds`)."""
+    convolution bounds (:func:`convolution_bounds`); n is at least 2."""
+    if n < 2:
+        raise ValueError(f"the phase diagram needs n >= 2 grid points a side, not {n}")
     grid = np.arange(n) / (n - 1)
     A, B = np.repeat(grid, n), np.tile(grid, n)
     code, q2i, q3i, qhalfw = _phase_labels(A, B)

@@ -20,7 +20,7 @@ from .algebra import (
     spectral_partition,
 )
 from .cqg import CompactQuantumGroup, _character_stack, birkhoff_matrix
-from .idempotent import _conditioned_rows, face_idempotent, is_group_like
+from .idempotent import _conditioned_rows, _sandwich_matrix, face_idempotent, is_group_like
 
 
 def _slices(G: CompactQuantumGroup, D: np.ndarray) -> np.ndarray:
@@ -46,13 +46,16 @@ def _slice_permutations(P: np.ndarray) -> list:
 
 @dataclass
 class ClassicalVersion:
-    """The finite group of characters, as permutations, with their supports."""
+    """The finite group of characters, as permutations, with their supports,
+    and the residuals of the three convolution identities of
+    :func:`_bound_identity_residuals`."""
 
     permutations: list[tuple]
     characters: list[State]
     supports: list[Projection]
     p_C: Projection
     p_Q: Projection
+    identity_residuals: tuple[float, float, float]
 
     def __len__(self):
         return len(self.permutations)
@@ -64,8 +67,9 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
 
     Each check runs once over the stack: every slice is a permutation
     matrix, the permutations are pairwise distinct and closed under
-    composition, the supports, p_C and p_Q are projections, and p_C is
-    group-like.
+    composition, the supports, p_C and p_Q are projections, p_C is
+    group-like, and the three convolution identities of
+    :func:`_bound_identity_residuals` hold within tol.
     """
     alg = G.algebra
     z, chi = _character_stack(G)
@@ -86,9 +90,31 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
     p_C, p_Q = (Projection(alg, x, check=False) for x in (p_C, alg.unit - p_C))
     if not is_group_like(G, p_C):
         raise AlgebraError("sum of character supports is not group-like")
+    residuals = _bound_identity_residuals(G, p_C.coeffs, p_Q.coeffs)
+    _certify("classical version fails a convolution identity", max(residuals), alg.tol)
     return ClassicalVersion([perms[k] for k in order],
                             [State(alg, x, check=False) for x in chi],
-                            [Projection(alg, x, check=False) for x in z], p_C, p_Q)
+                            [Projection(alg, x, check=False) for x in z], p_C, p_Q, residuals)
+
+
+def _bound_identity_residuals(G: CompactQuantumGroup, p_C: np.ndarray,
+                              p_Q: np.ndarray) -> tuple[float, float, float]:
+    """max |.| of S_C^T X S_C, S_C^T (X - J) S_Q and S_Q^T (X - J) S_C, with
+    X = Delta(p_Q) and J = Delta(1) = u u^T as (d, d) matrices and S_C, S_Q
+    the sandwich matrices of p_C and p_Q.
+
+    (phi (x) rho)(X) is (phi * rho)(p_Q), so the identities say: two
+    classical parts convolve to a classical state, and a classical part
+    convolved with a quantum part, on either side, is wholly quantum.  With
+    alpha = phi(p_Q) and beta = rho(p_Q) they give
+    (phi * rho)(p_Q) = alpha (1 - beta) + beta (1 - alpha) + alpha beta t,
+    t in [0, 1]: the bounds of :func:`dynamics.convolution_bounds`.
+    """
+    X = G.delta_applied(p_Q)
+    XJ = X - np.outer(G.algebra.unit, G.algebra.unit)
+    S_C, S_Q = _sandwich_matrix(G, p_C), _sandwich_matrix(G, p_Q)
+    return tuple(float(np.abs(M).max()) for M in (S_C.T @ X @ S_C, S_C.T @ XJ @ S_Q,
+                                                   S_Q.T @ XJ @ S_C))
 
 
 def projection_rank(p: Projection) -> int:

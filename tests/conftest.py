@@ -772,7 +772,40 @@ def _validate_residuals_by_einsum(G):
     }
 
 
-@pytest.fixture
+def _summands_by_union_find(alg):
+    """The parts of the basis indices, as sorted lists in order of their
+    first index, that the non-zeros join: i, j and k of every non-zero
+    mult[i, j, k], and i and k of every non-zero involution[i, k]."""
+    parent = list(range(alg.dim))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def join(x, *others):
+        for y in others:
+            a, b = root(x), root(y)
+            parent[max(a, b)] = min(a, b)
+
+    for i, j, k in zip(*np.nonzero(alg.mult)):
+        join(i, j, k)
+    for i, k in zip(*np.nonzero(alg.involution)):
+        join(i, k)
+    parts = {}
+    for x in range(alg.dim):
+        parts.setdefault(root(x), []).append(x)
+    return sorted(parts.values())
+
+
+@pytest.fixture(scope="session")
+def summand_oracle():
+    """``summand_oracle(alg)``: the summands of the basis by union-find over
+    the non-zeros of mult and the involution."""
+    return _summands_by_union_find
+
+
+@pytest.fixture(scope="session")
 def kernel_oracles():
     """The kernels as they were: ``summed`` (np.unique + np.add.at),
     ``positive_rows`` (32 rows, involution as a second product),

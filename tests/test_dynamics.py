@@ -106,6 +106,13 @@ def test_phase_diagram_grid_shape():
     assert {"Q_I", "Q_W", "degenerate"} <= set(cols["region"].tolist())
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_phase_diagram_rejects_fewer_than_two_points(n):
+    # n = 1 divided by zero and failed in the bounds' range check instead
+    with pytest.raises(ValueError, match=f"n >= 2 grid points a side, not {n}$"):
+        phase_diagram_rows(n)
+
+
 def _tie_points():
     """Points on or within rounding of every threshold of the phase labels."""
     pts = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1e-13, 1e-13), (1e-12, 0.0), (0.0, 1e-12),

@@ -23,15 +23,19 @@ agree with itself in a complex basis.  The state
 bank, which the library builds in blocks, is compared with the bank built
 one sample at a time, and the bounds sampler, which the library works as
 stacks of pairs, is compared with the sampler one pair at a time.  The
-stacked Cholesky positivity check is compared with the smallest eigenvalue
-of each row's sesquilinear matrix.  The generated idempotent, which the
+stacked Cholesky positivity check, which the library runs per direct
+summand, is compared with the smallest eigenvalue of each row's
+sesquilinear matrix, in the builtin basis (C(G) and kp split) and a complex
+one; the summands themselves with the union-find components of the
+non-zeros, also after a relabelling of the basis; and rows negative on one
+summand only are rejected.  The generated idempotent, which the
 library takes as the one Cesaro limit of the inputs' mean, is compared with
 the rounds of per-input limits, convolutions and membership tests it
 replaced, and the stacked convolution powers behind ``trajectory`` and
 ``detect_period`` with one convolution per step.  The hot kernels are
 compared with their earlier forms: the sort-and-count duplicate sums with
-``np.add.at`` bit for bit, the positivity check on its folded kernel with
-the unfolded one, the Cesaro projector (the kernel/range projector of
+``np.add.at`` bit for bit, the positivity check per summand with the
+unfolded dense one (in the builtin, a relabelled and a complex basis), the Cesaro projector (the kernel/range projector of
 I - T from one SVD) with the sorted Schur form and ``solve_sylvester``,
 also on defective, rotating and non-normal operators, the pair-kernel
 ``validate`` residuals with their einsums, and the row space of a tall stack, taken through its R factor, with the SVD of the
@@ -740,34 +744,37 @@ def smallest_eigenvalue(alg, row):
 
 @pytest.mark.parametrize("name", ["kp", "dual-s4"])
 def test_positive_rows_match_smallest_eigenvalue(name, force_block):
-    # in a complex non-orthogonal basis, for the state tolerance and the
+    # in the builtin basis (on kp five summands) and in a complex
+    # non-orthogonal one (one summand), for the state tolerance and the
     # functional one: rows with smallest eigenvalue -2 tol (rejected),
     # -tol / 2 and 0 (a state conditioned on p_Q, rank-deficient; both
     # accepted), around bank states, in stacks of 1, b, b + 1 and 2b + 1
     # rows with blocks forced to b = 32 rows
     G = BUILTIN_GROUPS[name]()
-    B = complex_basis(G, 13)
-    H = in_basis(G, B)
-    alg = H.algebra
     cv = classical_version(G)
-    conditioned = B @ condition(G, G.sample_states(1, seed=2)[0], cv.p_Q).duals
-    b = force_block(alg.dim, 32)
-    for tol in (alg.tol, 100 * alg.tol):
-        base = H.sample_states(1, seed=4)[0].duals
-        negative, shallow = (planted_row(alg, base, t * tol) for t in (-2.0, -0.5))
-        for n, bad in [(1, 0), (b, 0), (b, b - 1), (b + 1, 0), (b + 1, b - 1), (b + 1, b),
-                       (2 * b + 1, 0), (2 * b + 1, b - 1), (2 * b + 1, b), (2 * b + 1, 2 * b)]:
-            D = np.array([phi.duals for phi in H.sample_states(n, seed=n)])
-            if bad > 0:
-                D[bad - 1] = shallow
-            if bad + 1 < n:
-                D[bad + 1] = conditioned
-            D[bad] = negative
-            lowest = np.array([smallest_eigenvalue(alg, row) for row in D])
-            clear = np.abs(lowest + tol) > 1e-6 * tol
-            got = _positive_rows(alg, D, tol)
-            assert np.array_equal(got[clear], (lowest >= -tol)[clear]), (tol, n, bad)
-            assert np.array_equal(got, np.arange(n) != bad), (tol, n, bad)
+    b = force_block(G.dim, 32)
+    for basis in ("builtin", "complex"):
+        B = np.eye(G.dim) if basis == "builtin" else complex_basis(G, 13)
+        H = G if basis == "builtin" else in_basis(G, B)
+        alg = H.algebra
+        conditioned = B @ condition(G, G.sample_states(1, seed=2)[0], cv.p_Q).duals
+        for tol in (alg.tol, 100 * alg.tol):
+            base = H.sample_states(1, seed=4)[0].duals
+            negative, shallow = (planted_row(alg, base, t * tol) for t in (-2.0, -0.5))
+            for n, bad in [(1, 0), (b, 0), (b, b - 1), (b + 1, 0), (b + 1, b - 1), (b + 1, b),
+                           (2 * b + 1, 0), (2 * b + 1, b - 1), (2 * b + 1, b),
+                           (2 * b + 1, 2 * b)]:
+                D = np.array([phi.duals for phi in H.sample_states(n, seed=n)])
+                if bad > 0:
+                    D[bad - 1] = shallow
+                if bad + 1 < n:
+                    D[bad + 1] = conditioned
+                D[bad] = negative
+                lowest = np.array([smallest_eigenvalue(alg, row) for row in D])
+                clear = np.abs(lowest + tol) > 1e-6 * tol
+                got = _positive_rows(alg, D, tol)
+                assert np.array_equal(got[clear], (lowest >= -tol)[clear]), (basis, tol, n, bad)
+                assert np.array_equal(got, np.arange(n) != bad), (basis, tol, n, bad)
 
 
 # -- the hot kernels against their earlier forms ---------------------------------------
@@ -842,13 +849,59 @@ def rows_failing_each_test(alg, bank):
     return rows
 
 
-@pytest.mark.parametrize("basis", ["builtin", "complex"])
+def permuted_basis(G, seed):
+    """A seeded permutation matrix: the builtin basis, relabelled."""
+    return np.eye(G.dim)[np.random.default_rng([seed, G.dim]).permutation(G.dim)]
+
+
+def in_basis_kind(G, basis, seed):
+    """G in its builtin basis, a seeded relabelling of it, or a complex basis."""
+    if basis == "builtin":
+        return G
+    return in_basis(G, {"permuted": permuted_basis, "complex": complex_basis}[basis](G, seed))
+
+
+def expected_summand_sizes(G):
+    """C(G): one summand per point; kp: C^4 + M_2; a dual in the group
+    basis, and every algebra in a complex basis: one summand."""
+    if G.kind == "classical":
+        return [1] * G.dim
+    return [1, 1, 1, 1, 4] if G.name == "kac-paljutkin" else [G.dim]
+
+
+@pytest.mark.parametrize("basis", ["builtin", "permuted", "complex"])
+def test_summands_hold_every_non_zero(G, basis, summand_oracle):
+    # the summands are the union-find components of the non-zeros of mult
+    # and the involution, so every non-zero lies inside one; a relabelling
+    # keeps their sizes, and each size's columns of the form are those of
+    # the whole form
+    H = in_basis_kind(G, basis, 29)
+    alg, d = H.algebra, H.dim
+    parts = alg._summands
+    assert [p.tolist() for p in parts] == summand_oracle(alg)
+    sizes = sorted(p.size for p in parts)
+    assert sizes == ([d] if basis == "complex" else expected_summand_sizes(G))
+    part = np.empty(d, dtype=int)
+    for b, p in enumerate(parts):
+        part[p] = b
+    i, j, k = np.nonzero(alg.mult)
+    assert (part[i] == part[k]).all() and (part[j] == part[k]).all()
+    i, k = np.nonzero(alg.involution)
+    assert (part[i] == part[k]).all()
+    form = alg._sesquilinear.reshape(d, d, d)
+    for s, K in alg._summand_forms:
+        idx = np.array([p for p in parts if p.size == s])
+        assert_matches(K.reshape(d, -1, s, s), form[:, idx[:, :, np.newaxis], idx[:, np.newaxis]])
+    assert sum(K.shape[1] for _, K in alg._summand_forms) == sum(s * s for s in sizes)
+
+
+@pytest.mark.parametrize("basis", ["builtin", "permuted", "complex"])
 def test_positive_rows_match_unfolded_kernel(G, basis, kernel_oracles, force_block):
     # every such row at the start, the end and on both sides of a forced
     # 8-row block boundary of a 21-row stack of bank states, at the
     # functional and the state tolerance: the masks must equal the unfolded
     # kernel's, and the state mask its with the unital test
-    H = G if basis == "builtin" else in_basis(G, complex_basis(G, 17))
+    H = in_basis_kind(G, basis, 17)
     alg = H.algebra
     bank = H._state_bank(21, 5)
     bad = rows_failing_each_test(alg, bank)
@@ -864,6 +917,46 @@ def test_positive_rows_match_unfolded_kernel(G, basis, kernel_oracles, force_blo
             states = _state_rows(alg, D)
             assert np.array_equal(states, unital & ref), (kind, at)
             assert states[at] == (kind == "shallow" and alg.dim > 1), (kind, at)
+
+
+def kp_coherent_row(kp, excess):
+    """The Haar state of kp with phi(E12) = phi(E21) = phi(E11) + excess:
+    its M_2 summand has the eigenvalues h +- (h + excess), h = phi(E11), so
+    the smallest eigenvalue of the whole sesquilinear matrix is -excess,
+    while every diagonal entry of it, and every 1 x 1 summand, is positive."""
+    labels = kp.algebra.labels
+    row = kp.haar.duals.copy()
+    row[[labels.index("E12"), labels.index("E21")]] = row[labels.index("E11")] + excess
+    return row
+
+
+@pytest.mark.parametrize("name", ["kp", "s4"])
+def test_positive_rows_reject_a_row_negative_on_one_summand(name, force_block):
+    # kp: too much coherence on M_2 alone; s4: one negative point mass.  At
+    # -2 tol each is rejected, at -tol / 2 accepted, at any place of a
+    # 17-row stack of bank states with blocks forced to 8 rows
+    G = BUILTIN_GROUPS[name]()
+    alg, tol = G.algebra, G.algebra.tol
+
+    def planted(lowest):
+        if name == "kp":
+            return kp_coherent_row(G, -lowest)
+        row = G.haar.duals.copy()
+        row[5] = lowest
+        return row
+
+    b = force_block(alg.dim, 8)
+    bank = G._state_bank(17, 3)
+    for lowest, accepted in [(-2 * tol, False), (-0.5 * tol, True)]:
+        row = planted(lowest)
+        assert abs(smallest_eigenvalue(alg, row) - lowest) <= 1e-3 * tol
+        if name == "kp":  # only the 4 x 4 summand's factorisation can see it
+            assert np.diag(alg.involution @ (alg.mult @ row)).real.min() > 0
+        for at in (0, b - 1, b, 16):
+            D = bank.copy()
+            D[at] = row
+            assert np.array_equal(_positive_rows(alg, D, tol),
+                                  (np.arange(17) != at) | accepted), (lowest, at)
 
 
 def test_cesaro_projector_matches_sylvester_oracle(G, kernel_oracles):

@@ -16,8 +16,9 @@ from qperm.cqg import (
     uniform_state,
 )
 from qperm.dynamics import verify_bounds_empirically
-from qperm.idempotent import condition, face_idempotent, is_group_like
+from qperm.idempotent import _sandwich_matrix, condition, face_idempotent, is_group_like
 from qperm.permutation import (
+    _bound_identity_residuals,
     _slice_permutations,
     _slices,
     canonical_partition,
@@ -335,3 +336,54 @@ def test_classical_versions_across_registry():
             supp = support_projection(chi)
             assert gram_norm(supp - p) < 1e-7, name
             assert projection_rank(supp) == projection_rank(p), name
+
+
+# the non-classical builtins: p_C and p_Q both non-zero
+QUANTUM = ["kp", "dual-s3", "dual-s4"] + [f"dual-d{m}" for m in range(3, 13)]
+
+
+def test_classical_version_carries_the_convolution_identities():
+    from qperm.cli import BUILTIN_GROUPS
+
+    for name, build in BUILTIN_GROUPS.items():
+        G = build()
+        cv = classical_version(G)
+        assert len(cv.identity_residuals) == 3, name
+        assert max(cv.identity_residuals) <= 1e-15, name
+        assert cv.identity_residuals == _bound_identity_residuals(G, cv.p_C.coeffs,
+                                                                  cv.p_Q.coeffs), name
+
+
+@pytest.mark.parametrize("name", QUANTUM)
+def test_convolution_identities_catch_swapped_projections(name, monkeypatch):
+    # with p_C and p_Q swapped the identities fail: by 1.0 on kp, by 0.076
+    # to 0.25 on the duals, far past tol, so classical_version raises
+    from qperm import permutation
+    from qperm.cli import BUILTIN_GROUPS
+
+    G = BUILTIN_GROUPS[name]()
+    cv = classical_version(G)
+    swapped = max(_bound_identity_residuals(G, cv.p_Q.coeffs, cv.p_C.coeffs))
+    assert swapped >= (1.0 - 1e-12 if name == "kp" else 0.07), swapped
+    right = permutation._bound_identity_residuals
+    monkeypatch.setattr(permutation, "_bound_identity_residuals",
+                        lambda G, p_C, p_Q: right(G, p_Q, p_C))
+    with pytest.raises(AlgebraError, match="fails a convolution identity"):
+        classical_version(G)
+
+
+@pytest.mark.parametrize("name", QUANTUM)
+def test_convolution_identities_are_not_symmetric_in_the_sandwiches(name):
+    # the first identity with S_C^T replaced by S_Q^T, S_Q^T X S_C, is far
+    # from 0: it holds outer(p_Q, p_C) plus S_Q^T (X - J) S_C, which is 0
+    from qperm.cli import BUILTIN_GROUPS
+
+    G = BUILTIN_GROUPS[name]()
+    cv = classical_version(G)
+    p_C, p_Q = cv.p_C.coeffs, cv.p_Q.coeffs
+    X = G.delta_applied(p_Q)
+    S_C, S_Q = _sandwich_matrix(G, p_C), _sandwich_matrix(G, p_Q)
+    mutated = S_Q.T @ X @ S_C
+    assert np.abs(mutated).max() >= 0.07
+    assert np.abs(mutated - np.outer(p_Q, p_C)).max() <= 1e-15
+

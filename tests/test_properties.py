@@ -18,6 +18,13 @@ The generation check on the magic entries, which squares their span,
 decides as the span grown one word length a round does, on the generated
 groups and on every builtin, dual-D20 and a sub-grid that does not generate.
 
+The direct summands of each generated group's algebra are the union-find
+components of its non-zeros: one point each on C(G), one summand on C*(G)
+in the group basis, and the same sizes after a relabelling of the basis.
+The positivity check, which runs per summand, gives the dense kernel's mask
+on bank states, on rows shifted by the trace to singular and to just past
+it either way, and on non-Hermitian and NaN rows, in both labellings.
+
 On each generated group the Haar state, the regular trace, is checked
 against the invariance SVD.  The regular trace is not the algebra's trace,
 which may be any faithful trace: C(S_3) with a skewed one keeps the uniform
@@ -29,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import permgroups
-from qperm.algebra import AlgebraError, Projection, StarAlgebra
+from qperm.algebra import AlgebraError, Projection, StarAlgebra, _positive_rows
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
     CompactQuantumGroup,
@@ -166,3 +173,57 @@ def test_haar_state_ignores_a_skewed_trace():
     G = CompactQuantumGroup("skewed-s3", skewed, cs3.delta, cs3.counit.duals, cs3.antipode,
                             cs3.magic)
     assert np.abs(G.haar.duals - 1 / 6).max() < 1e-15
+
+
+def generated_group(gens, kind):
+    """The group the permutations generate, as functions or as its dual."""
+    perms = permgroups.closure(gens)
+    if kind == "classical":
+        return classical_group(perms)
+    group = permgroups.FiniteGroup.from_permutations(perms)
+    return dual_group(group, [(i, group.element_order(i)) for i in
+                              (group.perms.index(g) for g in gens)])
+
+
+def relabelled(alg, perm):
+    """The algebra in the basis e_perm[0], e_perm[1], ..., unchecked."""
+    return StarAlgebra([alg.labels[i] for i in perm], alg.mult[np.ix_(perm, perm, perm)],
+                       alg.involution[np.ix_(perm, perm)], alg.unit[perm], alg.trace[perm],
+                       check=False)
+
+
+def probe_rows(G):
+    """Bank states; each shifted by t tau to t = t*, where its sesquilinear
+    matrix H - t Gram turns singular, and to t* -+ 1e-3; a non-Hermitian
+    row and a NaN row."""
+    alg = G.algebra
+    bank = G._state_bank(6, 11)
+    L = np.linalg.cholesky(alg.gram)
+    rows = list(bank)
+    for phi in bank[:3]:
+        P = alg.involution @ (alg.mult @ phi)
+        W = np.linalg.solve(L, np.linalg.solve(L, (P + P.conj().T) / 2).conj().T)
+        t = np.linalg.eigvalsh((W + W.conj().T) / 2)[0]
+        rows += [phi - (t + dt) * alg.trace for dt in (-1e-3, 0.0, 1e-3)]
+    rows.append((1 + 0.1j) * bank[0])
+    rows.append(np.full(G.dim, np.nan))
+    return np.array(rows)
+
+
+@PROPERTY
+@given(generators(), st.sampled_from(["classical", "dual"]), st.randoms(use_true_random=False))
+def test_positivity_per_summand_on_generated_groups(summand_oracle, kernel_oracles, gens, kind,
+                                                     rnd):
+    G = generated_group(gens, kind)
+    alg, d = G.algebra, G.dim
+    sizes = [1] * d if kind == "classical" else [d]
+    perm = np.array(rnd.sample(range(d), d))
+    D = probe_rows(G)
+    for a, rows in ((alg, D), (relabelled(alg, perm), D[:, perm])):
+        assert [p.tolist() for p in a._summands] == summand_oracle(a)
+        assert sorted(p.size for p in a._summands) == sizes
+        for tol in (a.tol, 100 * a.tol):
+            got = _positive_rows(a, rows, tol)
+            assert np.array_equal(got, kernel_oracles.positive_rows(a, rows, tol)), tol
+            assert got[:6].all() and not got[-2:].any(), tol
+
