@@ -12,8 +12,9 @@ unitaries, and the eight-dimensional Kac-Paljutkin quantum group.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -124,6 +125,12 @@ class CompactQuantumGroup:
         return [[Projection(self.algebra, self.magic[i, j]) for j in range(self.N)]
                 for i in range(self.N)]
 
+    @cached_property
+    def _magic_sandwiches(self) -> np.ndarray:
+        """(N^2, d, d) stack of the sandwich matrices (:func:`_sandwich_matrix`)
+        of the magic entries u_ij, in row-major (i, j) order, built on first use."""
+        return np.array([_sandwich_matrix(self, q) for q in self.magic.reshape(self.N ** 2, -1)])
+
     def fix_element(self) -> AlgebraElement:
         """Trace of the magic unitary, the main character sum_j u_jj."""
         return self.algebra.element(self.magic[range(self.N), range(self.N)].sum(axis=0))
@@ -178,41 +185,57 @@ class CompactQuantumGroup:
         """The (n, d) checked duals of :meth:`sample_states`.
 
         Sample k is seeded by (seed, k) alone, so batches are reproducible
-        however they are chunked.  Samples are built a block of rows at a time
-        (``algebra._block_rows``): each draws its m vectors in one normal draw,
-        the block's vector states are formed in one contraction and checked
-        together, then mixed in the order their vectors were drawn, and the
-        mixes are checked together again.  Both checks stay: each is one
-        stacked positivity check per summand of the algebra
-        (``algebra._positive_rows``), so on C(G) and kp it costs a small
-        part of the block's set-up, and on a dual in the group basis, one
-        summand, the dense check.
+        however they are chunked: its generator is
+        ``default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))`` bit for
+        bit, with the four PCG64 seed words of every sample computed in one
+        vectorised pass (:func:`_spawn_words`), so no SeedSequence is built
+        per sample.  Each sample draws m in {1, 2, 3}, then m standard
+        exponentials (``dirichlet(ones(m))`` bit for bit) and its m vectors
+        in one normal draw, into buffers for a block of rows
+        (``algebra._block_rows``).  The block's vector states are formed in
+        one contraction and checked together, then mixed in the order their
+        vectors were drawn, and the mixes are checked together again.  Both
+        checks stay: each is one stacked positivity check per summand of the
+        algebra (``algebra._positive_rows``).
+
+        Like SeedSequence, a negative seed raises ValueError and a seed that
+        is not an integer TypeError; n is at most 2**32, one uint32 word of
+        spawn key per sample.
         """
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {seed}")
+        if n > 2 ** 32:
+            raise ValueError(f"a state bank holds at most 2**32 samples, not {n}")
+        from numpy.random import PCG64, Generator  # here: `import qperm` loads no numpy.random
         alg, d = self.algebra, self.dim
         block = _block_rows(d)
+        words, seeded = _spawn_words(seed, np.arange(n)), _words_seed_sequence()
         out = np.empty((n, d), dtype=complex)
         for start in range(0, n, block):
-            weights, xs = [], []
-            for k in range(start, min(start + block, n)):
-                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-                m = int(rng.integers(1, 4))
-                e = rng.standard_exponential(m)  # dirichlet(ones(m)) bit for bit, less set-up
-                weights.append(e * (1.0 / e.sum()))
-                z = rng.standard_normal((m, 2, d))  # real, imaginary part of each vector
-                xs.append(z[:, 0] + 1j * z[:, 1])
-            vectors, nonnull = _vector_duals(alg, np.concatenate(xs))
+            stop = min(start + block, n)
+            counts = np.empty(stop - start, dtype=int)
+            E = np.zeros((stop - start, 3))  # each sample's exponentials, zero-padded
+            Z = np.empty((3 * (stop - start), 2, d))  # real, imaginary part of each vector
+            row = 0
+            for i, w in enumerate(words[start:stop]):
+                rng = Generator(PCG64(seeded(w)))
+                m = counts[i] = int(rng.integers(1, 4))
+                rng.standard_exponential(out=E[i, :m])
+                rng.standard_normal(out=Z[row:row + m])
+                row += m
+            weights = E * (1.0 / E.sum(axis=1))[:, np.newaxis]
+            vectors, nonnull = _vector_duals(alg, Z[:row, 0] + 1j * Z[:row, 1])
             if not nonnull.all():
                 raise AlgebraError("vector is null for the trace form")
             _require_states(alg, vectors)
-            counts = np.array([w.size for w in weights])
             first = np.cumsum(counts) - counts
             mixes = np.zeros((counts.size, d), dtype=complex)
             for t in range(counts.max()):
                 rows = np.flatnonzero(counts > t)
-                w = np.array([weights[i][t] for i in rows])
-                mixes[rows] += w[:, np.newaxis] * vectors[first[rows] + t]
+                mixes[rows] += weights[rows, t, np.newaxis] * vectors[first[rows] + t]
             _require_states(alg, mixes)
-            out[start:start + block] = mixes
+            out[start:stop] = mixes
         return out
 
     # -- validation -------------------------------------------------------------
@@ -309,6 +332,13 @@ class CompactQuantumGroup:
         return f"CompactQuantumGroup({self.name}, dim={self.dim}, N={self.N})"
 
 
+def _sandwich_matrix(G: CompactQuantumGroup, q: np.ndarray) -> np.ndarray:
+    """Matrix S with (S phi)(e_i) = phi(q e_i q)."""
+    c, d = G.algebra.mult, G.dim
+    # rows (e_i q)[k], times W[k, l] = (q e_k)[l]
+    return (q @ c) @ (q @ c.reshape(d, d * d)).reshape(d, d)
+
+
 def _vector_duals(alg: StarAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vector states tau(x* . x) / tau(x* x) of the rows x of X.
 
@@ -327,6 +357,77 @@ def _vector_duals(alg: StarAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     nonnull = np.abs(nrm) >= 1e3 * np.finfo(float).eps
     duals[nonnull] /= nrm[nonnull, np.newaxis]
     return duals, nonnull
+
+
+# SeedSequence's hash constants (NumPy, numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _spawn_words(seed: int, ks: np.ndarray) -> np.ndarray:
+    """(len(ks), 4) uint64 array whose row for k is
+    ``SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)``,
+    for a non-negative int seed and every 0 <= k < 2**32.
+
+    This is SeedSequence's mixing in wrapping uint32 arithmetic.  Its
+    entropy is the seed's 32-bit words, least significant first, padded
+    with zeros to the pool size 4, then the one word k; the hash constant
+    advances once per hash whatever the data, so the part that depends on
+    the seed alone is mixed once, in Python ints, and k is mixed in as an
+    array.  The pool then yields 8 words, read as 4 little-endian uint64.
+    """
+    entropy = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value):  # an int, or a uint64 array of values below 2**32
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    k = np.asarray(ks, dtype=np.uint64)  # uint64 holds every product below before the mask
+    pool = [mix(word, hashmix(k)) for word in pool]
+    state, const = np.empty((k.size, 8), dtype=np.uint32), _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _words_seed_sequence() -> type:
+    """An ``ISeedSequence`` that hands PCG64 given seed words: PCG64 asks
+    its seed sequence for 4 uint64 words and seeds itself from their
+    memory, so any other request is refused.  Built on first use, so that
+    `import qperm` loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError(f"seed words are 4 uint64, not {n_words} {dtype}")
+            return self.words
+
+    return Words
 
 
 # -- Haar ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .algebra import (
     gram_norm,
     support_projection,
 )
-from .cqg import CompactQuantumGroup, _absorption_operator, _row_space
+from .cqg import CompactQuantumGroup, _absorption_operator, _row_space, _sandwich_matrix
 
 
 @dataclass
@@ -217,13 +217,6 @@ def _conditioned_rows(G: CompactQuantumGroup, D: np.ndarray, q: Projection) -> n
     return (D @ _sandwich_matrix(G, q.coeffs).T) / mass[:, np.newaxis]
 
 
-def _sandwich_matrix(G: CompactQuantumGroup, q: np.ndarray) -> np.ndarray:
-    """Matrix S with (S phi)(e_i) = phi(q e_i q)."""
-    c, d = G.algebra.mult, G.dim
-    # rows (e_i q)[k], times W[k, l] = (q e_k)[l]
-    return (q @ c) @ (q @ c.reshape(d, d * d)).reshape(d, d)
-
-
 def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
     """Idempotent state of the face F_r = {phi : phi(r) = 1} of a
     projection r, in closed form and certified.
@@ -281,8 +274,8 @@ def classify_idempotent(G: CompactQuantumGroup, phi: State) -> IdempotentClass:
     """
     if not is_idempotent(G, phi):
         raise AlgebraError("state is not idempotent")
-    alg, d = G.algebra, G.dim
-    P = (phi.duals @ alg._sesquilinear).reshape(d, d)
+    alg = G.algebra
+    P = alg.involution @ (alg.mult @ phi.duals)  # phi(e_i^* e_j)
     evals, vecs = np.linalg.eigh((P + P.conj().T) / 2)
     N = vecs[:, evals < 1e-8 * max(1.0, evals.max())].T  # rows: null elements
     R = np.conj(N) @ alg.involution  # rows: their adjoints
@@ -341,10 +334,8 @@ def collapse_stability_probe(G: CompactQuantumGroup, psi: State,
     A = _absorption_operator(G, psi.duals)
     W = _row_space(_sandwich_matrix(G, support_projection(psi).coeffs).T).T
     _certify("some state on the support of psi is not absorbed by psi", np.abs(A @ W).max(), tol)
-    N = G.N
-    sandwiches = np.array([_sandwich_matrix(G, q) for q in G.magic.reshape(N * N, -1)])
-    residuals = np.abs(A @ sandwiches @ W).max(axis=(1, 2))
-    violations = [(divmod(int(e), N), float(residuals[e]))
+    residuals = np.abs(A @ G._magic_sandwiches @ W).max(axis=(1, 2))
+    violations = [(divmod(int(e), G.N), float(residuals[e]))
                   for e in np.flatnonzero(~(residuals <= tol))]
     return CollapseProbeReport(W.shape[1], violations)
 

@@ -19,8 +19,8 @@ from .algebra import (
     meet,
     spectral_partition,
 )
-from .cqg import CompactQuantumGroup, _character_stack, birkhoff_matrix
-from .idempotent import _conditioned_rows, _sandwich_matrix, face_idempotent, is_group_like
+from .cqg import CompactQuantumGroup, _character_stack, _sandwich_matrix, birkhoff_matrix
+from .idempotent import _conditioned_rows, face_idempotent, is_group_like
 
 
 def _slices(G: CompactQuantumGroup, D: np.ndarray) -> np.ndarray:

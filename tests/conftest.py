@@ -11,13 +11,15 @@ from qperm.algebra import (
     LinearFunctional,
     State,
     _Coo,
+    _block_rows,
     _coo,
     _contract,
+    _require_states,
     gram_norm,
     meet,
     support_projection,
 )
-from qperm.cqg import _row_space, birkhoff_matrix, centre, characters, classical_group
+from qperm.cqg import _row_space, _vector_duals, birkhoff_matrix, centre, characters, classical_group
 from qperm.idempotent import (
     CesaroResult,
     CollapseProbeReport,
@@ -99,6 +101,45 @@ def _sample_states(G, n, seed, max_mix=3):
             duals += weights[t] * _vector_state(G, x).duals
         out.append(State(G.algebra, duals))
     return out
+
+
+def _state_bank_by_seed_sequence(G, n, seed):
+    """The state bank a block of rows at a time, as the library built it
+    before its seed words were vectorised: one SeedSequence and one
+    ``default_rng`` per sample, the weights and vectors drawn into lists."""
+    alg, d = G.algebra, G.dim
+    block = _block_rows(d)
+    out = np.empty((n, d), dtype=complex)
+    for start in range(0, n, block):
+        weights, xs = [], []
+        for k in range(start, min(start + block, n)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+            m = int(rng.integers(1, 4))
+            e = rng.standard_exponential(m)
+            weights.append(e * (1.0 / e.sum()))
+            z = rng.standard_normal((m, 2, d))
+            xs.append(z[:, 0] + 1j * z[:, 1])
+        vectors, nonnull = _vector_duals(alg, np.concatenate(xs))
+        if not nonnull.all():
+            raise AlgebraError("vector is null for the trace form")
+        _require_states(alg, vectors)
+        counts = np.array([w.size for w in weights])
+        first = np.cumsum(counts) - counts
+        mixes = np.zeros((counts.size, d), dtype=complex)
+        for t in range(counts.max()):
+            rows = np.flatnonzero(counts > t)
+            w = np.array([weights[i][t] for i in rows])
+            mixes[rows] += w[:, np.newaxis] * vectors[first[rows] + t]
+        _require_states(alg, mixes)
+        out[start:start + block] = mixes
+    return out
+
+
+@pytest.fixture
+def state_bank_oracle():
+    """``state_bank_oracle(G, n, seed)``: the (n, d) state bank with a
+    SeedSequence built per sample."""
+    return _state_bank_by_seed_sequence
 
 
 def _collapse_probe(G, psi, n_samples, seed, tol=1e-7):
@@ -618,6 +659,26 @@ def _classify_by_basis_loop(G, phi):
             if np.abs(prods - prods @ proj).max(initial=0.0) > 1e-7:
                 return "NonHaar", N.shape[0]
     return "Haar", N.shape[0]
+
+
+def _classify_by_dense_form(G, phi):
+    """(kind, null-space dimension, residual) of an idempotent as the library
+    took it before: phi(e_i^* e_j) from the dense (d, d^2) sesquilinear form
+    ``StarAlgebra._sesquilinear``, then the star-closure test."""
+    alg, d = G.algebra, G.dim
+    P = (phi.duals @ alg._sesquilinear).reshape(d, d)
+    evals, vecs = np.linalg.eigh((P + P.conj().T) / 2)
+    N = vecs[:, evals < 1e-8 * max(1.0, evals.max())].T
+    R = np.conj(N) @ alg.involution
+    residual = float(np.abs(R - (R @ N.conj().T) @ N).max(initial=0.0))
+    return "Haar" if residual <= 1e-7 else "NonHaar", N.shape[0], residual
+
+
+@pytest.fixture
+def classify_dense_form_oracle():
+    """``classify_dense_form_oracle(G, phi)``: (kind, null-space dimension,
+    residual) from the dense sesquilinear form."""
+    return _classify_by_dense_form
 
 
 @pytest.fixture

@@ -457,6 +457,19 @@ def test_qperm_starts_without_scipy():
     assert json.loads(done.stdout) == [[], 0, []]
 
 
+def test_qperm_imports_without_numpy_random():
+    # numpy.random is loaded only when a state bank is first drawn, not by
+    # `import qperm`; drawing one then loads it, so the check can see it
+    script = ("import json, sys\n"
+              "import qperm, qperm.cli\n"
+              "after_import = 'numpy.random' in sys.modules\n"
+              "qperm.cli.BUILTIN_GROUPS['kp']().sample_states(2, seed=0)\n"
+              "print(json.dumps([after_import, 'numpy.random' in sys.modules]))\n")
+    done = run_child(script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, True]
+
+
 # -- nesting and the fuzzed input boundary -----------------------------------------
 
 # json's decoder recurses once a level, so past the recursion limit it raises

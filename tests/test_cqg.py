@@ -507,6 +507,34 @@ def test_sample_states_deterministic(kp):
         assert x.distance(y) == 0.0
 
 
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (-2 ** 70, ValueError),
+                                         (1.5, TypeError), ("3", TypeError), (None, TypeError)])
+def test_state_bank_rejects_seeds_that_seed_sequence_rejects(kp, seed, error):
+    # a negative seed has no 32-bit words to split into, and None would ask
+    # the operating system for fresh entropy
+    with pytest.raises(error):
+        kp._state_bank(3, seed)
+    with pytest.raises(error):
+        kp.sample_states(3, seed)
+
+
+def test_state_bank_takes_at_most_one_spawn_word_of_samples(kp):
+    # the spawn key is one uint32 word per sample: n past 2**32 is rejected
+    # before any array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 2\\*\\*32 samples"):
+            kp._state_bank(2 ** 32 + 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_state_bank_seed_may_be_a_numpy_integer(kp):
+    assert kp._state_bank(4, np.uint64(9)).tobytes() == kp._state_bank(4, 9).tobytes()
+
+
 def test_convolve_rejects_group_mismatch(kp, ds4):
     with pytest.raises(AlgebraError):
         kp.convolve(kp.haar, ds4.haar)

@@ -355,6 +355,20 @@ def test_collapse_probe_classical_quotient_clean(morphisms):
     assert report.stable
 
 
+def test_collapse_probe_reuses_one_sandwich_stack(kp, ds4):
+    # the (N^2, d, d) stack of magic sandwiches is built once per group, the
+    # same bytes as one sandwich per entry, and a probe reads the same
+    # residuals from it on a first and a later call
+    for G in (kp, ds4):
+        G.__dict__.pop("_magic_sandwiches", None)
+        first = collapse_stability_probe(G, G.counit)
+        stack = G._magic_sandwiches
+        assert collapse_stability_probe(G, G.counit) == first
+        assert G._magic_sandwiches is stack
+        for (i, j), S in zip(np.ndindex(G.N, G.N), stack):
+            assert S.tobytes() == _sandwich_matrix(G, G.magic[i, j]).tobytes()
+
+
 def test_collapse_probe_corner_idempotent_violates(kp):
     e11 = State(kp.algebra, np.eye(8)[4])
     corner = cesaro_idempotent(kp, e11).limit

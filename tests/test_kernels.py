@@ -21,7 +21,9 @@ each face, the hand-built indicator and the pulled-back Haar state of the
 abelianization; it is checked to absorb sampled members of its face, and to
 agree with itself in a complex basis.  The state
 bank, which the library builds in blocks, is compared with the bank built
-one sample at a time, and the bounds sampler, which the library works as
+one sample at a time, and byte for byte with the bank seeded through one
+SeedSequence per sample; the vectorised seed words with SeedSequence's own.
+The bounds sampler, which the library works as
 stacks of pairs, is compared with the sampler one pair at a time.  The
 stacked Cholesky positivity check, which the library runs per direct
 summand, is compared with the smallest eigenvalue of each row's
@@ -43,7 +45,8 @@ whole stack.  The Haar / non-Haar classifier, which the library decides by
 whether the null space is closed under the star, is compared with the test
 of the null space for a two-sided ideal one basis element at a time, on the
 counit, Haar, stabiliser, dual-subgroup and census idempotents, and in a
-complex basis.
+complex basis; its sesquilinear matrix with the one read from the dense
+(d, d^2) form it replaced.
 """
 import dataclasses
 import json
@@ -71,6 +74,8 @@ from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
     CompactQuantumGroup,
     _row_space,
+    _spawn_words,
+    _words_seed_sequence,
     birkhoff_matrix,
     characters,
     dual_group,
@@ -163,6 +168,49 @@ def test_sample_states_match_per_sample_oracle(G, sample_states_oracle, force_bl
             assert len(bank) == n
             got = np.array([phi.duals for phi in bank]).reshape(n, G.dim)
             assert np.abs(got - ref[:n]).max(initial=0.0) <= 1e-14, (seed, n)
+
+
+def test_state_bank_matches_seed_sequence_oracle(G, state_bank_oracle, force_block):
+    # the seed words computed for a whole block at once against one
+    # SeedSequence per sample: the bank is the same bytes, across forced
+    # block boundaries and for seeds of 1, 3 and 7 words
+    b = force_block(G.dim, 8)
+    for seed in (0, 7, 2 ** 64 + 5, 2 ** 200 + 12345):
+        for n in (0, 1, b, b + 1):
+            got, ref = G._state_bank(n, seed), state_bank_oracle(G, n, seed)
+            assert got.shape == ref.shape == (n, G.dim)
+            assert got.tobytes() == ref.tobytes(), (seed, n)
+
+
+@pytest.mark.parametrize("words, seeds", [
+    (1, [0, 7, 2 ** 32 - 1]),
+    (2, [2 ** 32, 2 ** 64 - 1]),
+    (4, [2 ** 96 + 3, 2 ** 128 - 1]),
+    (5, [2 ** 128 + 9]),
+    (7, [2 ** 200 + 12345]),
+])
+def test_spawn_words_match_seed_sequence(words, seeds):
+    # seeds of 1 to 7 uint32 words (the pool holds 4: shorter seeds are
+    # padded, longer ones mixed in after it), spawn keys at both ends of one
+    # uint32 word and in between
+    ks = [0, 1, 2, 3, 1000, 2 ** 31, 2 ** 32 - 1]
+    for seed in seeds:
+        assert max(1, -(-seed.bit_length() // 32)) == words
+        got = _spawn_words(seed, np.array(ks))
+        for k, row in zip(ks, got):
+            ref = np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)
+            assert row.dtype == ref.dtype and np.array_equal(row, ref), (seed, k)
+
+
+def test_seed_words_refuse_any_other_request():
+    # PCG64 seeds itself from the memory of the 4 uint64 words it asks for,
+    # so a request for any other count or type must not be handed them
+    words = _words_seed_sequence()(_spawn_words(3, np.arange(1))[0])
+    assert np.array_equal(words.generate_state(4, np.uint64),
+                          np.random.SeedSequence(3, spawn_key=(0,)).generate_state(4, np.uint64))
+    for request in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="seed words are 4 uint64"):
+            words.generate_state(*request)
 
 
 def test_bounds_sampler_matches_per_pair_oracle(G, bounds_oracle, force_block):
@@ -399,6 +447,26 @@ def test_classify_matches_basis_loop_oracle(G, classify_oracle):
             assert cls.residual <= 1e-12
         else:
             assert cls.residual >= 1e-2
+
+
+def test_classify_matches_the_dense_form_route(G, classify_dense_form_oracle):
+    # phi(e_i^* e_j) as involution @ (mult @ phi) against the cached dense
+    # (d, d^2) form it replaced: the same class and null dimension, and
+    # residuals that agree to rounding
+    for psi in classification_cases(G):
+        cls = classify_idempotent(G, psi)
+        kind, null_dim, residual = classify_dense_form_oracle(G, psi)
+        assert (cls.kind, cls.null_space_dim) == (kind, null_dim)
+        assert abs(cls.residual - residual) <= 1e-12
+
+
+def test_classify_builds_no_dense_form_on_a_split_algebra():
+    # C(S4) splits into 24 summands, so its state checks never need the
+    # dense (d, d^2) sesquilinear form, and classifying must not build it
+    G = BUILTIN_GROUPS["s4"]()
+    for psi in classification_cases(G):
+        classify_idempotent(G, psi)
+    assert "_sesquilinear" not in vars(G.algebra)
 
 
 @pytest.mark.parametrize("name", ["s3", "dual-s3", "kp"])
