@@ -24,7 +24,7 @@ class AlgebraError(ValueError):
 
 
 DEFAULT_TOL = 1e-9
-DEFAULT_ITER_TOL = 1e-7
+ITER_TOL = 1e-7  # every iterative limit is checked at this fixed tolerance
 
 
 def _certify(check: str, residual, tol: float) -> float:
@@ -149,7 +149,7 @@ class StarAlgebra:
     unit : (dim,) coefficients of the multiplicative unit.
     trace : (dim,) values ``tau(e_i)`` of a faithful positive tracial functional.
     tol : algebraic tolerance.  Iterative limits are checked at the fixed
-        ``iter_tol`` = DEFAULT_ITER_TOL.
+        :data:`ITER_TOL`.
     """
 
     def __init__(self, basis_labels, mult, involution, unit, trace,
@@ -161,7 +161,6 @@ class StarAlgebra:
         self.unit = np.asarray(unit, dtype=complex)
         self.trace = np.asarray(trace, dtype=complex)
         self.tol = float(tol)
-        self.iter_tol = DEFAULT_ITER_TOL
         if (self.mult.shape != (self.dim,) * 3
                 or self.involution.shape != (self.dim, self.dim)
                 or self.unit.shape != (self.dim,) or self.trace.shape != (self.dim,)):
@@ -185,17 +184,26 @@ class StarAlgebra:
     # -- cached geometry -----------------------------------------------------
 
     @cached_property
+    def _pairing(self) -> np.ndarray:
+        """The trace pairing T[i, j] = tau(e_i e_j)."""
+        return self.mult @ self.trace
+
+    @cached_property
     def gram(self) -> np.ndarray:
         """G[i, j] = tau(e_i^* e_j); Hermitian positive definite."""
-        G = self.involution @ (self.mult @ self.trace)
+        G = self.involution @ self._pairing
         return (G + G.conj().T) / 2.0
+
+    @cached_property
+    def _gram_min(self) -> float:
+        """The smallest eigenvalue of the Gram matrix."""
+        return float(np.linalg.eigvalsh(self.gram).min())
 
     @cached_property
     def _chol(self) -> np.ndarray:
         """Lower Cholesky factor of the Gram matrix."""
-        evals = np.linalg.eigvalsh(self.gram)
-        if not evals.min() > self.tol:
-            raise AlgebraError(f"trace is not faithful (min Gram eigenvalue {evals.min():.3e})")
+        if not self._gram_min > self.tol:
+            raise AlgebraError(f"trace is not faithful (min Gram eigenvalue {self._gram_min:.3e})")
         return np.linalg.cholesky(self.gram)
 
     @cached_property
@@ -236,14 +244,6 @@ class StarAlgebra:
         return np.linalg.solve(L.conj().T, M @ L.conj().T)
 
     @cached_property
-    def _sesquilinear(self) -> np.ndarray:
-        """(d, d^2) matrix K with (phi @ K)[i d + j] = phi(e_i^* e_j):
-        involution and mult folded once."""
-        d = self.dim
-        K = (self.involution @ self.mult.reshape(d, d * d)).reshape(d * d, d)
-        return np.ascontiguousarray(K.T)
-
-    @cached_property
     def _summands(self) -> tuple:
         """The finest partition of the basis indices, as index arrays in
         order of their first index, such that every non-zero mult[i, j, k]
@@ -251,14 +251,10 @@ class StarAlgebra:
         itself.  So A is the direct sum of the *-ideals the parts span, and
         phi(e_i^* e_j) = 0 for every phi when i and j lie in different parts.
 
-        When the unit is one basis element e_u, the non-zeros e_u e_j = e_j
-        put every index with u: one part.  Otherwise each index is linked to
-        every index it meets in a non-zero of mult or the involution, and
-        squaring the links until they stop growing links each index to its
-        whole part."""
+        Each index is linked to every index it meets in a non-zero of mult or
+        the involution, and squaring the links until they stop growing links
+        each index to its whole part."""
         d = self.dim
-        if np.count_nonzero(self.unit) == 1:
-            return (np.arange(d),)
         keys = self._mult_coo.keys
         link = np.zeros(d * d)
         link[keys % (d * d)] = 1.0  # j ~ k
@@ -278,20 +274,17 @@ class StarAlgebra:
     @cached_property
     def _summand_forms(self) -> tuple:
         """Per size s of summand (:attr:`_summands`), (s, K): K is the
-        (d, g s^2) block of columns of the sesquilinear form
-        (:attr:`_sesquilinear`) on the g summands of that size, so that
-        (phi @ K).reshape(g, s, s) holds phi(e_i^* e_j) for i, j in each.
-        Built per size from the summands' own rows of mult and the
-        involution; a single summand is the whole form."""
-        parts = self._summands
-        if len(parts) == 1:
-            return ((self.dim, self._sesquilinear),)
+        (d, g s^2) block of columns of the sesquilinear form on the g
+        summands of that size, so that (phi @ K).reshape(g, s, s) holds
+        phi(e_i^* e_j) for i, j in each.  Built per size, in one batched
+        product, from the summands' own rows of mult and the involution."""
+        parts, d = self._summands, self.dim
         forms = []
         for s in sorted({p.size for p in parts}):
             idx = np.array([p for p in parts if p.size == s])  # (g, s)
             star = self.involution[idx[:, :, np.newaxis], idx[:, np.newaxis]]  # e_i^* on e_m
             prod = self.mult[idx[:, :, np.newaxis], idx[:, np.newaxis]]  # e_m e_j
-            K = np.einsum("gim,gmjk->kgij", star, prod).reshape(self.dim, -1)
+            K = (star @ prod.reshape(len(idx), s, s * d)).reshape(-1, d).T
             forms.append((s, np.ascontiguousarray(K)))
         return tuple(forms)
 
@@ -328,10 +321,9 @@ class StarAlgebra:
         out["involution_antihom"] = _max_abs_difference(
             _pairs("ijm,mk->ijk", cc._replace(vals=np.conj(cc.vals)), ivc),
             _pairs("ja,iak->ijk", ivc, _contract("ib,abk->iak", ivc, cc)))
-        min_eig = float(np.linalg.eigvalsh(self.gram).min())
+        min_eig = self._gram_min
         out["gram_positive_definite"] = 0.0 if min_eig > self.tol else 2 * self.tol - min_eig
-        tau_ab = np.einsum("ijk,k->ij", c, self.trace)
-        out["trace_symmetry"] = np.abs(tau_ab - tau_ab.T).max()
+        out["trace_symmetry"] = np.abs(self._pairing - self._pairing.T).max()
         return out
 
     def __repr__(self):
@@ -634,8 +626,7 @@ def support_projection(phi: State) -> Projection:
     alg = phi.algebra
     if not isinstance(phi, State):
         phi = State(alg, phi.duals)
-    pair = (alg.mult @ alg.trace).T
-    d = np.linalg.solve(pair, phi.duals)
+    d = np.linalg.solve(alg._pairing.T, phi.duals)
     d_el = alg.element(d)
     evals, U = _self_adjoint_eig(0.5 * (d_el + d_el.star()))
     thresh = max(alg.tol, 1e3 * np.finfo(float).eps * max(1.0, float(evals.max())))
@@ -649,8 +640,8 @@ def meet(ps) -> Projection:
 
     L is linear, so L of the mean of the ps is the mean of the L_p: in the
     trace frame a positive contraction fixing exactly what every L_p fixes.
-    The meet is its spectral projection above 1 - 1e3 iter_tol, and must lie
-    below every p: p r = r p = r within 100 iter_tol, all p in one stack.
+    The meet is its spectral projection above 1 - 1e3 ITER_TOL, and must lie
+    below every p: p r = r p = r within 100 ITER_TOL, all p in one stack.
     """
     ps = list(ps)
     if not ps:
@@ -658,7 +649,7 @@ def meet(ps) -> Projection:
     alg = ps[0].algebra
     if any(p.algebra is not alg for p in ps):
         raise AlgebraError("projections live on different algebras")
-    P, d, tol = np.array([p.coeffs for p in ps]), alg.dim, alg.iter_tol
+    P, d, tol = np.array([p.coeffs for p in ps]), alg.dim, ITER_TOL
     _certify("meet input is not a projection", _projection_residuals(alg, P).max(), 100 * alg.tol)
     mean = alg.element(sum(P) / len(P))
     r = _selected_projection(alg, *_self_adjoint_eig(mean), lambda lam: lam > 1.0 - 1e3 * tol)

@@ -36,10 +36,11 @@ from .algebra import (
     _multiplicativity_residual,
     _projection_residuals,
     _require_states,
+    _state_rows,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     residual: float
@@ -80,11 +81,16 @@ class CompactQuantumGroup:
     counit : State, a character.
     antipode : (dim, dim) array; ``S(e_a) = sum_u antipode[a, u] e_u``.
     magic : (N, N, dim) array of projection coefficients.
-    haar : State, the unique bi-invariant one.
+    haar : State, the regular trace h(x) = Tr(L_x) / d over the dimension.
+        It is a two-sided integral of a semisimple, cosemisimple Hopf algebra
+        (Larson-Radford, 1988), and a bi-invariant state is unique, as two
+        absorb each other; :meth:`validate` certifies it as a state and
+        both invariances.  The algebra's trace is not used: it may be any
+        faithful trace.
     """
 
     def __init__(self, name: str, algebra: StarAlgebra, delta, counit, antipode,
-                 magic, haar=None, kind: str = "generic", check: bool = True):
+                 magic, kind: str = "generic", check: bool = True):
         self.name = name
         self.kind = kind
         self.algebra = algebra
@@ -97,9 +103,7 @@ class CompactQuantumGroup:
         if self.magic.ndim != 3 or self.magic.shape[0] != self.magic.shape[1] \
                 or self.magic.shape[2] != algebra.dim:
             raise AlgebraError("magic grid has wrong shape")
-        if haar is None:
-            haar = solve_haar(self)
-        self.haar = haar if isinstance(haar, State) else State(algebra, haar)
+        self.haar = State(algebra, algebra._regular_trace / algebra.dim, check=False)
         if check:
             report = self.validate()
             if not report.ok:
@@ -198,13 +202,11 @@ class CompactQuantumGroup:
         checks stay: each is one stacked positivity check per summand of the
         algebra (``algebra._positive_rows``).
 
-        Like SeedSequence, a negative seed raises ValueError and a seed that
-        is not an integer TypeError; n is at most 2**32, one uint32 word of
-        spawn key per sample.
+        A seed that is not an integer raises TypeError, and SeedSequence
+        rejects a negative one with ValueError; n is at most 2**32, one
+        uint32 word of spawn key per sample.
         """
         seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, not {seed}")
         if n > 2 ** 32:
             raise ValueError(f"a state bank holds at most 2**32 samples, not {n}")
         from numpy.random import PCG64, Generator  # here: `import qperm` loads no numpy.random
@@ -241,6 +243,14 @@ class CompactQuantumGroup:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Residual per axiom.
+
+        The group is immutable, so the checks run once, on first use.
+        """
+        return ValidationReport(list(self._checks))
+
+    @cached_property
+    def _checks(self) -> list[CheckResult]:
         alg, D, c = self.algebra, self.delta, self.algebra.mult
         tol, d = alg.tol, alg.dim
         checks = []
@@ -293,6 +303,7 @@ class CompactQuantumGroup:
             _pairs("ijm,mk->ijk", cc, Sc),
             _pairs("ju,iuk->ijk", Sc, _contract("iv,uvk->iuk", Sc, cc))))
 
+        add("haar_state", 0.0 if _state_rows(alg, self.haar.duals[np.newaxis])[0] else 1.0, 0.5)
         left, right = np.abs(_absorption_operator(self, self.haar.duals)).reshape(2, -1).max(axis=1)
         add("haar_left_invariance", left)
         add("haar_right_invariance", right)
@@ -313,7 +324,7 @@ class CompactQuantumGroup:
         add("magic_antipode", np.abs(self.magic @ S - self.magic.transpose(1, 0, 2)).max())
         add("magic_counit", np.abs(self.magic @ eps - np.eye(N)).max())
         add("magic_generates", 0.0 if self._entries_generate() else 1.0, 0.5)
-        return ValidationReport(checks)
+        return checks
 
     def _entries_generate(self) -> bool:
         """Whether the unit and the magic entries generate the algebra: each
@@ -351,7 +362,7 @@ def _vector_duals(alg: StarAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # through the cached regular representation regular[i, k, j] = mult[i, j, k]
     right = (X @ alg.regular.reshape(d * d, d).T).reshape(-1, d, d)
     # tau(x* e_k)
-    left = (np.conj(X) @ alg.involution) @ (alg.mult @ alg.trace)
+    left = (np.conj(X) @ alg.involution) @ alg._pairing
     duals = (right @ left[:, :, np.newaxis])[:, :, 0]
     nrm = duals @ alg.unit
     nonnull = np.abs(nrm) >= 1e3 * np.finfo(float).eps
@@ -369,38 +380,24 @@ def _spawn_words(seed: int, ks: np.ndarray) -> np.ndarray:
     ``SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)``,
     for a non-negative int seed and every 0 <= k < 2**32.
 
-    This is SeedSequence's mixing in wrapping uint32 arithmetic.  Its
-    entropy is the seed's 32-bit words, least significant first, padded
-    with zeros to the pool size 4, then the one word k; the hash constant
-    advances once per hash whatever the data, so the part that depends on
-    the seed alone is mixed once, in Python ints, and k is mixed in as an
-    array.  The pool then yields 8 words, read as 4 little-endian uint64.
+    SeedSequence mixes its entropy, the seed's w 32-bit words padded with
+    zeros to the pool size 4 and then the one word k, into a pool of 4
+    words.  k comes last, so the pool before it is ``SeedSequence(seed).pool``;
+    the hash constant advances once per hash whatever the data, and 16 + 4
+    max(0, w - 4) hashes precede k's four.  Those four, k mixed into the
+    pool, are done here as arrays in wrapping uint32 arithmetic, and the
+    pool then yields 8 words, read as 4 little-endian uint64.
     """
-    entropy = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (4 - len(entropy))
-    const = _INIT_A
-
-    def hashmix(value):  # an int, or a uint64 array of values below 2**32
-        nonlocal const
-        value = value ^ const
+    from numpy.random import SeedSequence  # here: `import qperm` loads no numpy.random
+    w = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, w - 4), 2 ** 32) & _MASK32
+    k, pool = np.asarray(ks, dtype=np.uint64), []  # uint64 holds every product before the mask
+    for word in SeedSequence(seed).pool.tolist():  # k hashed and mixed into each pool word
+        value = k ^ const
         const = const * _MULT_A & _MASK32
         value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return x ^ x >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    k = np.asarray(ks, dtype=np.uint64)  # uint64 holds every product below before the mask
-    pool = [mix(word, hashmix(k)) for word in pool]
+        word = (_MIX_L * word - _MIX_R * (value ^ value >> 16)) & _MASK32
+        pool.append(word ^ word >> 16)
     state, const = np.empty((k.size, 8), dtype=np.uint32), _INIT_B
     for i in range(8):
         value = pool[i % 4] ^ const
@@ -431,22 +428,6 @@ def _words_seed_sequence() -> type:
 
 
 # -- Haar ----------------------------------------------------------------------
-
-
-def solve_haar(G: CompactQuantumGroup) -> State:
-    """The Haar state h(x) = Tr(L_x) / d, the regular trace over the dimension.
-
-    The regular trace is a two-sided integral of a semisimple, cosemisimple
-    Hopf algebra (Larson-Radford, 1988), but h is returned only as a checked
-    state whose absorption operator, the left and right invariance residuals,
-    is 0 within tol; a bi-invariant state is unique, as two absorb each
-    other.  The algebra's trace is not used: it may be any faithful trace.
-    """
-    alg = G.algebra
-    h = State(alg, alg._regular_trace / G.dim)
-    _certify("regular trace is not bi-invariant",
-             np.abs(_absorption_operator(G, h.duals)).max(), alg.tol)
-    return h
 
 
 def _absorption_operator(G: CompactQuantumGroup, psi: np.ndarray) -> np.ndarray:
@@ -607,19 +588,11 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
     y = _kp_block_vec(1, -1, -1, 1, [[-1, 0], [0, 1]])
     z = _kp_block_vec(1, 1j, -1j, -1, [[0, 1], [1, 0]])
 
-    def bmul(a, b):
-        out = a * 0
-        out[:4] = a[:4] * b[:4]
-        am = a[4:].reshape(2, 2)
-        bm = b[4:].reshape(2, 2)
-        out[4:] = (am @ bm).reshape(4)
-        return out
-
     mult = np.zeros((dim, dim, dim), dtype=complex)
+    mult[range(4), range(4), range(4)] = 1.0  # f_i f_i = f_i
+    a, b, c = np.indices((2, 2, 2))
+    mult[4 + 2 * a + b, 4 + 2 * b + c, 4 + 2 * a + c] = 1.0  # E_ab E_bc = E_ac
     eye = np.eye(dim, dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            mult[i, j] = bmul(eye[i], eye[j])
     involution = np.eye(dim)[[0, 1, 2, 3, 4, 6, 5, 7]]  # E12* = E21
     trace = np.array([1, 1, 1, 1, 2, 0, 0, 2], dtype=complex) / 8.0
 
@@ -627,7 +600,7 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
                           mult, involution, unit=one, trace=trace, tol=tol)
 
     # comultiplication from the generator images, through the word basis
-    M = mult.reshape(dim * dim, dim)
+    M, prod = mult.reshape(dim * dim, dim), algebra.product_coeffs
 
     def tmul(X, Y):
         return M.T @ np.kron(X, Y) @ M
@@ -635,7 +608,7 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
     twist = 0.5 * (np.outer(one, one) + np.outer(one, x) + np.outer(y, one) - np.outer(y, x))
     dx, dy = np.outer(x, x), np.outer(y, y)
     dz = tmul(twist, np.outer(z, z))
-    words = [one, x, y, bmul(x, y), z, bmul(x, z), bmul(y, z), bmul(bmul(x, y), z)]
+    words = [one, x, y, prod(x, y), z, prod(x, z), prod(y, z), prod(prod(x, y), z)]
     dwords = [np.outer(one, one), dx, dy, tmul(dx, dy), dz, tmul(dx, dz),
               tmul(dy, dz), tmul(tmul(dx, dy), dz)]
     Winv = np.linalg.inv(np.array(words).T)
@@ -732,7 +705,7 @@ def _character_stack(G: CompactQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
         raise AlgebraError("generic central element does not separate the blocks")
     z = (V * np.linalg.solve(V, Z.conj() @ alg.unit)).T @ Z
     z = z[np.abs(z @ alg._regular_trace - 1) < 0.5]  # tr L_z = 1
-    chi = z @ (alg.mult @ alg.trace).T / (z @ alg.trace)[:, np.newaxis]
+    chi = z @ alg._pairing.T / (z @ alg.trace)[:, np.newaxis]
     _require_states(alg, chi)
     _certify("character is not multiplicative", _multiplicativity_residual(alg, chi),
              100 * max(1e-8, alg.tol))

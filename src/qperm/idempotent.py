@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    ITER_TOL,
     AlgebraElement,
     AlgebraError,
     LinearFunctional,
@@ -112,10 +113,10 @@ def cesaro_idempotent(G: CompactQuantumGroup, seed: State) -> CesaroResult:
     the seed, applied to the seed; a doubling recursion on the means of the
     seed's powers, v_2n = (v_n + T^n v_n)/2, supplies the reported iteration
     count: the smallest mean length n = 2^k whose mean is within
-    10 * iter_tol of the limit.  (Doublings stop at 2^30, where repeated
+    10 * ITER_TOL of the limit.  (Doublings stop at 2^30, where repeated
     squaring is still well below the eigenvalue-drift instability of
     floating point.)  The limit has converged if it is idempotent within
-    iter_tol and seed-invariant within 10 * iter_tol.  It is checked as a
+    ITER_TOL and seed-invariant within 10 * ITER_TOL.  It is checked as a
     state.
     """
     return _cesaro_rows(G, seed.duals[np.newaxis])[0]
@@ -127,7 +128,7 @@ def _cesaro_rows(G: CompactQuantumGroup, S: np.ndarray) -> list[CesaroResult]:
     one state check of the limits, the doubling recursion on the whole stack
     (a row leaves it once it is stationary) and one 3n-row convolution for
     the seed * limit, limit * seed and limit * limit certificates."""
-    alg, tol, (n, d) = G.algebra, G.algebra.iter_tol, S.shape
+    alg, tol, (n, d) = G.algebra, ITER_TOL, S.shape
     if not n:
         return []
     T = (S[:, np.newaxis, np.newaxis] @ G.delta)[:, :, 0]  # row k: left convolution by S[k]
@@ -159,7 +160,7 @@ def _cesaro_rows(G: CompactQuantumGroup, S: np.ndarray) -> list[CesaroResult]:
 
 
 def is_idempotent(G: CompactQuantumGroup, phi: State) -> bool:
-    return phi.distance(G.convolve(phi, phi, check=False)) <= G.algebra.iter_tol
+    return phi.distance(G.convolve(phi, phi, check=False)) <= ITER_TOL
 
 
 def generated_idempotent(G: CompactQuantumGroup, states: list[State]) -> CesaroResult:
@@ -169,7 +170,7 @@ def generated_idempotent(G: CompactQuantumGroup, states: list[State]) -> CesaroR
     left coideal B, and psi = counit o E is a character, so a pure state, of B:
     psi * mean = psi makes every input equal the counit on B, so psi absorbs it
     (on the right by (id (x) psi) Delta).  Converged also needs max|A Phi^T| <=
-    10 * iter_tol, A the absorption operator of psi, Phi the stacked inputs."""
+    10 * ITER_TOL, A the absorption operator of psi, Phi the stacked inputs."""
     if not states:
         raise AlgebraError("need at least one state")
     if any(phi.algebra is not G.algebra for phi in states):
@@ -177,7 +178,7 @@ def generated_idempotent(G: CompactQuantumGroup, states: list[State]) -> CesaroR
     Phi = np.array([phi.duals for phi in states])
     out = cesaro_idempotent(G, State(G.algebra, Phi.mean(axis=0), check=False))
     absorption = float(np.abs(_absorption_operator(G, out.limit.duals) @ Phi.T).max())
-    converged = out.converged and absorption <= 10 * G.algebra.iter_tol
+    converged = out.converged and absorption <= 10 * ITER_TOL
     return CesaroResult(out.limit, out.iterations, max(out.residual, absorption), converged)
 
 
@@ -243,7 +244,7 @@ def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
 
     - closure: S_r^T X S_r = 0 within tol, X the coefficients of Delta(1 - r);
     - state: psi = S_r h / h(r) is a state with psi(r) = 1 within tol;
-    - absorption: A S_r = 0 within 10 * iter_tol, A the absorption operator
+    - absorption: A S_r = 0 within 10 * ITER_TOL, A the absorption operator
       of psi; every phi in F_r is S_r phi, so psi absorbs F_r on both sides.
     """
     alg, h = G.algebra, G.haar.duals
@@ -256,7 +257,7 @@ def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
     psi = State(alg, S @ h / mass)
     _certify("face idempotent left its face", abs(psi(r) - 1), alg.tol)
     _certify("face idempotent fails to absorb its face",
-             np.abs(_absorption_operator(G, psi.duals) @ S).max(), 10 * alg.iter_tol)
+             np.abs(_absorption_operator(G, psi.duals) @ S).max(), 10 * ITER_TOL)
     return psi
 
 

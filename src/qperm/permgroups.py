@@ -34,23 +34,27 @@ def from_cycles(n: int, *cycles) -> tuple:
     return tuple(out)
 
 
-def closure(gens: list[tuple]) -> list[tuple]:
-    """Group generated by the given permutations, sorted, so identity first."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = len(gens[0])
-    els = {identity_perm(n)}
-    frontier = list(els)
+def _reachable(start, gens, step) -> set:
+    """Everything reached from start by steps a -> step(a, g), g in gens: a
+    breadth-first search."""
+    seen, frontier = {start}, [start]
     while frontier:
         new = []
         for a in frontier:
             for g in gens:
-                c = compose(a, g)
-                if c not in els:
-                    els.add(c)
+                c = step(a, g)
+                if c not in seen:
+                    seen.add(c)
                     new.append(c)
         frontier = new
-    return sorted(els)
+    return seen
+
+
+def closure(gens: list[tuple]) -> list[tuple]:
+    """Group generated by the given permutations, sorted, so identity first."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    return sorted(_reachable(identity_perm(len(gens[0])), gens, compose))
 
 
 def symmetric_group(n: int) -> list[tuple]:
@@ -96,25 +100,11 @@ class FiniteGroup:
         return self._inv[i]
 
     def element_order(self, i: int) -> int:
-        k, p = 1, i
-        while p != 0:
-            p = self.table[p][i]
-            k += 1
-        return k
+        return len(self.generated_by([i]))
 
     def generated_by(self, gens: list[int]) -> set[int]:
-        got = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    c = self.table[a][g]
-                    if c not in got:
-                        got.add(c)
-                        new.append(c)
-            frontier = new
-        return got
+        table = self.table
+        return _reachable(0, gens, lambda a, g: table[a][g])
 
     def generates(self, gens: list[int]) -> bool:
         return len(self.generated_by(gens)) == self.order

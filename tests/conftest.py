@@ -467,7 +467,7 @@ def haar_idempotent(pi):
     """h_target o pi; idempotent on the source by construction, asserted."""
     phi = pi.pullback(pi.target.haar)
     conv = pi.source.convolve(phi, phi, check=False)
-    if phi.distance(conv) > pi.source.algebra.iter_tol:
+    if phi.distance(conv) > algebra.ITER_TOL:
         raise AlgebraError("pulled-back Haar state is not idempotent")
     return phi
 
@@ -503,9 +503,9 @@ def morphisms():
 def _generated_by_rounds(G, states):
     """The generated idempotent by rounds: each input's own Cesaro limit,
     their convolution in the given order averaged again, then up to 8 rounds
-    that convolve every input not yet absorbed within 10 iter_tol between
+    that convolve every input not yet absorbed within 10 ITER_TOL between
     copies of the current limit and average once more."""
-    tol = G.algebra.iter_tol
+    tol = algebra.ITER_TOL
     parts = [cesaro_idempotent(G, phi).limit for phi in states]
     psi = parts[0]
     for r in parts[1:]:
@@ -609,7 +609,7 @@ def _cesaro_by_matrix_doubling(G, seed):
     count from the doubling recursion on the operator means,
     M_2n = (M_n + T^n M_n)/2, and the three certificates one convolution
     at a time."""
-    tol = G.algebra.iter_tol
+    tol = algebra.ITER_TOL
     T = seed.duals @ G.delta
     limit = State(G.algebra, _cesaro_projector_by_solve_sylvester(T) @ seed.duals)
     M, P, iterations = np.eye(G.dim, dtype=complex), T, 1
@@ -661,12 +661,27 @@ def _classify_by_basis_loop(G, phi):
     return "Haar", N.shape[0]
 
 
+def _sesquilinear_form(alg):
+    """The dense (d, d^2) sesquilinear form K, (phi @ K)[i d + j] =
+    phi(e_i^* e_j), involution and mult folded into one matrix, as the
+    library kept it before its forms were built per summand."""
+    d = alg.dim
+    K = (alg.involution @ alg.mult.reshape(d, d * d)).reshape(d * d, d)
+    return np.ascontiguousarray(K.T)
+
+
+@pytest.fixture(scope="session")
+def sesquilinear_oracle():
+    """``sesquilinear_oracle(alg)``: the dense (d, d^2) sesquilinear form."""
+    return _sesquilinear_form
+
+
 def _classify_by_dense_form(G, phi):
     """(kind, null-space dimension, residual) of an idempotent as the library
     took it before: phi(e_i^* e_j) from the dense (d, d^2) sesquilinear form
-    ``StarAlgebra._sesquilinear``, then the star-closure test."""
+    (:func:`_sesquilinear_form`), then the star-closure test."""
     alg, d = G.algebra, G.dim
-    P = (phi.duals @ alg._sesquilinear).reshape(d, d)
+    P = (phi.duals @ _sesquilinear_form(alg)).reshape(d, d)
     evals, vecs = np.linalg.eigh((P + P.conj().T) / 2)
     N = vecs[:, evals < 1e-8 * max(1.0, evals.max())].T
     R = np.conj(N) @ alg.involution
@@ -751,7 +766,7 @@ def _meet_by_mean_of_frames(ps):
     alg = ps[0].algebra
     avg = sum(alg.to_hermitian_frame(alg.left_mult_matrix(p.coeffs)) for p in ps) / len(ps)
     evals, U = np.linalg.eigh((avg + avg.conj().T) / 2)
-    V = U[:, evals > 1.0 - 1e3 * alg.iter_tol]
+    V = U[:, evals > 1.0 - 1e3 * algebra.ITER_TOL]
     return alg.matrix_to_coeffs(alg.from_hermitian_frame(V @ V.conj().T))
 
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qperm
-from qperm import cli
+from qperm import cli, cqg
 from qperm.cli import BUILTIN_GROUPS, load_group, main
 from qperm.dynamics import verify_bounds_empirically
 from qperm.permgroups import FiniteGroup
@@ -28,6 +28,22 @@ def test_validate_builtins_pass(capsys):
         assert run(["validate", name]) == 0
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
+
+
+def test_validate_runs_the_hopf_contractions_once(monkeypatch, capsys):
+    # the constructor validates kp, and the report printed is that one:
+    # the group is immutable, so coassociativity's contraction runs once
+    specs = []
+    real = cqg._pairs
+
+    def counting(spec, a, b):
+        specs.append(spec)
+        return real(spec, a, b)
+
+    monkeypatch.setattr(cqg, "_pairs", counting)
+    assert run(["validate", "kp"]) == 0
+    assert specs.count("iuk,uab->iabk") == 1
+    assert "coassociativity" in capsys.readouterr().out
 
 
 def test_validate_unknown_group_is_input_error(capsys):

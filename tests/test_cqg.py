@@ -1,5 +1,6 @@
 """Quantum group constructors, validation, convolution and the Haar state."""
 import functools
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from qperm import cqg, permgroups
 from qperm.algebra import AlgebraError, Projection, StarAlgebra, State, gram_norm
-from qperm.cli import BUILTIN_GROUPS
+from qperm.cli import BUILTIN_GROUPS, exp_haar
 from qperm.cqg import (
     CompactQuantumGroup,
     centre,
@@ -107,10 +108,9 @@ def test_perturbed_magic_fails_validation(kp):
     bad[0, 0] = bad[0, 0] + 0.05
     with pytest.raises(AlgebraError):
         CompactQuantumGroup("broken", kp.algebra, kp.delta, kp.counit,
-                            kp.antipode, bad, haar=kp.haar)
+                            kp.antipode, bad)
     report = CompactQuantumGroup("broken", kp.algebra, kp.delta, kp.counit,
-                                 kp.antipode, bad, haar=kp.haar,
-                                 check=False).validate()
+                                 kp.antipode, bad, check=False).validate()
     names = [c.name for c in report.failures()]
     assert "magic_projections" in names
 
@@ -177,12 +177,15 @@ def test_haar_state_cesaro_cross_check():
 
 
 def test_validator_catches_field_perturbations(kp):
-    def rebuilt(**kwargs):
+    def rebuilt(haar=None, **kwargs):
         data = {"name": "perturbed", "algebra": kp.algebra, "delta": kp.delta,
                 "counit": kp.counit, "antipode": kp.antipode,
-                "magic": kp.magic, "haar": kp.haar, "check": False}
+                "magic": kp.magic, "check": False}
         data.update(kwargs)
-        return CompactQuantumGroup(**data).validate()
+        G = CompactQuantumGroup(**data)
+        if haar is not None:  # validate certifies whatever state G.haar holds
+            G.haar = State(G.algebra, haar, check=False)
+        return G.validate()
 
     bad_delta = kp.delta.copy()
     bad_delta[4, 0, 4] += 0.02
@@ -196,6 +199,8 @@ def test_validator_catches_field_perturbations(kp):
     bad_h[0] += 0.02
     bad_h[1] -= 0.02
     assert not rebuilt(haar=bad_h).ok
+    bad_h[[0, 1]] = [-0.25, 0.5]  # h(1) stays 1, h(f1) < 0: not a state
+    assert "haar_state" in {c.name for c in rebuilt(haar=bad_h).failures()}
 
     bad_eps = np.asarray(kp.counit.duals).copy()
     bad_eps[3] += 0.02
@@ -429,7 +434,7 @@ def test_validator_catches_a_grid_that_does_not_generate():
     # entries span only the two-dimensional algebra of that reflection
     G = dual_dihedral(6)
     sub = CompactQuantumGroup("sub", G.algebra, G.delta, G.counit, G.antipode,
-                              G.magic[:2, :2], haar=G.haar, check=False)
+                              G.magic[:2, :2], check=False)
     assert [c.name for c in sub.validate().failures()] == ["magic_generates"]
 
 
@@ -447,8 +452,8 @@ def test_algebra_invariants_checked_once(monkeypatch):
     counted.__set_name__(StarAlgebra, "_invariants")
     monkeypatch.setattr(StarAlgebra, "_invariants", counted)
     G = kac_paljutkin()  # checks the algebra, then validates the group
-    G.validate()
-    assert len(calls) == 1
+    G.validate().checks.clear()  # the group's cached report is not handed out
+    assert len(calls) == 1 and G.validate().ok and G.validate().checks
     report = G.algebra.check_invariants()
     report["associativity"] = 1.0
     assert G.algebra.check_invariants()["associativity"] == 0.0
@@ -540,12 +545,12 @@ def test_convolve_rejects_group_mismatch(kp, ds4):
         kp.convolve(kp.haar, ds4.haar)
 
 
-def test_haar_solver_rejects_degenerate_invariance(cs3, haar_oracle):
-    # direct sum of two copies of C(S_2), whose unit is the sum of the two
-    # block units: Delta(1) = 1_1 (x) 1_1 + 1_2 (x) 1_2 is not 1 (x) 1, so no
-    # state is invariant.  The regular trace h is still a state, 1/4 at each
-    # point, and the invariance certificate rejects it: (h (x) id) Delta(e_a)
-    # lives on the block of e_a, h(e_a) 1 on both blocks (residual 1/4)
+def two_s2(check):
+    """The direct sum of two copies of C(S_2), whose unit is the sum of the
+    two block units: Delta(1) = 1_1 (x) 1_1 + 1_2 (x) 1_2 is not 1 (x) 1, so
+    no state is invariant.  The regular trace h is still a state, 1/4 at
+    each point, but (h (x) id) Delta(e_a) lives on the block of e_a and
+    h(e_a) 1 on both blocks: both invariance residuals are 1/4."""
     s2 = classical_group(permgroups.symmetric_group(2))
     d = 4
     mult = np.zeros((d, d, d), dtype=complex)
@@ -556,9 +561,29 @@ def test_haar_solver_rejects_degenerate_invariance(cs3, haar_oracle):
     delta[2:, 2:, 2:] = s2.delta
     algebra = StarAlgebra(["a", "b", "c", "d"], mult, np.eye(d),
                           unit=np.ones(d), trace=np.full(d, 0.25), check=False)
-    with pytest.raises(AlgebraError,
-                       match=r"not bi-invariant \(residual 2.500e-01, tolerance 1.000e-09\)"):
-        CompactQuantumGroup("two-s2", algebra, delta, np.eye(d)[0], np.eye(d),
-                            algebra.unit[np.newaxis, np.newaxis], check=False)
+    return CompactQuantumGroup("two-s2", algebra, delta, np.eye(d)[0], np.eye(d),
+                               algebra.unit[np.newaxis, np.newaxis], check=check)
+
+
+def test_haar_solver_rejects_degenerate_invariance(haar_oracle):
+    # validate is the Haar state's one certificate: construction names both
+    # invariance rows at 1/4, and an unchecked group's report fails exactly
+    # those of its Haar rows, the regular trace being a state
+    with pytest.raises(AlgebraError, match=r"haar_left_invariance\s+2.500e-01[^\n]*FAIL"
+                                           r"\nhaar_right_invariance\s+2.500e-01[^\n]*FAIL"):
+        two_s2(check=True)
+    G = two_s2(check=False)
+    rows = {c.name: c for c in G.validate().checks if c.name.startswith("haar")}
+    assert {name for name, c in rows.items() if not c.passed} == {
+        "haar_left_invariance", "haar_right_invariance"}
+    assert rows["haar_left_invariance"].residual == rows["haar_right_invariance"].residual == 0.25
+    assert rows["haar_state"].passed
     with pytest.raises(AlgebraError):
-        haar_oracle(algebra, delta)
+        haar_oracle(G.algebra, G.delta)
+
+
+def test_haar_experiment_writes_the_invariance_residual(tmp_path):
+    # the haar experiment reports max |A_h| under "matches_stored": 1/4 on
+    # the degenerate group, built unchecked
+    exp_haar(two_s2(check=False), {}, tmp_path)
+    assert json.loads((tmp_path / "haar.json").read_text())["matches_stored"] == 0.25

@@ -11,7 +11,7 @@ if str(ROOT) not in sys.path:
 
 from perfbench.workloads import _criterion8_census  # noqa: E402
 from qperm import permgroups
-from qperm.algebra import AlgebraError, Projection, State, gram_norm, support_projection
+from qperm.algebra import ITER_TOL, AlgebraError, Projection, State, gram_norm, support_projection
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
     _absorption_operator,
@@ -146,7 +146,7 @@ def test_generated_idempotent_ignores_input_order(case, request, member_bank):
         G = request.getfixturevalue("kp" if case == "kp-bank" else "ds4")
         r = stabiliser_projection(G, [[0], list(range(1, G.N))])
         states = [G.counit] + member_bank(G, r, 24, 0)
-    tol = G.algebra.iter_tol
+    tol = ITER_TOL
     given = generated_idempotent(G, states)
     order = np.random.default_rng(1).permutation(len(states))
     permuted = generated_idempotent(G, [states[k] for k in order])

@@ -118,7 +118,7 @@ def with_trivial_magic(G):
     magic = np.zeros_like(G.magic)
     magic[range(G.N), range(G.N)] = G.algebra.unit
     return CompactQuantumGroup(G.name, G.algebra, G.delta, G.counit, G.antipode,
-                               magic, haar=G.haar, check=False)
+                               magic, check=False)
 
 
 @pytest.mark.parametrize("name, message", [

@@ -43,7 +43,6 @@ from qperm.cqg import (
     classical_group,
     dual_dihedral,
     dual_group,
-    solve_haar,
     uniform_state,
 )
 from qperm.idempotent import dual_subgroup_idempotent, face_idempotent, generated_idempotent
@@ -69,7 +68,7 @@ def indicator(G, subset):
 @given(generators())
 def test_subgroup_faces_of_a_generated_classical_group(haar_oracle, gens):
     G = classical_group(permgroups.closure(gens))
-    assert np.abs(solve_haar(G).duals - haar_oracle(G.algebra, G.delta).duals).max() < 1e-12
+    assert np.abs(G.haar.duals - haar_oracle(G.algebra, G.delta).duals).max() < 1e-12
     for sub in G.group.subgroups():
         psi = face_idempotent(G, Projection(G.algebra, indicator(G, sub)))
         expect = uniform_state(G, [G.group_elements[i] for i in sub])
@@ -82,7 +81,7 @@ def test_subgroup_faces_of_a_generated_dual_group(haar_oracle, gens):
     group = permgroups.FiniteGroup.from_permutations(permgroups.closure(gens))
     index = [group.perms.index(g) for g in gens]
     G = dual_group(group, [(i, group.element_order(i)) for i in index])
-    assert np.abs(solve_haar(G).duals - haar_oracle(G.algebra, G.delta).duals).max() < 1e-12
+    assert np.abs(G.haar.duals - haar_oracle(G.algebra, G.delta).duals).max() < 1e-12
     for sub in group.subgroups():
         r = Projection(G.algebra, indicator(G, sub) / len(sub))
         assert np.abs(face_idempotent(G, r).duals - indicator(G, sub)).max() < 1e-12, sorted(sub)
@@ -150,7 +149,7 @@ def test_generation_matches_word_growth(generation_oracle):
     assert agree(dual_dihedral(20))
     d6 = dual_dihedral(6)
     assert not agree(CompactQuantumGroup("sub", d6.algebra, d6.delta, d6.counit, d6.antipode,
-                                         d6.magic[:2, :2], haar=d6.haar, check=False))
+                                         d6.magic[:2, :2], check=False))
 
     @PROPERTY
     @given(generators())
