@@ -578,14 +578,6 @@ def _self_adjoint_eig(f: AlgebraElement):
     return np.linalg.eigh((M + M.conj().T) / 2)
 
 
-def eigenvector(f: AlgebraElement, target: float) -> np.ndarray:
-    """Coefficients of an eigenvector of left multiplication by a self-adjoint
-    f, for the eigenvalue nearest ``target``."""
-    alg = f.algebra
-    evals, U = _self_adjoint_eig(f)
-    return np.linalg.solve(alg._chol.conj().T, U[:, int(np.argmin(np.abs(evals - target)))])
-
-
 def _selected_projection(alg: StarAlgebra, evals: np.ndarray, U: np.ndarray,
                          select) -> Projection:
     """The projection onto the columns of U, eigenvectors in the trace frame,

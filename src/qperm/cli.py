@@ -18,6 +18,9 @@ name or definition-file path), parameters and optional explicit output paths:
     {"name": "bounds-empirical", "group": "kp",
      "parameters": {"n_samples": 500, "seed": 7}, "outputs": ["bounds.json"]}
 
+``phase-diagram`` and ``dihedral-sweep`` ignore their group (the sweep builds
+its own dual dihedral groups), so for them no group is loaded or validated.
+
 Exit codes: 0 success, 1 assertion failure, 2 input error.  A group file
 off the schema above, listing over 120 elements or acting on over 120
 points (a classical file's degree, a dual file's sum of generator orders)
@@ -46,7 +49,6 @@ from . import dynamics, idempotent, permgroups, permutation
 from .algebra import DEFAULT_TOL, AlgebraError, State, _certify, meet
 from .cqg import (
     CompactQuantumGroup,
-    _absorption_operator,
     classical_group,
     dual_dihedral,
     dual_group,
@@ -64,30 +66,22 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(_fmt(obj))
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+def _json_default(obj):
+    """What json cannot encode itself: a complex number as {re, im}, a State
+    as its duals, an array as a list and a NumPy scalar as its Python value."""
     if isinstance(obj, complex):
-        return {"re": float(_fmt(obj.real)), "im": float(_fmt(obj.imag))}
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, State):
-        return _jsonable(obj.duals)
-    return obj
+        return obj.duals
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -219,10 +213,11 @@ def load_group(ref: str) -> CompactQuantumGroup:
 
 
 def exp_haar(G, params, out):
-    # "matches_stored" holds max |A_h|, the invariance residual that validate checks
-    h = G.haar
+    # "matches_stored" holds the larger of validate's two Haar invariance residuals
+    h, residual = G.haar, {c.name: c.residual for c in G.validate().checks}
     payload = {"group": G.name, "dim": G.dim, "N": G.N, "haar_duals": h,
-               "matches_stored": float(np.abs(_absorption_operator(G, h.duals)).max())}
+               "matches_stored": max(residual["haar_left_invariance"],
+                                     residual["haar_right_invariance"])}
     try:
         cv = permutation.classical_version(G)
         payload["alpha_haar"] = permutation.quantum_fraction(h, cv)
@@ -422,6 +417,7 @@ EXPERIMENTS = {
 }
 
 RANDOMIZED = {"idempotent-census", "bounds-empirical"}
+GROUPLESS = {"phase-diagram", "dihedral-sweep"}  # run with G = None: no group is built
 
 # (smallest, largest) accepted value of each integer parameter an experiment
 # reads; None leaves it unbounded.  The caps keep a run desk-sized: the grid
@@ -492,8 +488,8 @@ def cmd_run(args) -> int:
             raise ValueError(f"'group' must be a builtin name or a file path, got {group!r}")
         if name == "s4hat-walkthrough" and group != "dual-s4":
             raise ValueError(f"s4hat-walkthrough runs on the dual-s4 builtin, not {group!r}")
-        G = load_group(group)
-        if "partition" in params:
+        G = None if name in GROUPLESS else load_group(group)
+        if "partition" in params and G is not None:
             _check_partition(params["partition"], G.N)
     except AlgebraError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)

@@ -636,10 +636,8 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
         [Ac, Bc, f[0] + f[1], f[2] + f[3]],
         [Bc, Ac, f[2] + f[3], f[0] + f[1]],
     ])
-    G = CompactQuantumGroup("kac-paljutkin", algebra, delta, counit, antipode,
-                            magic, kind="kac_paljutkin", check=check)
-    G.generators = {"x": x, "y": y, "z": z}
-    return G
+    return CompactQuantumGroup("kac-paljutkin", algebra, delta, counit, antipode,
+                               magic, kind="kac_paljutkin", check=check)
 
 
 # -- centre and characters ---------------------------------------------------------
@@ -681,9 +679,11 @@ def centre(G: CompactQuantumGroup) -> np.ndarray:
 def characters(G: CompactQuantumGroup) -> list[State]:
     """All characters (multiplicative states) of the algebra.
 
-    Multiplication by a generic central element, from a fixed seed, acts on
-    Z(A) (:func:`centre`) with one eigenvalue per block, which must be
-    separated.  Its eigenvectors, scaled to sum to the unit, are the minimal
+    Multiplication by a generic central element acts on Z(A) (:func:`centre`)
+    with one eigenvalue per block, which must be separated.  The element is
+    drawn from a fixed seed in the coordinates of A and projected on Z(A) by
+    Z^H Z, which no choice of the orthonormal basis Z of Z(A) changes.  Its
+    eigenvectors, scaled to sum to the unit, are the minimal
     central projections z; those with tr L_z = 1 bound the one-dimensional
     blocks, and each gives the character chi(a) = tau(a z) / tau(z), with
     support z.  All of them are checked as states and for multiplicativity
@@ -694,11 +694,11 @@ def characters(G: CompactQuantumGroup) -> list[State]:
 
 def _character_stack(G: CompactQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
     """The supports z and the characters of :func:`characters`, as (n, d) stacks."""
-    alg = G.algebra
+    alg, d = G.algebra, G.dim
     Z = centre(G)
     c = len(Z)
     rng = np.random.default_rng(0)
-    generic = (rng.standard_normal(c) + 1j * rng.standard_normal(c)) @ Z
+    generic = ((rng.standard_normal(d) + 1j * rng.standard_normal(d)) @ Z.conj().T) @ Z
     evals, V = np.linalg.eig(Z.conj() @ alg.left_mult_matrix(generic) @ Z.T)
     gaps = np.abs(np.subtract.outer(evals, evals))[~np.eye(c, dtype=bool)]
     if not gaps.min(initial=np.inf) > 1e-6 * max(1.0, np.abs(evals).max()):

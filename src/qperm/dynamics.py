@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import State, _certify
+from .algebra import ITER_TOL, State, _certify
 from .cqg import CompactQuantumGroup
 from .idempotent import left_convolution_operator
 from .permutation import ClassicalVersion, _decomposed_rows, _quantum_fractions, quantum_fraction
@@ -52,8 +52,8 @@ def _phase_labels(A, B) -> tuple:
 
 
 def idempotent_gap_check(alpha: float) -> bool:
-    """Idempotents are random or at least half quantum: alpha in {0} u [1/2, 1] within 1e-7."""
-    return alpha <= 1e-7 or alpha >= 0.5 - 1e-7
+    """Idempotents are random or at least half quantum: alpha in {0} u [1/2, 1] within ITER_TOL."""
+    return alpha <= ITER_TOL or alpha >= 0.5 - ITER_TOL
 
 
 @dataclass
@@ -195,8 +195,7 @@ def convergence_to_haar(G: CompactQuantumGroup, seed: State,
         mags = np.abs(seed.duals)
         strict = bool(mags[0] > 1 - 1e-9
                       and np.all(mags[1:] < 1 - 1e-9))
-    traj = trajectory(G, seed, k_max)
-    dists = traj.distances_to_haar
+    dists = np.abs(_powers(G, seed, k_max) - G.haar.duals).max(axis=1).tolist()
     return ConvergenceReport(dists, bool(dists[-1] < 1e-8), strict)
 
 

@@ -59,7 +59,7 @@ class IdempotentClass:
     """Haar / non-Haar class of an idempotent state.
 
     ``residual`` is the star-closure residual of the null space that decides
-    ``kind`` against 1e-7 (:func:`classify_idempotent`).
+    ``kind`` against ITER_TOL (:func:`classify_idempotent`).
     """
 
     kind: str                      # "Haar" | "NonHaar"
@@ -251,10 +251,7 @@ def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
     S = _sandwich_matrix(G, r.coeffs)
     _certify("face is not closed under convolution",
              np.abs(S.T @ G.delta_applied(alg.unit - r.coeffs) @ S).max(), alg.tol)
-    mass = (h @ r.coeffs).real
-    if not mass > alg.tol:
-        raise AlgebraError("conditioning on a projection of zero mass is undefined")
-    psi = State(alg, S @ h / mass)
+    psi = State(alg, _conditioned_rows(G, h[np.newaxis], r)[0])
     _certify("face idempotent left its face", abs(psi(r) - 1), alg.tol)
     _certify("face idempotent fails to absorb its face",
              np.abs(_absorption_operator(G, psi.duals) @ S).max(), 10 * ITER_TOL)
@@ -271,7 +268,7 @@ def classify_idempotent(G: CompactQuantumGroup, phi: State) -> IdempotentClass:
     ideal too.  N is spanned by the orthonormal eigenvectors of the Hermitian
     part of phi(e_i^* e_j) below 1e-8 max(1, largest eigenvalue); with R
     their adjoints, the residual max|R - (R N^H) N| decides NonHaar beyond
-    1e-7.
+    ITER_TOL.
     """
     if not is_idempotent(G, phi):
         raise AlgebraError("state is not idempotent")
@@ -281,7 +278,7 @@ def classify_idempotent(G: CompactQuantumGroup, phi: State) -> IdempotentClass:
     N = vecs[:, evals < 1e-8 * max(1.0, evals.max())].T  # rows: null elements
     R = np.conj(N) @ alg.involution  # rows: their adjoints
     residual = float(np.abs(R - (R @ N.conj().T) @ N).max(initial=0.0))
-    return IdempotentClass("Haar" if residual <= 1e-7 else "NonHaar", N.shape[0], residual)
+    return IdempotentClass("Haar" if residual <= ITER_TOL else "NonHaar", N.shape[0], residual)
 
 
 def dual_subgroup_idempotent(G: CompactQuantumGroup, subgroup) -> State:
@@ -323,13 +320,13 @@ def collapse_stability_probe(G: CompactQuantumGroup, psi: State,
 
     The members are taken to be the states on pAp, p the support of psi;
     they span the range of the sandwich S_p, with orthonormal basis W.  The
-    premise max|A W| <= 1e-7 (A the absorption operator of psi) says that all
+    premise max|A W| <= ITER_TOL (A the absorption operator of psi) says that all
     of them are members, and an ``AlgebraError`` is raised if it fails.
     Collapse by a magic entry q sends phi to S_q phi / phi(q), so the face is
-    stable under q iff max|A S_q W| <= 1e-7; a member giving q no mass has
+    stable under q iff max|A S_q W| <= ITER_TOL; a member giving q no mass has
     S_q phi = 0 and adds nothing.  ``n_samples`` and ``seed`` have no effect.
     """
-    tol = 1e-7
+    tol = ITER_TOL
     if not is_idempotent(G, psi):
         raise AlgebraError("probe requires an idempotent state")
     A = _absorption_operator(G, psi.duals)

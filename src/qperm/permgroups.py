@@ -153,7 +153,7 @@ class FiniteGroup:
         return True
 
     @classmethod
-    def from_permutations(cls, perms: list[tuple], labels=None) -> "FiniteGroup":
+    def from_permutations(cls, perms: list[tuple]) -> "FiniteGroup":
         """The group of a list of permutations, sorted, so identity first.  A
         finite set closed under composition is a group: closure is the check."""
         order = sorted(set(perms))
@@ -163,9 +163,7 @@ class FiniteGroup:
             table = [[idx[tuple(ab)] for ab in row] for row in P[:, P].tolist()]
         except KeyError:
             raise ValueError("permutation list is not closed under composition") from None
-        if labels is None:
-            labels = [perm_label(p) for p in order]
-        return cls(labels, table, perms=order)
+        return cls([perm_label(p) for p in order], table, perms=order)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":

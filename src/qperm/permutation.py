@@ -15,7 +15,7 @@ from .algebra import (
     _certify,
     _projection_residuals,
     _require_states,
-    eigenvector,
+    _self_adjoint_eig,
     meet,
     spectral_partition,
 )
@@ -181,11 +181,10 @@ def _off_pattern(N: int, partition) -> list[tuple[int, int]]:
     return [(i, j) for i in range(N) for j in range(N) if block_of[i] != block_of[j]]
 
 
-def stabiliser_membership(G: CompactQuantumGroup, phi: State, partition,
-                          tol: float = 1e-8) -> bool:
-    """phi(u_ij) = 0 within tol whenever i and j lie in different blocks."""
+def stabiliser_membership(G: CompactQuantumGroup, phi: State, partition) -> bool:
+    """phi(u_ij) = 0 within 1e-8 whenever i and j lie in different blocks."""
     i, j = np.array(_off_pattern(G.N, partition), dtype=int).reshape(-1, 2).T
-    return bool(np.abs(birkhoff_matrix(G, phi)[i, j]).max(initial=0.0) <= tol)
+    return bool(np.abs(birkhoff_matrix(G, phi)[i, j]).max(initial=0.0) <= 1e-8)
 
 
 def stabiliser_projection(G: CompactQuantumGroup, partition) -> Projection:
@@ -208,12 +207,12 @@ def stabiliser_idempotent(G: CompactQuantumGroup, partition) -> State:
     The quasi-subgroup is the face {phi : phi(r) = 1} of the state space,
     with r the stabiliser projection, and psi is its certified face
     idempotent (:func:`idempotent.face_idempotent`).  psi must also satisfy
-    the stabiliser pattern within 1e-6 and give every diagonal magic entry
-    positive mass.
+    the stabiliser pattern (:func:`stabiliser_membership`) and give every
+    diagonal magic entry positive mass.
     """
     blocks = canonical_partition(partition, G.N)
     psi = face_idempotent(G, stabiliser_projection(G, blocks))
-    if not stabiliser_membership(G, psi, blocks, tol=1e-6):
+    if not stabiliser_membership(G, psi, blocks):
         raise AlgebraError("stabiliser idempotent escaped the quasi-subgroup")
     diag = [psi(G.magic_projection(j, j)).real for j in range(G.N)]
     if not np.min(diag) > 1e-10:
@@ -248,9 +247,10 @@ def fix_spectrum(G: CompactQuantumGroup) -> FixSpectrum:
 
 def fix_eigenvector_seed(G: CompactQuantumGroup) -> State:
     """Equal mix of the vector states of two eigenvectors of fix, for the
-    eigenvalues nearest 2 and 4 fixed points."""
-    fix = G.fix_element()
-    duals = [G.vector_state(eigenvector(fix, t)).duals for t in (2.0, 4.0)]
+    eigenvalues nearest 2 and 4 fixed points, both from one decomposition."""
+    evals, U = _self_adjoint_eig(G.fix_element())
+    X = [U[:, np.argmin(np.abs(evals - t))] for t in (2.0, 4.0)]  # in the trace frame
+    duals = [G.vector_state(np.linalg.solve(G.algebra._chol.conj().T, x)).duals for x in X]
     return State(G.algebra, np.mean(duals, axis=0))
 
 

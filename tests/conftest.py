@@ -641,6 +641,54 @@ def experiment_oracles():
                                  census=_census_by_seed)
 
 
+# -- routes that computed an answer twice or copied what json encodes ---------------
+
+
+def _fix_seed_by_two_eigenvectors(G):
+    """The fix eigenvector seed with one decomposition of fix per eigenvector:
+    each of the eigenvalues nearest 2 and 4 takes its own ``eigh``."""
+    fix = G.fix_element()
+
+    def eigenvector(target):
+        evals, U = algebra._self_adjoint_eig(fix)
+        return np.linalg.solve(G.algebra._chol.conj().T,
+                               U[:, int(np.argmin(np.abs(evals - target)))])
+
+    duals = [G.vector_state(eigenvector(t)).duals for t in (2.0, 4.0)]
+    return State(G.algebra, np.mean(duals, axis=0))
+
+
+def _jsonable(obj):
+    """A payload copied into json's own types: floats through a 17-digit
+    round trip, complex numbers as {re, im}, arrays as lists and States as
+    their duals."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(format(float(obj), ".17g"))
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": float(format(obj.real, ".17g")), "im": float(format(obj.imag, ".17g"))}
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, State):
+        return _jsonable(obj.duals)
+    return obj
+
+
+@pytest.fixture(scope="session")
+def retired_routes():
+    """``fix_seed(G)``, the fix eigenvector seed by two decompositions of fix,
+    and ``jsonable(payload)``, the artifact payload copied into json's types
+    before encoding."""
+    return types.SimpleNamespace(fix_seed=_fix_seed_by_two_eigenvectors, jsonable=_jsonable)
+
+
 # -- the per-basis classifier that the star-closure test replaced -------------------
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -313,6 +314,28 @@ def test_unwritable_declared_output_is_input_error(tmp_path, capsys, declared):
     assert run(["run", p, "--out", tmp_path / "out"]) == 2
     assert "cannot write a declared output" in capsys.readouterr().err
     assert (tmp_path / "out" / "haar.json").exists()
+
+
+def test_write_json_is_byte_identical_to_the_copying_encoder(tmp_path, retired_routes):
+    # json encodes floats, ints, bools, tuples and the non-finite values
+    # itself; the default= hook only converts what it lacks
+    kp = BUILTIN_GROUPS["kp"]()
+    payload = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+        "flag": np.bool_(True), "flags": np.array([True, False]), "z": 1 - 2j,
+        "z128": np.complex128(-0.0 + 1e-300j), "zs": np.array([1j, 2.5 - 0.0j]),
+        "f32s": np.linspace(0, 1, 5, dtype=np.float32), "f64s": np.linspace(0, 1, 7),
+        "i64s": np.arange(3, dtype=np.int64), "state": kp.haar,
+        "pair": (1, np.float64(2.5), "x", (np.int64(3), None)),
+        "special": [float("nan"), float("inf"), -float("inf"), -0.0, np.float64("nan"),
+                    np.float32("-inf"), np.array([np.nan, -0.0])],
+        "nested": {"b": [np.float32(1e-8), {"c": 1.0 / 3}], "a": False},
+    }
+    cli.write_json(tmp_path / "new.json", payload)
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(retired_routes.jsonable(payload), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 def test_report_empty_dir_fails(tmp_path):

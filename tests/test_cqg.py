@@ -362,6 +362,31 @@ def test_centre_and_characters_count_from_the_group_table():
         assert len(characters(G)) == G.group.order, name
 
 
+@pytest.mark.parametrize("name", ["kp", "s3", "dual-s4", "dual-d6"])
+def test_generic_central_element_ignores_the_centre_basis(name, monkeypatch):
+    # the generic element is drawn in the coordinates of A and projected on
+    # Z(A), so a unitary Q mixing the orthonormal rows of Z leaves it, and the
+    # characters and their supports, where they were; drawn in the
+    # coordinates of Z, it moves by O(1)
+    G = BUILTIN_GROUPS[name]()
+    Z = centre(G)
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((len(Z),) * 2)
+                     + 1j * rng.standard_normal((len(Z),) * 2))[0]
+    generic, left_mult = [], G.algebra.left_mult_matrix
+    monkeypatch.setattr(G.algebra, "left_mult_matrix", lambda a: generic.append(a) or left_mult(a))
+    found = []
+    for basis in (Z, Q @ Z):
+        monkeypatch.setattr(cqg, "centre", lambda G, basis=basis: basis)
+        found.append(cqg._character_stack(G))
+    assert len(generic) == 2
+    assert np.abs(generic[0] - generic[1]).max() <= 1e-12
+    for before, after in zip(*found):  # supports, then characters, in any order
+        assert before.shape == after.shape
+        gaps = np.abs(before[:, np.newaxis] - after[np.newaxis]).max(axis=2)
+        assert gaps.min(axis=1).max() <= 1e-12
+
+
 # The quotient route (tests/conftest.py) is the oracle for the face
 # idempotent of p_C; these pin the oracle itself.
 

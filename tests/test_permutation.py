@@ -24,6 +24,7 @@ from qperm.permutation import (
     canonical_partition,
     classical_version,
     decompose,
+    fix_eigenvector_seed,
     fix_spectrum,
     has_integer_fixed_points,
     projection_rank,
@@ -298,6 +299,19 @@ def test_fix_spectrum_dual_s4(ds4):
     assert min(abs(l - lam_p) for l in fs.eigenvalues) < 1e-9
     assert min(abs(l - lam_m) for l in fs.eigenvalues) < 1e-9
     assert all(-1e-9 <= l <= 5 + 1e-9 for l in fs.eigenvalues)
+
+
+@pytest.mark.parametrize("name", ["kp", "ds4"])
+def test_fix_eigenvector_seed_decomposes_fix_once(request, name, retired_routes, monkeypatch):
+    # both eigenvectors come from one eigh of fix, and the seed is the one
+    # that one eigh per eigenvector gave, byte for byte
+    G, calls, eigh = request.getfixturevalue(name), [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M) or eigh(M))
+    seed = fix_eigenvector_seed(G)
+    assert len(calls) == 1
+    want = retired_routes.fix_seed(G)
+    assert len(calls) == 3
+    assert seed.duals.tobytes() == want.duals.tobytes()
 
 
 def test_counit_distribution_at_n(kp, ds4):
