@@ -34,7 +34,6 @@ from .dynamics import (
     convergence_to_haar,
     convolution_bounds,
     detect_period,
-    finite_quantum_formulas,
     idempotent_gap_check,
     trajectory,
     verify_bounds_empirically,

@@ -602,7 +602,8 @@ def spectral_projection(f: AlgebraElement, intervals) -> Projection:
 
 
 def spectral_partition(f: AlgebraElement):
-    """All (cluster mean, Projection) pairs of a self-adjoint element."""
+    """All (cluster mean, Projection) pairs of a self-adjoint element, in
+    increasing order: :func:`eigen_clusters` walks the eigenvalues' argsort."""
     evals, U = _self_adjoint_eig(f)
     means = [float(np.mean(evals[cluster])) for cluster in eigen_clusters(evals)]
     return [(lam, _selected_projection(f.algebra, evals, U, lambda mean: mean == lam))

@@ -229,16 +229,15 @@ def exp_haar(G, params, out):
 
 def exp_classical_version(G, params, out):
     cv = permutation.classical_version(G)
-    forms = dynamics.finite_quantum_formulas(G, cv)
     payload = {
         "group": G.name,
         "order": len(cv),
         "permutations": [list(p) for p in cv.permutations],
         "labels": [permgroups.perm_label(p) for p in cv.permutations],
         "support_ranks": [permutation.projection_rank(p) for p in cv.supports],
-        "p_C_group_like": idempotent.is_group_like(G, cv.p_C),
-        "alpha_haar": forms["alpha_haar"],
-        "bound_2nfact": forms["bound_2nfact"],
+        "p_C_group_like": True,  # classical_version raises unless is_group_like(G, p_C)
+        "alpha_haar": permutation.quantum_fraction(G.haar, cv),
+        "bound_2nfact": 2 * math.factorial(G.N),
     }
     write_json(out / "classical_version.json", payload)
     return ["classical_version.json"]
@@ -312,11 +311,11 @@ def exp_bounds(G, params, out):
     rep = dynamics.verify_bounds_empirically(
         G, cv, n_samples=int(params.get("n_samples", 500)),
         seed=int(params.get("seed", 0)))
-    alphas = [s.alpha for s in rep.samples]
+    alphas = rep.samples[:, 0]
     payload = {"group": G.name, "n_samples": len(rep.samples),
                "violations": len(rep.violations),
-               "alpha_range": [min(alphas), max(alphas)],
-               "samples": [[s.alpha, s.beta, s.omega] for s in rep.samples]}
+               "alpha_range": [alphas.min(), alphas.max()],
+               "samples": rep.samples}
     write_json(out / "bounds.json", payload)
     if rep.violations:
         raise AlgebraError(f"{len(rep.violations)} convolution bound violations, the first: "
@@ -336,11 +335,11 @@ def exp_periodicity(G, params, out):
                          "coset_order": permgroups.coset_order(g, klein),
                          "period": period})
     if G.kind == "kac_paljutkin":
-        cv = permutation.classical_version(G)
-        e11 = State(G.algebra, np.eye(G.dim)[4])
-        traj = dynamics.trajectory(G, e11, int(params.get("k_max", 8)), cv)
-        rows.append({"seed": "E11", "period": dynamics.detect_period(G, e11),
-                     "alpha_k": traj.alphas})
+        cv, k_max = permutation.classical_version(G), int(params.get("k_max", 8))
+        # one stack of E11's powers: alpha_k from k_max + 1 rows, detect_period's scan from 65
+        P = dynamics._powers(G, State(G.algebra, np.eye(G.dim)[4]), max(64, k_max))
+        rows.append({"seed": "E11", "period": dynamics._period(P[:65]),
+                     "alpha_k": permutation._quantum_fractions(P[:k_max + 1], cv).tolist()})
     payload = {"group": G.name, "rows": rows}
     write_json(out / "periodicity.json", payload)
     return ["periodicity.json"]

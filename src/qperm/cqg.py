@@ -121,13 +121,8 @@ class CompactQuantumGroup:
         return self.algebra.dim
 
     def magic_projection(self, i: int, j: int) -> Projection:
-        return self._magic_grid[i][j]
-
-    @cached_property
-    def _magic_grid(self) -> list[list[Projection]]:
-        """Every magic entry as a Projection, each checked once, on first use."""
-        return [[Projection(self.algebra, self.magic[i, j]) for j in range(self.N)]
-                for i in range(self.N)]
+        """The magic entry u_ij as a Projection, checked on its own."""
+        return Projection(self.algebra, self.magic[i, j])
 
     @cached_property
     def _magic_sandwiches(self) -> np.ndarray:

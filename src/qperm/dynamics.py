@@ -1,6 +1,6 @@
 """Convolution dynamics relative to the truly-quantum projection p_Q:
-quantitative bounds, phase-region classification, periodicity, the idempotent
-gap, and the finite-quantum-group formulas."""
+quantitative bounds, phase-region classification, periodicity and the idempotent
+gap."""
 from __future__ import annotations
 
 import math
@@ -11,7 +11,7 @@ import numpy as np
 from .algebra import ITER_TOL, State, _certify
 from .cqg import CompactQuantumGroup
 from .idempotent import left_convolution_operator
-from .permutation import ClassicalVersion, _decomposed_rows, _quantum_fractions, quantum_fraction
+from .permutation import ClassicalVersion, _decomposed_rows, _quantum_fractions
 
 SQRT2 = math.sqrt(2.0)
 BOUNDARY_EPS = 1e-12
@@ -57,15 +57,8 @@ def idempotent_gap_check(alpha: float) -> bool:
 
 
 @dataclass
-class BoundsSample:
-    alpha: float
-    beta: float
-    omega: float
-
-
-@dataclass
 class BoundsReport:
-    samples: list
+    samples: np.ndarray  # (n, 3): alpha, beta and omega of each pair
     violations: list
 
     @property
@@ -110,8 +103,7 @@ def verify_bounds_empirically(G: CompactQuantumGroup, cv: ClassicalVersion,
                   "alpha": float(a[k]), "beta": float(b[k]), "omega": float(w[k]),
                   "phi": _ser(phis[k]), "rho": _ser(rhos[k])}
                  for k in np.flatnonzero(np.any(list(rules.values()), axis=0)).tolist()]
-    return BoundsReport([BoundsSample(*s) for s in zip(a.tolist(), b.tolist(), w.tolist())],
-                        witnesses)
+    return BoundsReport(np.column_stack([a, b, w]), witnesses)
 
 
 def _ser(duals: np.ndarray) -> list:
@@ -157,26 +149,16 @@ def detect_period(G: CompactQuantumGroup, seed: State):
 
     Returns None when no period at most 64 is certified.
     """
-    P = _powers(G, seed, 64)
+    return _period(_powers(G, seed, 64))
+
+
+def _period(P: np.ndarray):
+    """:func:`detect_period` of the 65-row stack P of a seed's first powers."""
     for d in range(1, 65):
         w = min(3 * d, len(P) - d)
         if np.abs(P[d:d + w] - P[:w]).max() < 1e-8:
             return d
     return None
-
-
-def finite_quantum_formulas(G: CompactQuantumGroup, cv: ClassicalVersion) -> dict:
-    """Closed-form quantum fraction of the Haar state, with the exotic bound.
-
-    alpha(h) = 1 - |classical version| / dim must agree with the directly
-    computed fraction; 2 N! is reported as the exotic lower bound context.
-    """
-    alpha_formula = 1.0 - len(cv) / G.dim
-    alpha_direct = quantum_fraction(G.haar, cv)
-    _certify("haar fraction disagrees with 1 - |G|/dim", abs(alpha_formula - alpha_direct), 1e-9)
-    return {"alpha_haar": alpha_direct,
-            "alpha_haar_formula": alpha_formula,
-            "bound_2nfact": 2 * math.factorial(G.N)}
 
 
 @dataclass

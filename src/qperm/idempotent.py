@@ -207,15 +207,17 @@ def _group_like_residual(G: CompactQuantumGroup, p: np.ndarray) -> float:
 
 def condition(G: CompactQuantumGroup, phi: State, q: Projection) -> State:
     """Wave-function collapse g -> phi(q g q) / phi(q)."""
-    return State(G.algebra, _conditioned_rows(G, phi.duals[np.newaxis], q)[0])
+    S = _sandwich_matrix(G, q.coeffs)
+    return State(G.algebra, _conditioned_rows(G, phi.duals[np.newaxis], q, S)[0])
 
 
-def _conditioned_rows(G: CompactQuantumGroup, D: np.ndarray, q: Projection) -> np.ndarray:
-    """phi(q . q) / phi(q) for the rows phi of an (n, d) stack, unchecked."""
+def _conditioned_rows(G: CompactQuantumGroup, D: np.ndarray, q: AlgebraElement,
+                      S: np.ndarray) -> np.ndarray:
+    """phi(q . q) / phi(q) for the rows phi of an (n, d) stack, unchecked; S is q's sandwich."""
     mass = (D @ q.coeffs).real
     if not (mass > G.algebra.tol).all():
         raise AlgebraError("conditioning on a projection of zero mass is undefined")
-    return (D @ _sandwich_matrix(G, q.coeffs).T) / mass[:, np.newaxis]
+    return (D @ S.T) / mass[:, np.newaxis]
 
 
 def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
@@ -251,7 +253,7 @@ def face_idempotent(G: CompactQuantumGroup, r: AlgebraElement) -> State:
     S = _sandwich_matrix(G, r.coeffs)
     _certify("face is not closed under convolution",
              np.abs(S.T @ G.delta_applied(alg.unit - r.coeffs) @ S).max(), alg.tol)
-    psi = State(alg, _conditioned_rows(G, h[np.newaxis], r)[0])
+    psi = State(alg, _conditioned_rows(G, h[np.newaxis], r, S)[0])
     _certify("face idempotent left its face", abs(psi(r) - 1), alg.tol)
     _certify("face idempotent fails to absorb its face",
              np.abs(_absorption_operator(G, psi.duals) @ S).max(), 10 * ITER_TOL)

@@ -155,7 +155,8 @@ def _decomposed_rows(G: CompactQuantumGroup, D: np.ndarray, cv: ClassicalVersion
     defined = weights > 2 * G.algebra.tol
     parts = np.zeros((len(D), 2, G.dim), dtype=complex)
     for k, p in enumerate((cv.p_C, cv.p_Q)):
-        parts[defined[:, k], k] = _conditioned_rows(G, D[defined[:, k]], p)
+        parts[defined[:, k], k] = _conditioned_rows(G, D[defined[:, k]], p,
+                                                    _sandwich_matrix(G, p.coeffs))
     _require_states(G.algebra, parts[defined])
     _certify("random/quantum decomposition failed to reconstruct",
              np.abs((weights[:, :, np.newaxis] * parts).sum(axis=1) - D).max(initial=0), 1e-8)
@@ -238,8 +239,7 @@ class FixSpectrum:
 
 def fix_spectrum(G: CompactQuantumGroup) -> FixSpectrum:
     fix = G.fix_element()
-    parts = spectral_partition(fix)
-    parts.sort(key=lambda t: t[0])
+    parts = spectral_partition(fix)  # in increasing order
     lams = [lam for lam, _ in parts]
     _certify("fix spectrum escapes [0, N]", np.max([-lams[0], lams[-1] - G.N]), 1e-8)
     return FixSpectrum(lams, [p for _, p in parts])

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import qperm
 from qperm import cli, cqg
 from qperm.cli import BUILTIN_GROUPS, load_group, main
-from qperm.dynamics import verify_bounds_empirically
+from qperm.algebra import State
+from qperm.dynamics import detect_period, trajectory, verify_bounds_empirically
 from qperm.permgroups import FiniteGroup
 from qperm.permutation import classical_version
 
@@ -427,6 +428,42 @@ def test_every_experiment_runs(tmp_path):
     assert s4hat["converged_to_haar"] is True
     assert s4hat["haar_weight_at_lambda_plus"] > 0
     assert s4hat["limit_has_integer_fixed_points"] is False
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that records each call; returns the record."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("k_max", [8, 100])
+def test_kp_periodicity_reads_one_power_stack(tmp_path, monkeypatch, k_max):
+    # E11's alpha_k and period come off one stack of max(64, k_max) + 1
+    # powers, equal to what trajectory and detect_period give
+    G = BUILTIN_GROUPS["kp"]()
+    e11 = State(G.algebra, np.eye(G.dim)[4])
+    ref = {"seed": "E11", "period": detect_period(G, e11),
+           "alpha_k": trajectory(G, e11, k_max, classical_version(G)).alphas}
+    calls = {name: _counting(monkeypatch, cli.dynamics, name)
+             for name in ("_powers", "trajectory")}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "periodicity", "group": "kp",
+                                "parameters": {"k_max": k_max}}))
+    assert run(["run", spec, "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "periodicity.json").read_text())["rows"] == [ref]
+    assert {name: len(c) for name, c in calls.items()} == {"_powers": 1, "trajectory": 0}
+
+
+def test_classical_version_experiment_tests_p_c_once(tmp_path, monkeypatch):
+    # classical_version raises unless p_C is group-like; the artifact
+    # records that fact without testing it again
+    calls = _counting(monkeypatch, cli.idempotent, "_group_like_residual")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "classical-version", "group": "kp"}))
+    assert run(["run", spec, "--out", tmp_path]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "classical_version.json").read_text())["p_C_group_like"] is True
 
 
 def run_child(script, *args, address_space=None):

@@ -434,7 +434,10 @@ def test_magic_diagonal_group_like_identity(kp, ds4, cs3):
             assert np.abs(lhs - np.outer(u, u)).max() < 1e-10
 
 
-def test_magic_grid_built_lazily_once(monkeypatch):
+def test_magic_projection_checks_only_the_entry_asked_for(monkeypatch):
+    # construction builds no Projection, and each call builds and checks the
+    # one entry it returns, so on an unchecked group with a non-projection
+    # entry only that entry raises
     built = []
 
     class CountingProjection(Projection):
@@ -445,13 +448,17 @@ def test_magic_grid_built_lazily_once(monkeypatch):
     monkeypatch.setattr(cqg, "Projection", CountingProjection)
     G = kac_paljutkin()
     assert not built
-    for _ in range(3):
-        for i in range(G.N):
-            for j in range(G.N):
-                p = G.magic_projection(i, j)
-                assert p is G.magic_projection(i, j)
-                assert np.array_equal(p.coeffs, G.magic[i, j])
+    for i in range(G.N):
+        for j in range(G.N):
+            assert np.array_equal(G.magic_projection(i, j).coeffs, G.magic[i, j])
     assert len(built) == G.N ** 2
+    magic = G.magic.copy()
+    magic[0, 1] *= 2
+    bad = CompactQuantumGroup("bad", G.algebra, G.delta, G.counit, G.antipode, magic,
+                              check=False)
+    assert np.array_equal(bad.magic_projection(0, 0).coeffs, magic[0, 0])
+    with pytest.raises(AlgebraError):
+        bad.magic_projection(0, 1)
 
 
 def test_validator_catches_a_grid_that_does_not_generate():

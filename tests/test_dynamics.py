@@ -18,7 +18,6 @@ from qperm.dynamics import (
     convergence_to_haar,
     convolution_bounds,
     detect_period,
-    finite_quantum_formulas,
     idempotent_gap_check,
     phase_diagram_rows,
     trajectory,
@@ -150,8 +149,8 @@ def test_gap_check():
 def test_bounds_empirical_kp(kp, kp_cv):
     report = verify_bounds_empirically(kp, kp_cv, n_samples=150, seed=7)
     assert report.ok
-    alphas = [s.alpha for s in report.samples]
-    assert max(alphas) > 0.9 and min(alphas) < 0.1  # extremes exercised
+    alphas = report.samples[:, 0]
+    assert alphas.max() > 0.9 and alphas.min() < 0.1  # extremes exercised
 
 
 def test_bounds_empirical_dual_s4(ds4, ds4_cv):
@@ -161,8 +160,7 @@ def test_bounds_empirical_dual_s4(ds4, ds4_cv):
 def test_bounds_empirical_classical_all_zero(cs4):
     cv = classical_version(cs4)
     report = verify_bounds_empirically(cs4, cv, n_samples=40, seed=9)
-    for s in report.samples:
-        assert s.alpha < 1e-9 and s.beta < 1e-9 and s.omega < 1e-9
+    assert report.samples.max() < 1e-9  # alpha, beta and omega of every pair
 
 
 def test_coset_periods_match_quotient_order(cs4):
@@ -226,14 +224,13 @@ def test_e11_alternation(kp, kp_cv):
 
 
 def test_finite_formulas(kp, kp_cv, ds4, ds4_cv):
-    rec = finite_quantum_formulas(kp, kp_cv)
-    assert abs(rec["alpha_haar"] - 0.5) < 1e-12
-    assert rec["bound_2nfact"] == 48
-    rec = finite_quantum_formulas(ds4, ds4_cv)
-    assert abs(rec["alpha_haar"] - 11 / 12) < 1e-12
+    # alpha(h) = 1 - |classical version| / dim: 1/2 on kp, 11/12 on dual S_4
+    # and 0 on C(S_3)
     cs3 = classical_group(permgroups.symmetric_group(3))
-    rec = finite_quantum_formulas(cs3, classical_version(cs3))
-    assert abs(rec["alpha_haar"]) < 1e-12
+    for G, cv, alpha in ((kp, kp_cv, 0.5), (ds4, ds4_cv, 11 / 12),
+                         (cs3, classical_version(cs3), 0.0)):
+        assert abs(quantum_fraction(G.haar, cv) - alpha) < 1e-12
+        assert abs(1.0 - len(cv) / G.dim - alpha) < 1e-12
 
 
 def test_gap_for_z4_indicator(ds4, ds4_cv):

@@ -1,5 +1,6 @@
 """The certificate guard: ``algebra._certify``, the NaN functionals that
-every guard must reject, and a lint on how the guards in ``src`` are written.
+every guard must reject, and lints on how the guards in ``src`` are written:
+none lets NaN through, and none is an ``assert``, which ``python -O`` strips.
 
 A guard raises unless its pass condition holds.  ``if residual > tol:
 raise`` raises only when the fail condition holds, and every comparison
@@ -116,4 +117,19 @@ def test_src_guards_raise_unless_they_pass():
     src = Path(qperm.__file__).parent
     found = {path.name: lines for path in sorted(src.glob("*.py"))
              if (lines := fail_condition_guards(path.read_text()))}
+    assert found == {}
+
+
+def assert_statements(source: str) -> list[int]:
+    """Lines of every ``assert`` statement."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_src_has_no_assert_statement():
+    # a check written as ``assert`` is gone under ``python -O``: raise
+    # AlgebraError, or use ``_certify``, instead
+    assert assert_statements("x = 1\nassert x, 'checked'\nif x:\n    assert x > 0\n") == [2, 4]
+    src = Path(qperm.__file__).parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := assert_statements(path.read_text()))}
     assert found == {}

@@ -10,7 +10,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.workloads import _criterion8_census  # noqa: E402
-from qperm import permgroups
+from qperm import idempotent, permgroups
 from qperm.algebra import ITER_TOL, AlgebraError, Projection, State, gram_norm, support_projection
 from qperm.cli import BUILTIN_GROUPS
 from qperm.cqg import (
@@ -199,6 +199,17 @@ def test_face_idempotent_rejects_a_face_not_closed_under_convolution(name, i, j)
 def test_face_idempotent_rejects_the_zero_projection(kp):
     with pytest.raises(AlgebraError, match="zero mass"):
         face_idempotent(kp, Projection(kp.algebra, np.zeros(kp.dim)))
+
+
+def test_face_idempotent_forms_one_sandwich(kp, monkeypatch):
+    # the one S_r gives psi = S_r h / h(r) and serves the closure and
+    # absorption certificates
+    r = stabiliser_projection(kp, [[0], [1, 2, 3]])
+    calls, real = [], idempotent._sandwich_matrix
+    monkeypatch.setattr(idempotent, "_sandwich_matrix", lambda G, q: calls.append(q) or real(G, q))
+    psi = face_idempotent(kp, r)
+    assert len(calls) == 1 and np.array_equal(calls[0], r.coeffs)
+    assert is_idempotent(kp, psi) and abs(psi(r) - 1) <= kp.algebra.tol
 
 
 def test_counit_absorbs_only_itself(kp, cs4, absorbs):

@@ -13,7 +13,8 @@ with the spectral projection of the mean of the L_p, each taken into the
 trace frame on its own.  The
 classical version, which the library reads off the centre, is compared with
 the commutator-ideal route with meets of magic entries as supports, also in
-a complex basis.  The Haar state, the regular trace, is compared with the
+a complex basis, and its Haar fraction h(p_Q) with the closed form
+1 - |G| / dim.  The Haar state, the regular trace, is compared with the
 invariance SVD and with the trace-seeded Cesaro limit that it replaced.  The
 face idempotent, the conditioned Haar state behind the stabiliser,
 dual-subgroup and p_C idempotents, is compared with that Cesaro limit on
@@ -101,6 +102,7 @@ from qperm.permutation import (
     _slices,
     classical_version,
     projection_rank,
+    quantum_fraction,
     stabiliser_idempotent,
     stabiliser_projection,
 )
@@ -223,9 +225,8 @@ def test_bounds_sampler_matches_per_pair_oracle(G, bounds_oracle, force_block):
             ref, violations = bounds_oracle(G, cv, n, seed)
             assert not violations
             report = verify_bounds_empirically(G, cv, n_samples=n, seed=seed)
-            got = np.array([[s.alpha, s.beta, s.omega] for s in report.samples])
-            assert got.shape == ref.shape, (seed, n)
-            assert np.abs(got - ref).max() <= 1e-14, (seed, n)
+            assert report.samples.shape == ref.shape, (seed, n)
+            assert np.abs(report.samples - ref).max() <= 1e-14, (seed, n)
 
 
 def test_bounds_sampler_reports_the_oracles_first_violation(bounds_oracle):
@@ -245,8 +246,7 @@ def test_bounds_sampler_reports_the_oracles_first_violation(bounds_oracle):
         for key, ref in (("phi", phi), ("rho", rho)):
             got = np.array(witness[key]) @ [1, 1j]
             assert np.abs(got - ref).max() <= 1e-14, key
-    got = np.array([[s.alpha, s.beta, s.omega] for s in report.samples])
-    assert np.abs(got - rows).max() <= 1e-14
+    assert np.abs(report.samples - rows).max() <= 1e-14
 
 
 def test_idempotent_kernels(G):
@@ -568,6 +568,13 @@ def test_classical_version_matches_oracle(G, classical_version_oracle):
     assert_matches([chi.duals for chi in cv.characters], chars)
     assert_matches([p.coeffs for p in cv.supports], supports)
     assert_matches(cv.p_Q.coeffs, G.algebra.unit - supports.sum(axis=0))
+
+
+def test_haar_fraction_matches_the_finite_formula(G):
+    # h(p_Q), which the library computes, against the closed form
+    # 1 - |classical version| / dim, within 1e-9
+    cv = classical_version(G)
+    assert abs(quantum_fraction(G.haar, cv) - (1.0 - len(cv) / G.dim)) <= 1e-9
 
 
 def test_character_kernels_on_a_cyclic_dual():
