@@ -32,7 +32,8 @@ non-empty list of integers in 2..60 (dual dihedral up to dim 120), a
 partitioning 0..N-1 for the group's N, a ``group`` that is not a string,
 ``outputs`` that are not a list of strings and an ``s4hat-walkthrough`` on
 any group but the ``dual-s4`` builtin; all are found before anything is
-written.
+written.  An ``--out`` or ``summary.json`` that cannot be written is an input
+error too, and a certificate or LAPACK failure during a run exits 1.
 """
 from __future__ import annotations
 
@@ -218,11 +219,7 @@ def exp_haar(G, params, out):
     payload = {"group": G.name, "dim": G.dim, "N": G.N, "haar_duals": h,
                "matches_stored": max(residual["haar_left_invariance"],
                                      residual["haar_right_invariance"])}
-    try:
-        cv = permutation.classical_version(G)
-        payload["alpha_haar"] = permutation.quantum_fraction(h, cv)
-    except AlgebraError:
-        pass
+    payload["alpha_haar"] = permutation.quantum_fraction(h, permutation.classical_version(G))
     write_json(out / "haar.json", payload)
     return ["haar.json"]
 
@@ -248,17 +245,11 @@ def exp_stabiliser(G, params, out):
     if partition is None:
         partition = [[0], list(range(1, G.N))] if G.N > 1 else [[0]]
     psi = permutation.stabiliser_idempotent(G, partition)
-    cvα = None
-    try:
-        cv = permutation.classical_version(G)
-        cvα = permutation.quantum_fraction(psi, cv)
-    except AlgebraError:
-        pass
     payload = {"group": G.name, "partition": partition,
                "idempotent_duals": psi,
                "diagonal_masses": [float(psi(G.magic_projection(j, j)).real)
                                    for j in range(G.N)],
-               "alpha": cvα,
+               "alpha": permutation.quantum_fraction(psi, permutation.classical_version(G)),
                "is_idempotent": idempotent.is_idempotent(G, psi)}
     write_json(out / "stabiliser.json", payload)
     return ["stabiliser.json"]
@@ -453,64 +444,43 @@ def _check_partition(partition, N: int) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        G = load_group(args.group)
-    except AlgebraError as exc:
-        print(f"validation failure during construction: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = G.validate()
+    G = load_group(args.group)  # a checked group: its constructor raises unless it validates
     print(f"group {G.name}: dim={G.dim}, N={G.N}")
-    print(report)
-    return EXIT_OK if report.ok else EXIT_FAIL
+    print(G.validate())
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = _read_json(args.spec)
-        if not isinstance(spec, dict):
-            raise ValueError("experiment spec must be a JSON object")
-        name = spec["name"]
-        if not isinstance(name, str) or name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {name!r}; "
-                             f"choose from {sorted(EXPERIMENTS)}")
-        params = spec.get("parameters", {})
-        _check_parameters(params)
-        if name in RANDOMIZED and "seed" not in params:
-            raise ValueError(f"experiment {name!r} requires a seed parameter")
-        outputs, group = spec.get("outputs", []), spec.get("group", "kp")
-        if not (isinstance(outputs, list) and all(isinstance(o, str) for o in outputs)):
-            raise ValueError(f"'outputs' must be a list of path strings, got {outputs!r}")
-        if not isinstance(group, str):
-            raise ValueError(f"'group' must be a builtin name or a file path, got {group!r}")
-        if name == "s4hat-walkthrough" and group != "dual-s4":
-            raise ValueError(f"s4hat-walkthrough runs on the dual-s4 builtin, not {group!r}")
-        G = None if name in GROUPLESS else load_group(group)
-        if "partition" in params and G is not None:
-            _check_partition(params["partition"], G.N)
-    except AlgebraError as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = _read_json(args.spec)
+    if not isinstance(spec, dict):
+        raise ValueError("experiment spec must be a JSON object")
+    name = spec["name"]
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; "
+                         f"choose from {sorted(EXPERIMENTS)}")
+    params = spec.get("parameters", {})
+    _check_parameters(params)
+    if name in RANDOMIZED and "seed" not in params:
+        raise ValueError(f"experiment {name!r} requires a seed parameter")
+    outputs, group = spec.get("outputs", []), spec.get("group", "kp")
+    if not (isinstance(outputs, list) and all(isinstance(o, str) for o in outputs)):
+        raise ValueError(f"'outputs' must be a list of path strings, got {outputs!r}")
+    if not isinstance(group, str):
+        raise ValueError(f"'group' must be a builtin name or a file path, got {group!r}")
+    if name == "s4hat-walkthrough" and group != "dual-s4":
+        raise ValueError(f"s4hat-walkthrough runs on the dual-s4 builtin, not {group!r}")
+    G = None if name in GROUPLESS else load_group(group)
+    if "partition" in params and G is not None:
+        _check_partition(params["partition"], G.N)
     out = Path(args.out)
-    try:
-        artifacts = EXPERIMENTS[name](G, params, out)
-    except AlgebraError as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    produced = [out / a for a in artifacts]
+    produced = [out / a for a in EXPERIMENTS[name](G, params, out)]
     try:  # an absolute declared path replaces out
         for k, dest in enumerate(out / declared for declared in outputs[:len(produced)]):
             if dest != produced[k]:
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 produced[k] = produced[k].replace(dest)
     except (OSError, ValueError) as exc:  # a directory or a null byte, say
-        print(f"input error: cannot write a declared output: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise OSError(f"cannot write a declared output: {exc}") from exc
     for a in produced:
         print(a)
     return EXIT_OK
@@ -541,16 +511,14 @@ def cmd_report(args) -> int:
     # summary.json is this command's own output, not an artifact
     files = [f for f in sorted(d.glob("*.json")) if f.name != "summary.json"]
     if not d.is_dir() or not files:
-        print(f"input error: no artifacts in {d}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"no artifacts in {d}")
     summary = {}
     lines = []
     for f in files:
         try:
             entry = _summary_entry(f)
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            print(f"input error: {f}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{f}: {exc}") from exc
         summary[f.stem] = entry
         desc = ", ".join(f"{k}={v}" for k, v in entry.items()) or "(raw data)"
         lines.append(f"{f.stem:24s} {desc}")
@@ -577,11 +545,15 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="summarize an artifact directory")
     p_rep.add_argument("dir")
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_report(args)
+    command = {"validate": cmd_validate, "run": cmd_run, "report": cmd_report}[args.command]
+    try:  # the one place a failure becomes an exit code; any other exception is a bug
+        return command(args)
+    except (AlgebraError, np.linalg.LinAlgError) as exc:  # ValueErrors, so caught first
+        print(f"assertion failure: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qperm
 from qperm import cli, cqg
 from qperm.cli import BUILTIN_GROUPS, load_group, main
-from qperm.algebra import State
+from qperm.algebra import AlgebraError, State
 from qperm.dynamics import detect_period, trajectory, verify_bounds_empirically
 from qperm.permgroups import FiniteGroup
 from qperm.permutation import classical_version
@@ -337,6 +337,54 @@ def test_write_json_is_byte_identical_to_the_copying_encoder(tmp_path, retired_r
         json.dump(retired_routes.jsonable(payload), fh, indent=1, sort_keys=True)
         fh.write("\n")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+# -- the failure boundary: main turns each failure into its exit code --------------
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
+def test_run_out_that_cannot_be_a_directory_is_input_error(tmp_path, capsys, out):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "haar", "group": "kp"}))
+    (tmp_path / "file").write_text("")
+    assert run(["run", spec, "--out", tmp_path / out]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_report_unwritable_summary_is_input_error(tmp_path, capsys):
+    (tmp_path / "order.json").write_text(json.dumps({"order": 4}))
+    (tmp_path / "summary.json").mkdir()
+    assert run(["report", tmp_path]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [AlgebraError, np.linalg.LinAlgError])
+@pytest.mark.parametrize("name", ["haar", "stabiliser", "classical-version"])
+def test_failed_classical_version_is_assertion_failure(tmp_path, capsys, monkeypatch,
+                                                      name, error):
+    # a certificate or LAPACK failure exits 1 from every experiment, which
+    # writes nothing rather than an artifact without alpha
+    def failing(G):
+        raise error("certificate failed")
+
+    monkeypatch.setattr(cli.permutation, "classical_version", failing)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": name, "group": "kp"}))
+    assert run(["run", spec, "--out", tmp_path / "out"]) == 1
+    assert "assertion failure: certificate failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_other_exceptions_keep_their_traceback(tmp_path, monkeypatch):
+    # past the input and certificate failures, an exception is a bug in qperm
+    def failing(G, params, out):
+        raise TypeError("a bug")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "haar", failing)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "haar", "group": "kp"}))
+    with pytest.raises(TypeError, match="a bug"):
+        run(["run", spec, "--out", tmp_path / "out"])
 
 
 def test_report_empty_dir_fails(tmp_path):
@@ -679,3 +727,4 @@ def test_fuzzed_group_files_and_specs_exit_0_1_or_2(tmp_path, data):
     spec_path.write_text(spec_text)
     assert run(["validate", group_path]) in (0, 1, 2)
     assert run(["run", spec_path, "--out", tmp_path / "out"]) in (0, 1, 2)
+    assert run(["report", tmp_path / "out"]) in (0, 1, 2)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qperm import cqg, permgroups
+from qperm import cli, cqg, permgroups
 from qperm.algebra import AlgebraError, Projection, StarAlgebra, State, gram_norm
 from qperm.cli import BUILTIN_GROUPS, exp_haar
 from qperm.cqg import (
@@ -614,8 +614,18 @@ def test_haar_solver_rejects_degenerate_invariance(haar_oracle):
         haar_oracle(G.algebra, G.delta)
 
 
-def test_haar_experiment_writes_the_invariance_residual(tmp_path):
+def test_haar_experiment_writes_the_invariance_residual(tmp_path, monkeypatch):
     # the haar experiment reports max |A_h| under "matches_stored": 1/4 on
-    # the degenerate group, built unchecked
-    exp_haar(two_s2(check=False), {}, tmp_path)
+    # the degenerate group, built unchecked.  Every builtin's residuals are
+    # exactly 0, so only this group, which is no quantum group, shows the key
+    # holds the residual.  Its classical version fails its certificates, and
+    # the experiment raises rather than write an artifact without alpha
+    G = two_s2(check=False)
+    with pytest.raises(AlgebraError, match="character permutations are not distinct"):
+        exp_haar(G, {}, tmp_path)
+    assert not (tmp_path / "haar.json").exists()
+    # stubbed, the classical version lets the experiment reach its write
+    monkeypatch.setattr(cli.permutation, "classical_version", lambda G: None)
+    monkeypatch.setattr(cli.permutation, "quantum_fraction", lambda phi, cv: 0.5)
+    exp_haar(G, {}, tmp_path)
     assert json.loads((tmp_path / "haar.json").read_text())["matches_stored"] == 0.25

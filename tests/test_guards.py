@@ -1,6 +1,8 @@
 """The certificate guard: ``algebra._certify``, the NaN functionals that
 every guard must reject, and lints on how the guards in ``src`` are written:
-none lets NaN through, and none is an ``assert``, which ``python -O`` strips.
+none lets NaN through, none is an ``assert``, which ``python -O`` strips, no
+handler swallows a failure, and only the CLI's ``main`` maps one to an exit
+code.
 
 A guard raises unless its pass condition holds.  ``if residual > tol:
 raise`` raises only when the fail condition holds, and every comparison
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import qperm
+from qperm import cli
 from qperm.algebra import AlgebraError, State, spectral_projection, support_projection
 from qperm.cqg import kac_paljutkin
 from qperm.permutation import fix_spectrum, has_integer_fixed_points, stabiliser_membership
@@ -132,4 +135,46 @@ def test_src_has_no_assert_statement():
     src = Path(qperm.__file__).parent
     found = {path.name: lines for path in sorted(src.glob("*.py"))
              if (lines := assert_statements(path.read_text()))}
+    assert found == {}
+
+
+EXIT_CODES = {"EXIT_FAIL", "EXIT_INPUT"}
+
+
+def exit_code_reads(source: str) -> list[int]:
+    """Lines where EXIT_FAIL or EXIT_INPUT is read outside the function ``main``."""
+    tree = ast.parse(source)
+    in_main = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "main" for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in EXIT_CODES
+            and isinstance(node.ctx, ast.Load) and id(node) not in in_main]
+
+
+def test_only_main_maps_a_failure_to_an_exit_code():
+    # a command raises, and main's one try turns the exception into exit 1
+    # or 2: a second map in a command would grow holes of its own
+    assert exit_code_reads(
+        "EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2\n"
+        "def cmd(args):\n    return EXIT_INPUT\n"
+        "def main():\n    try:\n        return cmd(1)\n"
+        "    except ValueError:\n        return EXIT_FAIL\n") == [3]
+    assert exit_code_reads(Path(cli.__file__).read_text()) == []
+
+
+def silent_handlers(source: str) -> list[int]:
+    """Lines of every ``except`` handler whose body is only ``pass``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler)
+            and all(isinstance(stmt, ast.Pass) for stmt in node.body)]
+
+
+def test_src_swallows_no_exception():
+    # ``except AlgebraError: pass`` drops a failed certificate and writes an
+    # answer without it: let the failure reach the CLI's exit code
+    assert silent_handlers("try:\n    f()\nexcept ValueError:\n    pass\n"
+                           "try:\n    f()\nexcept ValueError:\n    g()\n    pass\n") == [3]
+    src = Path(qperm.__file__).parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := silent_handlers(path.read_text()))}
     assert found == {}
