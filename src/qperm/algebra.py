@@ -138,6 +138,17 @@ def _max_abs_difference(x: _Coo, y: _Coo) -> float:
     return float(np.abs(diff.vals).max(initial=0.0))
 
 
+@cache
+def _generic_coeffs(d: int) -> np.ndarray:
+    """Complex coefficients from a fixed seed, drawn once per dimension d
+    (read-only): h + h^* is the generic self-adjoint element of
+    :attr:`StarAlgebra._frame`."""
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    h.flags.writeable = False
+    return h
+
+
 class StarAlgebra:
     """A *-algebra given by basis, structure constants, involution and trace.
 
@@ -195,15 +206,17 @@ class StarAlgebra:
         return (G + G.conj().T) / 2.0
 
     @cached_property
-    def _gram_min(self) -> float:
-        """The smallest eigenvalue of the Gram matrix."""
-        return float(np.linalg.eigvalsh(self.gram).min())
+    def _gram_range(self) -> tuple[float, float]:
+        """The smallest and the largest eigenvalue of the Gram matrix."""
+        evals = np.linalg.eigvalsh(self.gram)
+        return float(evals[0]), float(evals[-1])
 
     @cached_property
     def _chol(self) -> np.ndarray:
         """Lower Cholesky factor of the Gram matrix."""
-        if not self._gram_min > self.tol:
-            raise AlgebraError(f"trace is not faithful (min Gram eigenvalue {self._gram_min:.3e})")
+        low = self._gram_range[0]
+        if not low > self.tol:
+            raise AlgebraError(f"trace is not faithful (min Gram eigenvalue {low:.3e})")
         return np.linalg.cholesky(self.gram)
 
     @cached_property
@@ -244,48 +257,47 @@ class StarAlgebra:
         return np.linalg.solve(L.conj().T, M @ L.conj().T)
 
     @cached_property
-    def _summands(self) -> tuple:
-        """The finest partition of the basis indices, as index arrays in
-        order of their first index, such that every non-zero mult[i, j, k]
-        has i, j and k in one part and the involution maps each part to
-        itself.  So A is the direct sum of the *-ideals the parts span, and
-        phi(e_i^* e_j) = 0 for every phi when i and j lie in different parts.
+    def _frame(self) -> tuple:
+        """Per cluster size s, (s, K): K is the (d, g s^2) block of columns
+        of the sesquilinear form on the g eigenvalue clusters of that size,
+        so that (phi @ K).reshape(g, s, s) holds phi(u_a^* u_b) for the
+        vectors u_a, u_b of each cluster.
 
-        Each index is linked to every index it meets in a non-zero of mult or
-        the involution, and squaring the links until they stop growing links
-        each index to its whole part."""
-        d = self.dim
-        keys = self._mult_coo.keys
-        link = np.zeros(d * d)
-        link[keys % (d * d)] = 1.0  # j ~ k
-        link[keys // (d * d) * d + keys % d] = 1.0  # i ~ k
-        link = link.reshape(d, d) + (self.involution != 0) + np.eye(d)
-        link += link.T
-        while True:
-            grown = link @ link  # path counts: only their signs are read
-            if np.array_equal(grown > 0, link > 0):
-                break
-            link = np.minimum(grown, 1.0)
-        first = (link > 0).argmax(axis=1)  # the smallest index of each index's part
-        order = first.argsort(kind="stable")
-        cuts = [0, *(np.flatnonzero(np.diff(first[order])) + 1).tolist(), d]
-        return tuple(order[a:b] for a, b in zip(cuts, cuts[1:]))
-
-    @cached_property
-    def _summand_forms(self) -> tuple:
-        """Per size s of summand (:attr:`_summands`), (s, K): K is the
-        (d, g s^2) block of columns of the sesquilinear form on the g
-        summands of that size, so that (phi @ K).reshape(g, s, s) holds
-        phi(e_i^* e_j) for i, j in each.  Built per size, in one batched
-        product, from the summands' own rows of mult and the involution."""
-        parts, d = self._summands, self.dim
+        The u are the eigenvectors of L_h, for a self-adjoint h drawn once
+        per dimension (:func:`_generic_coeffs`), orthonormal in the trace
+        frame and cut into clusters by the rule of :func:`eigen_clusters`.
+        A cluster spans e A for a spectral projection e of h, and the
+        projections of two clusters multiply to 0, so phi(u_a^* u_b) = 0
+        across clusters for every phi: the form is block diagonal in the
+        basis W = L^-H U for any h, and a generic h only makes the blocks
+        small, one of size n for each minimal projection of each block M_n
+        of A.  The columns are sums over the non-zeros mult[m, j, k] of each
+        k, u_a^*[m] mult[m, j, k] u_b[j], one batched product per size."""
+        d, L = self.dim, self._chol
+        h = _generic_coeffs(d)
+        h = h + self.star_coeffs(h)
+        M = self.to_hermitian_frame((h @ self.regular.reshape(d, d * d)).reshape(d, d))
+        evals, U = np.linalg.eigh((M + M.conj().T) / 2)
+        W = np.linalg.solve(L.conj().T, U)  # columns: the u, as coefficients
+        V = self.involution.T @ W.conj()  # columns: the u^*
+        split = np.diff(evals) > 1e-6 * np.maximum(1.0, np.abs(evals[:-1]))
+        cuts = [0, *(np.flatnonzero(split) + 1).tolist(), d]
+        # row k: the (m, j, value) of each non-zero mult[m, j, k], zero-padded
+        m, j, k = np.unravel_index(self._mult_coo.keys, self.mult.shape)
+        order = k.argsort(kind="stable")
+        m, j, k = m[order], j[order], k[order]
+        counts = np.bincount(k, minlength=d)
+        slot = np.arange(k.size) - np.repeat(counts.cumsum() - counts, counts)
+        left, right = np.zeros((2, d, counts.max()), dtype=int)
+        vals = np.zeros((d, counts.max()), dtype=complex)
+        left[k, slot], right[k, slot], vals[k, slot] = m, j, self._mult_coo.vals[order]
         forms = []
-        for s in sorted({p.size for p in parts}):
-            idx = np.array([p for p in parts if p.size == s])  # (g, s)
-            star = self.involution[idx[:, :, np.newaxis], idx[:, np.newaxis]]  # e_i^* on e_m
-            prod = self.mult[idx[:, :, np.newaxis], idx[:, np.newaxis]]  # e_m e_j
-            K = (star @ prod.reshape(len(idx), s, s * d)).reshape(-1, d).T
-            forms.append((s, np.ascontiguousarray(K)))
+        for s in np.unique(np.diff(cuts)).tolist():
+            idx = np.array([np.arange(a, b) for a, b in zip(cuts, cuts[1:]) if b - a == s])
+            A = V[:, idx].transpose(1, 2, 0)[:, :, left]  # (g, s, d, c)
+            B = W[:, idx].transpose(1, 0, 2)[:, right] * vals[:, :, np.newaxis]  # (g, d, c, s)
+            K = A.transpose(2, 0, 1, 3) @ B.transpose(1, 0, 2, 3)  # (d, g, s, s)
+            forms.append((s, K.reshape(d, -1)))
         return tuple(forms)
 
     # -- axioms ---------------------------------------------------------------
@@ -321,7 +333,7 @@ class StarAlgebra:
         out["involution_antihom"] = _max_abs_difference(
             _pairs("ijm,mk->ijk", cc._replace(vals=np.conj(cc.vals)), ivc),
             _pairs("ja,iak->ijk", ivc, _contract("ib,abk->iak", ivc, cc)))
-        min_eig = self._gram_min
+        min_eig = self._gram_range[0]
         out["gram_positive_definite"] = 0.0 if min_eig > self.tol else 2 * self.tol - min_eig
         out["trace_symmetry"] = np.abs(self._pairing - self._pairing.T).max()
         return out
@@ -434,8 +446,8 @@ class LinearFunctional:
 
 class State(LinearFunctional):
     """Positive unital functional, checked (:func:`_require_states`) unless
-    ``check=False``: positivity of the GNS form phi(e_i^* e_j), per direct
-    summand of the algebra (:func:`_positive_rows`)."""
+    ``check=False``: positivity of the GNS form phi(e_i^* e_j), taken whole
+    for one functional (:func:`_positive_rows`)."""
 
     __slots__ = ()
 
@@ -474,43 +486,84 @@ def _block_rows(d: int) -> int:
 
 def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
     """Per-row mask of an (n, d) stack of duals: the sesquilinear matrix
-    phi(e_i^* e_j) of the row is Hermitian within tol and its Hermitian part
-    H has a Cholesky factor after the shift H + tol I, that is, the smallest
-    eigenvalue of H exceeds -tol up to rounding.
+    F = phi(e_i^* e_j) of the row is Hermitian within tol and its Hermitian
+    part H has a Cholesky factor after the shift H + tol I, that is, the
+    smallest eigenvalue of H exceeds -tol up to rounding
+    (:func:`_dense_positive`).
 
-    The matrix is zero between summands (:attr:`StarAlgebra._summands`), so
-    both tests run on its diagonal blocks alone: per block of rows
-    (:func:`_block_rows`), the summands of one size take one product with
-    their columns of the form and one batched Cholesky.  A 1 x 1 block [h]
-    takes the same two tests in closed form: [h] - [h]^* is 2i Im h, and
-    [Re h + tol] has a Cholesky factor iff Re h + tol > 0 (NaN fails both).
-    A row costs O(d sum s^2 + sum s^3) for summands of sizes s, not O(d^3).
+    One row takes that definition.  A stack is decided in the block frame
+    (:attr:`StarAlgebra._frame`): F' = W^H F W is block diagonal, and with
+    l and u the extreme eigenvalues of the Gram matrix, W's squared singular
+    values lie in [1/u, 1/l].  So lambda_min(H) = theta lambda_min(H') for a
+    theta in [l, u] (Ostrowski), max|F - F^H| <= u ||F' - F'^H||_F and
+    ||F' - F'^H||_F <= d max|F - F^H| / l.  A row passes if every block of
+    H' factors after the shift tol / (2u) and ||F' - F'^H||_F <= tol / (2u);
+    it fails if a block does not factor after the shift 2 tol / l or
+    ||F' - F'^H||_F > 2 d tol / l.  Either verdict is the definition's,
+    clear of tol by a factor 2; the rows in between take the definition.
+    A row that is not finite has a skew part that is not finite: it fails,
+    or is left to the definition, which fails it, and its blocks are zeroed
+    before any LAPACK call.
+
+    Per block of rows (:func:`_block_rows`), the clusters of one size take
+    one product with their columns and one batched Cholesky; only a block
+    of rows that fails to factor takes eigenvalues.  A 1 x 1 block [h]
+    takes both tests in closed form: [h] - [h]^* is 2i Im h, and [Re h + c]
+    has a Cholesky factor iff Re h + c > 0.  A row costs
+    O(d sum s^2 + sum s^3) for clusters of sizes s, not O(d^3).
     """
+    if len(D) < 2:
+        return np.array([_dense_positive(alg, row, tol) for row in D], dtype=bool)
+    low, high = alg._gram_range
+    shift, shift_fail = tol / (2 * high), 2 * tol / low
+    # bounds on the squared Frobenius norm of (F' - F'^H) / 2
+    skew_pass, skew_fail = shift ** 2 / 4, (alg.dim * tol / low) ** 2
     block = _block_rows(alg.dim)
     ok = np.zeros(D.shape[0], dtype=bool)
     for start in range(0, D.shape[0], block):
         rows = D[start:start + block]
-        passed, factored = np.ones(len(rows), dtype=bool), True
-        for s, K in alg._summand_forms:
-            P = rows @ K
-            if s == 1:
-                passed &= ((2 * np.abs(P.imag) <= tol) & (P.real + tol > 0)).all(axis=1)
+        lowest, skew = np.full(len(rows), np.inf), np.zeros(len(rows))
+        for s, K in alg._frame:
+            if s == 1:  # as (g, n): NumPy reduces over short rows slowly
+                P = K.T @ rows.T
+                skew += np.einsum("ij,ij->j", P.imag, P.imag)
+                np.minimum(lowest, P.real.min(axis=0), out=lowest)
                 continue
-            P = P.reshape(-1, s, s)
-            Ph = P.conj().transpose(0, 2, 1)
-            passed &= np.abs(P - Ph).reshape(len(rows), -1).max(axis=1) <= tol  # Hermitian
-            P += Ph  # the Hermitian part, in place, so a block holds few (b, s, s) arrays
-            P *= 0.5
-            P += tol * np.eye(s)
+            P = (rows @ K).reshape(len(rows), -1, s, s)
+            H = P + P.conj().swapaxes(-1, -2)
+            H *= 0.5
+            P -= H  # the anti-Hermitian part, (F' - F'^H) / 2
+            A = P.reshape(len(rows), -1).view(float)
+            skew += np.einsum("ij,ij->i", A, A)
+            if not np.isfinite(skew).all():  # rows that are not finite: no LAPACK call sees them
+                H[~np.isfinite(skew)] = 0
             try:
-                np.linalg.cholesky(P)
+                np.linalg.cholesky(H + shift * np.eye(s))
             except np.linalg.LinAlgError:
-                factored = False
-        if not factored:  # refactored row by row, to name the rows that fail
-            factored = len(rows) > 1 and [_positive_rows(alg, row, tol)[0]
-                                          for row in rows[:, np.newaxis]]
-        ok[start:start + block] = passed & factored
+                np.minimum(lowest, np.linalg.eigvalsh(H)[..., 0].min(axis=1), out=lowest)
+        passed = (lowest > -shift) & (skew <= skew_pass)
+        if not passed.all():
+            failed = (lowest <= -shift_fail) | (skew > skew_fail)
+            for k in np.flatnonzero(~passed & ~failed):  # the band
+                passed[k] = _dense_positive(alg, rows[k], tol)
+        ok[start:start + block] = passed
     return ok
+
+
+def _dense_positive(alg: StarAlgebra, row: np.ndarray, tol: float) -> bool:
+    """The definition for one dual: F = phi(e_i^* e_j), as
+    involution @ (mult @ phi), is Hermitian within tol, entrywise, and
+    (F + F^H) / 2 + tol I has a Cholesky factor.  A row that is not finite
+    fails the first test."""
+    P = alg.involution @ (alg.mult @ row)
+    Ph = P.conj().T
+    if not np.abs(P - Ph).max() <= tol:
+        return False
+    try:
+        np.linalg.cholesky((P + Ph) / 2 + tol * np.eye(alg.dim))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _state_rows(alg: StarAlgebra, D: np.ndarray) -> np.ndarray:

@@ -194,8 +194,8 @@ class CompactQuantumGroup:
         (``algebra._block_rows``).  The block's vector states are formed in
         one contraction and checked together, then mixed in the order their
         vectors were drawn, and the mixes are checked together again.  Both
-        checks stay: each is one stacked positivity check per summand of the
-        algebra (``algebra._positive_rows``).
+        checks stay: each is one stacked positivity check in the algebra's
+        block frame (``algebra._positive_rows``).
 
         A seed that is not an integer raises TypeError, and SeedSequence
         rejects a negative one with ValueError; n is at most 2**32, one

@@ -47,6 +47,7 @@ def _slice_permutations(P: np.ndarray) -> list:
 @dataclass
 class ClassicalVersion:
     """The finite group of characters, as permutations, with their supports,
+    p_C and p_Q with their sandwich matrices (:func:`cqg._sandwich_matrix`),
     and the residuals of the three convolution identities of
     :func:`_bound_identity_residuals`."""
 
@@ -55,6 +56,8 @@ class ClassicalVersion:
     supports: list[Projection]
     p_C: Projection
     p_Q: Projection
+    S_C: np.ndarray
+    S_Q: np.ndarray
     identity_residuals: tuple[float, float, float]
 
     def __len__(self):
@@ -90,18 +93,20 @@ def classical_version(G: CompactQuantumGroup) -> ClassicalVersion:
     p_C, p_Q = (Projection(alg, x, check=False) for x in (p_C, alg.unit - p_C))
     if not is_group_like(G, p_C):
         raise AlgebraError("sum of character supports is not group-like")
-    residuals = _bound_identity_residuals(G, p_C.coeffs, p_Q.coeffs)
+    S_C, S_Q = (_sandwich_matrix(G, p.coeffs) for p in (p_C, p_Q))
+    residuals = _bound_identity_residuals(G, p_Q.coeffs, S_C, S_Q)
     _certify("classical version fails a convolution identity", max(residuals), alg.tol)
     return ClassicalVersion([perms[k] for k in order],
                             [State(alg, x, check=False) for x in chi],
-                            [Projection(alg, x, check=False) for x in z], p_C, p_Q, residuals)
+                            [Projection(alg, x, check=False) for x in z], p_C, p_Q,
+                            S_C, S_Q, residuals)
 
 
-def _bound_identity_residuals(G: CompactQuantumGroup, p_C: np.ndarray,
-                              p_Q: np.ndarray) -> tuple[float, float, float]:
+def _bound_identity_residuals(G: CompactQuantumGroup, p_Q: np.ndarray, S_C: np.ndarray,
+                              S_Q: np.ndarray) -> tuple[float, float, float]:
     """max |.| of S_C^T X S_C, S_C^T (X - J) S_Q and S_Q^T (X - J) S_C, with
     X = Delta(p_Q) and J = Delta(1) = u u^T as (d, d) matrices and S_C, S_Q
-    the sandwich matrices of p_C and p_Q.
+    the sandwich matrices of p_C and p_Q = 1 - p_C.
 
     (phi (x) rho)(X) is (phi * rho)(p_Q), so the identities say: two
     classical parts convolve to a classical state, and a classical part
@@ -112,7 +117,6 @@ def _bound_identity_residuals(G: CompactQuantumGroup, p_C: np.ndarray,
     """
     X = G.delta_applied(p_Q)
     XJ = X - np.outer(G.algebra.unit, G.algebra.unit)
-    S_C, S_Q = _sandwich_matrix(G, p_C), _sandwich_matrix(G, p_Q)
     return tuple(float(np.abs(M).max()) for M in (S_C.T @ X @ S_C, S_C.T @ XJ @ S_Q,
                                                    S_Q.T @ XJ @ S_C))
 
@@ -149,14 +153,14 @@ def _decomposed_rows(G: CompactQuantumGroup, D: np.ndarray, cv: ClassicalVersion
     """alpha, the (n, 2, d) parts [phi_C, phi_Q] and the (n, 2) mask of the
     defined parts of an (n, d) stack of states; a part of mass at most 2 tol
     is dropped whole.  Every part is checked as a state, in one stack, and
-    every row by reconstruction."""
+    every row by reconstruction.  The sandwich matrices are the ones that
+    :func:`classical_version` kept."""
     alpha = _quantum_fractions(D, cv)
     weights = np.stack([1 - alpha, alpha], axis=1)
     defined = weights > 2 * G.algebra.tol
     parts = np.zeros((len(D), 2, G.dim), dtype=complex)
-    for k, p in enumerate((cv.p_C, cv.p_Q)):
-        parts[defined[:, k], k] = _conditioned_rows(G, D[defined[:, k]], p,
-                                                    _sandwich_matrix(G, p.coeffs))
+    for k, (p, S) in enumerate(((cv.p_C, cv.S_C), (cv.p_Q, cv.S_Q))):
+        parts[defined[:, k], k] = _conditioned_rows(G, D[defined[:, k]], p, S)
     _require_states(G.algebra, parts[defined])
     _certify("random/quantum decomposition failed to reconstruct",
              np.abs((weights[:, :, np.newaxis] * parts).sum(axis=1) - D).max(initial=0), 1e-8)

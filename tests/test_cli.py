@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +263,7 @@ def test_bounds_experiment_writes_then_fails_on_violations(tmp_path, monkeypatch
     # with p_C and p_Q swapped, classical pairs convolve to quantum mass
     def swapped(G):
         cv = classical_version(G)
-        return dataclasses.replace(cv, p_C=cv.p_Q, p_Q=cv.p_C)
+        return dataclasses.replace(cv, p_C=cv.p_Q, p_Q=cv.p_C, S_C=cv.S_Q, S_Q=cv.S_C)
 
     monkeypatch.setattr(cli.permutation, "classical_version", swapped)
     G = BUILTIN_GROUPS["kp"]()
@@ -716,15 +717,19 @@ def specs(draw, group_file: str):
 @given(data=st.data())
 @example(data=None)  # both files nested past the recursion limit
 def test_fuzzed_group_files_and_specs_exit_0_1_or_2(tmp_path, data):
-    group_path, spec_path = tmp_path / "group.json", tmp_path / "spec.json"
+    # tmp_path is made once for all examples, so each takes its own directory
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    group_path, spec_path, out = work / "group.json", work / "spec.json", work / "out"
     if data is None:
         group_text = '{"kind": "dual", "group_table": %s}' % DEEP
         spec_text = '{"name": "haar", "group": "kp", "parameters": %s}' % DEEP
     else:
         group_text = _json_text(data.draw(group_files()))
         spec_text = _json_text(data.draw(specs(str(group_path))))
+        if data.draw(st.booleans()):  # --out names an existing file
+            out.write_text("{}")
     group_path.write_text(group_text)
     spec_path.write_text(spec_text)
     assert run(["validate", group_path]) in (0, 1, 2)
-    assert run(["run", spec_path, "--out", tmp_path / "out"]) in (0, 1, 2)
-    assert run(["report", tmp_path / "out"]) in (0, 1, 2)
+    assert run(["run", spec_path, "--out", out]) in (0, 1, 2)
+    assert run(["report", out]) in (0, 1, 2)

@@ -157,6 +157,18 @@ def test_bounds_empirical_dual_s4(ds4, ds4_cv):
     assert verify_bounds_empirically(ds4, ds4_cv, n_samples=60, seed=8).ok
 
 
+def test_bounds_calls_form_no_sandwich(kp, kp_cv, monkeypatch):
+    # the decomposition reads S_{p_C} and S_{p_Q} off the classical version,
+    # which formed them for its identities, so a bounds call forms none
+    from qperm import cqg, idempotent, permutation
+
+    calls, real = [], cqg._sandwich_matrix
+    for module in (cqg, idempotent, permutation):
+        monkeypatch.setattr(module, "_sandwich_matrix", lambda G, q: calls.append(q) or real(G, q))
+    assert verify_bounds_empirically(kp, kp_cv, n_samples=20, seed=3).ok
+    assert calls == []
+
+
 def test_bounds_empirical_classical_all_zero(cs4):
     cv = classical_version(cs4)
     report = verify_bounds_empirically(cs4, cv, n_samples=40, seed=9)

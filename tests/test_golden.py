@@ -198,7 +198,7 @@ def test_defaulted_parameters_are_the_allow_list():
 
 # ``cat src/qperm/*.py | wc -l`` at most this; raising it needs a reason in
 # CHANGES.md, as a new name on either allow-list above does.
-SOURCE_LINES = 3040
+SOURCE_LINES = 3097
 
 
 def test_source_line_count_is_pinned():

@@ -26,18 +26,20 @@ one sample at a time, and byte for byte with the bank seeded through one
 SeedSequence per sample; the vectorised seed words with SeedSequence's own.
 The bounds sampler, which the library works as
 stacks of pairs, is compared with the sampler one pair at a time.  The
-stacked Cholesky positivity check, which the library runs per direct
-summand, is compared with the smallest eigenvalue of each row's
-sesquilinear matrix, in the builtin basis (C(G) and kp split) and a complex
-one; the summands themselves with the union-find components of the
-non-zeros, also after a relabelling of the basis; and rows negative on one
-summand only are rejected.  The generated idempotent, which the
+stacked Cholesky positivity check, which the library runs in a block
+frame of eigenvalue clusters and, near the tolerance, on the dense form, is
+compared with the smallest eigenvalue of each row's sesquilinear matrix, in
+the builtin basis and a complex one, rows just past the tolerance either
+way taking the dense form; the frame's cluster sizes are pinned, and only
+a stacked check builds it; the direct summands, the union-find components
+of the non-zeros, split the dense form, also after a relabelling of the
+basis; and rows negative on one summand only are rejected.  The generated idempotent, which the
 library takes as the one Cesaro limit of the inputs' mean, is compared with
 the rounds of per-input limits, convolutions and membership tests it
 replaced, and the stacked convolution powers behind ``trajectory`` and
 ``detect_period`` with one convolution per step.  The hot kernels are
 compared with their earlier forms: the sort-and-count duplicate sums with
-``np.add.at`` bit for bit, the positivity check per summand with the
+``np.add.at`` bit for bit, the positivity check in the block frame with the
 unfolded dense one (in the builtin, a relabelled and a complex basis), the Cesaro projector (the kernel/range projector of
 I - T from one SVD) with the sorted Schur form and ``solve_sylvester``,
 also on defective, rotating and non-normal operators, the pair-kernel
@@ -56,7 +58,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qperm import permgroups
+from qperm import algebra, permgroups
 from qperm.algebra import (
     AlgebraError,
     LinearFunctional,
@@ -233,7 +235,7 @@ def test_bounds_sampler_reports_the_oracles_first_violation(bounds_oracle):
     # with p_C and p_Q swapped, classical pairs convolve to quantum mass
     G = BUILTIN_GROUPS["kp"]()
     cv = classical_version(G)
-    swapped = dataclasses.replace(cv, p_C=cv.p_Q, p_Q=cv.p_C)
+    swapped = dataclasses.replace(cv, p_C=cv.p_Q, p_Q=cv.p_C, S_C=cv.S_Q, S_Q=cv.S_C)
     # the report holds every violating pair's witness, in pair order
     rows, violations = bounds_oracle(G, swapped, 17, 3)
     assert violations
@@ -459,13 +461,13 @@ def test_classify_matches_the_dense_form_route(G, classify_dense_form_oracle):
 
 
 def test_classify_builds_no_dense_form_on_a_split_algebra():
-    # C(S4) splits into 24 summands, so its state checks never need the
-    # dense (d, d^2) sesquilinear form, and classifying must not build it:
-    # no form of a summand has d^2 columns
+    # C(S4) splits into 24 points, so its state checks never need the dense
+    # (d, d^2) sesquilinear form, and classifying must not build it: the
+    # only cached form is the block frame's, 24 clusters of size 1
     G = BUILTIN_GROUPS["s4"]()
     for psi in classification_cases(G):
         classify_idempotent(G, psi)
-    assert [K.shape for _, K in G.algebra._summand_forms] == [(G.dim, G.dim)]
+    assert [K.shape for _, K in G.algebra._frame] == [(G.dim, G.dim)]
 
 
 @pytest.mark.parametrize("name", ["s3", "dual-s3", "kp"])
@@ -851,6 +853,111 @@ def test_positive_rows_match_smallest_eigenvalue(name, force_block):
                 assert np.array_equal(got, np.arange(n) != bad), (basis, tol, n, bad)
 
 
+def frame_sizes(alg):
+    """The sizes of the clusters of the block frame, in increasing order."""
+    return sorted(s for s, K in alg._frame for _ in range(K.shape[1] // (s * s)))
+
+
+def test_frame_blocks_the_dense_form(G):
+    # one cluster of size n per minimal projection of each block M_n of A:
+    # d points on C(G), 1, 1, 1, 1, 2, 2 on kp, and on dual-S4 (blocks of
+    # sizes 1, 1, 2, 3, 3) 64 columns where the dense form has 576.  The
+    # form of every dual is block diagonal in the frame: by Ostrowski the
+    # smallest eigenvalue of H is that of the blocks times a theta between
+    # the extreme Gram eigenvalues, and where they are equal the spectra agree
+    alg, d = G.algebra, G.dim
+    sizes = frame_sizes(alg)
+    assert sum(sizes) == d
+    if G.kind == "classical":
+        assert sizes == [1] * d
+    pinned = {"kac-paljutkin": [1, 1, 1, 1, 2, 2], "dual-S4": [1, 1, 2, 2, 3, 3, 3, 3, 3, 3]}
+    if G.name in pinned:
+        assert sizes == pinned[G.name]
+    low, high = alg._gram_range
+    for x in random_vectors(G, 4, 31):
+        P = alg.involution @ (alg.mult @ x)
+        dense = np.linalg.eigvalsh((P + P.conj().T) / 2)
+        blocks = []
+        for s, K in alg._frame:
+            Q = (x @ K).reshape(-1, s, s)
+            blocks.append(np.linalg.eigvalsh((Q + Q.conj().swapaxes(1, 2)) / 2).ravel())
+        blocks = np.sort(np.concatenate(blocks))
+        scale = 1e-12 * max(1.0, np.abs(dense).max())
+        bracket = sorted([low * blocks[0], high * blocks[0]])
+        assert bracket[0] - scale <= dense[0] <= bracket[1] + scale
+        if high - low <= 1e-15 * high:
+            assert np.abs(dense - low * blocks).max() <= scale
+
+
+def test_only_a_stacked_check_builds_the_frame(monkeypatch):
+    # building and validating a builtin makes one-row checks only (the
+    # counit, the haar_state row), which take the dense form: no frame.  The
+    # first stacked check builds it, and later ones reuse it
+    builds, draw = [], algebra._generic_coeffs
+    monkeypatch.setattr(algebra, "_generic_coeffs", lambda d: builds.append(d) or draw(d))
+    for name, build in BUILTIN_GROUPS.items():
+        G = build()
+        assert G.validate().ok
+        assert "_frame" not in vars(G.algebra) and not builds, name
+        bank = G._state_bank(4, 0)
+        assert _state_rows(G.algebra, bank).all() and builds == [G.dim], name
+        builds.clear()
+
+
+@pytest.mark.parametrize("name", ["kp", "dual-s4"])
+def test_rows_near_the_tolerance_take_the_dense_form(name, monkeypatch):
+    # rows planted at -tol (1 +- 1e-6) lie within a factor 2 of tol in the
+    # frame, so the dense form decides them; at -2 tol and -tol / 2 either
+    # route may decide, and bank states are clear of the band.  Every mask
+    # equals the dense form's, in the builtin basis and in a complex one,
+    # whose Gram matrix is not diagonal
+    G = BUILTIN_GROUPS[name]()
+    seen, dense = [], algebra._dense_positive
+    monkeypatch.setattr(algebra, "_dense_positive",
+                        lambda alg, row, tol: seen.append(row.copy()) or dense(alg, row, tol))
+    for basis in ("builtin", "complex"):
+        H = G if basis == "builtin" else in_basis(G, complex_basis(G, 13))
+        alg = H.algebra
+        if basis == "complex":
+            assert np.abs(alg.gram - np.diag(np.diag(alg.gram))).max() > 0.1
+        bank = H._state_bank(6, 4)
+        for tol in (alg.tol, 100 * alg.tol):
+            planted = [planted_row(alg, bank[0], t * tol)
+                       for t in (-(1 + 1e-6), -(1 - 1e-6), -2.0, -0.5)]
+            D = np.vstack([bank, planted])
+            ref = [dense(alg, row, tol) for row in D]
+            seen.clear()
+            got = _positive_rows(alg, D, tol)
+            assert np.array_equal(got, ref), (basis, tol)
+            assert got[:6].all() and not got[8] and got[9], (basis, tol)
+            band = [any(np.array_equal(row, r) for r in seen) for row in D]
+            assert band[6] and band[7] and not any(band[:6]), (basis, tol)
+
+
+@pytest.mark.parametrize("name", ["kp", "dual-s4", "s4"])
+def test_rows_that_are_not_finite_fail(name, monkeypatch):
+    # a NaN or infinite entry, at any place of a stack and alone, fails the
+    # row, and no LAPACK call sees it
+    G = BUILTIN_GROUPS[name]()
+    alg, tol = G.algebra, G.algebra.tol
+    for routine in ("cholesky", "eigvalsh"):
+        real = getattr(np.linalg, routine)
+
+        def finite_only(a, real=real):
+            assert np.isfinite(a).all()
+            return real(a)
+        monkeypatch.setattr(np.linalg, routine, finite_only)
+    bank = G._state_bank(5, 1)
+    for bad in (np.nan, np.inf, -np.inf, 1j * np.inf):
+        row = bank[0].copy()
+        row[1] = bad
+        assert not _positive_rows(alg, row[np.newaxis], tol)[0]
+        for at in (0, 2, 4):
+            D = bank.copy()
+            D[at] = row
+            assert np.array_equal(_positive_rows(alg, D, tol), np.arange(5) != at), (bad, at)
+
+
 # -- the hot kernels against their earlier forms ---------------------------------------
 
 
@@ -947,13 +1054,12 @@ def expected_summand_sizes(G):
 def test_summands_hold_every_non_zero(G, basis, summand_oracle, sesquilinear_oracle):
     # the summands are the union-find components of the non-zeros of mult
     # and the involution, so every non-zero lies inside one; a relabelling
-    # keeps their sizes, and each size's columns of the form are those of
-    # the whole form
+    # keeps their sizes, and the dense form phi(e_i^* e_j) is zero between
+    # two summands for every phi
     H = in_basis_kind(G, basis, 29)
     alg, d = H.algebra, H.dim
-    parts = alg._summands
-    assert [p.tolist() for p in parts] == summand_oracle(alg)
-    sizes = sorted(p.size for p in parts)
+    parts = summand_oracle(alg)
+    sizes = sorted(len(p) for p in parts)
     assert sizes == ([d] if basis == "complex" else expected_summand_sizes(G))
     part = np.empty(d, dtype=int)
     for b, p in enumerate(parts):
@@ -963,10 +1069,7 @@ def test_summands_hold_every_non_zero(G, basis, summand_oracle, sesquilinear_ora
     i, k = np.nonzero(alg.involution)
     assert (part[i] == part[k]).all()
     form = sesquilinear_oracle(alg).reshape(d, d, d)
-    for s, K in alg._summand_forms:
-        idx = np.array([p for p in parts if p.size == s])
-        assert_matches(K.reshape(d, -1, s, s), form[:, idx[:, :, np.newaxis], idx[:, np.newaxis]])
-    assert sum(K.shape[1] for _, K in alg._summand_forms) == sum(s * s for s in sizes)
+    assert not form[:, part[:, np.newaxis] != part].any()
 
 
 @pytest.mark.parametrize("basis", ["builtin", "permuted", "complex"])

@@ -204,8 +204,10 @@ def test_decompose_rejects_a_non_central_split(kp, kp_cv, in_centre):
     # misses phi's cross terms and cannot reconstruct phi
     q = kp.magic_projection(0, 2)
     assert not in_centre(kp, q.coeffs)
+    q_c = kp.algebra.unit - q.coeffs
     split = dataclasses.replace(
-        kp_cv, p_C=q, p_Q=Projection(kp.algebra, kp.algebra.unit - q.coeffs))
+        kp_cv, p_C=q, p_Q=Projection(kp.algebra, q_c),
+        S_C=_sandwich_matrix(kp, q.coeffs), S_Q=_sandwich_matrix(kp, q_c))
     with pytest.raises(AlgebraError, match="reconstruct"):
         decompose(kp, kp.sample_states(1, seed=41)[0], split)
     with pytest.raises(AlgebraError, match="reconstruct"):
@@ -364,8 +366,12 @@ def test_classical_version_carries_the_convolution_identities():
         cv = classical_version(G)
         assert len(cv.identity_residuals) == 3, name
         assert max(cv.identity_residuals) <= 1e-15, name
-        assert cv.identity_residuals == _bound_identity_residuals(G, cv.p_C.coeffs,
-                                                                  cv.p_Q.coeffs), name
+        assert cv.identity_residuals == _bound_identity_residuals(
+            G, cv.p_Q.coeffs, _sandwich_matrix(G, cv.p_C.coeffs),
+            _sandwich_matrix(G, cv.p_Q.coeffs)), name
+        # the sandwiches kept for the decomposition are the ones formed here
+        assert cv.S_C.tobytes() == _sandwich_matrix(G, cv.p_C.coeffs).tobytes(), name
+        assert cv.S_Q.tobytes() == _sandwich_matrix(G, cv.p_Q.coeffs).tobytes(), name
 
 
 @pytest.mark.parametrize("name", QUANTUM)
@@ -377,11 +383,11 @@ def test_convolution_identities_catch_swapped_projections(name, monkeypatch):
 
     G = BUILTIN_GROUPS[name]()
     cv = classical_version(G)
-    swapped = max(_bound_identity_residuals(G, cv.p_Q.coeffs, cv.p_C.coeffs))
+    swapped = max(_bound_identity_residuals(G, cv.p_C.coeffs, cv.S_Q, cv.S_C))
     assert swapped >= (1.0 - 1e-12 if name == "kp" else 0.07), swapped
     right = permutation._bound_identity_residuals
     monkeypatch.setattr(permutation, "_bound_identity_residuals",
-                        lambda G, p_C, p_Q: right(G, p_Q, p_C))
+                        lambda G, p_Q, S_C, S_Q: right(G, G.algebra.unit - p_Q, S_Q, S_C))
     with pytest.raises(AlgebraError, match="fails a convolution identity"):
         classical_version(G)
 

@@ -18,12 +18,14 @@ The generation check on the magic entries, which squares their span,
 decides as the span grown one word length a round does, on the generated
 groups and on every builtin, dual-D20 and a sub-grid that does not generate.
 
-The direct summands of each generated group's algebra are the union-find
-components of its non-zeros: one point each on C(G), one summand on C*(G)
-in the group basis, and the same sizes after a relabelling of the basis.
-The positivity check, which runs per summand, gives the dense kernel's mask
-on bank states, on rows shifted by the trace to singular and to just past
-it either way, and on non-Hermitian and NaN rows, in both labellings.
+The direct summands of each generated group's algebra, the union-find
+components of its non-zeros, are one point each on C(G) and one summand on
+C*(G) in the group basis, with the same sizes after a relabelling of the
+basis, and the dense form is zero between them; the block frame of the
+positivity check has clusters of size 1 on C(G).  The positivity check,
+which runs in that frame, gives the dense kernel's mask on bank states, on
+rows shifted by the trace to singular and to just past it either way, and
+on non-Hermitian and NaN rows, in both labellings.
 
 On each generated group the Haar state, the regular trace, is checked
 against the invariance SVD.  The regular trace is not the algebra's trace,
@@ -211,16 +213,23 @@ def probe_rows(G):
 
 @PROPERTY
 @given(generators(), st.sampled_from(["classical", "dual"]), st.randoms(use_true_random=False))
-def test_positivity_per_summand_on_generated_groups(summand_oracle, kernel_oracles, gens, kind,
-                                                     rnd):
+def test_positivity_per_summand_on_generated_groups(summand_oracle, sesquilinear_oracle,
+                                                     kernel_oracles, gens, kind, rnd):
     G = generated_group(gens, kind)
     alg, d = G.algebra, G.dim
     sizes = [1] * d if kind == "classical" else [d]
     perm = np.array(rnd.sample(range(d), d))
     D = probe_rows(G)
     for a, rows in ((alg, D), (relabelled(alg, perm), D[:, perm])):
-        assert [p.tolist() for p in a._summands] == summand_oracle(a)
-        assert sorted(p.size for p in a._summands) == sizes
+        parts = summand_oracle(a)
+        assert sorted(len(p) for p in parts) == sizes
+        part = np.empty(d, dtype=int)
+        for b, p in enumerate(parts):
+            part[p] = b
+        form = sesquilinear_oracle(a).reshape(d, d, d)
+        assert not form[:, part[:, np.newaxis] != part].any()
+        if kind == "classical":
+            assert [s for s, _ in a._frame] == [1]
         for tol in (a.tol, 100 * a.tol):
             got = _positive_rows(a, rows, tol)
             assert np.array_equal(got, kernel_oracles.positive_rows(a, rows, tol)), tol
