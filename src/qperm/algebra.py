@@ -107,20 +107,41 @@ def _pairs(spec: str, a: _Coo, b: _Coo) -> _Coo:
     an output axis.  b is sorted on its summed index and a's summed indices
     are located in it, so every product formed pairs two non-zeros that meet.
     """
+    return _join(spec, a, b, 0)[3](0, a.keys.size)
+
+
+def _join(spec: str, a: _Coo, b: _Coo, lead: int):
+    """The pairs of :func:`_pairs`, a run of entries of one operand at a time.
+
+    ``lead`` is 0 to run over a's entries, 1 over b's; the other operand is
+    decoded and sorted on its summed index once.  Returns the output shape,
+    the lead operand, ``ends``, where ends[s] counts the pairs of its
+    entries before entry s (s = 0..n), and ``take(s0, s1)``: the pairs of
+    its entries s0..s1-1, entry by entry, each entry's matches in the
+    other's sorted order, every value a * b.  With lead 0 and every entry,
+    that is :func:`_pairs`.
+    """
     shape, (div_a, size_a, W_a), (div_b, size_b, W_b) = _plan(spec, a.shape, b.shape)
     ka, pa = (a.keys[:, np.newaxis] // div_a % size_a @ W_a).T
     kb, pb = (b.keys[:, np.newaxis] // div_b % size_b @ W_b).T
-    order = kb.argsort(kind="stable")
-    kb = kb[order]
-    lo = kb.searchsorted(ka, "left")
-    counts = kb.searchsorted(ka, "right") - lo
-    ai = np.arange(ka.size).repeat(counts)
-    # the n-th pair of a-entry ai takes the n-th match of its run in sorted b
-    bj = order[(lo - (counts.cumsum() - counts)).repeat(counts) + np.arange(ai.size)]
-    keys, vals = pa[ai], a.vals[ai]
-    keys += pb[bj]
-    vals *= b.vals[bj]
-    return _Coo(shape, keys, vals)
+    kx, ky = (ka, kb)[::1 - 2 * lead]
+    order = ky.argsort(kind="stable")
+    ky = ky[order]
+    lo = ky.searchsorted(kx, "left")
+    counts = ky.searchsorted(kx, "right") - lo
+    ends = np.concatenate(([0], counts.cumsum()))
+    shift = lo - ends[:-1]  # pair p, counted over all entries, of entry x: match shift[x] + p
+
+    def take(s0, s1):
+        xi = np.arange(s0, s1).repeat(counts[s0:s1])
+        yj = order[shift[xi] + np.arange(ends[s0], ends[s1])]
+        ai, bj = (xi, yj)[::1 - 2 * lead]
+        keys, vals = pa[ai], a.vals[ai]
+        keys += pb[bj]
+        vals *= b.vals[bj]
+        return _Coo(shape, keys, vals)
+
+    return shape, (a, b)[lead], ends, take
 
 
 def _contract(spec: str, a: _Coo, b: _Coo) -> _Coo:
@@ -136,6 +157,41 @@ def _max_abs_difference(x: _Coo, y: _Coo) -> float:
     diff = _summed(x.shape, np.concatenate([x.keys, y.keys]),
                    np.concatenate([x.vals, -y.vals]))
     return float(np.abs(diff.vals).max(initial=0.0))
+
+
+def _identity_residual(x: tuple, y: tuple) -> float:
+    """max |x - y| of an identity whose sides are contractions (spec, a, b)
+    (:func:`_pairs`) or a _Coo, summed a block of the output's leading
+    index at a time, about _BLOCK_ENTRIES // 2 terms of both sides to a
+    block.
+
+    Each side runs over the operand whose own first label is the output's
+    (:func:`_join`), whose C-order keys put a block in one run.  A key's
+    terms, which differ only in the summed labels, come in the order of
+    ``_max_abs_difference(_pairs(*x), _pairs(*y))``, so the residual is that
+    one bit for bit: a run over b orders them as one over a when one label
+    is summed, as wherever b leads here.
+    """
+    runs = []
+    for side in (x, y):
+        if isinstance(side, _Coo):  # a tensor given whole: each entry is one term
+            shape, lead, ends = side.shape, side, np.arange(side.keys.size + 1)
+            take = lambda s0, s1, t=side: _Coo(t.shape, t.keys[s0:s1], t.vals[s0:s1])
+        else:
+            spec, a, b = side
+            out = spec[spec.index(">") + 1]  # the output's first label
+            shape, lead, ends, take = _join(
+                spec, a, b, (spec[0], spec[spec.index(",") + 1]).index(out))
+        runs.append((lead, ends, take))
+    if sum(ends[-1] for _, ends, _ in runs) <= _BLOCK_ENTRIES // 2:  # one block
+        return _max_abs_difference(*(take(0, lead.keys.size) for lead, _, take in runs))
+    # each lead operand's first entry of each leading index, and the terms before it
+    first = [lead.keys.searchsorted(np.arange(shape[0] + 1) * math.prod(lead.shape[1:]))
+             for lead, _, _ in runs]
+    block = sum(ends[f] for f, (_, ends, _) in zip(first, runs))[:-1] // (_BLOCK_ENTRIES // 2)
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), shape[0]]
+    return max(_max_abs_difference(*(take(f[lo], f[hi]) for f, (_, _, take) in zip(first, runs)))
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 @cache
@@ -319,8 +375,8 @@ class StarAlgebra:
         c = self.mult
         # (e_i e_j) e_k against e_i (e_j e_k)
         cc = self._mult_coo
-        out["associativity"] = _max_abs_difference(
-            _pairs("ijm,mkl->ijkl", cc, cc), _pairs("jkm,iml->ijkl", cc, cc))
+        out["associativity"] = _identity_residual(
+            ("ijm,mkl->ijkl", cc, cc), ("jkm,iml->ijkl", cc, cc))
         out["unit"] = max(
             np.abs(np.einsum("ijk,i->jk", c, self.unit) - np.eye(self.dim)).max(),
             np.abs(np.einsum("ijk,j->ik", c, self.unit) - np.eye(self.dim)).max(),
@@ -330,9 +386,9 @@ class StarAlgebra:
         # (e_i e_j)* = e_j* e_i*; the product coefficients conjugate through star:
         # sum_m conj(c[i, j, m]) iv[m, k] against sum_ab iv[j, a] iv[i, b] c[a, b, k]
         ivc = _coo(iv)
-        out["involution_antihom"] = _max_abs_difference(
-            _pairs("ijm,mk->ijk", cc._replace(vals=np.conj(cc.vals)), ivc),
-            _pairs("ja,iak->ijk", ivc, _contract("ib,abk->iak", ivc, cc)))
+        out["involution_antihom"] = _identity_residual(
+            ("ijm,mk->ijk", cc._replace(vals=np.conj(cc.vals)), ivc),
+            ("ja,iak->ijk", ivc, _contract("ib,abk->iak", ivc, cc)))
         min_eig = self._gram_range[0]
         out["gram_positive_definite"] = 0.0 if min_eig > self.tol else 2 * self.tol - min_eig
         out["trace_symmetry"] = np.abs(self._pairing - self._pairing.T).max()
@@ -475,7 +531,9 @@ def is_positive_functional(phi: LinearFunctional) -> bool:
 
 # Stacked kernels take _block_rows(d) rows at a time: up to 2^16 entries
 # (1 MB complex) per (rows, d, d) temporary, but never fewer than 32 rows,
-# which amortise each block's read of a (d, d^2) operator at large d.
+# which amortise each block's read of a (d, d^2) operator at large d.  An
+# identity on the structure tensors sums half that many pairs, of both sides,
+# at a time (_identity_residual): one block for the shipped groups to d = 24.
 _BLOCK_ENTRIES = 2 ** 16
 _BLOCK_MIN_ROWS = 32
 
@@ -501,9 +559,7 @@ def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
     it fails if a block does not factor after the shift 2 tol / l or
     ||F' - F'^H||_F > 2 d tol / l.  Either verdict is the definition's,
     clear of tol by a factor 2; the rows in between take the definition.
-    A row that is not finite has a skew part that is not finite: it fails,
-    or is left to the definition, which fails it, and its blocks are zeroed
-    before any LAPACK call.
+    A row that is not finite fails, and takes no product.
 
     Per block of rows (:func:`_block_rows`), the clusters of one size take
     one product with their columns and one batched Cholesky; only a block
@@ -514,6 +570,10 @@ def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
     """
     if len(D) < 2:
         return np.array([_dense_positive(alg, row, tol) for row in D], dtype=bool)
+    finite = np.isfinite(D).all(axis=1)
+    if not finite.all():
+        finite[finite] = _positive_rows(alg, D[finite], tol)
+        return finite
     low, high = alg._gram_range
     shift, shift_fail = tol / (2 * high), 2 * tol / low
     # bounds on the squared Frobenius norm of (F' - F'^H) / 2
@@ -535,8 +595,6 @@ def _positive_rows(alg: StarAlgebra, D: np.ndarray, tol: float) -> np.ndarray:
             P -= H  # the anti-Hermitian part, (F' - F'^H) / 2
             A = P.reshape(len(rows), -1).view(float)
             skew += np.einsum("ij,ij->i", A, A)
-            if not np.isfinite(skew).all():  # rows that are not finite: no LAPACK call sees them
-                H[~np.isfinite(skew)] = 0
             try:
                 np.linalg.cholesky(H + shift * np.eye(s))
             except np.linalg.LinAlgError:
@@ -554,7 +612,9 @@ def _dense_positive(alg: StarAlgebra, row: np.ndarray, tol: float) -> bool:
     """The definition for one dual: F = phi(e_i^* e_j), as
     involution @ (mult @ phi), is Hermitian within tol, entrywise, and
     (F + F^H) / 2 + tol I has a Cholesky factor.  A row that is not finite
-    fails the first test."""
+    fails before any product."""
+    if not np.isfinite(row).all():
+        return False
     P = alg.involution @ (alg.mult @ row)
     Ph = P.conj().T
     if not np.abs(P - Ph).max() <= tol:

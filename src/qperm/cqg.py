@@ -31,8 +31,7 @@ from .algebra import (
     _certify,
     _coo,
     _contract,
-    _max_abs_difference,
-    _pairs,
+    _identity_residual,
     _multiplicativity_residual,
     _projection_residuals,
     _require_states,
@@ -258,24 +257,25 @@ class CompactQuantumGroup:
 
         Dc, cc, ivc, Sc = _coo(D), alg._mult_coo, _coo(alg.involution), _coo(self.antipode)
         # (Delta (x) id) Delta against (id (x) Delta) Delta
-        add("coassociativity", _max_abs_difference(
-            _pairs("iuk,uab->iabk", Dc, Dc), _pairs("iau,ubk->iabk", Dc, Dc)))
+        add("coassociativity", _identity_residual(
+            ("iuk,uab->iabk", Dc, Dc), ("iau,ubk->iabk", Dc, Dc)))
 
         add("delta_unital", np.abs(self.delta_applied(alg.unit)
                                    - np.outer(alg.unit, alg.unit)).max())
 
         # Delta(e_i e_j) against Delta(e_i) Delta(e_j)
-        # = sum D[i,a,b] c[a,A,k] D[j,A,B] c[b,B,l] e_k (x) e_l, one pair at a time
-        rhs = _contract("iab,aAk->ibAk", Dc, cc)
-        rhs = _contract("ibAk,jAB->ibkjB", rhs, Dc)
-        add("delta_multiplicative", _max_abs_difference(
-            _pairs("ijm,mkl->ijkl", cc, Dc), _pairs("ibkjB,bBl->ijkl", rhs, cc)))
+        # = sum D[i,a,b] c[a,A,k] D[j,A,B] c[b,B,l] e_k (x) e_l, as the sums
+        # over a and over B, then over (A, b): d^2 pairs on C(G) and C*(Gamma)
+        add("delta_multiplicative", _identity_residual(
+            ("ijm,mkl->ijkl", cc, Dc),
+            ("ibAk,jAbl->ijkl", _contract("iab,aAk->ibAk", Dc, cc),
+             _contract("jAB,bBl->jAbl", Dc, cc))))
 
         # Delta(e_i*) against (* (x) *) Delta(e_i):
         # sum_k iv[i, k] D[k, a, b] against sum_uv conj(D[i, u, v]) iv[u, a] iv[v, b]
         rhs = _contract("iuv,ua->iav", Dc._replace(vals=np.conj(Dc.vals)), ivc)
-        add("delta_star_map", _max_abs_difference(
-            _pairs("ik,kab->iab", ivc, Dc), _pairs("iav,vb->iab", rhs, ivc)))
+        add("delta_star_map", _identity_residual(
+            ("ik,kab->iab", ivc, Dc), ("iav,vb->iab", rhs, ivc)))
 
         eps = self.counit.duals
         add("counit_left", np.abs(np.einsum("iab,a->ib", D, eps) - np.eye(alg.dim)).max())
@@ -288,15 +288,15 @@ class CompactQuantumGroup:
         # m(S (x) id) Delta and m(id (x) S) Delta against eps(.) 1:
         # sum D[i, a, b] S[a, u] c[u, b, k] and sum D[i, a, b] S[b, u] c[a, u, k]
         target = _coo(np.outer(eps, alg.unit))
-        add("antipode_left", _max_abs_difference(
-            _pairs("iab,abk->ik", Dc, _contract("au,ubk->abk", Sc, cc)), target))
-        add("antipode_right", _max_abs_difference(
-            _pairs("iau,auk->ik", _contract("iab,bu->iau", Dc, Sc), cc), target))
+        add("antipode_left", _identity_residual(
+            ("iab,abk->ik", Dc, _contract("au,ubk->abk", Sc, cc)), target))
+        add("antipode_right", _identity_residual(
+            ("iau,auk->ik", _contract("iab,bu->iau", Dc, Sc), cc), target))
         add("antipode_kac", np.abs(S @ S - np.eye(alg.dim)).max())
         # S(e_i e_j) against S(e_j) S(e_i): sum_uv S[j, u] S[i, v] c[u, v, k]
-        add("antipode_antihom", _max_abs_difference(
-            _pairs("ijm,mk->ijk", cc, Sc),
-            _pairs("ju,iuk->ijk", Sc, _contract("iv,uvk->iuk", Sc, cc))))
+        add("antipode_antihom", _identity_residual(
+            ("ijm,mk->ijk", cc, Sc),
+            ("ju,iuk->ijk", Sc, _contract("iv,uvk->iuk", Sc, cc))))
 
         add("haar_state", 0.0 if _state_rows(alg, self.haar.duals[np.newaxis])[0] else 1.0, 0.5)
         left, right = np.abs(_absorption_operator(self, self.haar.duals)).reshape(2, -1).max(axis=1)
@@ -368,6 +368,11 @@ def _vector_duals(alg: StarAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # SeedSequence's hash constants (NumPy, numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+# as uint64 columns, which hold every product of two words before the mask:
+# _MULT_A^t for the hashes of the spawn key, the constants of the 8 output hashes
+_POWERS_A = np.array([[pow(_MULT_A, t, 2 ** 32)] for t in range(5)], dtype=np.uint64)
+_CONSTS_B = np.array([[_INIT_B * pow(_MULT_B, t, 2 ** 32) & _MASK32] for t in range(9)],
+                     dtype=np.uint64)
 
 
 def _spawn_words(seed: int, ks: np.ndarray) -> np.ndarray:
@@ -379,27 +384,22 @@ def _spawn_words(seed: int, ks: np.ndarray) -> np.ndarray:
     zeros to the pool size 4 and then the one word k, into a pool of 4
     words.  k comes last, so the pool before it is ``SeedSequence(seed).pool``;
     the hash constant advances once per hash whatever the data, and 16 + 4
-    max(0, w - 4) hashes precede k's four.  Those four, k mixed into the
-    pool, are done here as arrays in wrapping uint32 arithmetic, and the
-    pool then yields 8 words, read as 4 little-endian uint64.
+    max(0, w - 4) hashes precede k's four.  Those four, k mixed into each
+    pool word, are done here as one (4, n) array in wrapping uint32
+    arithmetic, and the pool then yields 8 words as one (8, n) array, read
+    in pairs as 4 little-endian uint64.
     """
     from numpy.random import SeedSequence  # here: `import qperm` loads no numpy.random
     w = max(1, -(-seed.bit_length() // 32))
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, w - 4), 2 ** 32) & _MASK32
-    k, pool = np.asarray(ks, dtype=np.uint64), []  # uint64 holds every product before the mask
-    for word in SeedSequence(seed).pool.tolist():  # k hashed and mixed into each pool word
-        value = k ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        word = (_MIX_L * word - _MIX_R * (value ^ value >> 16)) & _MASK32
-        pool.append(word ^ word >> 16)
-    state, const = np.empty((k.size, 8), dtype=np.uint32), _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        state[:, i] = value ^ value >> 16
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    const = (_INIT_A * pow(_MULT_A, 16 + 4 * max(0, w - 4), 2 ** 32) & _MASK32) * _POWERS_A \
+        & _MASK32  # before each of k's hashes, and after the last
+    value = (np.asarray(ks, dtype=np.uint64) ^ const[:4]) * const[1:] & _MASK32
+    pool = (_MIX_L * SeedSequence(seed).pool.astype(np.uint64)[:, np.newaxis]
+            - _MIX_R * (value ^ value >> 16)) & _MASK32
+    pool ^= pool >> 16
+    value = (np.concatenate([pool, pool]) ^ _CONSTS_B[:8]) * _CONSTS_B[1:] & _MASK32
+    value ^= value >> 16
+    return np.ascontiguousarray((value[0::2] | value[1::2] << 32).T)
 
 
 @cache

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qperm
-from qperm import cli, cqg
+from qperm import algebra, cli
 from qperm.cli import BUILTIN_GROUPS, load_group, main
 from qperm.algebra import AlgebraError, State
 from qperm.dynamics import detect_period, trajectory, verify_bounds_empirically
@@ -35,15 +35,20 @@ def test_validate_builtins_pass(capsys):
 
 def test_validate_runs_the_hopf_contractions_once(monkeypatch, capsys):
     # the constructor validates kp, and the report printed is that one:
-    # the group is immutable, so coassociativity's contraction runs once
+    # the group is immutable, so coassociativity's contraction runs once,
+    # and kp's identities are one block each, so its pairs are taken once
     specs = []
-    real = cqg._pairs
+    real = algebra._join
 
-    def counting(spec, a, b):
-        specs.append(spec)
-        return real(spec, a, b)
+    def counting(spec, a, b, lead):
+        shape, operand, counts, take = real(spec, a, b, lead)
 
-    monkeypatch.setattr(cqg, "_pairs", counting)
+        def taking(s0, s1):
+            specs.append(spec)
+            return take(s0, s1)
+        return shape, operand, counts, taking
+
+    monkeypatch.setattr(algebra, "_join", counting)
     assert run(["validate", "kp"]) == 0
     assert specs.count("iuk,uab->iabk") == 1
     assert "coassociativity" in capsys.readouterr().out

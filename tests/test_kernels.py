@@ -43,7 +43,9 @@ compared with their earlier forms: the sort-and-count duplicate sums with
 unfolded dense one (in the builtin, a relabelled and a complex basis), the Cesaro projector (the kernel/range projector of
 I - T from one SVD) with the sorted Schur form and ``solve_sylvester``,
 also on defective, rotating and non-normal operators, the pair-kernel
-``validate`` residuals with their einsums, and the row space of a tall stack, taken through its R factor, with the SVD of the
+``validate`` residuals with their einsums, each identity summed a block of
+its output's leading index at a time with both sides formed whole, bit for
+bit (on the builtins, in a complex basis and perturbed), and the row space of a tall stack, taken through its R factor, with the SVD of the
 whole stack.  The Haar / non-Haar classifier, which the library decides by
 whether the null space is closed under the star, is compared with the test
 of the null space for a two-sided ideal one basis element at a time, on the
@@ -58,7 +60,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qperm import algebra, permgroups
+from qperm import algebra, cqg, permgroups
 from qperm.algebra import (
     AlgebraError,
     LinearFunctional,
@@ -654,6 +656,58 @@ def test_hopf_residuals_match_dense_under_perturbation(name, mult, delta):
             | ({"coassociativity"} if delta else set())
 
 
+def assert_blocked_identities_match_whole_sides(H, monkeypatch):
+    """Validate H, whose checks have not run, with each identity summed one
+    leading index to a block, and compare every blocked residual bit for
+    bit with both sides formed whole, ``_max_abs_difference(_pairs(x),
+    _pairs(y))``; return the validated report."""
+    real_residual, real_difference = algebra._identity_residual, algebra._max_abs_difference
+    seen, leads = [], []
+
+    def recording(x, y):
+        seen.append((x, y, real_residual(x, y)))
+        return seen[-1][2]
+
+    def per_block(x, y):
+        leads.append(np.unique(np.concatenate([x.keys, y.keys]) // np.prod(x.shape[1:])))
+        return real_difference(x, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_BLOCK_ENTRIES", 2)  # one product to a block
+        m.setattr(algebra, "_identity_residual", recording)
+        m.setattr(cqg, "_identity_residual", recording)
+        m.setattr(algebra, "_max_abs_difference", per_block)
+        report = H.validate()
+    assert len(seen) == 8  # associativity, involution_antihom, the six of the group
+    assert all(lead.size <= 1 for lead in leads)
+    residuals = {c.residual for c in report.checks}
+    for x, y, got in seen:  # a side is a contraction (spec, a, b) or a tensor given whole
+        whole = algebra._max_abs_difference(
+            *(side if isinstance(side, algebra._Coo) else algebra._pairs(*side) for side in (x, y)))
+        assert np.float64(got).tobytes() == np.float64(whole).tobytes(), (x[0], y[0])
+        assert got in residuals
+    return report
+
+
+def test_blocked_identities_match_whole_sides(G, monkeypatch):
+    report = assert_blocked_identities_match_whole_sides(perturbed(G, 0, False, False),
+                                                         monkeypatch)
+    assert report.ok
+
+
+@pytest.mark.parametrize("name", ["s3", "dual-s3", "kp"])
+def test_blocked_identities_match_whole_sides_off_the_builtins(name, monkeypatch):
+    # in a complex basis every tensor is dense; perturbed, every identity
+    # that the perturbation touches fails, and its residual must not move
+    G = BUILTIN_GROUPS[name]()
+    assert assert_blocked_identities_match_whole_sides(in_basis(G, complex_basis(G, 5)),
+                                                       monkeypatch).ok
+    for seed in range(2):
+        for mult, delta in [(True, False), (False, True), (True, True)]:
+            assert_blocked_identities_match_whole_sides(perturbed(G, seed, mult, delta),
+                                                        monkeypatch)
+
+
 def per_entry_magic_residuals(G):
     """The magic-grid residuals of ``validate``, one entry at a time."""
     alg, N, m = G.algebra, G.N, G.magic
@@ -934,10 +988,12 @@ def test_rows_near_the_tolerance_take_the_dense_form(name, monkeypatch):
             assert band[6] and band[7] and not any(band[:6]), (basis, tol)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["kp", "dual-s4", "s4"])
 def test_rows_that_are_not_finite_fail(name, monkeypatch):
     # a NaN or infinite entry, at any place of a stack and alone, fails the
-    # row, and no LAPACK call sees it
+    # row, and no LAPACK call sees it; no product sees it either, so no
+    # warning of an invalid value is raised
     G = BUILTIN_GROUPS[name]()
     alg, tol = G.algebra, G.algebra.tol
     for routine in ("cholesky", "eigvalsh"):
