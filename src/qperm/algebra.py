@@ -348,7 +348,7 @@ class StarAlgebra:
         vals = np.zeros((d, counts.max()), dtype=complex)
         left[k, slot], right[k, slot], vals[k, slot] = m, j, self._mult_coo.vals[order]
         forms = []
-        for s in np.unique(np.diff(cuts)).tolist():
+        for s in sorted(set(np.diff(cuts).tolist())):
             idx = np.array([np.arange(a, b) for a, b in zip(cuts, cuts[1:]) if b - a == s])
             A = V[:, idx].transpose(1, 2, 0)[:, :, left]  # (g, s, d, c)
             B = W[:, idx].transpose(1, 0, 2)[:, right] * vals[:, :, np.newaxis]  # (g, d, c, s)

@@ -89,22 +89,14 @@ def write_json(path: Path, payload) -> None:
 # -- group registry -----------------------------------------------------------
 
 
-def _klein_in_s4():
-    return classical_group(permgroups.klein_four(), name="klein-s4")
-
-
-def _z4_in_s4():
-    four_cycle = permgroups.from_cycles(4, (0, 1, 2, 3))
-    return classical_group(permgroups.closure([four_cycle]), name="z4-s4")
-
-
 BUILTIN_GROUPS = {
     "trivial": lambda: classical_group([permgroups.identity_perm(1)], name="trivial"),
     "s2": lambda: classical_group(permgroups.symmetric_group(2), name="s2"),
     "s3": lambda: classical_group(permgroups.symmetric_group(3), name="s3"),
     "s4": lambda: classical_group(permgroups.symmetric_group(4), name="s4"),
-    "klein-s4": _klein_in_s4,
-    "z4-s4": _z4_in_s4,
+    "klein-s4": lambda: classical_group(permgroups.klein_four(), name="klein-s4"),
+    "z4-s4": lambda: classical_group(permgroups.closure([permgroups.from_cycles(4, (0, 1, 2, 3))]),
+                                     name="z4-s4"),
     "kp": kac_paljutkin,
     "dual-z2": lambda: dual_group(permgroups.FiniteGroup.cyclic(2), [(1, 2)],
                                   name="dual-z2"),
@@ -262,9 +254,11 @@ def exp_idempotent_census(G, params, out):
     extra = [G.counit, G.haar]
     results = idempotent.idempotent_census(G, n_seeds, seed=seed, extra_seeds=extra)
     alphas = permutation._quantum_fractions(np.array([res.limit.duals for res in results]), cv)
+    limits = {res.limit.duals.tobytes(): res.limit for res in results}  # bytewise distinct
+    kinds = {key: idempotent.classify_idempotent(G, limit) for key, limit in limits.items()}
     rows, gap_ok = [], True
     for k, (res, alpha) in enumerate(zip(results, alphas.tolist())):
-        cls = idempotent.classify_idempotent(G, res.limit)
+        cls = kinds[res.limit.duals.tobytes()]
         ok = dynamics.idempotent_gap_check(alpha)
         gap_ok = gap_ok and ok
         rows.append({"seed_index": k, "converged": res.converged,
@@ -317,14 +311,15 @@ def exp_bounds(G, params, out):
 def exp_periodicity(G, params, out):
     rows = []
     if G.kind == "classical" and G.N == 4 and len(G.group_elements) == 24:
-        klein = permgroups.klein_four()
+        klein, periods = permgroups.klein_four(), {}  # one scan per coset of V
         for g in G.group_elements:
             nu = uniform_state(G, [permgroups.compose(p, g) for p in klein])
-            period = dynamics.detect_period(G, nu)
+            if (key := nu.duals.tobytes()) not in periods:
+                periods[key] = dynamics.detect_period(G, nu)
             rows.append({"representative": permgroups.perm_label(g),
                          "element_order": permgroups.perm_order(g),
                          "coset_order": permgroups.coset_order(g, klein),
-                         "period": period})
+                         "period": periods[key]})
     if G.kind == "kac_paljutkin":
         cv, k_max = permutation.classical_version(G), int(params.get("k_max", 8))
         # one stack of E11's powers: alpha_k from k_max + 1 rows, detect_period's scan from 65

@@ -322,17 +322,21 @@ class CompactQuantumGroup:
         return checks
 
     def _entries_generate(self) -> bool:
-        """Whether the unit and the magic entries generate the algebra: each
-        round replaces their span V with V + V V, from the dense products
-        prods[x, y] = V[x] V[y], until V is the algebra or stops growing, so
-        words of length n take log2(n) rounds."""
+        """Whether the unit and the magic entries generate the algebra, by word
+        growth: each round multiplies only the rows it last added by every
+        generator and adds the part of those products off the span V, until V
+        is the algebra or stops growing.  The operator is scaled to entries of
+        at most 1, so that the rank cut admits no rounding in a rescaled basis."""
         alg, d = self.algebra, self.dim
-        basis, rank = _row_space(np.vstack([alg.unit, self.magic.reshape(-1, d)])), 0
-        while rank < basis.shape[0] < d:
-            rank = basis.shape[0]
-            prods = basis @ (basis @ alg.mult.reshape(d, d * d)).reshape(-1, d, d)
-            basis = _row_space(np.vstack([basis, prods.reshape(-1, d)]))
-        return basis.shape[0] == d
+        gens = _row_space(np.vstack([alg.unit, self.magic.reshape(-1, d)]))
+        right = np.matmul(gens, alg.mult).reshape(d, -1)  # row a: e_a g for every g
+        right /= max(1.0, np.abs(right).max())
+        basis = new = gens
+        while 0 < len(new) and len(basis) < d:
+            prods = (new @ right).reshape(-1, d)
+            new = _row_space(prods - (prods @ basis.conj().T) @ basis)
+            basis = np.vstack([basis, new])
+        return len(basis) == d
 
     def __repr__(self):
         return f"CompactQuantumGroup({self.name}, dim={self.dim}, N={self.N})"

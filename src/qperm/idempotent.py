@@ -98,7 +98,7 @@ def _cesaro_projector(T: np.ndarray) -> np.ndarray:
     U, sigma, Vh = np.linalg.svd(np.eye(d) - T.reshape(-1, d, d))
     size = (sigma < 1e-8).sum(axis=1)
     E = np.zeros_like(U)
-    for k in np.unique(size[size > 0]).tolist():
+    for k in sorted(set(size[size > 0].tolist())):
         at = size == k
         N = Vh[at, d - k:].conj().swapaxes(1, 2)
         Mh = U[at, :, d - k:].conj().swapaxes(1, 2)

@@ -9,6 +9,7 @@ from qperm import algebra, permgroups
 from qperm.algebra import (
     AlgebraError,
     LinearFunctional,
+    StarAlgebra,
     State,
     _Coo,
     _block_rows,
@@ -19,7 +20,15 @@ from qperm.algebra import (
     meet,
     support_projection,
 )
-from qperm.cqg import _row_space, _vector_duals, birkhoff_matrix, centre, characters, classical_group
+from qperm.cqg import (
+    CompactQuantumGroup,
+    _row_space,
+    _vector_duals,
+    birkhoff_matrix,
+    centre,
+    characters,
+    classical_group,
+)
 from qperm.idempotent import (
     CesaroResult,
     CollapseProbeReport,
@@ -953,7 +962,7 @@ def force_block(monkeypatch):
     return force
 
 
-# -- the generation check as it was: the span grown one word length a round ------
+# -- the generation check by two other routes: sparse word growth, span squaring --
 
 
 def _row_space_by_svd(rows):
@@ -988,6 +997,20 @@ def _entries_generate_by_words(G):
     return True
 
 
+def _entries_generate_by_squaring(G):
+    """Whether the unit and the magic entries generate the algebra, by span
+    squaring: each round replaces their span V with V + V V, from the dense
+    products prods[x, y] = V[x] V[y], until V is the algebra or stops
+    growing, so words of length n take log2(n) rounds."""
+    alg, d = G.algebra, G.dim
+    basis, rank = _row_space(np.vstack([alg.unit, G.magic.reshape(-1, d)])), 0
+    while rank < basis.shape[0] < d:
+        rank = basis.shape[0]
+        prods = basis @ (basis @ alg.mult.reshape(d, d * d)).reshape(-1, d, d)
+        basis = _row_space(np.vstack([basis, prods.reshape(-1, d)]))
+    return basis.shape[0] == d
+
+
 @pytest.fixture
 def row_space_oracle():
     """``row_space_oracle(rows)``: the row space by the SVD of the whole stack."""
@@ -997,5 +1020,34 @@ def row_space_oracle():
 @pytest.fixture(scope="session")
 def generation_oracle():
     """``generation_oracle(G)``: whether the magic entries generate, growing
-    the span by one word length a round."""
+    the span by one word length a round with sparse products."""
     return _entries_generate_by_words
+
+
+@pytest.fixture(scope="session")
+def squaring_oracle():
+    """``squaring_oracle(G)``: whether the magic entries generate, squaring
+    the span each round, as the library did before word growth."""
+    return _entries_generate_by_squaring
+
+
+# -- groups in another basis ------------------------------------------------------
+
+
+def complex_basis(G, seed):
+    """I + 0.3 (X + iY) with X, Y seeded Gaussian: a complex, non-orthogonal basis."""
+    rng = np.random.default_rng(seed)
+    return np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
+                                  + 1j * rng.standard_normal((G.dim,) * 2))
+
+
+def in_basis(G, B):
+    """G with the basis f_i = sum_k B[i, k] e_k; coefficients map x -> x @ B^-1."""
+    a, Bi = G.algebra, np.linalg.inv(B)
+    mult = np.einsum("ia,jb,abk,kl->ijl", B, B, a.mult, Bi, optimize=True)
+    alg = StarAlgebra(a.labels, mult, np.conj(B) @ a.involution @ Bi, a.unit @ Bi, B @ a.trace,
+                      check=False)
+    return CompactQuantumGroup(
+        G.name, alg, np.einsum("ia,abc,bm,cn->imn", B, G.delta, Bi, Bi, optimize=True),
+        State(alg, B @ G.counit.duals, check=False), B @ G.antipode @ Bi,
+        G.magic @ Bi, check=False)

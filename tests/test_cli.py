@@ -14,10 +14,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qperm
-from qperm import algebra, cli
+from qperm import algebra, cli, permgroups
 from qperm.cli import BUILTIN_GROUPS, load_group, main
 from qperm.algebra import AlgebraError, State
+from qperm.cqg import uniform_state
 from qperm.dynamics import detect_period, trajectory, verify_bounds_empirically
+from qperm.idempotent import classify_idempotent, idempotent_census
 from qperm.permgroups import FiniteGroup
 from qperm.permutation import classical_version
 
@@ -509,6 +511,41 @@ def test_kp_periodicity_reads_one_power_stack(tmp_path, monkeypatch, k_max):
     assert {name: len(c) for name, c in calls.items()} == {"_powers": 1, "trajectory": 0}
 
 
+def test_s4_periodicity_scans_each_coset_once(tmp_path, monkeypatch):
+    # the uniform states on Vg for the 24 g of S4 are 6, one per coset of
+    # the Klein four-group V; each is scanned once and every row keeps its
+    # own state's period
+    G = BUILTIN_GROUPS["s4"]()
+    klein = permgroups.klein_four()
+    ref = [detect_period(G, uniform_state(G, [permgroups.compose(p, g) for p in klein]))
+           for g in G.group_elements]
+    calls = _counting(monkeypatch, cli.dynamics, "detect_period")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "periodicity", "group": "s4"}))
+    assert run(["run", spec, "--out", tmp_path]) == 0
+    rows = json.loads((tmp_path / "periodicity.json").read_text())["rows"]
+    assert [row["period"] for row in rows] == ref
+    assert len(calls) == 6
+
+
+def test_dual_s4_census_classifies_each_distinct_limit_once(tmp_path, monkeypatch):
+    # the 52 Cesaro limits of the benchmark's seed-0 dual-S4 census spec (50
+    # bank seeds, the counit and Haar) are 4 bytewise distinct; each is
+    # classified once and every row keeps its own limit's class
+    G, params = BUILTIN_GROUPS["dual-s4"](), {"n_seeds": 50, "seed": 666712825}
+    results = idempotent_census(G, 50, seed=params["seed"], extra_seeds=[G.counit, G.haar])
+    classes = [classify_idempotent(G, res.limit) for res in results]
+    calls = _counting(monkeypatch, cli.idempotent, "classify_idempotent")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "idempotent-census", "group": "dual-s4",
+                                "parameters": params}))
+    assert run(["run", spec, "--out", tmp_path]) == 0
+    rows = json.loads((tmp_path / "census.json").read_text())["rows"]
+    assert [[row["kind"], row["null_dim"]] for row in rows] == [
+        [cls.kind, cls.null_space_dim] for cls in classes]
+    assert len(calls) == 4
+
+
 def test_classical_version_experiment_tests_p_c_once(tmp_path, monkeypatch):
     # classical_version raises unless p_C is group-like; the artifact
     # records that fact without testing it again
@@ -598,6 +635,23 @@ def test_qperm_imports_without_numpy_random():
     done = run_child(script)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [False, True]
+
+
+def test_qperm_runs_without_numpy_ma():
+    # np.unique imports numpy.ma on first use; the frame build of a stacked
+    # positivity check and the Cesaro projector's kernel sizes must not
+    script = ("import json, sys\n"
+              "import qperm.cli\n"
+              "from qperm import idempotent, permutation\n"
+              "groups = qperm.cli.BUILTIN_GROUPS\n"
+              "permutation.classical_version(groups['dual-s4']())\n"
+              "kp = groups['kp']()\n"
+              "idempotent.idempotent_census(kp, 4, seed=0)\n"
+              "kp.sample_states(3, seed=0)\n"
+              "print(json.dumps('numpy.ma' in sys.modules))\n")
+    done = run_child(script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) is False
 
 
 # -- nesting and the fuzzed input boundary -----------------------------------------

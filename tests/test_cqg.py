@@ -534,6 +534,20 @@ def test_identities_are_summed_in_bounded_memory():
         assert peak < 4 * 2**20
 
 
+def test_generation_check_runs_in_bounded_memory():
+    # word growth multiplies the new rows by the generators, never forming
+    # an (r, d^2) product: on dual-D20 (dim 40) it peaks about 0.14 MB above
+    # its inputs, where span squaring peaked 2.1 MB
+    G = dual_dihedral(20, check=False)
+    tracemalloc.start()
+    try:
+        assert G._entries_generate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
 def test_group_likeness_memory_stays_at_d_squared():
     # at dim 60 the tensor square's Gram matrix would be a (d^2, d^2) complex
     # array of 207 MB; the Gram-form norm needs only (d, d) arrays

@@ -87,7 +87,7 @@ EXPORTED_NAMES = {
     "classical_group": "the CLI builtins and group files; perfbench",
     "classical_version": "the CLI and perfbench",
     "classify_idempotent": "the CLI census and perfbench",
-    "collapse_stability_probe": "perfbench passes n_samples and seed (ROADMAP item 4)",
+    "collapse_stability_probe": "perfbench passes n_samples and seed (ROADMAP item 1)",
     "condition": "perfbench calls it",
     "convergence_to_haar": "the CLI s4hat walkthrough",
     "convolution_bounds": "verify_bounds_empirically",
@@ -100,7 +100,7 @@ EXPORTED_NAMES = {
     "face_idempotent": "stabiliser_idempotent and dual_subgroup_idempotent",
     "fix_eigenvector_seed": "the CLI s4hat walkthrough",
     "fix_spectrum": "the CLI fix-spectrum and s4hat experiments",
-    "generated_idempotent": "the join closure of the idempotent lattice (ROADMAP item 2)",
+    "generated_idempotent": "the join closure of the idempotent lattice (ROADMAP item 8)",
     "gram_norm": "is_group_like and the spectral functions",
     "has_integer_fixed_points": "the CLI fix-spectrum and s4hat experiments",
     "idempotent_census": "the CLI census",

@@ -111,6 +111,8 @@ from qperm.permutation import (
     stabiliser_projection,
 )
 
+from conftest import complex_basis, in_basis
+
 # Fixed before the kernels were written: complex128 sums of at most d^2
 # terms of size ~1 agree to a few hundred ulps at d <= 24.
 RTOL = 1e-12
@@ -767,25 +769,6 @@ def test_group_like_residual_matches_tensor_square(G):
     # the unit, and vectors that are not projections
     for p in [G.algebra.unit, *random_vectors(G, 2, 11)]:
         assert_matches(_group_like_residual(G, p), tensor_square_residual(G, p))
-
-
-def complex_basis(G, seed):
-    """I + 0.3 (X + iY) with X, Y seeded Gaussian: a complex, non-orthogonal basis."""
-    rng = np.random.default_rng(seed)
-    return np.eye(G.dim) + 0.3 * (rng.standard_normal((G.dim,) * 2)
-                                  + 1j * rng.standard_normal((G.dim,) * 2))
-
-
-def in_basis(G, B):
-    """G with the basis f_i = sum_k B[i, k] e_k; coefficients map x -> x @ B^-1."""
-    a, Bi = G.algebra, np.linalg.inv(B)
-    mult = np.einsum("ia,jb,abk,kl->ijl", B, B, a.mult, Bi, optimize=True)
-    alg = StarAlgebra(a.labels, mult, np.conj(B) @ a.involution @ Bi, a.unit @ Bi, B @ a.trace,
-                      check=False)
-    return CompactQuantumGroup(
-        G.name, alg, np.einsum("ia,abc,bm,cn->imn", B, G.delta, Bi, Bi, optimize=True),
-        State(alg, B @ G.counit.duals, check=False), B @ G.antipode @ Bi,
-        G.magic @ Bi, check=False)
 
 
 @pytest.mark.parametrize("name", ["s3", "dual-s3", "kp"])

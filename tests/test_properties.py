@@ -14,9 +14,11 @@ uniform measure on the subgroup X generates (Kawada-Ito); on C*(G), where
 convolution is pointwise, the one generated by the indicators of H and K is
 the indicator of their intersection.
 
-The generation check on the magic entries, which squares their span,
-decides as the span grown one word length a round does, on the generated
-groups and on every builtin, dual-D20 and a sub-grid that does not generate.
+The generation check on the magic entries, which grows their span one
+word length a round through one right-multiplication operator, decides as
+sparse word growth and span squaring do, on the generated groups and on
+every builtin, dual-D20 and a sub-grid that does not generate, and on that
+sub-grid and dual-D6 in rescaled and complex bases.
 
 The direct summands of each generated group's algebra, the union-find
 components of its non-zeros, are one point each on C(G) and one summand on
@@ -48,6 +50,8 @@ from qperm.cqg import (
     uniform_state,
 )
 from qperm.idempotent import dual_subgroup_idempotent, face_idempotent, generated_idempotent
+
+from conftest import complex_basis, in_basis
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -137,21 +141,30 @@ def test_generated_group_laws_match_the_loop_constructors(group_law_oracle, gens
     assert group_law_oracle(dual_group(group, [(i, group.element_order(i)) for i in index])) == []
 
 
-def test_generation_matches_word_growth(generation_oracle):
-    # span squaring against one word length a round: every builtin; dual-D20,
-    # whose entries need words of length 20 (5 squaring rounds, 20 word
-    # rounds); one reflection block of dual-D6, a magic unitary whose entries
-    # do not generate; and the generated groups, as functions and as duals
+def test_generation_matches_word_growth(generation_oracle, squaring_oracle):
+    # word growth against sparse word growth and span squaring: every
+    # builtin; dual-D20, whose entries need words of length 20 (20 word
+    # rounds, 5 squaring rounds); one reflection block of dual-D6, a magic
+    # unitary whose entries do not generate; the generated groups, as
+    # functions and as duals; and that block and dual-D6 in uniformly
+    # rescaled bases and in rescaled complex ones, where rounding scales with
+    # the products (without scaling the right-multiplication operator, the
+    # rank cut finds the block generating in 1e6 times the complex basis)
     def agree(G):
         got = G._entries_generate()
-        assert got == generation_oracle(G), G.name
+        assert got == generation_oracle(G) == squaring_oracle(G), G.name
         return got
 
     assert all(agree(build()) for build in BUILTIN_GROUPS.values())
     assert agree(dual_dihedral(20))
     d6 = dual_dihedral(6)
-    assert not agree(CompactQuantumGroup("sub", d6.algebra, d6.delta, d6.counit, d6.antipode,
-                                         d6.magic[:2, :2], check=False))
+    grid = CompactQuantumGroup("sub", d6.algebra, d6.delta, d6.counit, d6.antipode,
+                               d6.magic[:2, :2], check=False)
+    assert not agree(grid)
+    for G, generates in [(grid, False), (d6, True)]:
+        for B in [*(c * np.eye(G.dim) for c in (1e-5, 1e-3, 1e3, 1e5)),
+                  *(c * complex_basis(G, 3) for c in (1e-6, 1.0, 1e6))]:
+            assert agree(in_basis(G, B)) == generates
 
     @PROPERTY
     @given(generators())
