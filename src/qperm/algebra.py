@@ -198,7 +198,8 @@ def _identity_residual(x: tuple, y: tuple) -> float:
 def _generic_coeffs(d: int) -> np.ndarray:
     """Complex coefficients from a fixed seed, drawn once per dimension d
     (read-only): h + h^* is the generic self-adjoint element of
-    :attr:`StarAlgebra._frame`."""
+    :attr:`StarAlgebra._frame`, and h on the centre is the generic central
+    element of ``cqg.characters``."""
     rng = np.random.default_rng(0)
     h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     h.flags.writeable = False
@@ -319,9 +320,9 @@ class StarAlgebra:
         so that (phi @ K).reshape(g, s, s) holds phi(u_a^* u_b) for the
         vectors u_a, u_b of each cluster.
 
-        The u are the eigenvectors of L_h, for a self-adjoint h drawn once
-        per dimension (:func:`_generic_coeffs`), orthonormal in the trace
-        frame and cut into clusters by the rule of :func:`eigen_clusters`.
+        The u are the eigenvectors of L_h in the trace frame
+        (:func:`_self_adjoint_eig`), for a self-adjoint h drawn once per
+        dimension (:func:`_generic_coeffs`), cut by :func:`eigen_clusters`.
         A cluster spans e A for a spectral projection e of h, and the
         projections of two clusters multiply to 0, so phi(u_a^* u_b) = 0
         across clusters for every phi: the form is block diagonal in the
@@ -329,15 +330,11 @@ class StarAlgebra:
         small, one of size n for each minimal projection of each block M_n
         of A.  The columns are sums over the non-zeros mult[m, j, k] of each
         k, u_a^*[m] mult[m, j, k] u_b[j], one batched product per size."""
-        d, L = self.dim, self._chol
-        h = _generic_coeffs(d)
-        h = h + self.star_coeffs(h)
-        M = self.to_hermitian_frame((h @ self.regular.reshape(d, d * d)).reshape(d, d))
-        evals, U = np.linalg.eigh((M + M.conj().T) / 2)
-        W = np.linalg.solve(L.conj().T, U)  # columns: the u, as coefficients
+        d, h = self.dim, _generic_coeffs(self.dim)
+        evals, U = _self_adjoint_eig(self.element(h + self.star_coeffs(h)))
+        W = np.linalg.solve(self._chol.conj().T, U)  # columns: the u, as coefficients
         V = self.involution.T @ W.conj()  # columns: the u^*
-        split = np.diff(evals) > 1e-6 * np.maximum(1.0, np.abs(evals[:-1]))
-        cuts = [0, *(np.flatnonzero(split) + 1).tolist(), d]
+        clusters = np.split(np.arange(d), eigen_clusters(evals))
         # row k: the (m, j, value) of each non-zero mult[m, j, k], zero-padded
         m, j, k = np.unravel_index(self._mult_coo.keys, self.mult.shape)
         order = k.argsort(kind="stable")
@@ -348,8 +345,8 @@ class StarAlgebra:
         vals = np.zeros((d, counts.max()), dtype=complex)
         left[k, slot], right[k, slot], vals[k, slot] = m, j, self._mult_coo.vals[order]
         forms = []
-        for s in sorted(set(np.diff(cuts).tolist())):
-            idx = np.array([np.arange(a, b) for a, b in zip(cuts, cuts[1:]) if b - a == s])
+        for s in sorted({len(c) for c in clusters}):
+            idx = np.array([c for c in clusters if len(c) == s])
             A = V[:, idx].transpose(1, 2, 0)[:, :, left]  # (g, s, d, c)
             B = W[:, idx].transpose(1, 0, 2)[:, right] * vals[:, :, np.newaxis]  # (g, d, c, s)
             K = A.transpose(2, 0, 1, 3) @ B.transpose(1, 0, 2, 3)  # (d, g, s, s)
@@ -667,17 +664,12 @@ def _projection_residuals(alg: StarAlgebra, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigen_clusters(evals: np.ndarray):
-    """Group sorted eigenvalues whose gaps are below 1e-6 * max(1, |lambda|)."""
-    order = np.argsort(evals)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        prev = evals[clusters[-1][-1]]
-        if abs(evals[idx] - prev) <= 1e-6 * max(1.0, abs(prev)):
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
+def eigen_clusters(evals: np.ndarray) -> np.ndarray:
+    """The cut points of ascending eigenvalues, as ``eigh`` returns them:
+    ``np.split(evals, cuts)`` gives the clusters, cut where a gap exceeds
+    1e-6 * max(1, |lambda|) of the eigenvalue below it.  The one gap rule of
+    every spectral projection and of the block frame."""
+    return np.flatnonzero(np.diff(evals) > 1e-6 * np.maximum(1.0, np.abs(evals[:-1]))) + 1
 
 
 def _self_adjoint_eig(f: AlgebraElement):
@@ -696,8 +688,8 @@ def _selected_projection(alg: StarAlgebra, evals: np.ndarray, U: np.ndarray,
     """The projection onto the columns of U, eigenvectors in the trace frame,
     of every cluster (:func:`eigen_clusters`) whose mean passes ``select``,
     pulled back with its back-map residual enforced; zero if none passes."""
-    sel = [k for cluster in eigen_clusters(evals)
-           if select(float(np.mean(evals[cluster]))) for k in cluster]
+    sel = [k for idx in np.split(np.arange(len(evals)), eigen_clusters(evals))
+           if select(float(np.mean(evals[idx]))) for k in idx]
     if not sel:
         return Projection(alg, np.zeros(alg.dim), check=False)
     V = U[:, sel]
@@ -716,9 +708,9 @@ def spectral_projection(f: AlgebraElement, intervals) -> Projection:
 
 def spectral_partition(f: AlgebraElement):
     """All (cluster mean, Projection) pairs of a self-adjoint element, in
-    increasing order: :func:`eigen_clusters` walks the eigenvalues' argsort."""
+    increasing order: the ascending eigenvalues' clusters (:func:`eigen_clusters`)."""
     evals, U = _self_adjoint_eig(f)
-    means = [float(np.mean(evals[cluster])) for cluster in eigen_clusters(evals)]
+    means = [float(np.mean(c)) for c in np.split(evals, eigen_clusters(evals))]
     return [(lam, _selected_projection(f.algebra, evals, U, lambda mean: mean == lam))
             for lam in means]
 

@@ -31,6 +31,7 @@ from .algebra import (
     _certify,
     _coo,
     _contract,
+    _generic_coeffs,
     _identity_residual,
     _multiplicativity_residual,
     _projection_residuals,
@@ -461,7 +462,7 @@ def classical_group(perms: list[tuple], name: str | None = None,
     """
     try:
         group = permgroups.FiniteGroup.from_permutations(perms)
-    except ValueError as exc:  # not closed under composition
+    except ValueError as exc:  # not permutations, or not closed under composition
         raise AlgebraError(str(exc)) from exc
     order = group.perms
     n, deg = len(order), len(order[0])
@@ -484,11 +485,11 @@ def uniform_state(G: CompactQuantumGroup, elements) -> State:
     """Uniform probability measure on a set of elements of a classical group."""
     if G.kind != "classical":
         raise AlgebraError("uniform states are for classical function algebras")
-    index = sorted({G.group_elements.index(tuple(p)) for p in elements})
-    if not index:
-        raise AlgebraError("the uniform state needs at least one element")
+    elements = {tuple(p) for p in elements}
+    if not elements or not elements <= set(G.group_elements):
+        raise AlgebraError("the uniform state needs one or more elements of the group")
     duals = np.zeros(G.dim, dtype=complex)
-    duals[index] = 1.0 / len(index)
+    duals[[G.group_elements.index(p) for p in elements]] = 1.0 / len(elements)
     return State(G.algebra, duals)
 
 
@@ -505,8 +506,8 @@ def dual_group(group: permgroups.FiniteGroup, gens: list[tuple[int, int]],
     if not gens:
         raise AlgebraError("need at least one generator")
     for g, d in gens:
-        if group.element_order(g) != d:
-            raise AlgebraError(f"element {g} does not have order {d}")
+        if not (0 <= g < n and group.element_order(g) == d):
+            raise AlgebraError(f"element {g} is not in the group or does not have order {d}")
     if not group.generates([g for g, _ in gens]):
         raise AlgebraError("listed elements do not generate the group")
 
@@ -554,6 +555,8 @@ def dual_symmetric_group(n: int, check: bool = True) -> CompactQuantumGroup:
 
 def dual_dihedral(m: int, check: bool = True) -> CompactQuantumGroup:
     """Dual of the dihedral group of order 2m, on two reflection generators."""
+    if m < 2:
+        raise AlgebraError("need m >= 2")
     group = permgroups.FiniteGroup.dihedral(m)
     a, b = group.dihedral_reflections()
     return dual_group(group, [(a, 2), (b, 2)], name=f"dual-D{m}", check=check)
@@ -680,13 +683,13 @@ def characters(G: CompactQuantumGroup) -> list[State]:
 
     Multiplication by a generic central element acts on Z(A) (:func:`centre`)
     with one eigenvalue per block, which must be separated.  The element is
-    drawn from a fixed seed in the coordinates of A and projected on Z(A) by
-    Z^H Z, which no choice of the orthonormal basis Z of Z(A) changes.  Its
-    eigenvectors, scaled to sum to the unit, are the minimal
-    central projections z; those with tr L_z = 1 bound the one-dimensional
-    blocks, and each gives the character chi(a) = tau(a z) / tau(z), with
-    support z.  All of them are checked as states and for multiplicativity
-    within 100 max(1e-8, tol), in one stack.
+    the block frame's seeded vector (``algebra._generic_coeffs``) in the
+    coordinates of A, projected on Z(A) by Z^H Z, which no choice of the
+    orthonormal basis Z of Z(A) changes.  Its eigenvectors, scaled to sum to
+    the unit, are the minimal central projections z; those with tr L_z = 1
+    bound the one-dimensional blocks, and each gives the character
+    chi(a) = tau(a z) / tau(z), with support z.  All of them are checked as
+    states and for multiplicativity within 100 max(1e-8, tol), in one stack.
     """
     return [State(G.algebra, row, check=False) for row in _character_stack(G)[1]]
 
@@ -696,8 +699,7 @@ def _character_stack(G: CompactQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
     alg, d = G.algebra, G.dim
     Z = centre(G)
     c = len(Z)
-    rng = np.random.default_rng(0)
-    generic = ((rng.standard_normal(d) + 1j * rng.standard_normal(d)) @ Z.conj().T) @ Z
+    generic = (_generic_coeffs(d) @ Z.conj().T) @ Z
     evals, V = np.linalg.eig(Z.conj() @ alg.left_mult_matrix(generic) @ Z.T)
     gaps = np.abs(np.subtract.outer(evals, evals))[~np.eye(c, dtype=bool)]
     if not gaps.min(initial=np.inf) > 1e-6 * max(1.0, np.abs(evals).max()):

@@ -154,9 +154,12 @@ class FiniteGroup:
 
     @classmethod
     def from_permutations(cls, perms: list[tuple]) -> "FiniteGroup":
-        """The group of a list of permutations, sorted, so identity first.  A
-        finite set closed under composition is a group: closure is the check."""
+        """The group of a list of permutations of one 0..n-1, sorted, so identity
+        first.  A finite set closed under composition is a group: closure is the check."""
         order = sorted(set(perms))
+        n = len(order[0]) if order else 0
+        if n < 1 or any(sorted(p) != list(range(n)) for p in order):
+            raise ValueError("every permutation must list the images of 0..n-1, for one n >= 1")
         P = np.array(order)
         idx = {p: i for i, p in enumerate(order)}
         try:  # P[a, P[b]] lists the images of a compose b

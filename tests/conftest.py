@@ -938,15 +938,32 @@ def summand_oracle():
     return _summands_by_union_find
 
 
+def _eigen_clusters_by_walk(evals):
+    """The clusters as lists of indices: the argsort walked in a loop, a
+    new cluster wherever an eigenvalue is more than 1e-6 * max(1, |prev|)
+    above the one before it."""
+    order = np.argsort(evals)
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        prev = evals[clusters[-1][-1]]
+        if abs(evals[idx] - prev) <= 1e-6 * max(1.0, abs(prev)):
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return clusters
+
+
 @pytest.fixture(scope="session")
 def kernel_oracles():
     """The kernels as they were: ``summed`` (np.unique + np.add.at),
     ``positive_rows`` (32 rows, involution as a second product),
-    ``cesaro_projector`` (solve_sylvester) and ``validate_residuals`` (einsums)."""
+    ``cesaro_projector`` (solve_sylvester), ``validate_residuals`` (einsums)
+    and ``eigen_clusters`` (the argsort walked in a loop)."""
     return types.SimpleNamespace(summed=_summed_by_add_at,
                                  positive_rows=_positive_rows_unfolded,
                                  cesaro_projector=_cesaro_projector_by_solve_sylvester,
-                                 validate_residuals=_validate_residuals_by_einsum)
+                                 validate_residuals=_validate_residuals_by_einsum,
+                                 eigen_clusters=_eigen_clusters_by_walk)
 
 
 @pytest.fixture

@@ -624,6 +624,22 @@ def test_qperm_starts_without_scipy():
     assert json.loads(done.stdout) == [[], 0, []]
 
 
+@pytest.mark.parametrize("build, error", [
+    ("qperm.cqg.classical_group([(0, 0)])", "AlgebraError"),
+    ("qperm.permgroups.FiniteGroup.from_permutations([(0, 0)])", "ValueError"),
+])
+def test_a_tuple_that_is_not_a_bijection_is_refused(build, error):
+    # (0, 0) is no permutation: walking its cycles for a label never ends
+    # and grows a list, so it must be refused before the walk.  Run in a
+    # child under a 1 GB limit, so that the walk fails there, out of memory
+    # or at the timeout, instead of stopping the suite
+    script = ("import qperm.cqg, qperm.permgroups\n"
+              f"try:\n    {build}\nexcept ValueError as exc:\n    print(type(exc).__name__)\n")
+    done = run_child(script, address_space=2 ** 30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [error]
+
+
 def test_qperm_imports_without_numpy_random():
     # numpy.random is loaded only when a state bank is first drawn, not by
     # `import qperm`; drawing one then loads it, so the check can see it

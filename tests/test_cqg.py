@@ -103,6 +103,25 @@ def test_classical_group_rejects_non_closed():
         classical_group([permgroups.identity_perm(3), t, c])
 
 
+# a user's group, malformed: each must raise AlgebraError, not IndexError or
+# a bare ValueError, and not read a negative index from the end of the group
+MALFORMED = {
+    "empty-tuple": lambda: classical_group([()]),
+    "dual-element-past-the-end": lambda: dual_group(permgroups.FiniteGroup.cyclic(4), [(9, 2)]),
+    "dual-element-negative": lambda: dual_group(permgroups.FiniteGroup.cyclic(4), [(-1, 4)]),
+    "dual-dihedral-1": lambda: dual_dihedral(1),
+    "dual-dihedral-0": lambda: dual_dihedral(0),
+    "uniform-state-off-the-group": lambda: uniform_state(
+        classical_group(permgroups.klein_four()), [permgroups.from_cycles(4, (1, 2))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_library_input_raises_algebra_error(case):
+    with pytest.raises(AlgebraError):
+        MALFORMED[case]()
+
+
 def test_perturbed_magic_fails_validation(kp):
     bad = kp.magic.copy()
     bad[0, 0] = bad[0, 0] + 0.05
@@ -373,6 +392,7 @@ def test_generic_central_element_ignores_the_centre_basis(name, monkeypatch):
     rng = np.random.default_rng(5)
     Q = np.linalg.qr(rng.standard_normal((len(Z),) * 2)
                      + 1j * rng.standard_normal((len(Z),) * 2))[0]
+    _ = G.algebra._frame  # the stacked state check's own L_h, built before counting
     generic, left_mult = [], G.algebra.left_mult_matrix
     monkeypatch.setattr(G.algebra, "left_mult_matrix", lambda a: generic.append(a) or left_mult(a))
     found = []

@@ -83,7 +83,7 @@ EXPORTED_NAMES = {
     "Trajectory": "returned by trajectory; acceptance criteria 3 and 9",
     "ValidationReport": "returned by validate, which the CLI prints",
     "cesaro_idempotent": "perfbench builds census limits with it",
-    "characters": "perfbench span cqg.characters",
+    "characters": "the README's cqg API and tier-1 tests; ROADMAP item 5 reads them off the frame",
     "classical_group": "the CLI builtins and group files; perfbench",
     "classical_version": "the CLI and perfbench",
     "classify_idempotent": "the CLI census and perfbench",
@@ -91,7 +91,7 @@ EXPORTED_NAMES = {
     "condition": "perfbench calls it",
     "convergence_to_haar": "the CLI s4hat walkthrough",
     "convolution_bounds": "verify_bounds_empirically",
-    "decompose": "perfbench span permutation.decompose",
+    "decompose": "the README's one-row case of the bounds kernels; tier-1 tests",
     "detect_period": "the CLI periodicity experiment",
     "dual_dihedral": "the CLI builtins; perfbench",
     "dual_group": "the CLI group files; perfbench",
@@ -107,13 +107,13 @@ EXPORTED_NAMES = {
     "idempotent_gap_check": "the CLI census",
     "is_group_like": "the CLI, classical_version and perfbench",
     "is_idempotent": "the CLI stabiliser experiment; perfbench checks its key",
-    "is_positive_functional": "perfbench metric algebra.is_positive_functional.calls",
+    "is_positive_functional": "the README's one-functional positivity check; tier-1 tests",
     "kac_paljutkin": "the CLI builtin kp; perfbench",
     "meet": "the CLI dihedral sweep and stabiliser_projection",
     "projection_rank": "the CLI classical-version experiment",
     "quantum_fraction": "the CLI and dynamics",
     "spectral_partition": "fix_spectrum",
-    "spectral_projection": "perfbench span algebra.spectral_projection",
+    "spectral_projection": "the README's spectral projection 1_E(f); tier-1 tests",
     "stabiliser_idempotent": "the CLI stabiliser experiment",
     "stabiliser_membership": "stabiliser_idempotent",
     "support_projection": "collapse_stability_probe and perfbench",
@@ -198,7 +198,7 @@ def test_defaulted_parameters_are_the_allow_list():
 
 # ``cat src/qperm/*.py | wc -l`` at most this; raising it needs a reason in
 # CHANGES.md, as a new name on either allow-list above does.
-SOURCE_LINES = 3157
+SOURCE_LINES = 3153
 
 
 def test_source_line_count_is_pinned():

@@ -2,7 +2,8 @@
 every guard must reject, and lints on how the guards in ``src`` are written:
 none lets NaN through, none is an ``assert``, which ``python -O`` strips, no
 handler swallows a failure, and only the CLI's ``main`` maps one to an exit
-code.
+code.  Two more pin single sources: one seeded generic vector and one
+Hermitian eigendecomposition of a left multiplication.
 
 A guard raises unless its pass condition holds.  ``if residual > tol:
 raise`` raises only when the fail condition holds, and every comparison
@@ -178,3 +179,45 @@ def test_src_swallows_no_exception():
     found = {path.name: lines for path in sorted(src.glob("*.py"))
              if (lines := silent_handlers(path.read_text()))}
     assert found == {}
+
+
+def calls_by_function(source: str, name: str) -> list[str]:
+    """The innermost enclosing function, or '<module>', of every call of
+    ``name``, as a bare name or as an attribute (``np.linalg.eigh``)."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return [owner.get(id(node), "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def src_calls(name: str) -> list[str]:
+    """``module.function`` of every call of ``name`` in ``src``."""
+    src = Path(qperm.__file__).parent
+    return sorted(f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
+                  for fn in calls_by_function(path.read_text(), name))
+
+
+def test_call_lint_names_the_enclosing_function():
+    source = ("rng = default_rng(1)\n"
+              "def f():\n    np.random.default_rng(0)\n    np.linalg.eigvalsh(a)\n"
+              "    def g():\n        return np.linalg.eigh(a)\n"
+              "    '''default_rng(seed) in a docstring is no call'''\n")
+    assert calls_by_function(source, "default_rng") == ["<module>", "f"]
+    assert calls_by_function(source, "eigh") == ["g"]
+
+
+def test_one_seeded_generic_vector():
+    # the block frame and the characters draw one generic vector, from one
+    # fixed seed: a second draw would be a copy that can drift from it
+    assert src_calls("default_rng") == ["algebra._generic_coeffs"]
+
+
+def test_one_hermitian_eigendecomposition():
+    # every spectral projection, support, meet and the block frame decompose
+    # L_f in the trace frame through _self_adjoint_eig, which certifies f;
+    # the classifier decomposes its sesquilinear matrix (eigvalsh is not counted)
+    assert src_calls("eigh") == ["algebra._self_adjoint_eig", "idempotent.classify_idempotent"]

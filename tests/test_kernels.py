@@ -30,8 +30,11 @@ stacked Cholesky positivity check, which the library runs in a block
 frame of eigenvalue clusters and, near the tolerance, on the dense form, is
 compared with the smallest eigenvalue of each row's sesquilinear matrix, in
 the builtin basis and a complex one, rows just past the tolerance either
-way taking the dense form; the frame's cluster sizes are pinned, and only
-a stacked check builds it; the direct summands, the union-find components
+way taking the dense form; the frame's cluster sizes are pinned, its
+eigenvectors are ``_self_adjoint_eig``'s bit for bit, its clusters those of
+the gap rule walked in a loop, which the vectorised cut points of
+``eigen_clusters`` match on ties and near-ties, and only a stacked check
+builds it; the direct summands, the union-find components
 of the non-zeros, split the dense form, also after a relabelling of the
 basis; and rows negative on one summand only are rejected.  The generated idempotent, which the
 library takes as the one Cesaro limit of the inputs' mean, is compared with
@@ -58,6 +61,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qperm import algebra, cqg, permgroups
@@ -67,9 +72,11 @@ from qperm.algebra import (
     Projection,
     StarAlgebra,
     State,
+    _generic_coeffs,
     _positive_rows,
     _state_rows,
     _summed,
+    eigen_clusters,
     gram_norm,
     meet,
     spectral_projection,
@@ -83,6 +90,7 @@ from qperm.cqg import (
     _words_seed_sequence,
     birkhoff_matrix,
     characters,
+    dual_dihedral,
     dual_group,
     uniform_state,
 )
@@ -924,6 +932,71 @@ def test_frame_blocks_the_dense_form(G):
         assert bracket[0] - scale <= dense[0] <= bracket[1] + scale
         if high - low <= 1e-15 * high:
             assert np.abs(dense - low * blocks).max() <= scale
+
+
+@pytest.mark.parametrize("name", [*sorted(BUILTIN_GROUPS), "dual-d15", "dual-d20"])
+def test_frame_reuses_the_spectral_decomposition(name, kernel_oracles, monkeypatch):
+    # the frame's eigenvalues and vectors are _self_adjoint_eig's of
+    # h + h^*, bit for bit the route it once wrote out (L_h into the trace
+    # frame, eigh of the Hermitian part), and its clusters are cut where the
+    # walked argsort of the gap rule cuts them
+    G = BUILTIN_GROUPS[name]() if name in BUILTIN_GROUPS else dual_dihedral(int(name[6:]))
+    alg, d = G.algebra, G.dim
+    seen, eig, clusters = [], algebra._self_adjoint_eig, algebra.eigen_clusters
+
+    def recorded_eig(f):
+        seen.append((f.coeffs, *eig(f)))
+        return seen[-1][1:]
+
+    def recorded_clusters(evals):
+        seen.append(clusters(evals))
+        return seen[-1]
+
+    monkeypatch.setattr(algebra, "_self_adjoint_eig", recorded_eig)
+    monkeypatch.setattr(algebra, "eigen_clusters", recorded_clusters)
+    _ = alg._frame
+    (generic, evals, U), cuts = seen
+    h = _generic_coeffs(d)
+    h = h + alg.star_coeffs(h)
+    assert np.array_equal(generic, h)
+    M = alg.to_hermitian_frame((h @ alg.regular.reshape(d, d * d)).reshape(d, d))
+    ref_evals, ref_U = np.linalg.eigh((M + M.conj().T) / 2)
+    assert np.array_equal(evals, ref_evals) and np.array_equal(U, ref_U)
+    walked = [sorted(c) for c in kernel_oracles.eigen_clusters(ref_evals)]
+    assert walked == [c.tolist() for c in np.split(np.arange(d), cuts)]
+    assert frame_sizes(alg) == sorted(len(c) for c in walked)
+
+
+GAP_STEPS = [0.0, 0.5, 0.999, 1.001, 2.0, 1e6]  # in units of 1e-6 max(1, |lambda|)
+
+
+@st.composite
+def ascending_spectra(draw):
+    """(evals, steps): 1 to 40 ascending values, the first of magnitude
+    1e-8 to 1e8 and either sign, each next one an exact tie, a near-tie
+    just inside or just outside the gap 1e-6 max(1, |lambda|) of the one
+    before it, or farther; steps are the gaps in units of that one."""
+    x = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 9.9)) * 10.0 ** draw(
+        st.integers(-8, 7))
+    steps = draw(st.lists(st.sampled_from(GAP_STEPS), max_size=39))
+    evals = [x]
+    for f in steps:
+        evals.append(evals[-1] + f * 1e-6 * max(1.0, abs(evals[-1])))
+    return np.array(evals), steps
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(spectrum=ascending_spectra())
+@example(spectrum=(np.array([-2.5]), []))
+@example(spectrum=(np.array([1e8, 1e8, 1e8 + 99.9, 1e8 + 200.0]), [0.0, 0.999, 1.001]))
+def test_eigen_clusters_cut_where_the_walk_does(spectrum, kernel_oracles):
+    # the vectorised cut points give the walked argsort's clusters, and cut
+    # exactly at the gaps wider than the rule's
+    evals, steps = spectrum
+    cuts = eigen_clusters(evals)
+    walked = [sorted(c) for c in kernel_oracles.eigen_clusters(evals)]
+    assert walked == [c.tolist() for c in np.split(np.arange(len(evals)), cuts)]
+    assert cuts.tolist() == [k + 1 for k, f in enumerate(steps) if f > 1]
 
 
 def test_only_a_stacked_check_builds_the_frame(monkeypatch):
