@@ -190,8 +190,68 @@ def _identity_residual(x: tuple, y: tuple) -> float:
              for lead, _, _ in runs]
     block = sum(ends[f] for f, (_, ends, _) in zip(first, runs))[:-1] // (_BLOCK_ENTRIES // 2)
     cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), shape[0]]
-    return max(_max_abs_difference(*(take(f[lo], f[hi]) for f, (_, _, take) in zip(first, runs)))
-               for lo, hi in zip(cuts, cuts[1:]))
+    return float(np.max([  # np.max, not max: a NaN in any block is kept
+        _max_abs_difference(*(take(f[lo], f[hi]) for f, (_, _, take) in zip(first, runs)))
+        for lo, hi in zip(cuts, cuts[1:])]))
+
+
+# The associativity of the product read off a structure tensor c, as the two
+# sides of _identity_residual: c is mult[i, j, k], with e_i e_j the sum of
+# c[i, j, k] e_k, or, dual, a coproduct delta[k, i, j], whose dual product
+# (a, b) -> delta[., a, b] is associative iff delta is coassociative.
+_ASSOCIATIVITY = {False: ("ijm,mkl->ijkl", "jkm,iml->ijkl"),
+                  True: ("iuk,uab->iabk", "iau,ubk->iabk")}
+
+
+def _associativity_residual(c: _Coo, dual: bool = False) -> float:
+    """max |(e_i e_j) e_k - e_i (e_j e_k)| over the non-zeros of both sides
+    (:data:`_ASSOCIATIVITY`): by gathers on a law table
+    (:func:`_table_residual`), by the pair kernel on any other tensor."""
+    residual = _table_residual(c, dual)
+    if residual is None:
+        residual = _identity_residual(*((spec, c, c) for spec in _ASSOCIATIVITY[dual]))
+    return residual
+
+
+def _table_residual(c: _Coo, dual: bool) -> float | None:
+    """The residual of :func:`_associativity_residual` by gathers if c is a
+    law table, d^2 non-zeros, one for each (i, j), so that
+    e_i e_j = v[i, j] e_t[i, j]; else None.
+
+    Each (i, j, k) gives one term a side: v[i, j] v[t[i, j], k] at
+    t[t[i, j], k] against v[j, k] v[i, t[j, k]] at t[i, t[j, k]], the
+    factors in the pair kernel's order (swapped for a coproduct).  The pair
+    route adds a key's terms as (0 + x) + (-y) = x - y exactly, or keeps |x|
+    and |y| on two keys, so this is its residual bit for bit.  A block of i
+    at a time, about _BLOCK_ENTRIES // 2 terms of both sides to a block.
+    """
+    d = c.shape[0]
+    if not 0 < c.keys.size == d * d:
+        return None
+    pos, target = (c.keys % (d * d), c.keys // (d * d)) if dual else divmod(c.keys, d)
+    t = np.full(d * d, -1)
+    t[pos] = target
+    if (t < 0).any():  # some (i, j) holds two non-zeros, another none
+        return None
+    v = np.empty(d * d, dtype=complex)
+    v[pos] = c.vals
+    t, v = t.reshape(d, d), v.reshape(d, d)
+    rows, worst = max(1, _BLOCK_ENTRIES // (4 * d * d)), []
+    for i in range(0, d, rows):
+        ti, vi = t[i:i + rows], v[i:i + rows]
+        # the factors v[i, j], v[t[i, j], k], v[j, k] and v[i, t[j, k]], each a
+        # fresh (rows, d, d) array, multiplied in place as the pair kernel
+        # does: NumPy rounds a complex product by loop (fused or not)
+        ij, tk = np.repeat(vi, d).reshape(-1, d, d), v[ti]
+        jk, it = np.broadcast_to(v, ij.shape).copy(), vi[:, t]
+        (x, a), (y, b) = ((tk, ij), (it, jk)) if dual else ((ij, tk), (jk, it))
+        x *= a
+        y *= b
+        apart = t[ti] != ti[:, t]  # keys of the two sides that differ
+        res = np.abs(x - y)
+        res[apart] = np.maximum(np.abs(x[apart]), np.abs(y[apart]))
+        worst.append(res.max())
+    return float(np.max(worst))
 
 
 @cache
@@ -370,10 +430,8 @@ class StarAlgebra:
     def _invariants(self) -> dict:
         out = {}
         c = self.mult
-        # (e_i e_j) e_k against e_i (e_j e_k)
         cc = self._mult_coo
-        out["associativity"] = _identity_residual(
-            ("ijm,mkl->ijkl", cc, cc), ("jkm,iml->ijkl", cc, cc))
+        out["associativity"] = _associativity_residual(cc)
         out["unit"] = max(
             np.abs(np.einsum("ijk,i->jk", c, self.unit) - np.eye(self.dim)).max(),
             np.abs(np.einsum("ijk,j->ik", c, self.unit) - np.eye(self.dim)).max(),
@@ -529,8 +587,10 @@ def is_positive_functional(phi: LinearFunctional) -> bool:
 # Stacked kernels take _block_rows(d) rows at a time: up to 2^16 entries
 # (1 MB complex) per (rows, d, d) temporary, but never fewer than 32 rows,
 # which amortise each block's read of a (d, d^2) operator at large d.  An
-# identity on the structure tensors sums half that many pairs, of both sides,
-# at a time (_identity_residual): one block for the shipped groups to d = 24.
+# identity on the structure tensors takes half that many terms, of both
+# sides, at a time: pairs of non-zeros (_identity_residual), or whole
+# leading indices i of a law table's (i, j, k) grid (_table_residual).
+# Either is one block for the shipped groups to d = 24.
 _BLOCK_ENTRIES = 2 ** 16
 _BLOCK_MIN_ROWS = 32
 

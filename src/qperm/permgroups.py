@@ -7,6 +7,7 @@ abstract multiplication table; it is what the dual-group constructor consumes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,9 +155,13 @@ class FiniteGroup:
 
     @classmethod
     def from_permutations(cls, perms: list[tuple]) -> "FiniteGroup":
-        """The group of a list of permutations of one 0..n-1, sorted, so identity
-        first.  A finite set closed under composition is a group: closure is the check."""
-        order = sorted(set(perms))
+        """The group of a list of permutations of one 0..n-1, each any sequence
+        of ints, read as a tuple, sorted, so identity first.  A finite set
+        closed under composition is a group: closure is the check."""
+        try:
+            order = sorted({tuple(operator.index(j) for j in p) for p in perms})
+        except TypeError:
+            raise ValueError("every permutation must be a sequence of ints") from None
         n = len(order[0]) if order else 0
         if n < 1 or any(sorted(p) != list(range(n)) for p in order):
             raise ValueError("every permutation must list the images of 0..n-1, for one n >= 1")

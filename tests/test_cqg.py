@@ -103,10 +103,21 @@ def test_classical_group_rejects_non_closed():
         classical_group([permgroups.identity_perm(3), t, c])
 
 
+def test_permutations_may_be_lists():
+    as_lists = classical_group([[0, 1], [1, 0]])
+    as_tuples = classical_group([(0, 1), (1, 0)])
+    assert as_lists.group == as_tuples.group
+    assert as_lists.group_elements == as_tuples.group_elements == [(0, 1), (1, 0)]
+    for name in ("delta", "antipode", "magic"):
+        assert np.array_equal(getattr(as_lists, name), getattr(as_tuples, name))
+    assert np.array_equal(as_lists.algebra.mult, as_tuples.algebra.mult)
+
+
 # a user's group, malformed: each must raise AlgebraError, not IndexError or
 # a bare ValueError, and not read a negative index from the end of the group
 MALFORMED = {
     "empty-tuple": lambda: classical_group([()]),
+    "non-integer-entry": lambda: classical_group([[0, 1], [1.0, 0]]),
     "dual-element-past-the-end": lambda: dual_group(permgroups.FiniteGroup.cyclic(4), [(9, 2)]),
     "dual-element-negative": lambda: dual_group(permgroups.FiniteGroup.cyclic(4), [(-1, 4)]),
     "dual-dihedral-1": lambda: dual_dihedral(1),
@@ -552,6 +563,23 @@ def test_identities_are_summed_in_bounded_memory():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def test_classical_group_holds_two_cubic_tensors():
+    # C(A5), dim 60: the coproduct is built in C order from the group table,
+    # so it and the diagonal product, each a d^3 complex array of 3.3 MB, are
+    # all that is held; building the law tensor and then its transposed
+    # copy held three (10.0 MB traced)
+    a5 = permgroups.closure([permgroups.from_cycles(5, (0, 1, 2)),
+                             permgroups.from_cycles(5, (0, 1, 2, 3, 4))])
+    tracemalloc.start()
+    try:
+        G = classical_group(a5, check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.dim == 60
+    assert peak < 2.5 * G.dim ** 3 * 16
 
 
 def test_generation_check_runs_in_bounded_memory():

@@ -48,7 +48,10 @@ I - T from one SVD) with the sorted Schur form and ``solve_sylvester``,
 also on defective, rotating and non-normal operators, the pair-kernel
 ``validate`` residuals with their einsums, each identity summed a block of
 its output's leading index at a time with both sides formed whole, bit for
-bit (on the builtins, in a complex basis and perturbed), and the row space of a tall stack, taken through its R factor, with the SVD of the
+bit (on the builtins, in a complex basis and perturbed), and so the
+gathered associativity of a law table (on every builtin, dual-D15, dual-D20
+and tables with a scaled value, two swapped targets, complex phases or a
+NaN), a NaN in the last block kept, and the row space of a tall stack, taken through its R factor, with the SVD of the
 whole stack.  The Haar / non-Haar classifier, which the library decides by
 whether the null space is closed under the star, is compared with the test
 of the null space for a two-sided ideal one basis element at a time, on the
@@ -668,15 +671,23 @@ def test_hopf_residuals_match_dense_under_perturbation(name, mult, delta):
 
 def assert_blocked_identities_match_whole_sides(H, monkeypatch):
     """Validate H, whose checks have not run, with each identity summed one
-    leading index to a block, and compare every blocked residual bit for
-    bit with both sides formed whole, ``_max_abs_difference(_pairs(x),
-    _pairs(y))``; return the validated report."""
+    leading index to a block, and compare every blocked residual, and every
+    associativity that a law table takes by gathers, bit for bit with both
+    sides formed whole, ``_max_abs_difference(_pairs(x), _pairs(y))``;
+    return the validated report."""
     real_residual, real_difference = algebra._identity_residual, algebra._max_abs_difference
+    real_table = algebra._table_residual
     seen, leads = [], []
 
     def recording(x, y):
         seen.append((x, y, real_residual(x, y)))
         return seen[-1][2]
+
+    def table_recording(c, dual):  # an associativity taken by gathers, as its two sides
+        got = real_table(c, dual)
+        if got is not None:
+            seen.append((*((spec, c, c) for spec in algebra._ASSOCIATIVITY[dual]), got))
+        return got
 
     def per_block(x, y):
         leads.append(np.unique(np.concatenate([x.keys, y.keys]) // np.prod(x.shape[1:])))
@@ -686,6 +697,7 @@ def assert_blocked_identities_match_whole_sides(H, monkeypatch):
         m.setattr(algebra, "_BLOCK_ENTRIES", 2)  # one product to a block
         m.setattr(algebra, "_identity_residual", recording)
         m.setattr(cqg, "_identity_residual", recording)
+        m.setattr(algebra, "_table_residual", table_recording)
         m.setattr(algebra, "_max_abs_difference", per_block)
         report = H.validate()
     assert len(seen) == 8  # associativity, involution_antihom, the six of the group
@@ -716,6 +728,118 @@ def test_blocked_identities_match_whole_sides_off_the_builtins(name, monkeypatch
         for mult, delta in [(True, False), (False, True), (True, True)]:
             assert_blocked_identities_match_whole_sides(perturbed(G, seed, mult, delta),
                                                         monkeypatch)
+
+
+def test_a_nan_in_a_later_block_is_kept(monkeypatch):
+    # dual-D20's product with a NaN at the last leading index, against
+    # itself through the identity; one leading index to a block, the NaN
+    # sits in the last block, where a builtin max over the blocks drops it
+    T = dual_dihedral(20, check=False).algebra.mult.copy()
+    d = T.shape[0]
+    T[d - 1, 0, T[d - 1, 0].argmax()] = np.nan
+    c, eye = algebra._coo(T), algebra._coo(np.eye(d))
+    monkeypatch.setattr(algebra, "_BLOCK_ENTRIES", 2)
+    assert np.isnan(algebra._identity_residual(("ijm,mk->ijk", c, eye), c))
+    assert np.isnan(algebra._table_residual(c, False))
+    # the magic grid's comultiplication, one grid row to a block: with u_22
+    # and Delta scaled by 1e200, only the last row's sides both overflow,
+    # and inf - inf is NaN there; a NaN in the grid would reach every row
+    G = BUILTIN_GROUPS["s3"]()
+    magic = G.magic.copy()
+    magic[-1, -1] *= 1e200
+    H = CompactQuantumGroup("huge", G.algebra, 1e200 * G.delta, G.counit, G.antipode, magic,
+                            check=False)
+    monkeypatch.setattr(algebra, "_BLOCK_MIN_ROWS", 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = {c.name: c.residual for c in H.validate().checks}
+    assert np.isnan(residuals["magic_comultiplication"])
+
+
+# -- associativity and coassociativity of a law table, by gathers ----------------
+
+
+def pair_route_residual(c, dual):
+    """Both sides of the associativity of c formed whole by the pair kernel."""
+    x, y = algebra._ASSOCIATIVITY[dual]
+    return algebra._max_abs_difference(algebra._pairs(x, c, c), algebra._pairs(y, c, c))
+
+
+def table_variants(c, dual):
+    """c, then copies that are still law tables: one value scaled by 1.3,
+    the targets of two entries swapped (a law that is not associative),
+    every value given a seeded complex phase, and one value NaN."""
+    d, rng = c.shape[0], np.random.default_rng(c.keys.size)
+    k = rng.integers(c.keys.size)
+    yield c
+    yield c._replace(vals=np.where(np.arange(c.keys.size) == k, 1.3, 1.0) * c.vals)
+    step = d * d if dual else 1  # a target's place value in a key
+    target = c.keys // step % d
+    other = np.flatnonzero(target != target[k])
+    if other.size:
+        keys = c.keys.copy()
+        keys[[k, other[0]]] += (target[[other[0], k]] - target[[k, other[0]]]) * step
+        order = keys.argsort()
+        yield c._replace(keys=keys[order], vals=c.vals[order])
+    yield c._replace(vals=c.vals * np.exp(2j * np.pi * rng.random(c.keys.size)))
+    yield c._replace(vals=np.where(np.arange(c.keys.size) == k, np.nan, c.vals))
+
+
+def assert_tables_match_pair_route(G):
+    """Every law table of G, its product or its coproduct, and its variants:
+    the gathered residual is the pair route's bit for bit, NaN for NaN."""
+    for c, dual in ((G.algebra._mult_coo, False), (algebra._coo(G.delta), True)):
+        if algebra._table_residual(c, dual) is None:
+            continue
+        for variant in table_variants(c, dual):
+            got, ref = algebra._table_residual(variant, dual), pair_route_residual(variant, dual)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes() \
+                or np.isnan(got) and np.isnan(ref), (G.name, dual, got, ref)
+        assert np.isnan(got)
+
+
+def test_law_tables_match_the_pair_route(G):
+    assert_tables_match_pair_route(G)
+
+
+@pytest.mark.parametrize("m", [15, 20])
+def test_law_tables_match_the_pair_route_at_dim_30_and_40(m, force_block):
+    G = dual_dihedral(m, check=False)
+    assert_tables_match_pair_route(G)
+    force_block(G.dim, 1)  # one leading index to a block
+    assert_tables_match_pair_route(G)
+
+
+def test_law_tables_take_the_gathers(G, monkeypatch):
+    # validate's associativity on C*(Gamma) and coassociativity on C(Gamma)
+    # go by gathers; a one-element group's product and coproduct are both
+    # tables; Kac-Paljutkin's are neither
+    real, routes = algebra._table_residual, {}
+
+    def spy(c, dual):
+        routes[dual] = real(c, dual)
+        return routes[dual]
+
+    monkeypatch.setattr(algebra, "_table_residual", spy)
+    assert perturbed(G, 0, False, False).validate().ok
+    tables = {"dual": (True, G.dim == 1), "classical": (G.dim == 1, True),
+              "kac_paljutkin": (False, False)}[G.kind]
+    assert (routes[False] is not None, routes[True] is not None) == tables
+
+
+def test_a_tensor_that_is_not_a_law_table_takes_the_pair_route():
+    # one extra non-zero, or d^2 non-zeros with two on one (i, j)
+    c = BUILTIN_GROUPS["dual-s3"]().algebra._mult_coo
+    d = c.shape[0]
+    keys = np.append(c.keys, np.setdiff1d(np.arange(d ** 3), c.keys)[0])
+    extra = algebra._Coo(c.shape, np.sort(keys), np.append(c.vals, 0.5)[keys.argsort()])
+    keys = c.keys.copy()
+    keys[0] = keys[1] + 1 if keys[1] % d < d - 1 else keys[1] - 1  # moved onto (0, 1)
+    doubled = c._replace(keys=np.sort(keys))
+    for bad in (extra, doubled):
+        assert algebra._table_residual(bad, False) is None
+        got = algebra._associativity_residual(bad)
+        assert np.float64(got).tobytes() == np.float64(pair_route_residual(bad, False)).tobytes()
+        assert got > 0
 
 
 def per_entry_magic_residuals(G):
