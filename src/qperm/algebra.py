@@ -169,8 +169,10 @@ def _identity_residual(x: tuple, y: tuple) -> float:
     (:func:`_join`), whose C-order keys put a block in one run.  A key's
     terms, which differ only in the summed labels, come in the order of
     ``_max_abs_difference(_pairs(*x), _pairs(*y))``, so the residual is that
-    one bit for bit: a run over b orders them as one over a when one label
-    is summed, as wherever b leads here.
+    one bit for bit (a run over b orders them as one over a when one label
+    is summed, as wherever b leads here), unless a side of a block holds
+    exactly one pair: NumPy rounds that in-place product of length 1 in its
+    unfused complex loop.  Every shipped group has d pairs a side or more.
     """
     runs = []
     for side in (x, y):
@@ -257,9 +259,9 @@ def _table_residual(c: _Coo, dual: bool) -> float | None:
 @cache
 def _generic_coeffs(d: int) -> np.ndarray:
     """Complex coefficients from a fixed seed, drawn once per dimension d
-    (read-only): h + h^* is the generic self-adjoint element of
-    :attr:`StarAlgebra._frame`, and h on the centre is the generic central
-    element of ``cqg.characters``."""
+    (read-only): h + h^* is the generic self-adjoint element whose
+    eigenvector clusters (:attr:`StarAlgebra._frame_vectors`) give both the
+    positivity frame and the characters."""
     rng = np.random.default_rng(0)
     h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     h.flags.writeable = False
@@ -374,27 +376,32 @@ class StarAlgebra:
         return np.linalg.solve(L.conj().T, M @ L.conj().T)
 
     @cached_property
+    def _frame_vectors(self) -> tuple:
+        """(W, cuts): the eigenvectors u of L_h (:func:`_self_adjoint_eig`), h
+        self-adjoint and drawn once per dimension (:func:`_generic_coeffs`),
+        as coefficient columns W = L^-H U, orthonormal for tau(a^* b), and
+        the cut points of their clusters (:func:`eigen_clusters`).  A cluster
+        spans e A for a spectral projection e = sum_u u conj(tau(u)) of h.
+        The positivity frame and the characters read this one decomposition."""
+        h = _generic_coeffs(self.dim)
+        evals, U = _self_adjoint_eig(self.element(h + self.star_coeffs(h)))
+        return np.linalg.solve(self._chol.conj().T, U), eigen_clusters(evals)
+
+    @cached_property
     def _frame(self) -> tuple:
         """Per cluster size s, (s, K): K is the (d, g s^2) block of columns
-        of the sesquilinear form on the g eigenvalue clusters of that size,
-        so that (phi @ K).reshape(g, s, s) holds phi(u_a^* u_b) for the
-        vectors u_a, u_b of each cluster.
-
-        The u are the eigenvectors of L_h in the trace frame
-        (:func:`_self_adjoint_eig`), for a self-adjoint h drawn once per
-        dimension (:func:`_generic_coeffs`), cut by :func:`eigen_clusters`.
-        A cluster spans e A for a spectral projection e of h, and the
+        of the sesquilinear form on the g clusters of that size
+        (:attr:`_frame_vectors`): (phi @ K).reshape(g, s, s) holds
+        phi(u_a^* u_b) for the vectors u_a, u_b of each cluster.  The
         projections of two clusters multiply to 0, so phi(u_a^* u_b) = 0
         across clusters for every phi: the form is block diagonal in the
-        basis W = L^-H U for any h, and a generic h only makes the blocks
-        small, one of size n for each minimal projection of each block M_n
-        of A.  The columns are sums over the non-zeros mult[m, j, k] of each
-        k, u_a^*[m] mult[m, j, k] u_b[j], one batched product per size."""
-        d, h = self.dim, _generic_coeffs(self.dim)
-        evals, U = _self_adjoint_eig(self.element(h + self.star_coeffs(h)))
-        W = np.linalg.solve(self._chol.conj().T, U)  # columns: the u, as coefficients
+        basis W for any h, and a generic h only makes the blocks small, one
+        of size n for each minimal projection of each block M_n of A.  The
+        columns are sums over the non-zeros mult[m, j, k] of each k,
+        u_a^*[m] mult[m, j, k] u_b[j], one batched product per size."""
+        d, (W, cuts) = self.dim, self._frame_vectors
         V = self.involution.T @ W.conj()  # columns: the u^*
-        clusters = np.split(np.arange(d), eigen_clusters(evals))
+        clusters = np.split(np.arange(d), cuts)
         # row k: the (m, j, value) of each non-zero mult[m, j, k], zero-padded
         m, j, k = np.unravel_index(self._mult_coo.keys, self.mult.shape)
         order = k.argsort(kind="stable")
@@ -703,10 +710,12 @@ def _require_states(alg: StarAlgebra, D: np.ndarray) -> None:
 
 def _multiplicativity_residual(alg: StarAlgebra, D: np.ndarray) -> float:
     """max |phi(e_i e_j) - phi(e_i) phi(e_j)| over the rows phi of an (n, d)
-    stack of duals, in one product with mult as a (d, d^2) matrix."""
+    stack of duals, a block of rows (:func:`_block_rows`) at a time, NaN kept."""
     d = alg.dim
-    prods = (D @ alg.mult.reshape(d * d, d).T).reshape(-1, d, d)
-    return float(np.abs(prods - D[:, :, np.newaxis] * D[:, np.newaxis]).max(initial=0.0))
+    mult, block = alg.mult.reshape(d * d, d).T, _block_rows(d)
+    return float(np.max([
+        np.abs((x @ mult).reshape(-1, d, d) - x[:, :, np.newaxis] * x[:, np.newaxis]).max()
+        for x in (D[k:k + block] for k in range(0, len(D), block))], initial=0.0))
 
 
 def _projection_residuals(alg: StarAlgebra, X: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from .algebra import (
     _certify,
     _coo,
     _contract,
-    _generic_coeffs,
     _identity_residual,
     _multiplicativity_residual,
     _projection_residuals,
@@ -643,7 +642,7 @@ def kac_paljutkin(tol: float = DEFAULT_TOL, check: bool = True) -> CompactQuantu
                                magic, kind="kac_paljutkin", check=check)
 
 
-# -- centre and characters ---------------------------------------------------------
+# -- row spaces and characters -----------------------------------------------------
 
 
 def _row_space(rows: np.ndarray) -> np.ndarray:
@@ -659,38 +658,19 @@ def _row_space(rows: np.ndarray) -> np.ndarray:
     return vh[keep]
 
 
-def centre(G: CompactQuantumGroup) -> np.ndarray:
-    """Orthonormal rows spanning the centre Z(A), certified.
-
-    The magic entries generate A, so Z(A) is the null space of [L_g - R_g]
-    stacked over a basis g of their span, by one thin SVD.  Each row must
-    commute with every basis element within tol: entries that do not
-    generate A leave a larger null space, which this rejects.
-    """
-    alg, d = G.algebra, G.dim
-    # comm[i] @ x = coefficients of e_i x - x e_i
-    comm = alg.regular - alg.mult.transpose(1, 2, 0)
-    gens = _row_space(G.magic.reshape(-1, d))
-    _, s, vh = np.linalg.svd((gens @ comm.reshape(d, d * d)).reshape(-1, d),
-                             full_matrices=False)
-    Z = vh[s <= 1e-10 * max(1.0, s[0])].conj()
-    _certify("centre certificate failed: the magic entries do not generate",
-             np.abs(comm.reshape(d * d, d) @ Z.T).max(initial=0.0), alg.tol)
-    return Z
-
-
 def characters(G: CompactQuantumGroup) -> list[State]:
     """All characters (multiplicative states) of the algebra.
 
-    Multiplication by a generic central element acts on Z(A) (:func:`centre`)
-    with one eigenvalue per block, which must be separated.  The element is
-    the block frame's seeded vector (``algebra._generic_coeffs``) in the
-    coordinates of A, projected on Z(A) by Z^H Z, which no choice of the
-    orthonormal basis Z of Z(A) changes.  Its eigenvectors, scaled to sum to
-    the unit, are the minimal central projections z; those with tr L_z = 1
-    bound the one-dimensional blocks, and each gives the character
-    chi(a) = tau(a z) / tau(z), with support z.  All of them are checked as
-    states and for multiplicativity within 100 max(1e-8, tol), in one stack.
+    A cluster of the block frame (``StarAlgebra._frame_vectors``) spans e A
+    for e = sum_u u conj(tau(u)), which must be minimal, e A e = C e: the sum
+    over u of the squared distance of u e from C e, tau(u^* u e) - |tau(u e)|^2
+    / tau(e), read off the frame's forms with tau(. e), is at most tol.
+    Then a cluster of s vectors spans e A for a minimal e of a block M_s,
+    so the e of the one-vector clusters are the supports z of the
+    one-dimensional blocks.  Each z takes one Newton step z <- 3 z^2 - 2 z^3
+    from its self-adjoint part and gives the character
+    chi(a) = tau(a z) / tau(z); all are checked as states and for
+    multiplicativity within 100 max(1e-8, tol), in one stack.
     """
     return [State(G.algebra, row, check=False) for row in _character_stack(G)[1]]
 
@@ -698,15 +678,25 @@ def characters(G: CompactQuantumGroup) -> list[State]:
 def _character_stack(G: CompactQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
     """The supports z and the characters of :func:`characters`, as (n, d) stacks."""
     alg, d = G.algebra, G.dim
-    Z = centre(G)
-    c = len(Z)
-    generic = (_generic_coeffs(d) @ Z.conj().T) @ Z
-    evals, V = np.linalg.eig(Z.conj() @ alg.left_mult_matrix(generic) @ Z.T)
-    gaps = np.abs(np.subtract.outer(evals, evals))[~np.eye(c, dtype=bool)]
-    if not gaps.min(initial=np.inf) > 1e-6 * max(1.0, np.abs(evals).max()):
-        raise AlgebraError("generic central element does not separate the blocks")
-    z = (V * np.linalg.solve(V, Z.conj() @ alg.unit)).T @ Z
-    z = z[np.abs(z @ alg._regular_trace - 1) < 0.5]  # tr L_z = 1
+    W, cuts = alg._frame_vectors
+    starts, sizes = np.r_[0, cuts], np.diff(np.r_[0, cuts, d])
+    E = np.add.reduceat(W * np.conj(alg.trace @ W), starts, axis=1).T  # row k: cluster k's e
+    phi = E @ alg._pairing.T  # row k: tau(. e)
+    residual = np.empty(len(E))
+    for s, K in alg._frame:
+        idx = np.flatnonzero(sizes == s)
+        u = W.T[np.add.outer(starts[idx], np.arange(s))]  # (g, s, d)
+        tue = np.einsum("gd,gsd->gs", phi[idx], u)  # tau(u e)
+        tuue = np.einsum("gd,dgss->g", phi[idx], K.reshape(d, -1, s, s))  # sum_u tau(u^* u e)
+        residual[idx] = np.abs(tuue - (tue * tue.conj()).sum(axis=1) / (E[idx] @ alg.trace))
+    _certify("minimality certificate failed: a block frame cluster is not a minimal projection",
+             residual.max(), alg.tol)
+    z = (E[sizes == 1] + np.conj(E[sizes == 1]) @ alg.involution) / 2  # self-adjoint part
+    mult, block = alg.mult.reshape(d, d * d), _block_rows(d)
+    for k in range(0, len(z), block):  # x y = y @ L[x], as in product_coeffs
+        L = (z[k:k + block] @ mult).reshape(-1, d, d)
+        sq = np.matmul(z[k:k + block, np.newaxis], L)
+        z[k:k + block] = 3 * sq[:, 0] - 2 * np.matmul(sq, L)[:, 0]
     chi = z @ alg._pairing.T / (z @ alg.trace)[:, np.newaxis]
     _require_states(alg, chi)
     _certify("character is not multiplicative", _multiplicativity_residual(alg, chi),

@@ -6,12 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qperm import cli, cqg, permgroups
-from qperm.algebra import AlgebraError, Projection, StarAlgebra, State, gram_norm
+from qperm import algebra, cli, cqg, permgroups
+from qperm.algebra import (
+    AlgebraError,
+    Projection,
+    StarAlgebra,
+    State,
+    _multiplicativity_residual,
+    gram_norm,
+)
 from qperm.cli import BUILTIN_GROUPS, exp_haar
 from qperm.cqg import (
     CompactQuantumGroup,
-    centre,
     characters,
     classical_group,
     dual_dihedral,
@@ -22,6 +28,8 @@ from qperm.cqg import (
 )
 from qperm.idempotent import cesaro_idempotent, face_idempotent, is_group_like
 from qperm.permutation import classical_version
+
+from conftest import centre
 
 
 @pytest.fixture(scope="module")
@@ -393,29 +401,32 @@ def test_centre_and_characters_count_from_the_group_table():
 
 
 @pytest.mark.parametrize("name", ["kp", "s3", "dual-s4", "dual-d6"])
-def test_generic_central_element_ignores_the_centre_basis(name, monkeypatch):
-    # the generic element is drawn in the coordinates of A and projected on
-    # Z(A), so a unitary Q mixing the orthonormal rows of Z leaves it, and the
-    # characters and their supports, where they were; drawn in the
-    # coordinates of Z, it moves by O(1)
-    G = BUILTIN_GROUPS[name]()
-    Z = centre(G)
-    rng = np.random.default_rng(5)
-    Q = np.linalg.qr(rng.standard_normal((len(Z),) * 2)
-                     + 1j * rng.standard_normal((len(Z),) * 2))[0]
-    _ = G.algebra._frame  # the stacked state check's own L_h, built before counting
-    generic, left_mult = [], G.algebra.left_mult_matrix
-    monkeypatch.setattr(G.algebra, "left_mult_matrix", lambda a: generic.append(a) or left_mult(a))
-    found = []
-    for basis in (Z, Q @ Z):
-        monkeypatch.setattr(cqg, "centre", lambda G, basis=basis: basis)
-        found.append(cqg._character_stack(G))
-    assert len(generic) == 2
-    assert np.abs(generic[0] - generic[1]).max() <= 1e-12
-    for before, after in zip(*found):  # supports, then characters, in any order
-        assert before.shape == after.shape
-        gaps = np.abs(before[:, np.newaxis] - after[np.newaxis]).max(axis=2)
-        assert gaps.min(axis=1).max() <= 1e-12
+def test_a_merged_cluster_fails_the_minimality_certificate(name, monkeypatch):
+    # two adjacent clusters of the block frame read as one span e A for a
+    # projection e of two minimal summands, so e A e is not C e: with any one
+    # cut dropped, the characters are refused
+    assert len(characters(BUILTIN_GROUPS[name]())) > 0
+    cuts = algebra.eigen_clusters
+    for drop in range(len(BUILTIN_GROUPS[name]().algebra._frame_vectors[1])):
+        monkeypatch.setattr(algebra, "eigen_clusters",
+                            lambda evals, drop=drop: np.delete(cuts(evals), drop))
+        with pytest.raises(AlgebraError, match="minimality certificate"):
+            characters(BUILTIN_GROUPS[name]())
+        monkeypatch.setattr(algebra, "eigen_clusters", cuts)
+
+
+def test_characters_and_positivity_share_one_decomposition(monkeypatch):
+    # the characters, a stacked state check and the classical version all
+    # read the block frame's one eigendecomposition of L_h
+    calls, eig = [], algebra._self_adjoint_eig
+    monkeypatch.setattr(algebra, "_self_adjoint_eig", lambda f: calls.append(1) or eig(f))
+    for name, build in BUILTIN_GROUPS.items():
+        G = build()
+        characters(G)
+        G._state_bank(4, 0)
+        classical_version(G)
+        assert len(calls) == 1, name
+        calls.clear()
 
 
 # The quotient route (tests/conftest.py) is the oracle for the face
@@ -609,6 +620,25 @@ def test_group_likeness_memory_stays_at_d_squared():
         tracemalloc.stop()
     assert group_like
     assert peak < 10 * 2**20
+
+
+def test_multiplicativity_residual_runs_in_bounded_memory():
+    # C(S5), dim 120, and its 120 point evaluations, the characters of
+    # classical_version: the residual over all of them at once formed three
+    # (n, d^2) complex arrays of 27.6 MB (79.1 MB traced); a block of
+    # _block_rows(d) = 32 rows peaks about 21 MB.  A NaN in the last block is kept
+    G = classical_group(permgroups.symmetric_group(5), check=False)
+    D = np.eye(G.dim, dtype=complex)
+    tracemalloc.start()
+    try:
+        residual = _multiplicativity_residual(G.algebra, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual == 0.0
+    assert peak < 32 * 2**20
+    D[-1, -1] = np.nan
+    assert np.isnan(_multiplicativity_residual(G.algebra, D))
 
 
 def test_dual_s5_validates():

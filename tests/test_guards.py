@@ -221,3 +221,9 @@ def test_one_hermitian_eigendecomposition():
     # L_f in the trace frame through _self_adjoint_eig, which certifies f;
     # the classifier decomposes its sesquilinear matrix (eigvalsh is not counted)
     assert src_calls("eigh") == ["algebra._self_adjoint_eig", "idempotent.classify_idempotent"]
+
+
+def test_no_non_hermitian_eigendecomposition():
+    # the characters are read off the block frame's Hermitian decomposition,
+    # so no eigenvector in src comes from a non-Hermitian np.linalg.eig
+    assert src_calls("eig") == []

@@ -10,12 +10,12 @@ compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
 ``meet``, which the library takes as one spectral projection of L of the
 mean of the inputs, is compared with the limit of alternating products and
 with the spectral projection of the mean of the L_p, each taken into the
-trace frame on its own.  The
-classical version, which the library reads off the centre, is compared with
-the commutator-ideal route with meets of magic entries as supports, also in
-a complex basis, and its Haar fraction h(p_Q) with the closed form
-1 - |G| / dim.  The Haar state, the regular trace, is compared with the
-invariance SVD and with the trace-seeded Cesaro limit that it replaced.  The
+trace frame on its own.  The classical version, which the library reads
+off the block frame, is compared with the commutator-ideal route with meets
+of magic entries as supports, also in a complex basis, and its Haar
+fraction h(p_Q) with the closed form 1 - |G| / dim.  The Haar state, the
+regular trace, is compared with the invariance SVD and with the
+trace-seeded Cesaro limit that it replaced.  The
 face idempotent, the conditioned Haar state behind the stabiliser,
 dual-subgroup and p_C idempotents, is compared with that Cesaro limit on
 each face, the hand-built indicator and the pulled-back Haar state of the

@@ -123,11 +123,10 @@ def with_trivial_magic(G):
 
 
 @pytest.mark.parametrize("name, message", [
-    # C*(S3) is not commutative: the null space of the scalars' commutators
-    # is all of A, and the centre certificate rejects it
-    ("dual-s3", "centre certificate"),
-    # C(S3) is commutative, so the certificate passes, and each of its six
-    # characters has the identity slice
+    # the characters are the algebra's whatever the grid, and under the
+    # trivial grid each of them, two on C*(S3) and six on C(S3), has the
+    # identity slice
+    ("dual-s3", "not distinct"),
     ("s3", "not distinct"),
 ])
 def test_classical_version_rejects_non_generating_magic(name, message):
