@@ -353,39 +353,17 @@ class StarAlgebra:
         d = self.dim
         return (a @ self.regular.reshape(d, d * d)).reshape(d, d)
 
-    def matrix_to_coeffs(self, M: np.ndarray) -> np.ndarray:
-        """Invert the regular representation: L_x maps the unit to x.
-
-        The candidate ``M @ unit`` is accepted only if its left
-        multiplication matrix is within the algebra's ``tol`` of M; otherwise
-        M is not the left multiplication operator of any algebra element.
-        """
-        sol = M @ self.unit
-        _certify("matrix is outside the regular image",
-                 np.abs(self.left_mult_matrix(sol) - M).max(),
-                 max(self.tol, 1e3 * np.finfo(float).eps * max(1.0, np.abs(M).max())))
-        return sol
-
-    def to_hermitian_frame(self, M: np.ndarray) -> np.ndarray:
-        """Conjugate an operator on the algebra into the trace-orthonormal frame."""
-        L = self._chol
-        return L.conj().T @ M @ np.linalg.inv(L.conj().T)
-
-    def from_hermitian_frame(self, M: np.ndarray) -> np.ndarray:
-        L = self._chol
-        return np.linalg.solve(L.conj().T, M @ L.conj().T)
-
     @cached_property
     def _frame_vectors(self) -> tuple:
-        """(W, cuts): the eigenvectors u of L_h (:func:`_self_adjoint_eig`), h
-        self-adjoint and drawn once per dimension (:func:`_generic_coeffs`),
-        as coefficient columns W = L^-H U, orthonormal for tau(a^* b), and
-        the cut points of their clusters (:func:`eigen_clusters`).  A cluster
-        spans e A for a spectral projection e = sum_u u conj(tau(u)) of h.
-        The positivity frame and the characters read this one decomposition."""
+        """(W, cuts): the coefficient columns W of the eigenvectors u of L_h
+        (:func:`_self_adjoint_eig`), h self-adjoint and drawn once per
+        dimension (:func:`_generic_coeffs`), and the cut points of their
+        clusters (:func:`eigen_clusters`).  A cluster spans e A for a
+        spectral projection e = sum_u u conj(tau(u)) of h.  The positivity
+        frame and the characters read this one decomposition."""
         h = _generic_coeffs(self.dim)
-        evals, U = _self_adjoint_eig(self.element(h + self.star_coeffs(h)))
-        return np.linalg.solve(self._chol.conj().T, U), eigen_clusters(evals)
+        evals, W = _self_adjoint_eig(self.element(h + self.star_coeffs(h)))
+        return W, eigen_clusters(evals)
 
     @cached_property
     def _frame(self) -> tuple:
@@ -744,25 +722,35 @@ def eigen_clusters(evals: np.ndarray) -> np.ndarray:
 def _self_adjoint_eig(f: AlgebraElement):
     """Eigendecomposition of left multiplication by a self-adjoint element.
 
-    Returns (evals, U) with U orthonormal in the trace inner product frame.
+    L_f is conjugated into the trace frame, L^H L_f L^-H with L the Cholesky
+    factor of the Gram matrix, where it is Hermitian.  Returns (evals, W):
+    the ascending eigenvalues and the eigenvectors as coefficient columns
+    W = L^-H U, orthonormal for tau(a^* b).
     """
     alg = f.algebra
     _certify("element is not self-adjoint", gram_norm(f.star() - f), 100 * alg.tol)
-    M = alg.to_hermitian_frame(alg.left_mult_matrix(f.coeffs))
-    return np.linalg.eigh((M + M.conj().T) / 2)
+    Lh = alg._chol.conj().T
+    M = Lh @ alg.left_mult_matrix(f.coeffs) @ np.linalg.inv(Lh)
+    evals, U = np.linalg.eigh((M + M.conj().T) / 2)
+    return evals, np.linalg.solve(Lh, U)
 
 
-def _selected_projection(alg: StarAlgebra, evals: np.ndarray, U: np.ndarray,
+def _selected_projection(alg: StarAlgebra, evals: np.ndarray, W: np.ndarray,
                          select) -> Projection:
-    """The projection onto the columns of U, eigenvectors in the trace frame,
-    of every cluster (:func:`eigen_clusters`) whose mean passes ``select``,
-    pulled back with its back-map residual enforced; zero if none passes."""
-    sel = [k for idx in np.split(np.arange(len(evals)), eigen_clusters(evals))
-           if select(float(np.mean(evals[idx]))) for k in idx]
-    if not sel:
+    """The projection p = sum_u u conj(tau(u)) onto the eigenvector columns u
+    of W (:func:`_self_adjoint_eig`) of every cluster (:func:`eigen_clusters`)
+    whose mean passes ``select``; zero if none passes.  It is certified in
+    the trace norm on every column: |L_p u - [u selected] u| <= tol."""
+    keep = np.zeros(len(evals), dtype=bool)
+    for idx in np.split(np.arange(len(evals)), eigen_clusters(evals)):
+        keep[idx] = select(float(np.mean(evals[idx])))
+    if not keep.any():
         return Projection(alg, np.zeros(alg.dim), check=False)
-    V = U[:, sel]
-    return Projection(alg, alg.matrix_to_coeffs(alg.from_hermitian_frame(V @ V.conj().T)))
+    p = W[:, keep] @ np.conj(alg.trace @ W[:, keep])
+    _certify("spectral projection certificate failed: p does not fix exactly the selected "
+             "eigenvectors", _gram_norms(alg, (alg.left_mult_matrix(p) @ W - W * keep).T).max(),
+             alg.tol)
+    return Projection(alg, p)
 
 
 def spectral_projection(f: AlgebraElement, intervals) -> Projection:
@@ -778,9 +766,9 @@ def spectral_projection(f: AlgebraElement, intervals) -> Projection:
 def spectral_partition(f: AlgebraElement):
     """All (cluster mean, Projection) pairs of a self-adjoint element, in
     increasing order: the ascending eigenvalues' clusters (:func:`eigen_clusters`)."""
-    evals, U = _self_adjoint_eig(f)
+    evals, W = _self_adjoint_eig(f)
     means = [float(np.mean(c)) for c in np.split(evals, eigen_clusters(evals))]
-    return [(lam, _selected_projection(f.algebra, evals, U, lambda mean: mean == lam))
+    return [(lam, _selected_projection(f.algebra, evals, W, lambda mean: mean == lam))
             for lam in means]
 
 
@@ -795,9 +783,9 @@ def support_projection(phi: State) -> Projection:
         phi = State(alg, phi.duals)
     d = np.linalg.solve(alg._pairing.T, phi.duals)
     d_el = alg.element(d)
-    evals, U = _self_adjoint_eig(0.5 * (d_el + d_el.star()))
+    evals, W = _self_adjoint_eig(0.5 * (d_el + d_el.star()))
     thresh = max(alg.tol, 1e3 * np.finfo(float).eps * max(1.0, float(evals.max())))
-    p = _selected_projection(alg, evals, U, lambda mean: mean >= thresh)
+    p = _selected_projection(alg, evals, W, lambda mean: mean >= thresh)
     _certify("support postcondition failed: phi(p) is not 1", abs(phi(p) - 1.0), 100 * alg.tol)
     return p
 

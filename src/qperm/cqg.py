@@ -246,7 +246,7 @@ class CompactQuantumGroup:
 
     @cached_property
     def _checks(self) -> list[CheckResult]:
-        alg, D, c = self.algebra, self.delta, self.algebra.mult
+        alg, D = self.algebra, self.delta
         tol, d = alg.tol, alg.dim
         checks = []
 
@@ -279,8 +279,7 @@ class CompactQuantumGroup:
         eps = self.counit.duals
         add("counit_left", np.abs(np.einsum("iab,a->ib", D, eps) - np.eye(alg.dim)).max())
         add("counit_right", np.abs(np.einsum("iab,b->ia", D, eps) - np.eye(alg.dim)).max())
-        mult_eps = np.einsum("ijk,k->ij", c, eps) - np.outer(eps, eps)
-        add("counit_character", max(np.abs(mult_eps).max(),
+        add("counit_character", max(_multiplicativity_residual(alg, eps[np.newaxis]),
                                     abs(eps @ alg.unit - 1.0)))
 
         S = self.antipode

@@ -252,9 +252,8 @@ def fix_spectrum(G: CompactQuantumGroup) -> FixSpectrum:
 def fix_eigenvector_seed(G: CompactQuantumGroup) -> State:
     """Equal mix of the vector states of two eigenvectors of fix, for the
     eigenvalues nearest 2 and 4 fixed points, both from one decomposition."""
-    evals, U = _self_adjoint_eig(G.fix_element())
-    X = [U[:, np.argmin(np.abs(evals - t))] for t in (2.0, 4.0)]  # in the trace frame
-    duals = [G.vector_state(np.linalg.solve(G.algebra._chol.conj().T, x)).duals for x in X]
+    evals, W = _self_adjoint_eig(G.fix_element())
+    duals = [G.vector_state(W[:, np.argmin(np.abs(evals - t))]).duals for t in (2.0, 4.0)]
     return State(G.algebra, np.mean(duals, axis=0))
 
 

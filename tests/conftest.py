@@ -675,11 +675,12 @@ def experiment_oracles():
 
 def _fix_seed_by_two_eigenvectors(G):
     """The fix eigenvector seed with one decomposition of fix per eigenvector:
-    each of the eigenvalues nearest 2 and 4 takes its own ``eigh``."""
+    each of the eigenvalues nearest 2 and 4 takes its own ``eigh`` of L_fix
+    in the trace frame, and its eigenvector is solved back to coefficients."""
     fix = G.fix_element()
 
     def eigenvector(target):
-        evals, U = algebra._self_adjoint_eig(fix)
+        evals, U = frame_eigh(fix)
         return np.linalg.solve(G.algebra._chol.conj().T,
                                U[:, int(np.argmin(np.abs(evals - target)))])
 
@@ -837,14 +838,78 @@ def group_law_oracle():
     return _group_law_mismatches
 
 
+# -- the operator pullback that every spectral projection once took ------------------
+
+
+def to_hermitian_frame(alg, M):
+    """An operator on the algebra conjugated into the trace-orthonormal
+    frame, L^H M L^-H with L the Cholesky factor of the Gram matrix."""
+    Lh = alg._chol.conj().T
+    return Lh @ M @ np.linalg.inv(Lh)
+
+
+def from_hermitian_frame(alg, M):
+    """An operator in the trace-orthonormal frame taken back to the basis."""
+    Lh = alg._chol.conj().T
+    return np.linalg.solve(Lh, M @ Lh)
+
+
+def matrix_to_coeffs(alg, M):
+    """The x with L_x = M, read as M @ 1 since L_x maps the unit to x, and
+    accepted only if L_x is within the algebra's tol of M, entrywise."""
+    x = M @ alg.unit
+    _certify("matrix is outside the regular image", np.abs(alg.left_mult_matrix(x) - M).max(),
+             max(alg.tol, 1e3 * np.finfo(float).eps * max(1.0, np.abs(M).max())))
+    return x
+
+
+def pulled_back(alg, V):
+    """Coefficients of the projection V V^H onto columns V, orthonormal in
+    the trace frame, pulled back to the algebra."""
+    return matrix_to_coeffs(alg, from_hermitian_frame(alg, V @ V.conj().T))
+
+
+def frame_eigh(f):
+    """``eigh`` of the Hermitian part of L_f in the trace frame."""
+    M = to_hermitian_frame(f.algebra, f.algebra.left_mult_matrix(f.coeffs))
+    return np.linalg.eigh((M + M.conj().T) / 2)
+
+
+def _clusters_by_pullback(f):
+    """(mean, coefficients) of the spectral projection of each eigenvalue
+    cluster of a self-adjoint f (``eigen_clusters``), pulled back."""
+    evals, U = frame_eigh(f)
+    return [(float(np.mean(evals[idx])), pulled_back(f.algebra, U[:, idx]))
+            for idx in np.split(np.arange(len(evals)), algebra.eigen_clusters(evals))]
+
+
+def _support_by_pullback(phi):
+    """The support of a state: the clusters of its Hermitized density at or
+    above max(tol, 1e3 eps max(1, lambda_max)), pulled back as one projection."""
+    alg = phi.algebra
+    density = alg.element(np.linalg.solve(alg._pairing.T, phi.duals))
+    herm = 0.5 * (density + density.star())
+    evals, U = frame_eigh(herm)
+    thresh = max(alg.tol, 1e3 * np.finfo(float).eps * max(1.0, float(evals.max())))
+    keep = [k for idx in np.split(np.arange(len(evals)), algebra.eigen_clusters(evals))
+            if np.mean(evals[idx]) >= thresh for k in idx]
+    return pulled_back(alg, U[:, keep])
+
+
 def _meet_by_mean_of_frames(ps):
     """Coefficients of the meet: the eigenvalue-1 spectral projection of the
     mean of the L_p, each conjugated into the trace frame on its own."""
     alg = ps[0].algebra
-    avg = sum(alg.to_hermitian_frame(alg.left_mult_matrix(p.coeffs)) for p in ps) / len(ps)
+    avg = sum(to_hermitian_frame(alg, alg.left_mult_matrix(p.coeffs)) for p in ps) / len(ps)
     evals, U = np.linalg.eigh((avg + avg.conj().T) / 2)
-    V = U[:, evals > 1.0 - 1e3 * algebra.ITER_TOL]
-    return alg.matrix_to_coeffs(alg.from_hermitian_frame(V @ V.conj().T))
+    return pulled_back(alg, U[:, evals > 1.0 - 1e3 * algebra.ITER_TOL])
+
+
+@pytest.fixture(scope="session")
+def pullback_oracle():
+    """The spectral projections by the operator pullback, as coefficients:
+    ``partition(f)`` and ``support(phi)``; ``meet_oracle`` takes meets."""
+    return types.SimpleNamespace(partition=_clusters_by_pullback, support=_support_by_pullback)
 
 
 @pytest.fixture

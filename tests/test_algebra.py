@@ -15,8 +15,12 @@ from qperm.algebra import (
     Projection,
     State,
     _block_rows,
+    _generic_coeffs,
     _require_states,
+    _selected_projection,
+    _self_adjoint_eig,
     _state_rows,
+    eigen_clusters,
     gram_norm,
     is_positive_functional,
     meet,
@@ -32,6 +36,9 @@ from qperm.cqg import (
     kac_paljutkin,
     uniform_state,
 )
+from qperm.cli import BUILTIN_GROUPS
+
+from conftest import complex_basis, in_basis
 
 
 @pytest.fixture(scope="module")
@@ -149,21 +156,30 @@ def test_meet_rejects_bad_families(dual_z2, cs3):
         meet([dual_z2.magic_projection(0, 0), cs3.magic_projection(0, 0)])
 
 
-def test_matrix_to_coeffs_inverts_only_left_multiplications(in_centre):
-    G = kac_paljutkin()
-    alg = G.algebra
-    rng = np.random.default_rng(4)
-    for _ in range(3):
-        x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        assert np.abs(alg.matrix_to_coeffs(alg.left_mult_matrix(x)) - x).max() < 1e-12
-    with pytest.raises(AlgebraError, match="outside the regular image"):
-        alg.matrix_to_coeffs(rng.standard_normal((alg.dim, alg.dim)))
-    # right multiplication by a: if it were L_b, then b = R_a(1) = a and a
-    # would be central
-    a = basis_element(alg, 4)
-    assert not in_centre(G, a.coeffs)
-    with pytest.raises(AlgebraError, match="outside the regular image"):
-        alg.matrix_to_coeffs((a.coeffs @ alg.mult).T)
+@pytest.mark.parametrize("name", ["kp", "dual-s4"])
+def test_a_split_cluster_fails_the_spectral_projection_certificate(name):
+    # a cluster of the generic h + h^* with s > 1 vectors spans e A for a
+    # minimal e of a block M_s; any one of its vectors, given a cluster of
+    # its own, spans no right ideal, so sum_u u conj(tau(u)) does not fix it
+    alg = BUILTIN_GROUPS[name]().algebra
+    h = _generic_coeffs(alg.dim)
+    evals, W = _self_adjoint_eig(alg.element(h + alg.star_coeffs(h)))
+    split = [k for idx in np.split(np.arange(alg.dim), eigen_clusters(evals)) if len(idx) > 1
+             for k in idx]
+    assert split
+    for k in split:
+        with pytest.raises(AlgebraError, match="spectral projection certificate failed"):
+            _selected_projection(alg, np.arange(alg.dim, dtype=float), W, lambda mean: mean == k)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_eigenvectors_are_trace_orthonormal_columns(name):
+    # _self_adjoint_eig returns coefficient columns W with W^H gram W = I,
+    # in the builtin basis and in a complex, non-orthogonal one
+    G = BUILTIN_GROUPS[name]()
+    for H in (G, in_basis(G, complex_basis(G, 13))):
+        _, W = _self_adjoint_eig(H.fix_element())
+        assert np.abs(W.conj().T @ H.algebra.gram @ W - np.eye(H.dim)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("m", [3, 4, 6])

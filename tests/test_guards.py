@@ -2,8 +2,9 @@
 every guard must reject, and lints on how the guards in ``src`` are written:
 none lets NaN through, none is an ``assert``, which ``python -O`` strips, no
 handler swallows a failure, and only the CLI's ``main`` maps one to an exit
-code.  Two more pin single sources: one seeded generic vector and one
-Hermitian eigendecomposition of a left multiplication.
+code.  Three more pin single sources: one seeded generic vector, one
+Hermitian eigendecomposition of a left multiplication and one solve of its
+eigenvectors back to coefficient columns.
 
 A guard raises unless its pass condition holds.  ``if residual > tol:
 raise`` raises only when the fail condition holds, and every comparison
@@ -18,7 +19,14 @@ import pytest
 
 import qperm
 from qperm import cli
-from qperm.algebra import AlgebraError, State, spectral_projection, support_projection
+from qperm.algebra import (
+    AlgebraError,
+    State,
+    _selected_projection,
+    _self_adjoint_eig,
+    spectral_projection,
+    support_projection,
+)
 from qperm.cqg import kac_paljutkin
 from qperm.permutation import fix_spectrum, has_integer_fixed_points, stabiliser_membership
 
@@ -45,11 +53,18 @@ def _nan_state(G):
     return State(G.algebra, np.full(G.dim, np.nan), check=False)
 
 
+def _nan_column_projection(G):
+    # fix's whole lowest cluster is selected; the NaN sits in the last
+    # eigenvector column, outside it, which the certificate still checks
+    evals, W = _self_adjoint_eig(G.fix_element())
+    W[:, -1] = np.nan
+    return _selected_projection(G.algebra, evals, W, lambda mean: mean < 0.5)
+
+
 NAN_PROBES = {
     "distribution": lambda kp, fs: fs.distribution(_nan_state(kp)),
     "has_integer_fixed_points": lambda kp, fs: has_integer_fixed_points(_nan_state(kp), fs),
-    "matrix_to_coeffs": lambda kp, fs: kp.algebra.matrix_to_coeffs(
-        np.full((kp.dim, kp.dim), np.nan)),
+    "selected_projection": lambda kp, fs: _nan_column_projection(kp),
     "spectral_projection": lambda kp, fs: spectral_projection(
         kp.algebra.element(np.full(kp.dim, np.nan)), (0.5, 1.5)),
     "support_projection": lambda kp, fs: support_projection(_nan_state(kp)),
@@ -217,10 +232,19 @@ def test_one_seeded_generic_vector():
 
 
 def test_one_hermitian_eigendecomposition():
-    # every spectral projection, support, meet and the block frame decompose
-    # L_f in the trace frame through _self_adjoint_eig, which certifies f;
-    # the classifier decomposes its sesquilinear matrix (eigvalsh is not counted)
+    # every spectral projection, support, meet, the block frame and the fix
+    # seed decompose L_f in the trace frame through _self_adjoint_eig, which
+    # certifies f and returns coefficient columns; the classifier decomposes
+    # its sesquilinear matrix (eigvalsh is not counted)
     assert src_calls("eigh") == ["algebra._self_adjoint_eig", "idempotent.classify_idempotent"]
+
+
+def test_one_solve_of_eigenvectors_back_to_coefficients():
+    # eigenvectors are solved back from the trace frame once, in
+    # _self_adjoint_eig; every caller reads its coefficient columns.  The
+    # other solves are the support's density and the Cesaro projector
+    assert src_calls("solve") == ["algebra._self_adjoint_eig", "algebra.support_projection",
+                                  "idempotent._cesaro_projector"]
 
 
 def test_no_non_hermitian_eigendecomposition():

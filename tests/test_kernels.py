@@ -7,6 +7,10 @@ residuals, which the library contracts sparsely, are compared with the dense
 einsums in the same way, on the builtins and on dense perturbations.  The
 group-likeness norm, which the library takes as a (d, d) Gram form, is
 compared with the norm in the tensor square's dense (d^2, d^2) Gram matrix.
+Every spectral projection, which the library reads off trace-orthonormal
+eigenvector columns as sum_u u conj(tau(u)), is compared with the operator
+V V^H pulled back to the algebra through the unit: the partition of fix,
+the supports of the counit and of bank states and the stabiliser meets.
 ``meet``, which the library takes as one spectral projection of L of the
 mean of the inputs, is compared with the limit of alternating products and
 with the spectral projection of the mean of the L_p, each taken into the
@@ -31,7 +35,8 @@ frame of eigenvalue clusters and, near the tolerance, on the dense form, is
 compared with the smallest eigenvalue of each row's sesquilinear matrix, in
 the builtin basis and a complex one, rows just past the tolerance either
 way taking the dense form; the frame's cluster sizes are pinned, its
-eigenvectors are ``_self_adjoint_eig``'s bit for bit, its clusters those of
+coefficient columns are ``_self_adjoint_eig``'s bit for bit, the trace-frame
+eigenvectors solved back by the Cholesky factor, its clusters those of
 the gap rule walked in a loop, which the vectorised cut points of
 ``eigen_clusters`` match on ties and near-ties, and only a stacked check
 builds it; the direct summands, the union-find components
@@ -82,6 +87,7 @@ from qperm.algebra import (
     eigen_clusters,
     gram_norm,
     meet,
+    spectral_partition,
     spectral_projection,
     support_projection,
 )
@@ -122,7 +128,7 @@ from qperm.permutation import (
     stabiliser_projection,
 )
 
-from conftest import complex_basis, in_basis
+from conftest import complex_basis, in_basis, pulled_back, to_hermitian_frame
 
 # Fixed before the kernels were written: complex128 sums of at most d^2
 # terms of size ~1 agree to a few hundred ulps at d <= 24.
@@ -283,7 +289,7 @@ def test_support_projection_pairing(G):
         pair = np.einsum("jik,k->ij", alg.mult, alg.trace)
         density = alg.element(np.linalg.solve(pair, psi.duals))
         herm = 0.5 * (density + density.star())
-        evals = np.linalg.eigvalsh(alg.to_hermitian_frame(alg.left_mult_matrix(herm.coeffs)))
+        evals = np.linalg.eigvalsh(to_hermitian_frame(alg, alg.left_mult_matrix(herm.coeffs)))
         thresh = max(alg.tol, 1e3 * np.finfo(float).eps * max(1.0, float(evals.max())))
         ref = spectral_projection(herm, [(thresh, np.inf)])
         assert_matches(support_projection(psi).coeffs, ref.coeffs)
@@ -296,7 +302,7 @@ def alternating_meet(alg, ps):
     orthogonal projection onto the common fixed space; the squaring must
     become stationary, and the limit is snapped to its eigenvalues above 1/2.
     """
-    frames = [alg.to_hermitian_frame(alg.left_mult_matrix(p.coeffs)) for p in ps]
+    frames = [to_hermitian_frame(alg, alg.left_mult_matrix(p.coeffs)) for p in ps]
     T = frames[0]
     for F in frames[1:]:
         T = T @ F
@@ -309,9 +315,7 @@ def alternating_meet(alg, ps):
     assert stationary
     evals, U = np.linalg.eigh((T + T.conj().T) / 2)
     V = U[:, evals > 0.5]
-    if V.shape[1] == 0:
-        return 0, np.zeros(alg.dim)
-    return V.shape[1], alg.matrix_to_coeffs(alg.from_hermitian_frame(V @ V.conj().T))
+    return V.shape[1], pulled_back(alg, V)
 
 
 def set_partitions(items):
@@ -369,6 +373,23 @@ def test_dihedral_meet_matches_mean_of_frames_oracle(m, meet_oracle):
     G = BUILTIN_GROUPS[f"dual-d{m}"]()
     ps = [G.magic_projection(0, 0), G.magic_projection(2, 2)]
     assert_matches(meet(ps).coeffs, meet_oracle(ps))
+
+
+def test_spectral_projections_match_the_pullback_oracle(G, pullback_oracle, meet_oracle):
+    # the projections read off trace-orthonormal coefficient columns against
+    # V V^H pulled back to the algebra through the unit: the partition of
+    # fix, the supports of the counit and of bank states, the stabiliser meets
+    fix = G.fix_element()
+    parts, ref = spectral_partition(fix), pullback_oracle.partition(fix)
+    assert [lam for lam, _ in parts] == [lam for lam, _ in ref]
+    for (_, p), (_, coeffs) in zip(parts, ref):
+        assert_matches(p.coeffs, coeffs)
+    for phi in [G.counit, *G.sample_states(3, seed=5)]:
+        assert_matches(support_projection(phi).coeffs, pullback_oracle.support(phi))
+    for part in set_partitions(list(range(G.N))):
+        ps = off_pattern_complements(G, part)
+        if ps:
+            assert_matches(stabiliser_projection(G, part).coeffs, meet_oracle(ps))
 
 
 def stabiliser_cases(G):
@@ -577,8 +598,8 @@ def test_character_kernels(G):
 
 
 def test_classical_version_matches_oracle(G, classical_version_oracle):
-    # the centre route against the commutator ideal, the retry loop and the
-    # meets of magic entries
+    # the block frame's characters and supports against the commutator
+    # ideal, the retry loop and the meets of magic entries
     perms, chars, supports = classical_version_oracle(G)
     cv = classical_version(G)
     assert cv.permutations == perms
@@ -960,8 +981,8 @@ def test_face_idempotent_in_a_complex_basis(name, face):
 
 @pytest.mark.parametrize("name", ["s3", "dual-s3", "kp", "dual-s4"])
 def test_classical_version_in_a_complex_basis(name, classical_version_oracle):
-    # the centre, its split and every certificate are basis-free: in a
-    # complex, non-orthogonal basis the characters are B chi and the
+    # the block frame, its clusters and every certificate are basis-free: in
+    # a complex, non-orthogonal basis the characters are B chi and the
     # supports z B^-1 of the oracle's in the original basis
     G = BUILTIN_GROUPS[name]()
     B = complex_basis(G, 5)
@@ -1060,10 +1081,11 @@ def test_frame_blocks_the_dense_form(G):
 
 @pytest.mark.parametrize("name", [*sorted(BUILTIN_GROUPS), "dual-d15", "dual-d20"])
 def test_frame_reuses_the_spectral_decomposition(name, kernel_oracles, monkeypatch):
-    # the frame's eigenvalues and vectors are _self_adjoint_eig's of
-    # h + h^*, bit for bit the route it once wrote out (L_h into the trace
-    # frame, eigh of the Hermitian part), and its clusters are cut where the
-    # walked argsort of the gap rule cuts them
+    # the frame's eigenvalues and coefficient columns are _self_adjoint_eig's
+    # of h + h^*, bit for bit the route it once wrote out (L_h into the trace
+    # frame, eigh of the Hermitian part, the eigenvectors solved back by the
+    # Cholesky factor), and its clusters are cut where the walked argsort of
+    # the gap rule cuts them
     G = BUILTIN_GROUPS[name]() if name in BUILTIN_GROUPS else dual_dihedral(int(name[6:]))
     alg, d = G.algebra, G.dim
     seen, eig, clusters = [], algebra._self_adjoint_eig, algebra.eigen_clusters
@@ -1079,13 +1101,14 @@ def test_frame_reuses_the_spectral_decomposition(name, kernel_oracles, monkeypat
     monkeypatch.setattr(algebra, "_self_adjoint_eig", recorded_eig)
     monkeypatch.setattr(algebra, "eigen_clusters", recorded_clusters)
     _ = alg._frame
-    (generic, evals, U), cuts = seen
+    (generic, evals, W), cuts = seen
     h = _generic_coeffs(d)
     h = h + alg.star_coeffs(h)
     assert np.array_equal(generic, h)
-    M = alg.to_hermitian_frame((h @ alg.regular.reshape(d, d * d)).reshape(d, d))
+    M = to_hermitian_frame(alg, (h @ alg.regular.reshape(d, d * d)).reshape(d, d))
     ref_evals, ref_U = np.linalg.eigh((M + M.conj().T) / 2)
-    assert np.array_equal(evals, ref_evals) and np.array_equal(U, ref_U)
+    assert np.array_equal(evals, ref_evals)
+    assert np.array_equal(W, np.linalg.solve(alg._chol.conj().T, ref_U))
     walked = [sorted(c) for c in kernel_oracles.eigen_clusters(ref_evals)]
     assert walked == [c.tolist() for c in np.split(np.arange(d), cuts)]
     assert frame_sizes(alg) == sorted(len(c) for c in walked)
